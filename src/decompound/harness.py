@@ -373,13 +373,14 @@ def run_coefficient_study(cfg: StudyConfig) -> StudyResult:
     law = cfg.law_object()
     est_cfg = cfg.estimator_config()
     index = _resolve_index(cfg, space)
+    mode = Mode(cfg.mode)
     obs_tau = cfg.data_noise_tau()
 
     rows = []
     rep_errors = []
     for m in cfg.m_grid:
         ranges = _chunk_ranges(cfg.replicates, cfg.threads)
-        jobs = [(law, est_cfg, index, m, hi - lo, cfg.seed, obs_tau, lo)
+        jobs = [(law, est_cfg, index, m, hi - lo, cfg.seed, obs_tau, mode, lo)
                 for lo, hi in ranges]
         if cfg.threads > 1:
             with ProcessPoolExecutor(max_workers=cfg.threads) as pool:
@@ -409,11 +410,11 @@ def run_coefficient_study(cfg: StudyConfig) -> StudyResult:
 
 
 def _coefficient_chunk(args):
-    law, est_cfg, index, m, count, seed, obs_tau, first = args
+    law, est_cfg, index, m, count, seed, obs_tau, mode, first = args
     if count <= 0:
         return np.zeros(0)
     return coefficient_errors(law, est_cfg, index, m, count, seed,
-                              observation_noise_tau=obs_tau,
+                              observation_noise_tau=obs_tau, mode=mode,
                               first_replicate=first)
 
 

@@ -7,12 +7,17 @@ current point.  Two modes:
 
 * iid - independent walks, one per observation;
 * trajectory - a single walk observed at times t, 2t, ..., mt, with each
-  window's increment carried back to the origin (increments are i.i.d. and
-  distributed like a time-t observation, which is what the estimators
-  consume).
+  window's increment carried back to the origin.  The increments are
+  i.i.d. and distributed like a time-t observation, which is what the
+  estimators consume, so they are drawn as such from one stream.
 
 Optionally each observation is blurred by an independent heat-kernel
 displacement whose spectral signature is exactly exp(-tau^2 * kappa / 2).
+
+On spheres the endpoint law is invariant under rotations fixing the
+origin, so only the cosine of the distance to the origin is walked (the
+blur is one more step) and each endpoint is lifted along a uniform
+tangent direction at the origin.
 
 Reproducibility: a counter-based (Philox) generator keyed by
 (seed, block index), one stream per block of 4096 observations, so iid
@@ -21,6 +26,7 @@ generation is parallelizable across blocks while output depends only on
 """
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -195,6 +201,19 @@ def poisson_draw(rate: float, rng) -> int:
 # walk kernels
 
 
+@functools.lru_cache(maxsize=8)
+def _blur_law(space: Space, noise_tau: float) -> StepLaw:
+    """The heat kernel at time tau^2/2, coefficients exp(-tau^2 * kappa / 2).
+
+    On the circle/torus it is the wrapped normal with scale tau, which has
+    an exact sampler.  Cached so that a sphere's radial table is built once
+    per (space, tau), not once per block.
+    """
+    if space.is_flat:
+        return WrappedNormal(space, sigma=noise_tau, mean=(0.0,))
+    return HeatZonal(space, tau0=noise_tau**2 / 2.0)
+
+
 def _flat_segment_sums(disp: np.ndarray, counts: np.ndarray, dim: int) -> np.ndarray:
     """Sum consecutive displacement runs of the given lengths (zeros allowed)."""
     cs = np.vstack([np.zeros((1, dim)), np.cumsum(disp, axis=0)])
@@ -203,145 +222,77 @@ def _flat_segment_sums(disp: np.ndarray, counts: np.ndarray, dim: int) -> np.nda
     return cs[ends] - cs[starts]
 
 
-def _sphere_walk(law: StepLaw, counts: np.ndarray, rng) -> np.ndarray:
-    """Vectorized masked stepping: one round per remaining step count."""
-    space = law.space
-    n = counts.shape[0]
-    pts = np.broadcast_to(space.origin(), (n, space.ambient_dim)).copy()
-    remaining = counts.copy()
-    while True:
-        active = remaining > 0
-        na = int(active.sum())
-        if na == 0:
-            return pts
-        dist = law.sample_distances(na, rng)
-        dirs = uniform_tangents(pts[active], rng)
-        moved = np.cos(dist)[:, None] * pts[active] + np.sin(dist)[:, None] * dirs
-        pts[active] = moved / np.linalg.norm(moved, axis=1, keepdims=True)
-        remaining[active] -= 1
+def _colatitude_step(z: np.ndarray, dist: np.ndarray, dim: int, rng) -> np.ndarray:
+    """Cosines of the distance to the origin after one zonal step of each
+    length from points at cosines z on the sphere S^dim.
 
-
-def _apply_noise(config: ProcessConfig, pts: np.ndarray, rng) -> np.ndarray:
-    """Blur each point by an independent heat displacement at time tau^2/2.
-
-    On the circle/torus the heat kernel at time tau^2/2 is the wrapped
-    normal with scale tau (coefficients exp(-tau^2 |n|^2 / 2)), so that
-    exact sampler is used there.
+    The step's direction is uniform in the dim-dimensional tangent space, so
+    its cosine c with the direction back to the origin is the first
+    coordinate of a uniform unit vector in R^dim.
     """
-    if config.noise_tau == 0.0:
-        return pts
-    space = config.space
-    if space.kind is SpaceKind.SPHERE:
-        blur = HeatZonal(space, tau0=config.noise_tau**2 / 2.0)
-        dist = blur.sample_distances(pts.shape[0], rng)
-        dirs = uniform_tangents(pts, rng)
-        moved = np.cos(dist)[:, None] * pts + np.sin(dist)[:, None] * dirs
-        return moved / np.linalg.norm(moved, axis=1, keepdims=True)
-    wn = WrappedNormal(space, sigma=config.noise_tau, mean=(0.0,))
-    return np.mod(pts + wn.sample_displacements(pts.shape[0], rng), 2.0 * math.pi)
+    if dim == 2:
+        c = np.cos(2.0 * math.pi * rng.random(z.shape[0]))
+    else:
+        a = (dim - 1) / 2.0
+        c = 2.0 * rng.beta(a, a, z.shape[0]) - 1.0
+    s = np.sqrt(np.maximum(1.0 - z * z, 0.0))
+    return np.clip(z * np.cos(dist) + s * np.sin(dist) * c, -1.0, 1.0)
 
 
-def _iid_block(config: ProcessConfig, nb: int, rng) -> np.ndarray:
-    law = config.law
-    space = config.space
-    counts = _poisson_many(config.mean_steps, nb, rng)
-    if space.is_flat:
-        total = int(counts.sum())
-        disp = (law.sample_displacements(total, rng) if total
-                else np.zeros((0, space.dim)))
-        pos = _flat_segment_sums(disp, counts, space.dim)
-        pos = _apply_noise(config, pos, rng)
-        return np.mod(pos, 2.0 * math.pi)
-    pts = _sphere_walk(law, counts, rng)
-    return _apply_noise(config, pts, rng)
+def _sphere_endpoints(config: ProcessConfig, counts: np.ndarray, rng) -> np.ndarray:
+    """Endpoints of zonal walks from the origin with the given step counts.
 
-
-def _rebase_to_origin(base: np.ndarray, target: np.ndarray, origin: np.ndarray) -> np.ndarray:
-    """Rotate each target point by the geodesic rotation taking base -> origin.
-
-    The rotation acts in span(base, origin) and fixes its orthogonal
-    complement; zonal step laws make the rebased increments distributed
-    exactly like a walk started at the origin.
+    Their law is invariant under rotations fixing the origin, so only
+    z = cos(distance to origin) is walked, and each endpoint is lifted once
+    along a uniform tangent at the origin.  Walks are taken longest first,
+    so each round's walkers are a prefix; the blur is one more step.
     """
-    c = base @ origin
-    raw = origin[None, :] - c[:, None] * base
-    s = np.linalg.norm(raw, axis=1)
-    out = target.copy()
-    ok = s > 1e-12
-    if ok.any():
-        e1 = base[ok]
-        e2 = raw[ok] / s[ok, None]
-        y = target[ok]
-        y1 = np.einsum("ij,ij->i", y, e1)
-        y2 = np.einsum("ij,ij->i", y, e2)
-        cc, ss = c[ok], s[ok]
-        out[ok] = (y
-                   + ((cc - 1.0) * y1 - ss * y2)[:, None] * e1
-                   + (ss * y1 + (cc - 1.0) * y2)[:, None] * e2)
-    anti = ~ok & (c < 0.0)
-    if anti.any():
-        # base antipodal to the origin: rotate by pi in the (origin, e_1) plane
-        e1 = np.zeros_like(origin)
-        e1[0] = 1.0
-        y = target[anti]
-        out[anti] = y - 2.0 * ((y @ origin)[:, None] * origin + (y @ e1)[:, None] * e1)
-    return out
-
-
-def _trajectory_points(config: ProcessConfig, m: int, rng) -> np.ndarray:
-    law = config.law
     space = config.space
-    counts = _poisson_many(config.mean_steps, m, rng)
+    order = np.argsort(-counts, kind="stable")
+    steps = counts[order]
+    dist = config.law.sample_distances(int(steps.sum()), rng)
+    walked = np.ones(steps.shape[0])
+    lo = 0
+    for k in range(int(steps[0])):
+        na = int(np.count_nonzero(steps > k))
+        walked[:na] = _colatitude_step(walked[:na], dist[lo:lo + na], space.dim, rng)
+        lo += na
+    z = np.empty_like(walked)
+    z[order] = walked
+    if config.noise_tau:
+        blur = _blur_law(space, config.noise_tau)
+        z = _colatitude_step(z, blur.sample_distances(z.shape[0], rng), space.dim, rng)
+    origin = space.origin()
+    dirs = uniform_tangents(np.broadcast_to(origin, (z.shape[0], origin.size)), rng)
+    return z[:, None] * origin + np.sqrt(np.maximum(1.0 - z * z, 0.0))[:, None] * dirs
+
+
+def _walk_endpoints(config: ProcessConfig, n: int, rng) -> np.ndarray:
+    """n independent (blurred) time-t observations drawn from one stream."""
+    counts = _poisson_many(config.mean_steps, n, rng)
+    space = config.space
+    if not space.is_flat:
+        return _sphere_endpoints(config, counts, rng)
     total = int(counts.sum())
-    if space.is_flat:
-        disp = (law.sample_displacements(total, rng) if total
-                else np.zeros((0, space.dim)))
-        inc = _flat_segment_sums(disp, counts, space.dim)
-        inc = _apply_noise(config, inc, rng)
-        return np.mod(inc, 2.0 * math.pi)
-
-    dim = space.ambient_dim
-    dists = law.sample_distances(total, rng) if total else np.zeros(0)
-    gauss = rng.standard_normal((total, dim)) if total else np.zeros((0, dim))
-    snaps = np.empty((m + 1, dim))
-    x = space.origin().copy()
-    snaps[0] = x
-    i = 0
-    for k in range(m):
-        for _ in range(int(counts[k])):
-            g = gauss[i]
-            v = g - (g @ x) * x
-            nv = math.sqrt(float(v @ v))
-            if nv < 1e-12:
-                v = np.zeros(dim)
-                v[0] = 1.0
-                v = v - (v @ x) * x
-                nv = math.sqrt(float(v @ v))
-            v /= nv
-            d = dists[i]
-            x = math.cos(d) * x + math.sin(d) * v
-            x /= math.sqrt(float(x @ x))
-            i += 1
-        snaps[k + 1] = x
-    inc = _rebase_to_origin(snaps[:-1], snaps[1:], space.origin())
-    inc /= np.linalg.norm(inc, axis=1, keepdims=True)
-    return _apply_noise(config, inc, rng)
+    disp = (config.law.sample_displacements(total, rng) if total
+            else np.zeros((0, space.dim)))
+    pos = _flat_segment_sums(disp, counts, space.dim)
+    if config.noise_tau:
+        pos = pos + _blur_law(space, config.noise_tau).sample_displacements(n, rng)
+    return np.mod(pos, 2.0 * math.pi)
 
 
 def sample_compound(config: ProcessConfig, m: int) -> ObservationSet:
     """m observations of the compound process under the given config."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    space = config.space
     if config.mode is Mode.TRAJECTORY:
-        rng = _block_rng(config.seed, _TRAJECTORY_BLOCK)
-        pts = _trajectory_points(config, m, rng)
+        pts = _walk_endpoints(config, m, _block_rng(config.seed, _TRAJECTORY_BLOCK))
     else:
-        pts = np.empty((m, space.ambient_dim))
+        pts = np.empty((m, config.space.ambient_dim))
         for lo in range(0, m, BLOCK):
             hi = min(lo + BLOCK, m)
-            rng = _block_rng(config.seed, lo // BLOCK)
-            pts[lo:hi] = _iid_block(config, hi - lo, rng)
+            pts[lo:hi] = _walk_endpoints(config, hi - lo, _block_rng(config.seed, lo // BLOCK))
     return ObservationSet(points=pts, config=config)
 
 

@@ -187,6 +187,18 @@ def test_coefficient_study_torus_index_parsing():
     assert res.fit is not None
 
 
+def test_coefficient_study_honours_mode():
+    # each mode draws from its own streams, so the rows must differ, and the
+    # pool path must carry the mode as the serial one does
+    base = dict(space="sphere:2", law="heat:tau=0.5", m_grid=(100, 300, 1000),
+                replicates=5, seed=3)
+    iid = run_coefficient_study(StudyConfig(**base, mode="iid"))
+    traj = run_coefficient_study(StudyConfig(**base, mode="trajectory"))
+    assert traj.rows != iid.rows
+    pooled = run_coefficient_study(StudyConfig(**base, mode="trajectory", threads=2))
+    assert pooled.rows == traj.rows
+
+
 # --- run_census ----------------------------------------------------------------------
 
 

@@ -14,6 +14,7 @@ from decompound import (
     WrappedNormal,
     circle,
     distance_to_origin,
+    geodesic_step,
     make_index,
     observations_text,
     poisson_draw,
@@ -22,6 +23,7 @@ from decompound import (
     spherical,
     sphere,
     torus,
+    uniform_tangents,
     write_observations,
 )
 
@@ -147,19 +149,47 @@ def test_transform_link_circle():
         assert abs(err) < 4.5 * se + 1e-12
 
 
-def test_transform_link_sphere_with_noise():
+@pytest.mark.parametrize("space", [sphere(2), sphere(4)], ids=str)
+def test_transform_link_sphere_with_noise(space):
     # independent observation noise multiplies the transform by its own
     # coefficient exp(-tau^2 * kappa / 2)
-    law = HeatZonal(sphere(2), tau0=0.4)
+    law = HeatZonal(space, tau0=0.4)
     cfg = ProcessConfig(law=law, intensity=1.0, time=1.0, noise_tau=0.5, seed=5)
     obs = sample_compound(cfg, 60_000)
     for ell in (1, 2):
-        idx = make_index(sphere(2), (ell,))
-        vals = spherical(sphere(2), idx, obs.points).real
+        idx = make_index(space, (ell,))
+        vals = spherical(space, idx, obs.points).real
         c = law.coefficient(idx).real
         want = math.exp(c - 1.0) * math.exp(-0.25 * idx.casimir / 2.0)
         se = vals.std(ddof=1) / math.sqrt(obs.m)
         assert abs(vals.mean() - want) < 4.5 * se
+
+
+def _reference_sphere_walk(cfg, n, rng):
+    """Blurred endpoints stepped in the ambient space with the public
+    geodesic_step and uniform_tangents, one masked round per step."""
+    space = cfg.space
+    pts = np.tile(space.origin(), (n, 1))
+    counts = rng.poisson(cfg.mean_steps, n)
+    for k in range(counts.max()):
+        act = counts > k
+        dist = cfg.law.sample_distances(int(act.sum()), rng)
+        pts[act] = geodesic_step(space, pts[act], dist, uniform_tangents(pts[act], rng))
+    blur = HeatZonal(space, tau0=cfg.noise_tau**2 / 2.0)
+    return geodesic_step(space, pts, blur.sample_distances(n, rng),
+                         uniform_tangents(pts, rng))
+
+
+@pytest.mark.parametrize("d", [3, 4])
+def test_sphere_kernel_matches_reference_walk(d):
+    # the sampler walks only cos(distance to origin) and lifts once; the
+    # endpoint law must match a walk of full ambient vectors
+    law = HeatZonal(sphere(d), tau0=0.3)
+    cfg = ProcessConfig(law=law, intensity=2.0, time=1.0, noise_tau=0.4, seed=40 + d)
+    got = sample_compound(cfg, 20_000).points
+    want = _reference_sphere_walk(cfg, 20_000, np.random.default_rng(50 + d))
+    for col in (0, d):
+        assert stats.ks_2samp(got[:, col], want[:, col]).pvalue > 1e-3
 
 
 def test_trajectory_matches_iid_marginal():
