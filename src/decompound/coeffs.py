@@ -34,6 +34,9 @@ __all__ = [
     "coefficient_mse",
     "coefficient_errors",
     "replicate_seed",
+    "replicate_observations",
+    "require_inverse_invariant",
+    "standard_error",
 ]
 
 _CHUNK = 1 << 15
@@ -206,6 +209,31 @@ def replicate_seed(seed: int, m: int, replicate: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
+def replicate_observations(law: StepLaw, cfg: EstimatorConfig, m: int, seed: int,
+                           lo: int, hi: int, noise_tau: float, mode: Mode, sample):
+    """Yield (replicate, observations) for replicates lo..hi-1 at sample size m,
+    each from its own stream replicate_seed(seed, m, replicate).  `sample` is
+    the caller's `sample_compound` (perfbench/tracing.py wraps each module's)."""
+    for rep in range(lo, hi):
+        config = ProcessConfig(law=law, intensity=cfg.intensity, time=cfg.time, mode=mode,
+                               noise_tau=noise_tau, seed=replicate_seed(seed, m, rep))
+        yield rep, sample(config, m)
+
+
+def require_inverse_invariant(law: StepLaw, variant: Variant) -> None:
+    """Real-log variants read only Re(nu), which fixes c only for inverse-invariant laws."""
+    if variant in _REAL_VARIANTS and not law.inverse_invariant:
+        raise ValueError("real-log variants require an inverse-invariant law")
+
+
+def standard_error(values: np.ndarray) -> float:
+    """Standard error of a replicate mean, std(ddof=1) / sqrt(n) (the same
+    as its jackknife estimate); nan for fewer than two values."""
+    if values.size < 2:
+        return float("nan")
+    return float(values.std(ddof=1) / math.sqrt(values.size))
+
+
 def coefficient_errors(
     law: StepLaw,
     cfg: EstimatorConfig,
@@ -226,8 +254,7 @@ def coefficient_errors(
     the replicate-stream indices so work can be sharded across workers
     without changing the draws.
     """
-    if cfg.variant in _REAL_VARIANTS and not law.inverse_invariant:
-        raise ValueError("real-log variants require an inverse-invariant law")
+    require_inverse_invariant(law, cfg.variant)
     if observation_noise_tau is None:
         observation_noise_tau = (cfg.noise_tau
                                  if cfg.variant is Variant.NOISE_CORRECTED else 0.0)
@@ -235,16 +262,9 @@ def coefficient_errors(
     conj = conjugate_index(law.space, index)
     truth = true_coefficients(law, [index])[index]
     errs = np.empty(replicates)
-    for j in range(replicates):
-        config = ProcessConfig(
-            law=law,
-            intensity=cfg.intensity,
-            time=cfg.time,
-            mode=mode,
-            noise_tau=observation_noise_tau,
-            seed=replicate_seed(seed, m, first_replicate + j),
-        )
-        obs = sample_compound(config, m)
+    for j, (_, obs) in enumerate(replicate_observations(
+            law, cfg, m, seed, first_replicate, first_replicate + replicates,
+            observation_noise_tau, mode, sample_compound)):
         nu = empirical_transform(obs, [conj], symmetrize=symmetrize)
         est = estimate_coefficient(nu, conj, cfg)
         errs[j] = abs(est - truth) ** 2
@@ -260,12 +280,7 @@ def coefficient_mse(
     seed: int,
     observation_noise_tau: float | None = None,
 ) -> tuple[float, float]:
-    """Monte Carlo MSE of the coefficient estimator with jackknife stderr."""
+    """Monte Carlo MSE of the coefficient estimator and its standard error."""
     errs = coefficient_errors(law, cfg, index, m, replicates, seed,
                               observation_noise_tau=observation_noise_tau)
-    mse = float(errs.mean())
-    if replicates < 2:
-        return mse, float("nan")
-    loo = (errs.sum() - errs) / (replicates - 1)
-    stderr = math.sqrt((replicates - 1) / replicates * float(((loo - loo.mean()) ** 2).sum()))
-    return mse, stderr
+    return float(errs.mean()), standard_error(errs)

@@ -25,7 +25,8 @@ from .steplaws import (
     true_coefficients,
 )
 from .simulate import ObservationSet
-from .coeffs import EstimatorConfig, Variant, empirical_transform, estimate_with_flag
+from .coeffs import (EstimatorConfig, Variant, empirical_transform, estimate_with_flag,
+                     require_inverse_invariant)
 
 __all__ = [
     "SobolevSpec",
@@ -155,9 +156,7 @@ def reconstruct(obs: ObservationSet, cfg: EstimatorConfig, spec: SobolevSpec,
                 scale: float = 1.0) -> DensityEstimate:
     """Estimate every coefficient below the smoothing cutoff from observations."""
     law = obs.config.law
-    if cfg.variant in (Variant.REAL_LOG, Variant.REAL_LOG_UNTRUNCATED) \
-            and not law.inverse_invariant:
-        raise ValueError("real-log variants require an inverse-invariant law")
+    require_inverse_invariant(law, cfg.variant)
     space = obs.config.space
     cutoff = smoothing_cutoff(obs.m, spec.s, space, scale)
     indices = spectrum(space, cutoff)

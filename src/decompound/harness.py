@@ -7,6 +7,11 @@ overrides), per-replicate RNG streams are derived from
 (seed, m, replicate index), and results are written as deterministic CSV /
 JSON (plus an optional SVG chart), so identical configs give byte-identical
 outputs regardless of worker count.
+
+Both replicate studies share one runner: work units of (m, replicate range),
+largest m first, run serially or through one process pool per study.  The
+layers and the pool class are called through this module's globals, where
+perfbench/tracing.py wraps them.
 """
 from __future__ import annotations
 
@@ -18,17 +23,20 @@ import os
 from collections import namedtuple
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from .spaces import Space, make_index, parse_space, spectrum, weyl_census
 from .steplaws import CoefficientVector, parse_law
-from .simulate import Mode, ProcessConfig, sample_compound
+from .simulate import Mode, sample_compound
 from .coeffs import (
     EstimatorConfig,
     Variant,
     coefficient_errors,
-    replicate_seed,
+    replicate_observations,
+    require_inverse_invariant,
+    standard_error,
 )
 from .density import (
     SobolevSpec,
@@ -262,30 +270,39 @@ def fit_rate(points, replicate_errors=None, resamples: int = _BOOTSTRAP_RESAMPLE
 # study runners
 
 
-def _density_chunk(args):
-    (law, est_cfg, s, scale, mode, obs_tau, m, seed, rep_lo, rep_hi, truth) = args
-    spec = SobolevSpec(s)
+def _replicate_results(cfg: StudyConfig, fn) -> dict:
+    """Per-replicate results at every m, in replicate order: {m: [...]}.
+
+    fn((m, lo, hi)) returns the results of replicates lo..hi-1 at m.  Units
+    run largest m first, serially or through one pool; each replicate has its
+    own stream, so the results do not depend on threads.
+    """
+    size = math.ceil(cfg.replicates / cfg.threads)
+    units = [(m, lo, min(lo + size, cfg.replicates))
+             for m in reversed(cfg.m_grid)
+             for lo in range(0, cfg.replicates, size)]
+    if cfg.threads > 1:
+        with ProcessPoolExecutor(max_workers=cfg.threads) as pool:
+            parts = list(pool.map(fn, units))
+    else:
+        parts = [fn(unit) for unit in units]
+    results = {m: [] for m in cfg.m_grid}
+    for (m, _, _), part in zip(units, parts):
+        results[m].extend(part)
+    return results
+
+
+def _density_replicates(cfg: StudyConfig, law, est_cfg, truth, unit):
+    m, lo, hi = unit
     out = []
-    for rep in range(rep_lo, rep_hi):
-        config = ProcessConfig(
-            law=law,
-            intensity=est_cfg.intensity,
-            time=est_cfg.time,
-            mode=mode,
-            noise_tau=obs_tau,
-            seed=replicate_seed(seed, m, rep),
-        )
-        obs = sample_compound(config, m)
-        est = reconstruct(obs, est_cfg, spec, scale)
+    for rep, obs in replicate_observations(law, est_cfg, m, cfg.seed, lo, hi,
+                                           cfg.data_noise_tau(), Mode(cfg.mode),
+                                           sample_compound):
+        est = reconstruct(obs, est_cfg, SobolevSpec(cfg.s), cfg.scale)
         err = l2_error(est, truth)
         out.append((err.variance_term, err.bias_term, err.total,
                     est.coeffs if rep == 0 else None))
     return out
-
-
-def _chunk_ranges(total: int, chunks: int):
-    size = math.ceil(total / chunks)
-    return [(lo, min(lo + size, total)) for lo in range(0, total, size)]
 
 
 def run_convergence_study(cfg: StudyConfig) -> StudyResult:
@@ -295,11 +312,7 @@ def run_convergence_study(cfg: StudyConfig) -> StudyResult:
     space = cfg.space_object()
     law = cfg.law_object()
     est_cfg = cfg.estimator_config()
-    if est_cfg.variant in (Variant.REAL_LOG, Variant.REAL_LOG_UNTRUNCATED) \
-            and not law.inverse_invariant:
-        raise ValueError("real-log variants require an inverse-invariant law")
-    mode = Mode(cfg.mode)
-    obs_tau = cfg.data_noise_tau()
+    require_inverse_invariant(law, est_cfg.variant)
 
     t_max = smoothing_cutoff(max(cfg.m_grid), cfg.s, space, cfg.scale)
     truth, tail_bound = truth_table(law, t_max)
@@ -310,24 +323,17 @@ def run_convergence_study(cfg: StudyConfig) -> StudyResult:
         snorm = None
         notes.append(f"sobolev norm unavailable: {exc}")
 
+    results = _replicate_results(
+        cfg, partial(_density_replicates, cfg, law, est_cfg, truth))
     rows = []
     rep_totals = []
     tables = {}
-    for m in cfg.m_grid:
+    for m, triples in results.items():
         cutoff = smoothing_cutoff(m, cfg.s, space, cfg.scale)
-        jobs = [(law, est_cfg, cfg.s, cfg.scale, mode, obs_tau, m, cfg.seed,
-                 lo, hi, truth)
-                for lo, hi in _chunk_ranges(cfg.replicates, cfg.threads)]
-        if cfg.threads > 1:
-            with ProcessPoolExecutor(max_workers=cfg.threads) as pool:
-                chunks = list(pool.map(_density_chunk, jobs))
-        else:
-            chunks = [_density_chunk(job) for job in jobs]
-        triples = [t for chunk in chunks for t in chunk]
         variances = np.array([t[0] for t in triples])
         biases = np.array([t[1] for t in triples])
         totals = np.array([t[2] for t in triples])
-        if cfg.emit_coefficients and triples[0][3] is not None:
+        if cfg.emit_coefficients:
             tables[m] = triples[0][3]
         bias_term = float(biases.mean())
         bias_ok = None
@@ -341,8 +347,7 @@ def run_convergence_study(cfg: StudyConfig) -> StudyResult:
             "mean_error": variance_term + bias_term,
             "variance_term": variance_term,
             "bias_term": bias_term,
-            "stderr": float(totals.std(ddof=1) / math.sqrt(len(totals)))
-            if len(totals) > 1 else float("nan"),
+            "stderr": standard_error(totals),
             "bias_bound_ok": bias_ok,
         })
         rep_totals.append(totals)
@@ -365,6 +370,13 @@ def _resolve_index(cfg: StudyConfig, space: Space):
     raise ValueError("no nontrivial index found")  # unreachable
 
 
+def _coefficient_replicates(cfg: StudyConfig, law, est_cfg, index, unit):
+    m, lo, hi = unit
+    return coefficient_errors(law, est_cfg, index, m, hi - lo, cfg.seed,
+                              observation_noise_tau=cfg.data_noise_tau(),
+                              mode=Mode(cfg.mode), first_replicate=lo)
+
+
 def run_coefficient_study(cfg: StudyConfig) -> StudyResult:
     """Per-index coefficient MSE vs m (reference slope -1)."""
     if len(cfg.m_grid) < 3:
@@ -372,30 +384,16 @@ def run_coefficient_study(cfg: StudyConfig) -> StudyResult:
     space = cfg.space_object()
     law = cfg.law_object()
     est_cfg = cfg.estimator_config()
+    require_inverse_invariant(law, est_cfg.variant)
     index = _resolve_index(cfg, space)
-    mode = Mode(cfg.mode)
-    obs_tau = cfg.data_noise_tau()
 
+    results = _replicate_results(
+        cfg, partial(_coefficient_replicates, cfg, law, est_cfg, index))
     rows = []
     rep_errors = []
     for m in cfg.m_grid:
-        ranges = _chunk_ranges(cfg.replicates, cfg.threads)
-        jobs = [(law, est_cfg, index, m, hi - lo, cfg.seed, obs_tau, mode, lo)
-                for lo, hi in ranges]
-        if cfg.threads > 1:
-            with ProcessPoolExecutor(max_workers=cfg.threads) as pool:
-                parts = list(pool.map(_coefficient_chunk, jobs))
-        else:
-            parts = [_coefficient_chunk(job) for job in jobs]
-        errs = np.concatenate(parts)
-        mse = float(errs.mean())
-        if len(errs) > 1:
-            loo = (errs.sum() - errs) / (len(errs) - 1)
-            stderr = math.sqrt((len(errs) - 1) / len(errs)
-                               * float(((loo - loo.mean()) ** 2).sum()))
-        else:
-            stderr = float("nan")
-        rows.append({"m": m, "mse": mse, "stderr": stderr})
+        errs = np.array(results[m])
+        rows.append({"m": m, "mse": float(errs.mean()), "stderr": standard_error(errs)})
         rep_errors.append(errs)
 
     notes = []
@@ -407,15 +405,6 @@ def run_coefficient_study(cfg: StudyConfig) -> StudyResult:
                        replicate_errors=rep_errors, seed=cfg.seed)
     return StudyResult(kind="coefficient", config=cfg, rows=rows, fit=fit,
                        reference=-1.0, notes=tuple(notes))
-
-
-def _coefficient_chunk(args):
-    law, est_cfg, index, m, count, seed, obs_tau, mode, first = args
-    if count <= 0:
-        return np.zeros(0)
-    return coefficient_errors(law, est_cfg, index, m, count, seed,
-                              observation_noise_tau=obs_tau, mode=mode,
-                              first_replicate=first)
 
 
 def run_census(space_spec: str, thresholds=None, seed: int = 0) -> StudyResult:

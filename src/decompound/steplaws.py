@@ -25,6 +25,7 @@ from .spaces import (
     Space,
     SpaceKind,
     SpectralIndex,
+    _signed_angles,
     make_index,
     spectrum,
     trapezoid_angles,
@@ -48,7 +49,6 @@ __all__ = [
 
 _TAIL_CUT = 1e-14
 _TABLE_NODES = 4096  # 2**12
-_SIGNED_PI = math.pi
 
 
 # ---------------------------------------------------------------------------
@@ -222,18 +222,6 @@ class StepLaw:
         raise NotImplementedError
 
 
-def _wrap_signed(theta: np.ndarray) -> np.ndarray:
-    return np.mod(theta + _SIGNED_PI, 2.0 * _SIGNED_PI) - _SIGNED_PI
-
-
-def _circle_heat_profile(tau0: float, theta: np.ndarray) -> np.ndarray:
-    """Circle heat density (normalized measure) as a function of the angle."""
-    n_tail = int(math.ceil(math.sqrt(math.log(2.0e14) / tau0))) + 1
-    ns = np.arange(1, n_tail + 1)
-    weights = np.exp(-ns.astype(float) ** 2 * tau0)
-    return 1.0 + 2.0 * np.cos(np.multiply.outer(theta, ns)) @ weights
-
-
 @dataclass(frozen=True)
 class HeatZonal(StepLaw):
     """Heat-kernel step law at diffusion time tau0; coefficients exp(-kappa*tau0)."""
@@ -253,6 +241,17 @@ class HeatZonal(StepLaw):
 
     def spec_string(self) -> str:
         return f"heat:tau={self.tau0!r}"
+
+    @property
+    def band_limit(self) -> int:
+        """Flat spaces: highest frequency kept (weight exp(-n^2 tau0) < 1/2e14 beyond)."""
+        return int(math.ceil(math.sqrt(math.log(2.0e14) / self.tau0))) + 1
+
+    def _circle_profile(self, theta: np.ndarray) -> np.ndarray:
+        """Circle heat density (normalized measure) as a function of the angle."""
+        ns = np.arange(1, self.band_limit + 1)
+        weights = np.exp(-ns.astype(float) ** 2 * self.tau0)
+        return 1.0 + 2.0 * np.cos(np.multiply.outer(theta, ns)) @ weights
 
     def _sphere_degree_cut(self) -> int:
         d = self.space.dim
@@ -281,7 +280,7 @@ class HeatZonal(StepLaw):
             raise ValueError("density_on_angles is for flat spaces")
         out = np.ones(pts.shape[0])
         for j in range(pts.shape[1]):
-            out *= _circle_heat_profile(self.tau0, pts[:, j])
+            out *= self._circle_profile(pts[:, j])
         return out
 
     @cached_property
@@ -297,7 +296,7 @@ class HeatZonal(StepLaw):
     @cached_property
     def _circle_table(self) -> _RadialTable:
         theta = np.linspace(0.0, math.pi, _TABLE_NODES)
-        return _RadialTable(theta, _circle_heat_profile(self.tau0, theta))
+        return _RadialTable(theta, self._circle_profile(theta))
 
     def sample_distances(self, n: int, rng) -> np.ndarray:
         if self.space.kind is not SpaceKind.SPHERE:
@@ -355,9 +354,13 @@ class WrappedNormal(StepLaw):
         mean = ";".join(repr(v) for v in self.mean)
         return f"wn:sigma={self.sigma!r},mean={mean}"
 
+    @property
+    def band_limit(self) -> int:
+        """Highest frequency kept (weight exp(-n^2 sigma^2 / 2) < 1/2e14 beyond)."""
+        return int(math.ceil(math.sqrt(2.0 * math.log(2.0e14)) / self.sigma)) + 1
+
     def density_on_angles(self, pts: np.ndarray) -> np.ndarray:
-        n_tail = int(math.ceil(math.sqrt(2.0 * math.log(2.0e14)) / self.sigma)) + 1
-        ns = np.arange(1, n_tail + 1)
+        ns = np.arange(1, self.band_limit + 1)
         weights = np.exp(-0.5 * (ns.astype(float) * self.sigma) ** 2)
         out = np.ones(pts.shape[0])
         for j in range(pts.shape[1]):
@@ -368,7 +371,7 @@ class WrappedNormal(StepLaw):
     def sample_displacements(self, n: int, rng) -> np.ndarray:
         d = self.space.dim
         z = rng.standard_normal((n, d))
-        return _wrap_signed(np.asarray(self.mean) + self.sigma * z)
+        return _signed_angles(np.asarray(self.mean) + self.sigma * z)
 
 
 @dataclass(frozen=True)
@@ -433,14 +436,6 @@ def true_coefficients(law: StepLaw, indices) -> CoefficientVector:
     return CoefficientVector((ix, law.coefficient(ix)) for ix in indices)
 
 
-def _flat_band_limit(law: StepLaw) -> int:
-    if isinstance(law, HeatZonal):
-        return int(math.ceil(math.sqrt(math.log(2.0e14) / law.tau0))) + 1
-    if isinstance(law, WrappedNormal):
-        return int(math.ceil(math.sqrt(2.0 * math.log(2.0e14)) / law.sigma)) + 1
-    raise ValueError(f"no flat-space density for {type(law).__name__}")
-
-
 def quadrature_coefficients(law: StepLaw, indices, nodes: int | None = None) -> CoefficientVector:
     """Numerical-quadrature route to the law's spectral coefficients.
 
@@ -458,7 +453,7 @@ def quadrature_coefficients(law: StepLaw, indices, nodes: int | None = None) -> 
         max_degree = max(max(abs(k) for k in ix.label) for ix in indices)
     min_nodes = 2 * max_degree + 8
     if nodes is None:
-        band = 0 if isinstance(law, UniformCap) else _flat_band_limit(law)
+        band = 0 if isinstance(law, UniformCap) else law.band_limit
         nodes = max(2 * (max_degree + band) + 16, 128)
     if nodes < min_nodes:
         raise ValueError(f"nodes={nodes} too few for max degree {max_degree} "

@@ -99,6 +99,11 @@ def test_exit_code_2_on_bad_config():
     assert main(["census", "--space", "klein:2"]) == 2
     assert main(["study-density", "--space", "circle", "--law", "nope:x=1",
                  "--m-grid", "100,300,1000", "--replicates", "5"]) == 2
+    # real-log needs an inverse-invariant law; a shifted wrapped normal is not
+    for verb in ("study-density", "study-coeff"):
+        assert main([verb, "--space", "circle", "--law", "wn:sigma=0.7,mean=1",
+                     "--variant", "real-log", "--m-grid", "100,300,1000",
+                     "--replicates", "5"]) == 2
     # acceptance mode requires enough replicates for a meaningful band check
     assert main(["study-coeff", "--space", "circle", "--law", "wn:sigma=0.7",
                  "--m-grid", "100,300,1000", "--replicates", "5",

@@ -9,11 +9,22 @@ import numpy as np
 import pytest
 
 from decompound import (
+    EstimatorConfig,
+    ProcessConfig,
+    SobolevSpec,
     StudyConfig,
+    Variant,
+    coefficient_errors,
     fit_rate,
+    harness,
+    make_index,
+    parse_law,
+    parse_space,
+    reconstruct,
     run_census,
     run_coefficient_study,
     run_convergence_study,
+    sample_compound,
     write_study_outputs,
 )
 
@@ -141,9 +152,11 @@ def test_density_study_deterministic(density_result):
 
 
 def test_density_study_threads_do_not_change_numbers(density_result):
-    threaded = run_convergence_study(_tiny_density_config(threads=2))
-    assert threaded.rows == density_result.rows
-    assert threaded.fit == density_result.fit
+    # threads=3 splits the 5 replicates unevenly: (0, 2), (2, 4), (4, 5)
+    for threads in (2, 3):
+        threaded = run_convergence_study(_tiny_density_config(threads=threads))
+        assert threaded.rows == density_result.rows
+        assert threaded.fit == density_result.fit
 
 
 def test_apply_band(density_result):
@@ -197,6 +210,58 @@ def test_coefficient_study_honours_mode():
     assert traj.rows != iid.rows
     pooled = run_coefficient_study(StudyConfig(**base, mode="trajectory", threads=2))
     assert pooled.rows == traj.rows
+
+
+# --- the shared replicate runner ---------------------------------------------------
+
+
+@pytest.fixture
+def pools_opened(monkeypatch):
+    opened = []
+
+    class CountingPool(harness.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            opened.append(self)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", CountingPool)
+    return opened
+
+
+@pytest.mark.parametrize("study", [run_convergence_study, run_coefficient_study])
+def test_one_pool_per_study(pools_opened, study):
+    serial = study(_tiny_density_config(replicates=3))
+    pooled = study(_tiny_density_config(replicates=3, threads=2))
+    assert len(pools_opened) == 1  # not one per m of the 3-point grid
+    assert pooled.rows == serial.rows
+
+
+# a wrapped normal with a nonzero mean is not inverse invariant, so the real
+# part of its transform does not determine its coefficients
+_SHIFTED = "wn:sigma=0.7,mean=1"
+
+
+def _shifted_law():
+    return parse_law(_SHIFTED, parse_space("circle"))
+
+
+_REAL_LOG = EstimatorConfig(variant=Variant.REAL_LOG)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: reconstruct(sample_compound(ProcessConfig(law=_shifted_law(), seed=1), 50),
+                        _REAL_LOG, SobolevSpec(2.0)),
+    lambda: coefficient_errors(_shifted_law(), _REAL_LOG, make_index(parse_space("circle"), (1,)),
+                               m=50, replicates=2, seed=1),
+    lambda: run_convergence_study(_tiny_density_config(law=_SHIFTED, variant="real-log",
+                                                       threads=2)),
+    lambda: run_coefficient_study(_tiny_density_config(law=_SHIFTED, variant="real-log",
+                                                       threads=2)),
+], ids=["reconstruct", "coefficient_errors", "run_convergence_study", "run_coefficient_study"])
+def test_real_log_rejects_laws_without_inverse_invariance(pools_opened, call):
+    with pytest.raises(ValueError, match="real-log variants require an inverse-invariant law"):
+        call()
+    assert pools_opened == []  # the studies check before opening a pool
 
 
 # --- run_census ----------------------------------------------------------------------
