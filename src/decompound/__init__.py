@@ -35,7 +35,6 @@ from .steplaws import (
     parse_law,
     quadrature_coefficients,
     sample_points,
-    sample_step,
     true_coefficients,
     uniform_tangents,
 )
@@ -92,7 +91,7 @@ __all__ = [
     "geodesic_step", "distance_to_origin", "weyl_census", "zonal_values",
     "zonal_quadrature", "trapezoid_angles",
     "StepLaw", "HeatZonal", "WrappedNormal", "UniformCap", "CoefficientVector",
-    "parse_law", "true_coefficients", "quadrature_coefficients", "sample_step",
+    "parse_law", "true_coefficients", "quadrature_coefficients",
     "sample_points", "uniform_tangents",
     "Mode", "ProcessConfig", "ObservationSet", "sample_compound", "poisson_draw",
     "observations_text", "write_observations", "read_observations",

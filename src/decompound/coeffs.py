@@ -1,10 +1,12 @@
 """Empirical spherical transform and log-link coefficient estimators.
 
 The transform at index pi is the sample average of phi_pi over the
-observations (optionally symmetrized to its real part).  Its expectation is
-exp(t*Lambda*(c - 1)) where c is the step-law coefficient at the conjugate
-index under the pairing <f, phi> = integral of f * conj(phi); on spheres and
-for symmetrized transforms conjugation is a no-op.  Estimators invert the
+observations (optionally symmetrized to its real part); the sums run over
+``spaces.spherical_table`` blocks of at most ``spaces._CHUNK`` observations,
+so memory does not grow with m.  Its expectation is exp(t*Lambda*(c - 1))
+where c is the step-law coefficient at the conjugate index under the
+pairing <f, phi> = integral of f * conj(phi); on spheres and for
+symmetrized transforms conjugation is a no-op.  Estimators invert the
 link with a logarithm, guarded by the truncation rules below (a truncated
 estimate is 0), and the noise-corrected variant adds the known heat-blur
 compensation tau^2 * kappa / (2 t Lambda).
@@ -19,7 +21,7 @@ from enum import Enum
 
 import numpy as np
 
-from .spaces import SpaceKind, SpectralIndex, conjugate_index, zonal_values
+from .spaces import _CHUNK, SpectralIndex, conjugate_index, index_label, spherical_table
 from .steplaws import StepLaw, true_coefficients
 from .simulate import Mode, ObservationSet, ProcessConfig, sample_compound
 
@@ -38,8 +40,6 @@ __all__ = [
     "require_inverse_invariant",
     "standard_error",
 ]
-
-_CHUNK = 1 << 15
 
 
 class Variant(Enum):
@@ -86,19 +86,16 @@ class EmpiricalTransform:
     def __init__(self, values, m: int, symmetrized: bool, space):
         if m < 1:
             raise ValueError("m must be >= 1")
-        self._values = {ix.label if isinstance(ix, SpectralIndex) else tuple(ix): complex(v)
-                        for ix, v in values}
+        self._values = {index_label(ix): complex(v) for ix, v in values}
         self.m = int(m)
         self.symmetrized = bool(symmetrized)
         self.space = space
 
     def value(self, index) -> complex:
-        label = index.label if isinstance(index, SpectralIndex) else tuple(index)
-        return self._values[label]
+        return self._values[index_label(index)]
 
     def __contains__(self, index) -> bool:
-        label = index.label if isinstance(index, SpectralIndex) else tuple(index)
-        return label in self._values
+        return index_label(index) in self._values
 
     def labels(self):
         return sorted(self._values)
@@ -124,21 +121,8 @@ def empirical_transform(obs: ObservationSet, indices, symmetrize: bool = False) 
     pts = obs.points
     m = pts.shape[0]
     sums = np.zeros(len(indices), dtype=complex)
-
-    if space.kind is SpaceKind.SPHERE:
-        degrees = np.array([ix.label[0] for ix in indices])
-        lmax = int(degrees.max()) if len(degrees) else 0
-        lam = (space.dim - 1.0) / 2.0
-        per_degree = np.zeros(lmax + 1)
-        for lo in range(0, m, _CHUNK):
-            xs = np.clip(pts[lo:lo + _CHUNK, -1], -1.0, 1.0)
-            per_degree += zonal_values(lam, lmax, xs).sum(axis=1)
-        sums = per_degree[degrees].astype(complex)
-    else:
-        labels = np.array([ix.label for ix in indices], dtype=float)  # (k, d)
-        for lo in range(0, m, _CHUNK):
-            block = pts[lo:lo + _CHUNK]
-            sums += np.exp(1j * (block @ labels.T)).sum(axis=0)
+    for lo in range(0, m, _CHUNK):
+        sums += spherical_table(space, indices, pts[lo:lo + _CHUNK]).sum(axis=0)
 
     values = []
     for ix, s in zip(indices, sums):

@@ -4,7 +4,9 @@ The estimate is f_hat = sum over kappa <= T of d_pi * c_hat(pi) * phi_pi,
 with T the smoothing cutoff scale * m^(2/(2s+d)).  Errors are computed in
 coefficient space, where Parseval makes the variance/bias split exact:
 everything below the cutoff is variance, the rest of the truth is bias.
-Pointwise synthesis exists for output and plots only.
+Pointwise synthesis exists for output and plots only; it evaluates
+``spaces.spherical_table`` on blocks of at most ``spaces._CHUNK`` points,
+so its working memory does not grow with the number of points.
 """
 from __future__ import annotations
 
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spaces import Space, SpaceKind, parse_space, spectrum, conjugate_index, zonal_values
+from .spaces import _CHUNK, Space, parse_space, spectrum, conjugate_index, spherical_table
 from .steplaws import (
     CoefficientVector,
     HeatZonal,
@@ -236,18 +238,12 @@ def sobolev_norm(coeffs: CoefficientVector, space: Space, s: float) -> float:
 
 
 def _synthesize(space: Space, coeffs: CoefficientVector, pts: np.ndarray) -> np.ndarray:
-    if space.kind is SpaceKind.SPHERE:
-        lam = (space.dim - 1.0) / 2.0
-        lmax = max(ix.label[0] for ix in coeffs.indices())
-        xs = np.clip(pts[:, -1], -1.0, 1.0)
-        vals = zonal_values(lam, lmax, xs)
-        out = np.zeros(pts.shape[0], dtype=complex)
-        for ix, c in coeffs.items():
-            out += ix.multiplicity * c * vals[ix.label[0]]
-        return out
-    labels = np.array([ix.label for ix in coeffs.indices()], dtype=float)
-    weights = np.array([coeffs[ix] for ix in coeffs.indices()])
-    return np.exp(1j * (pts @ labels.T)) @ weights
+    indices = coeffs.indices()
+    weights = np.array([ix.multiplicity * coeffs[ix] for ix in indices])
+    out = np.empty(pts.shape[0], dtype=complex)
+    for lo in range(0, pts.shape[0], _CHUNK):
+        out[lo:lo + _CHUNK] = spherical_table(space, indices, pts[lo:lo + _CHUNK]) @ weights
+    return out
 
 
 def _conjugate_symmetric(space: Space, coeffs: CoefficientVector, tol: float = 1e-12) -> bool:

@@ -3,8 +3,10 @@
 Each space carries a countable family of zonal spherical functions
 ``phi_pi`` indexed by lattice vectors (circle/torus) or degrees (spheres),
 together with a Casimir eigenvalue ``kappa_pi`` and a multiplicity ``d_pi``.
-This module enumerates that spectrum, evaluates the spherical functions,
-moves points along geodesics, and counts spectrum growth (Weyl laws).
+This module enumerates that spectrum, evaluates the spherical functions
+(``spherical_table`` is the one evaluator the transform, the synthesis and
+``spherical`` share), moves points along geodesics, and counts spectrum
+growth (Weyl laws).
 
 Conventions: the torus is ``[0, 2*pi)^d`` with the unit flat metric; all
 invariant measures are normalized to total mass 1; the origin is angle 0
@@ -30,6 +32,8 @@ __all__ = [
     "parse_space",
     "spectrum",
     "spherical",
+    "spherical_table",
+    "index_label",
     "conjugate_index",
     "geodesic_step",
     "distance_to_origin",
@@ -40,6 +44,7 @@ __all__ = [
 ]
 
 TWO_PI = 2.0 * math.pi
+_CHUNK = 1 << 15  # most points per spherical_table call
 
 
 class SpaceKind(enum.Enum):
@@ -151,6 +156,11 @@ class SpectralIndex:
         return ";".join(str(k) for k in self.label)
 
 
+def index_label(index) -> tuple[int, ...]:
+    """The label tuple of a SpectralIndex or of a raw label sequence."""
+    return index.label if isinstance(index, SpectralIndex) else tuple(index)
+
+
 def _sphere_multiplicity(d: int, ell: int) -> int:
     if ell == 0:
         return 1
@@ -232,18 +242,37 @@ def zonal_values(lam: float, degrees: int, x: np.ndarray) -> np.ndarray:
 
     Three-term recurrence on the normalized functions; rows are degrees.
     Exactly 1 in every degree at x = 1 (the normalization is built into the
-    recurrence, which reduces to the Legendre recurrence at lam = 1/2).
+    recurrence, which reduces to the Legendre recurrence at lam = 1/2, and
+    the rounding it accumulates at x = 1 is overwritten).
     """
-    x = np.asarray(x, dtype=float)
+    x = np.asarray(x, dtype=float).ravel()
     vals = np.empty((degrees + 1, x.size))
     vals[0] = 1.0
     if degrees >= 1:
-        vals[1] = x.ravel()
+        vals[1] = x
     for ell in range(2, degrees + 1):
         a = 2.0 * (ell + lam - 1.0) / (ell + 2.0 * lam - 1.0)
         b = (ell - 1.0) / (ell + 2.0 * lam - 1.0)
-        vals[ell] = a * x.ravel() * vals[ell - 1] - b * vals[ell - 2]
+        vals[ell] = a * x * vals[ell - 1] - b * vals[ell - 2]
+    vals[:, x == 1.0] = 1.0
     return vals
+
+
+def spherical_table(space: Space, indices, pts: np.ndarray) -> np.ndarray:
+    """phi_pi at each point (rows) for each index (columns).
+
+    Spheres: real normalized Gegenbauer values in the last coordinate, the
+    cosine of the distance to the origin.  Circle/torus: complex characters
+    ``exp(i n . theta)``.  The table holds len(pts) * len(indices) values,
+    so callers pass at most ``_CHUNK`` points per call.
+    """
+    if space.kind is SpaceKind.SPHERE:
+        degrees = np.array([ix.label[0] for ix in indices], dtype=int)
+        lmax = int(degrees.max()) if degrees.size else 0
+        lam = (space.dim - 1.0) / 2.0
+        return zonal_values(lam, lmax, np.clip(pts[:, -1], -1.0, 1.0))[degrees].T
+    labels = np.array([ix.label for ix in indices], dtype=float)
+    return np.exp(1j * (pts @ labels.T))
 
 
 def spherical(space: Space, index: SpectralIndex, point: np.ndarray) -> complex | np.ndarray:
@@ -254,20 +283,7 @@ def spherical(space: Space, index: SpectralIndex, point: np.ndarray) -> complex 
     to 1 at the origin (Legendre polynomials for d = 2).
     """
     pts, single = _as_points(space, point)
-    if space.kind is SpaceKind.SPHERE:
-        (ell,) = index.label
-        xs = np.clip(pts[:, -1], -1.0, 1.0)
-        if ell == 0:
-            out = np.ones(pts.shape[0], dtype=complex)
-        else:
-            lam = (space.dim - 1.0) / 2.0
-            vals = zonal_values(lam, ell, xs)[ell]
-            # exact value 1 at the origin regardless of rounding in the recurrence
-            vals = np.where(xs == 1.0, 1.0, vals)
-            out = vals.astype(complex)
-    else:
-        n = np.asarray(index.label, dtype=float)
-        out = np.exp(1j * (pts @ n))
+    out = spherical_table(space, [index], pts)[:, 0].astype(complex)
     return out[0] if single else out
 
 

@@ -26,6 +26,8 @@ from .spaces import (
     SpaceKind,
     SpectralIndex,
     _signed_angles,
+    geodesic_step,
+    index_label,
     make_index,
     spectrum,
     trapezoid_angles,
@@ -42,7 +44,6 @@ __all__ = [
     "parse_law",
     "true_coefficients",
     "quadrature_coefficients",
-    "sample_step",
     "sample_points",
     "uniform_tangents",
 ]
@@ -69,8 +70,7 @@ class CoefficientVector:
         for index, value in pairs:
             self._idx[index.label] = index
             self._val[index.label] = complex(value)
-        self.truncated = frozenset(ix.label if isinstance(ix, SpectralIndex) else tuple(ix)
-                                   for ix in truncated)
+        self.truncated = frozenset(index_label(ix) for ix in truncated)
 
     def indices(self) -> list[SpectralIndex]:
         return sorted(self._idx.values(), key=lambda ix: (ix.casimir, ix.label))
@@ -82,20 +82,16 @@ class CoefficientVector:
         return len(self._val)
 
     def __contains__(self, index) -> bool:
-        label = index.label if isinstance(index, SpectralIndex) else tuple(index)
-        return label in self._val
+        return index_label(index) in self._val
 
     def __getitem__(self, index) -> complex:
-        label = index.label if isinstance(index, SpectralIndex) else tuple(index)
-        return self._val[label]
+        return self._val[index_label(index)]
 
     def get(self, index, default=0.0 + 0.0j) -> complex:
-        label = index.label if isinstance(index, SpectralIndex) else tuple(index)
-        return self._val.get(label, default)
+        return self._val.get(index_label(index), default)
 
     def is_truncated(self, index) -> bool:
-        label = index.label if isinstance(index, SpectralIndex) else tuple(index)
-        return label in self.truncated
+        return index_label(index) in self.truncated
 
     @property
     def max_casimir(self) -> float:
@@ -486,31 +482,13 @@ def quadrature_coefficients(law: StepLaw, indices, nodes: int | None = None) -> 
 # sampling
 
 
-def sample_step(law: StepLaw, rng) -> tuple[float, np.ndarray]:
-    """One step: (distance, unit tangent direction at the origin)."""
-    if law.space.kind is SpaceKind.SPHERE:
-        dist = float(law.sample_distances(1, rng)[0])
-        direction = uniform_tangents(law.space.origin()[None, :], rng)[0]
-        return dist, direction
-    disp = law.sample_displacements(1, rng)[0]
-    dist = float(np.linalg.norm(disp))
-    if dist == 0.0:
-        direction = np.zeros(law.space.dim)
-        direction[0] = 1.0
-    else:
-        direction = disp / dist
-    return dist, direction
-
-
 def sample_points(law: StepLaw, n: int, rng) -> np.ndarray:
     """n independent single-step positions started from the origin."""
     space = law.space
     if space.kind is SpaceKind.SPHERE:
         dist = law.sample_distances(n, rng)
-        base = np.broadcast_to(space.origin(), (n, space.ambient_dim)).copy()
-        dirs = uniform_tangents(base, rng)
-        pts = np.cos(dist)[:, None] * base + np.sin(dist)[:, None] * dirs
-        return pts / np.linalg.norm(pts, axis=1, keepdims=True)
+        base = np.broadcast_to(space.origin(), (n, space.ambient_dim))
+        return geodesic_step(space, base, dist, uniform_tangents(base, rng))
     return np.mod(law.sample_displacements(n, rng), 2.0 * math.pi)
 
 

@@ -169,6 +169,20 @@ def test_transform_single_point_value():
         nu.value(make_index(circle(), (5,)))
 
 
+def test_transform_at_origin_is_exactly_one():
+    # the no-step atom sits exactly at the origin, where every phi is 1
+    space = sphere(3)
+    cfg = ProcessConfig(law=HeatZonal(space, tau0=0.4), intensity=1.0, time=1.0, seed=0)
+    from decompound import ObservationSet
+
+    atom = ObservationSet(points=np.tile(space.origin(), (50, 1)), config=cfg)
+    idx = spectrum(space, 40 * 42)
+    assert idx[-1].label == (40,)
+    for symmetrize in (False, True):
+        nu = empirical_transform(atom, idx, symmetrize=symmetrize)
+        assert all(nu.value(ix) == 1.0 for ix in idx)
+
+
 def test_transform_modulus_bounded():
     cfg = ProcessConfig(law=WrappedNormal(circle(), sigma=0.2), intensity=5.0,
                         time=1.0, seed=14)

@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,9 +29,11 @@ from decompound import (
     spectrum,
     torus,
     trapezoid_angles,
+    true_coefficients,
     truth_table,
     zonal_quadrature,
 )
+from decompound.spaces import _CHUNK
 
 
 def _vec(space, mapping):
@@ -259,6 +262,38 @@ def test_evaluate_imaginary_residual_guard(monkeypatch):
     # asymmetric vectors legitimately carry imaginary parts; only the real
     # part is returned and no error is raised
     asym.evaluate(np.array([[0.3]]))
+
+
+def _law_estimate(law, cutoff):
+    coeffs = true_coefficients(law, spectrum(law.space, cutoff))
+    return DensityEstimate(coeffs=coeffs, space=law.space, m=1, cutoff=cutoff)
+
+
+def _evaluate_peak_bytes(est, pts):
+    tracemalloc.start()
+    try:
+        est.evaluate(pts)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_evaluate_memory_bounded_and_blocks_agree():
+    # synthesis runs over blocks of _CHUNK points: three blocks need no more
+    # working memory than one, and a block boundary changes no value
+    rng = np.random.default_rng(31)
+    flat = _law_estimate(WrappedNormal(torus(2), sigma=0.5), 10.0)
+    angles = rng.uniform(0.0, 2.0 * math.pi, size=(3 * _CHUNK, 2))
+    one_block = _evaluate_peak_bytes(flat, angles[:_CHUNK])
+    assert _evaluate_peak_bytes(flat, angles) <= 1.5 * one_block
+
+    g = rng.standard_normal((_CHUNK + 3, 4))
+    round_pts = g / np.linalg.norm(g, axis=1, keepdims=True)
+    for est, pts in ((flat, angles[:_CHUNK + 3]),
+                     (_law_estimate(HeatZonal(sphere(3), tau0=0.4), 60.0), round_pts)):
+        whole = est.evaluate(pts)
+        parts = np.concatenate([est.evaluate(pts[:_CHUNK]), est.evaluate(pts[_CHUNK:])])
+        assert np.array_equal(whole, parts)
 
 
 def test_rendered_values_nonnegative_unit_mean():

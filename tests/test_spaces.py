@@ -143,6 +143,10 @@ def test_zonal_values_bounded_by_one():
     for lam in (0.5, 1.0, 1.5):
         vals = zonal_values(lam, 12, x)
         assert np.all(np.abs(vals) <= 1.0 + 1e-12)
+    # exactly 1 at the origin in every degree; the recurrence alone drifts
+    # there by rounding (from degree 3 at lam = 1.5, to 7e-14 by degree 300)
+    for lam in (0.0, 0.5, 1.0, 1.5, 2.0):
+        assert np.all(zonal_values(lam, 300, [1.0]) == 1.0)
 
 
 def test_zonal_quadrature_orthogonality():
