@@ -39,7 +39,6 @@ from .steplaws import (
     uniform_tangents,
 )
 from .simulate import (
-    Mode,
     ObservationSet,
     ProcessConfig,
     observations_text,
@@ -93,7 +92,7 @@ __all__ = [
     "StepLaw", "HeatZonal", "WrappedNormal", "UniformCap", "CoefficientVector",
     "parse_law", "true_coefficients", "quadrature_coefficients",
     "sample_points", "uniform_tangents",
-    "Mode", "ProcessConfig", "ObservationSet", "sample_compound", "poisson_draw",
+    "ProcessConfig", "ObservationSet", "sample_compound", "poisson_draw",
     "observations_text", "write_observations", "read_observations",
     "Variant", "EstimatorConfig", "EmpiricalTransform", "empirical_transform",
     "estimate_coefficient", "estimate_with_flag", "deviation_bound",

@@ -29,7 +29,6 @@ from .harness import (
     write_study_outputs,
 )
 from .simulate import (
-    Mode,
     ProcessConfig,
     observations_text,
     read_observations,
@@ -62,7 +61,6 @@ def _add_study_flags(sub: argparse.ArgumentParser, include_index: bool) -> None:
                      help="comma-separated observation counts")
     sub.add_argument("--replicates", type=int)
     sub.add_argument("--seed", type=int)
-    sub.add_argument("--mode", choices=[m.value for m in Mode])
     if include_index:
         sub.add_argument("--index", help="target index label, e.g. 1 or 0;1 "
                          "(default: lowest nonzero frequency)")
@@ -78,7 +76,7 @@ def _add_study_flags(sub: argparse.ArgumentParser, include_index: bool) -> None:
 def _study_config(args: argparse.Namespace) -> StudyConfig:
     keys = ("space", "law", "intensity", "time", "variant", "delta", "noise_tau",
             "observation_noise_tau", "s", "scale", "m_grid", "replicates", "seed",
-            "mode", "index", "threads", "emit_coefficients", "emit_svg", "out")
+            "index", "threads", "emit_coefficients", "emit_svg", "out")
     overrides = {}
     for key in keys:
         value = getattr(args, key, None)
@@ -160,7 +158,6 @@ def _cmd_sample(args) -> int:
         law=law,
         intensity=args.intensity,
         time=args.time,
-        mode=Mode(args.mode),
         noise_tau=args.noise_tau,
         seed=args.seed,
     )
@@ -231,7 +228,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sa.add_argument("--law", required=True)
     sa.add_argument("--intensity", type=float, default=1.0)
     sa.add_argument("--time", type=float, default=1.0)
-    sa.add_argument("--mode", choices=[m.value for m in Mode], default="iid")
     sa.add_argument("--noise-tau", dest="noise_tau", type=float, default=0.0)
     sa.add_argument("--seed", type=int, default=0)
     sa.add_argument("--count", type=int, required=True)

@@ -23,7 +23,7 @@ import numpy as np
 
 from .spaces import _CHUNK, SpectralIndex, conjugate_index, index_label, spherical_table
 from .steplaws import StepLaw, true_coefficients
-from .simulate import Mode, ObservationSet, ProcessConfig, sample_compound
+from .simulate import ObservationSet, ProcessConfig, sample_compound
 
 __all__ = [
     "Variant",
@@ -194,12 +194,12 @@ def replicate_seed(seed: int, m: int, replicate: int) -> int:
 
 
 def replicate_observations(law: StepLaw, cfg: EstimatorConfig, m: int, seed: int,
-                           lo: int, hi: int, noise_tau: float, mode: Mode, sample):
+                           lo: int, hi: int, noise_tau: float, sample):
     """Yield (replicate, observations) for replicates lo..hi-1 at sample size m,
     each from its own stream replicate_seed(seed, m, replicate).  `sample` is
     the caller's `sample_compound` (perfbench/tracing.py wraps each module's)."""
     for rep in range(lo, hi):
-        config = ProcessConfig(law=law, intensity=cfg.intensity, time=cfg.time, mode=mode,
+        config = ProcessConfig(law=law, intensity=cfg.intensity, time=cfg.time,
                                noise_tau=noise_tau, seed=replicate_seed(seed, m, rep))
         yield rep, sample(config, m)
 
@@ -226,7 +226,6 @@ def coefficient_errors(
     replicates: int,
     seed: int,
     observation_noise_tau: float | None = None,
-    mode: Mode = Mode.IID,
     first_replicate: int = 0,
 ) -> np.ndarray:
     """Squared estimation errors |c_hat - c|^2 over independent replicates.
@@ -248,7 +247,7 @@ def coefficient_errors(
     errs = np.empty(replicates)
     for j, (_, obs) in enumerate(replicate_observations(
             law, cfg, m, seed, first_replicate, first_replicate + replicates,
-            observation_noise_tau, mode, sample_compound)):
+            observation_noise_tau, sample_compound)):
         nu = empirical_transform(obs, [conj], symmetrize=symmetrize)
         est = estimate_coefficient(nu, conj, cfg)
         errs[j] = abs(est - truth) ** 2

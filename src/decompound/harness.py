@@ -29,7 +29,7 @@ import numpy as np
 
 from .spaces import Space, make_index, parse_space, spectrum, weyl_census
 from .steplaws import CoefficientVector, parse_law
-from .simulate import Mode, sample_compound
+from .simulate import sample_compound
 from .coeffs import (
     EstimatorConfig,
     Variant,
@@ -88,7 +88,6 @@ class StudyConfig:
     m_grid: tuple[int, ...] = (100, 1000, 10000)
     replicates: int = 30
     seed: int = 0
-    mode: str = "iid"
     index: str | None = None
     thresholds: tuple[float, ...] = field(default_factory=_default_thresholds)
     threads: int = 1
@@ -105,7 +104,6 @@ class StudyConfig:
             raise ValueError("replicates must be >= 1")
         if self.threads < 1:
             raise ValueError("threads must be >= 1")
-        Mode(self.mode)
         Variant(self.variant)
 
     # -- resolution helpers ---------------------------------------------------
@@ -296,8 +294,7 @@ def _density_replicates(cfg: StudyConfig, law, est_cfg, truth, unit):
     m, lo, hi = unit
     out = []
     for rep, obs in replicate_observations(law, est_cfg, m, cfg.seed, lo, hi,
-                                           cfg.data_noise_tau(), Mode(cfg.mode),
-                                           sample_compound):
+                                           cfg.data_noise_tau(), sample_compound):
         est = reconstruct(obs, est_cfg, SobolevSpec(cfg.s), cfg.scale)
         err = l2_error(est, truth)
         out.append((err.variance_term, err.bias_term, err.total,
@@ -373,8 +370,7 @@ def _resolve_index(cfg: StudyConfig, space: Space):
 def _coefficient_replicates(cfg: StudyConfig, law, est_cfg, index, unit):
     m, lo, hi = unit
     return coefficient_errors(law, est_cfg, index, m, hi - lo, cfg.seed,
-                              observation_noise_tau=cfg.data_noise_tau(),
-                              mode=Mode(cfg.mode), first_replicate=lo)
+                              observation_noise_tau=cfg.data_noise_tau(), first_replicate=lo)
 
 
 def run_coefficient_study(cfg: StudyConfig) -> StudyResult:

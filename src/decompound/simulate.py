@@ -3,13 +3,7 @@
 An observation is the position, at time t, of a walk that starts at the
 origin and makes N ~ Poisson(intensity * t) zonal steps: each step moves a
 law-sampled distance along a uniformly random tangent direction at the
-current point.  Two modes:
-
-* iid - independent walks, one per observation;
-* trajectory - a single walk observed at times t, 2t, ..., mt, with each
-  window's increment carried back to the origin.  The increments are
-  i.i.d. and distributed like a time-t observation, which is what the
-  estimators consume, so they are drawn as such from one stream.
+current point.  The m observations of a sample are independent walks.
 
 Optionally each observation is blurred by an independent heat-kernel
 displacement whose spectral signature is exactly exp(-tau^2 * kappa / 2).
@@ -20,7 +14,7 @@ blur is one more step) and each endpoint is lifted along a uniform
 tangent direction at the origin.
 
 Reproducibility: a counter-based (Philox) generator keyed by
-(seed, block index), one stream per block of 4096 observations, so iid
+(seed, block index), one stream per block of 4096 observations, so
 generation is parallelizable across blocks while output depends only on
 (config, m).
 """
@@ -30,7 +24,6 @@ import functools
 import json
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 from scipy.special import gammaln
@@ -39,7 +32,6 @@ from .spaces import Space, SpaceKind, parse_space
 from .steplaws import HeatZonal, StepLaw, WrappedNormal, parse_law, uniform_tangents
 
 __all__ = [
-    "Mode",
     "ProcessConfig",
     "ObservationSet",
     "sample_compound",
@@ -50,23 +42,16 @@ __all__ = [
 ]
 
 BLOCK = 4096
-_TRAJECTORY_BLOCK = 1 << 62  # reserved stream index, out of reach of iid blocks
 _KNUTH_LIMIT = 30.0
-
-
-class Mode(Enum):
-    IID = "iid"
-    TRAJECTORY = "trajectory"
 
 
 @dataclass(frozen=True)
 class ProcessConfig:
-    """Everything needed to generate observations: law, clock, mode, noise, seed."""
+    """Everything needed to generate observations: law, clock, noise, seed."""
 
     law: StepLaw
     intensity: float = 1.0
     time: float = 1.0
-    mode: Mode = Mode.IID
     noise_tau: float = 0.0
     seed: int = 0
 
@@ -75,7 +60,6 @@ class ProcessConfig:
             raise ValueError("intensity and time must be positive")
         if self.noise_tau < 0:
             raise ValueError("noise_tau must be >= 0")
-        object.__setattr__(self, "mode", Mode(self.mode))
         object.__setattr__(self, "seed", int(self.seed))
 
     @property
@@ -92,7 +76,6 @@ class ProcessConfig:
             "law": self.law.spec_string(),
             "intensity": self.intensity,
             "time": self.time,
-            "mode": self.mode.value,
             "noise_tau": self.noise_tau,
             "seed": self.seed,
         }
@@ -105,7 +88,6 @@ class ProcessConfig:
             law=law,
             intensity=float(data["intensity"]),
             time=float(data["time"]),
-            mode=Mode(data["mode"]),
             noise_tau=float(data["noise_tau"]),
             seed=int(data["seed"]),
         )
@@ -286,13 +268,10 @@ def sample_compound(config: ProcessConfig, m: int) -> ObservationSet:
     """m observations of the compound process under the given config."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    if config.mode is Mode.TRAJECTORY:
-        pts = _walk_endpoints(config, m, _block_rng(config.seed, _TRAJECTORY_BLOCK))
-    else:
-        pts = np.empty((m, config.space.ambient_dim))
-        for lo in range(0, m, BLOCK):
-            hi = min(lo + BLOCK, m)
-            pts[lo:hi] = _walk_endpoints(config, hi - lo, _block_rng(config.seed, lo // BLOCK))
+    pts = np.empty((m, config.space.ambient_dim))
+    for lo in range(0, m, BLOCK):
+        hi = min(lo + BLOCK, m)
+        pts[lo:hi] = _walk_endpoints(config, hi - lo, _block_rng(config.seed, lo // BLOCK))
     return ObservationSet(points=pts, config=config)
 
 

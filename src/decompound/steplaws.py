@@ -5,7 +5,9 @@ Each law is a probability density on one of the supported spaces, with
 * exact spectral coefficients under the pairing ``<f, phi> = integral of
   f * conj(phi)`` against the normalized invariant measure,
 * an independent numerical-quadrature route to the same coefficients, and
-* an exact-in-distribution sampler for single steps.
+* a sampler for single steps: exact for wrapped normals (and so for flat
+  heat kernels, which are wrapped normals) and caps; sphere heat steps
+  invert a tabulated radial CDF.
 
 Densities are always taken relative to the normalized measure, so the
 trivial coefficient of every law is 1.
@@ -153,7 +155,6 @@ class _RadialTable:
         cdf = cumulative_simpson(pdf, x=grid, initial=0.0)
         cdf /= cdf[-1]
         keep = np.concatenate([[True], np.diff(cdf) > 0.0])
-        keep[0] = True
         self._inverse = PchipInterpolator(cdf[keep], grid[keep], extrapolate=True)
         self._lo = float(grid[0])
         self._hi = float(grid[-1])
@@ -243,14 +244,16 @@ class HeatZonal(StepLaw):
         """Flat spaces: highest frequency kept (weight exp(-n^2 tau0) < 1/2e14 beyond)."""
         return int(math.ceil(math.sqrt(math.log(2.0e14) / self.tau0))) + 1
 
-    def _circle_profile(self, theta: np.ndarray) -> np.ndarray:
-        """Circle heat density (normalized measure) as a function of the angle."""
-        ns = np.arange(1, self.band_limit + 1)
-        weights = np.exp(-ns.astype(float) ** 2 * self.tau0)
-        return 1.0 + 2.0 * np.cos(np.multiply.outer(theta, ns)) @ weights
+    @cached_property
+    def _flat_law(self) -> "WrappedNormal":
+        """Circle/torus: the heat kernel at tau0 is the wrapped normal with
+        sigma^2 = 2 tau0 (both have coefficients exp(-|n|^2 tau0))."""
+        if self.space.kind is SpaceKind.SPHERE:
+            raise ValueError("HeatZonal flat methods are for flat spaces "
+                             "(circle/torus), not spheres")
+        return WrappedNormal(self.space, sigma=math.sqrt(2.0 * self.tau0))
 
     def _sphere_degree_cut(self) -> int:
-        d = self.space.dim
         ell = 1
         while True:
             ix = make_index(self.space, (ell,))
@@ -272,12 +275,7 @@ class HeatZonal(StepLaw):
         return out
 
     def density_on_angles(self, pts: np.ndarray) -> np.ndarray:
-        if self.space.kind is SpaceKind.SPHERE:
-            raise ValueError("density_on_angles is for flat spaces")
-        out = np.ones(pts.shape[0])
-        for j in range(pts.shape[1]):
-            out *= self._circle_profile(pts[:, j])
-        return out
+        return self._flat_law.density_on_angles(pts)
 
     @cached_property
     def _sphere_table(self) -> _RadialTable:
@@ -289,23 +287,13 @@ class HeatZonal(StepLaw):
         weight[~np.isfinite(weight)] = 0.0
         return _RadialTable(theta, self.radial_density(theta) * weight)
 
-    @cached_property
-    def _circle_table(self) -> _RadialTable:
-        theta = np.linspace(0.0, math.pi, _TABLE_NODES)
-        return _RadialTable(theta, self._circle_profile(theta))
-
     def sample_distances(self, n: int, rng) -> np.ndarray:
         if self.space.kind is not SpaceKind.SPHERE:
             raise ValueError("sample_distances is for spheres")
         return self._sphere_table.sample(n, rng)
 
     def sample_displacements(self, n: int, rng) -> np.ndarray:
-        # The flat heat kernel factorizes across coordinates (kappa = |n|^2),
-        # so each coordinate is an independent circle heat displacement.
-        d = self.space.dim
-        r = self._circle_table.sample(n * d, rng).reshape(n, d)
-        signs = np.where(rng.random((n, d)) < 0.5, -1.0, 1.0)
-        return r * signs
+        return self._flat_law.sample_displacements(n, rng)
 
 
 @dataclass(frozen=True)

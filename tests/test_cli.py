@@ -95,8 +95,13 @@ def test_study_config_file_with_overrides(tmp_path, capsys):
     assert "slope" in out
 
 
-def test_exit_code_2_on_bad_config():
+def test_exit_code_2_on_bad_config(tmp_path):
     assert main(["census", "--space", "klein:2"]) == 2
+    # sampling modes are gone; an old study.cfg with a mode key fails loudly
+    legacy = tmp_path / "study.cfg"
+    legacy.write_text("[study]\nspace = circle\nlaw = wn:sigma=0.7\n"
+                      "m_grid = 100,300,1000\nreplicates = 5\nmode = iid\n")
+    assert main(["study-density", "--config", str(legacy)]) == 2
     assert main(["study-density", "--space", "circle", "--law", "nope:x=1",
                  "--m-grid", "100,300,1000", "--replicates", "5"]) == 2
     # real-log needs an inverse-invariant law; a shifted wrapped normal is not

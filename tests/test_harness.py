@@ -92,11 +92,18 @@ def test_study_config_validation():
 
 def test_study_config_ini_round_trip(tmp_path):
     cfg = _tiny_density_config(variant="noise-corrected", noise_tau=0.3,
-                               s=1.5, scale=2.0, mode="trajectory")
+                               s=1.5, scale=2.0)
     path = tmp_path / "study.cfg"
     path.write_text(cfg.to_ini_text())
     back = StudyConfig.from_ini(path)
     assert back == cfg
+
+
+def test_study_config_ini_rejects_legacy_mode_key(tmp_path):
+    path = tmp_path / "study.cfg"
+    path.write_text(_tiny_density_config().to_ini_text() + "mode = iid\n")
+    with pytest.raises(ValueError, match="'mode'"):
+        StudyConfig.from_ini(path)
 
 
 def test_study_config_ini_overrides(tmp_path):
@@ -200,16 +207,15 @@ def test_coefficient_study_torus_index_parsing():
     assert res.fit is not None
 
 
-def test_coefficient_study_honours_mode():
-    # each mode draws from its own streams, so the rows must differ, and the
-    # pool path must carry the mode as the serial one does
+def test_coefficient_study_threads_do_not_change_numbers():
+    # threads=3 splits the 5 replicates unevenly: (0, 2), (2, 4), (4, 5)
     base = dict(space="sphere:2", law="heat:tau=0.5", m_grid=(100, 300, 1000),
                 replicates=5, seed=3)
-    iid = run_coefficient_study(StudyConfig(**base, mode="iid"))
-    traj = run_coefficient_study(StudyConfig(**base, mode="trajectory"))
-    assert traj.rows != iid.rows
-    pooled = run_coefficient_study(StudyConfig(**base, mode="trajectory", threads=2))
-    assert pooled.rows == traj.rows
+    serial = run_coefficient_study(StudyConfig(**base))
+    for threads in (2, 3):
+        pooled = run_coefficient_study(StudyConfig(**base, threads=threads))
+        assert pooled.rows == serial.rows
+        assert pooled.fit == serial.fit
 
 
 # --- the shared replicate runner ---------------------------------------------------

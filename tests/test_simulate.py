@@ -8,12 +8,10 @@ from scipy import stats
 
 from decompound import (
     HeatZonal,
-    Mode,
     ObservationSet,
     ProcessConfig,
     WrappedNormal,
     circle,
-    distance_to_origin,
     geodesic_step,
     make_index,
     observations_text,
@@ -81,8 +79,7 @@ def test_observation_set_validates_points():
 
 def test_process_config_round_trip():
     cfg = ProcessConfig(law=WrappedNormal(torus(2), sigma=0.5, mean=(0.1, 0.2)),
-                        intensity=2.0, time=0.5, mode=Mode.TRAJECTORY,
-                        noise_tau=0.3, seed=9)
+                        intensity=2.0, time=0.5, noise_tau=0.3, seed=9)
     back = ProcessConfig.from_mapping(cfg.to_mapping())
     assert back == cfg
 
@@ -136,17 +133,23 @@ def test_poisson_draw_small_rate_pmf():
 
 def test_transform_link_circle():
     # empirical mean of conj(phi_n) over observations estimates
-    # exp(t * Lambda * (c_n - 1)) for the step coefficient c_n
-    cfg = _circle_config(intensity=1.5, time=1.0, seed=77)
-    obs = sample_compound(cfg, 60_000)
-    for n in (1, 2, 3):
-        idx = make_index(circle(), (n,))
-        vals = np.conj(spherical(circle(), idx, obs.points))
-        c = cfg.law.coefficient(idx)
-        want = np.exp(1.5 * (c - 1.0))
-        err = vals.mean() - want
-        se = vals.std(ddof=1) / math.sqrt(obs.m)
-        assert abs(err) < 4.5 * se + 1e-12
+    # exp(t * Lambda * (c_n - 1)) for the step coefficient c_n; the flat heat
+    # law samples through its wrapped normal, so it is checked the same way
+    for cfg, labels in (
+        (_circle_config(intensity=1.5, time=1.0, seed=77), [(1,), (2,), (3,)]),
+        (ProcessConfig(law=HeatZonal(torus(2), tau0=0.4), intensity=1.5, time=1.0,
+                       seed=78), [(1, 0), (0, 1), (1, -1), (2, 1)]),
+    ):
+        space = cfg.space
+        obs = sample_compound(cfg, 60_000)
+        for label in labels:
+            idx = make_index(space, label)
+            vals = np.conj(spherical(space, idx, obs.points))
+            c = cfg.law.coefficient(idx)
+            want = np.exp(1.5 * (c - 1.0))
+            err = vals.mean() - want
+            se = vals.std(ddof=1) / math.sqrt(obs.m)
+            assert abs(err) < 4.5 * se + 1e-12
 
 
 @pytest.mark.parametrize("space", [sphere(2), sphere(4)], ids=str)
@@ -192,34 +195,6 @@ def test_sphere_kernel_matches_reference_walk(d):
         assert stats.ks_2samp(got[:, col], want[:, col]).pvalue > 1e-3
 
 
-def test_trajectory_matches_iid_marginal():
-    # one observation per unit-time window of a single path has the same
-    # one-point law as independent draws
-    for cfg_iid in (
-        _circle_config(seed=31),
-        ProcessConfig(law=HeatZonal(sphere(2), tau0=0.4), intensity=1.0,
-                      time=1.0, seed=31),
-    ):
-        cfg_traj = ProcessConfig(law=cfg_iid.law, intensity=1.0, time=1.0,
-                                 mode=Mode.TRAJECTORY, seed=32)
-        a = sample_compound(cfg_iid, 4000)
-        b = sample_compound(cfg_traj, 4000)
-        space = cfg_iid.law.space
-        da = distance_to_origin(space, a.points)
-        db = distance_to_origin(space, b.points)
-        ks = stats.ks_2samp(da, db)
-        assert ks.pvalue > 1e-3
-
-
-def test_trajectory_deterministic():
-    cfg = ProcessConfig(law=HeatZonal(sphere(2), tau0=0.4), intensity=1.0,
-                        time=1.0, mode=Mode.TRAJECTORY, seed=8)
-    a = sample_compound(cfg, 200)
-    b = sample_compound(cfg, 200)
-    assert np.array_equal(a.points, b.points)
-    assert np.allclose(np.linalg.norm(a.points, axis=1), 1.0, atol=1e-9)
-
-
 # --- CSV round trip ----------------------------------------------------------
 
 
@@ -230,6 +205,20 @@ def test_observations_text_format():
     assert lines[0].startswith("# ProcessConfig {")
     assert lines[1] == "theta1"
     assert len(lines) == 5
+
+
+def test_read_observations_ignores_legacy_mode_key(tmp_path):
+    # files written while a trajectory sampling mode existed carry a "mode" key
+    path = tmp_path / "obs.csv"
+    path.write_text(
+        '# ProcessConfig {"intensity": 1.0, "law": "wn:sigma=0.7,mean=0.0", '
+        '"mode": "trajectory", "noise_tau": 0.0, "seed": 4, "space": "circle", '
+        '"time": 1.0}\n'
+        "theta1\n0\n5.8848969092332259\n4.7366174605640339\n")
+    obs = read_observations(path)
+    assert obs.config == ProcessConfig(law=WrappedNormal(circle(), sigma=0.7), seed=4)
+    assert obs.points[:, 0].tolist() == [0.0, 5.8848969092332259, 4.7366174605640339]
+    assert "mode" not in obs.config.to_mapping()
 
 
 def test_csv_round_trip_exact(tmp_path):

@@ -186,6 +186,16 @@ def test_heat_circle_displacements_match_density():
     assert ks.pvalue > 1e-3
 
 
+def test_heat_flat_methods_reject_spheres():
+    # the flat methods sample and evaluate the wrapped normal, which a sphere
+    # does not have; they must not hand back circle draws
+    law = HeatZonal(sphere(2), tau0=0.4)
+    with pytest.raises(ValueError, match="HeatZonal.*flat"):
+        law.sample_displacements(3, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="HeatZonal.*flat"):
+        law.density_on_angles(np.zeros((3, 2)))
+
+
 def test_empirical_mean_of_zonal_matches_coefficient():
     # small-sample version of the transform consistency check
     law = HeatZonal(sphere(2), tau0=0.3)
