@@ -1,9 +1,9 @@
 """Empirical spherical transform and log-link coefficient estimators.
 
 The transform at index pi is the sample average of phi_pi over the
-observations (optionally symmetrized to its real part); the sums run over
-``spaces.spherical_table`` blocks of at most ``spaces._CHUNK`` observations,
-so memory does not grow with m.  Its expectation is exp(t*Lambda*(c - 1))
+observations (optionally symmetrized to its real part); the sums come from
+``spaces.spherical_sums``, whose blocks of observations fit a fixed byte
+budget, so memory does not grow with m.  Its expectation is exp(t*Lambda*(c - 1))
 where c is the step-law coefficient at the conjugate index under the
 pairing <f, phi> = integral of f * conj(phi); on spheres and for
 symmetrized transforms conjugation is a no-op.  Estimators invert the
@@ -21,7 +21,7 @@ from enum import Enum
 
 import numpy as np
 
-from .spaces import _CHUNK, SpectralIndex, conjugate_index, index_label, spherical_table
+from .spaces import SpectralIndex, conjugate_index, index_label, spherical_sums
 from .steplaws import StepLaw, true_coefficients
 from .simulate import ObservationSet, ProcessConfig, sample_compound
 
@@ -117,20 +117,9 @@ def empirical_transform(obs: ObservationSet, indices, symmetrize: bool = False) 
     real part; offer it only for laws that are inverse invariant.
     """
     indices = list(indices)
-    space = obs.config.space
-    pts = obs.points
-    m = pts.shape[0]
-    sums = np.zeros(len(indices), dtype=complex)
-    for lo in range(0, m, _CHUNK):
-        sums += spherical_table(space, indices, pts[lo:lo + _CHUNK]).sum(axis=0)
-
-    values = []
-    for ix, s in zip(indices, sums):
-        z = s / m
-        if symmetrize:
-            z = complex(z.real)
-        values.append((ix, _clamp_value(z, symmetrize)))
-    return EmpiricalTransform(values, m=m, symmetrized=symmetrize, space=space)
+    sums = spherical_sums(obs.config.space, indices, obs.points)
+    values = [(ix, _clamp_value(s / obs.m, symmetrize)) for ix, s in zip(indices, sums)]
+    return EmpiricalTransform(values, m=obs.m, symmetrized=symmetrize, space=obs.config.space)
 
 
 def estimate_with_flag(nu: EmpiricalTransform, index, cfg: EstimatorConfig) -> tuple[complex, bool]:

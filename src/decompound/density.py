@@ -4,20 +4,20 @@ The estimate is f_hat = sum over kappa <= T of d_pi * c_hat(pi) * phi_pi,
 with T the smoothing cutoff scale * m^(2/(2s+d)).  Errors are computed in
 coefficient space, where Parseval makes the variance/bias split exact:
 everything below the cutoff is variance, the rest of the truth is bias.
-Pointwise synthesis exists for output and plots only; it evaluates
-``spaces.spherical_table`` on blocks of at most ``spaces._CHUNK`` points,
-so its working memory does not grow with the number of points.
+Pointwise synthesis exists for output and plots only; it is
+``spaces.spherical_synthesis``, whose blocks of points fit a fixed byte
+budget, so its working memory does not grow with the number of points.
 """
 from __future__ import annotations
 
 import json
 import math
 from collections import namedtuple
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .spaces import _CHUNK, Space, parse_space, spectrum, conjugate_index, spherical_table
+from .spaces import _as_points, Space, conjugate_index, parse_space, spectrum, spherical_synthesis
 from .steplaws import (
     CoefficientVector,
     HeatZonal,
@@ -119,13 +119,7 @@ class DensityEstimate:
             "scale": self.scale,
         }
         if self.config is not None:
-            meta["config"] = {
-                "variant": self.config.variant.value,
-                "delta": self.config.delta,
-                "intensity": self.config.intensity,
-                "time": self.config.time,
-                "noise_tau": self.config.noise_tau,
-            }
+            meta["config"] = {**asdict(self.config), "variant": self.config.variant.value}
         with open(meta_path, "w") as fh:
             json.dump(meta, fh, sort_keys=True, indent=2)
             fh.write("\n")
@@ -134,15 +128,7 @@ class DensityEstimate:
     def from_files(cls, csv_path, meta_path) -> "DensityEstimate":
         with open(meta_path) as fh:
             meta = json.load(fh)
-        config = None
-        if meta.get("config"):
-            config = EstimatorConfig(
-                variant=Variant(meta["config"]["variant"]),
-                delta=meta["config"]["delta"],
-                intensity=meta["config"]["intensity"],
-                time=meta["config"]["time"],
-                noise_tau=meta["config"]["noise_tau"],
-            )
+        config = EstimatorConfig(**meta["config"]) if meta.get("config") else None
         return cls(
             coeffs=CoefficientVector.from_csv(csv_path),
             space=parse_space(meta["space"]),
@@ -238,12 +224,8 @@ def sobolev_norm(coeffs: CoefficientVector, space: Space, s: float) -> float:
 
 
 def _synthesize(space: Space, coeffs: CoefficientVector, pts: np.ndarray) -> np.ndarray:
-    indices = coeffs.indices()
-    weights = np.array([ix.multiplicity * coeffs[ix] for ix in indices])
-    out = np.empty(pts.shape[0], dtype=complex)
-    for lo in range(0, pts.shape[0], _CHUNK):
-        out[lo:lo + _CHUNK] = spherical_table(space, indices, pts[lo:lo + _CHUNK]) @ weights
-    return out
+    weights = [ix.multiplicity * c for ix, c in coeffs.items()]
+    return spherical_synthesis(space, coeffs.indices(), weights, pts)
 
 
 def _conjugate_symmetric(space: Space, coeffs: CoefficientVector, tol: float = 1e-12) -> bool:
@@ -262,12 +244,7 @@ def evaluate(est: DensityEstimate, points):
     For conjugate-symmetric coefficient vectors the imaginary residual is
     asserted to be at most 1e-9 (relative to the scale of the values).
     """
-    pts = np.asarray(points, dtype=float)
-    single = pts.ndim == 1
-    if single:
-        pts = pts[None, :]
-    if pts.shape[1] != est.space.ambient_dim:
-        raise ValueError("point dimension does not match the space")
+    pts, single = _as_points(est.space, points)
     values = _synthesize(est.space, est.coeffs, pts)
     residual = float(np.max(np.abs(values.imag))) if values.size else 0.0
     scale = max(1.0, float(np.max(np.abs(values.real))) if values.size else 0.0)

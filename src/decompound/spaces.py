@@ -3,10 +3,10 @@
 Each space carries a countable family of zonal spherical functions
 ``phi_pi`` indexed by lattice vectors (circle/torus) or degrees (spheres),
 together with a Casimir eigenvalue ``kappa_pi`` and a multiplicity ``d_pi``.
-This module enumerates that spectrum, evaluates the spherical functions
-(``spherical_table`` is the one evaluator the transform, the synthesis and
-``spherical`` share), moves points along geodesics, and counts spectrum
-growth (Weyl laws).
+This module enumerates that spectrum, sums and synthesizes the spherical
+functions (per-axis character tables on circle/torus, one BLAS contraction,
+blocks of points sized by a byte budget), moves points along geodesics, and
+counts spectrum growth (Weyl laws).
 
 Conventions: the torus is ``[0, 2*pi)^d`` with the unit flat metric; all
 invariant measures are normalized to total mass 1; the origin is angle 0
@@ -17,7 +17,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from itertools import product as _cartesian
 
 import numpy as np
 from scipy.special import gammaln, roots_legendre
@@ -32,7 +31,8 @@ __all__ = [
     "parse_space",
     "spectrum",
     "spherical",
-    "spherical_table",
+    "spherical_sums",
+    "spherical_synthesis",
     "index_label",
     "conjugate_index",
     "geodesic_step",
@@ -44,7 +44,8 @@ __all__ = [
 ]
 
 TWO_PI = 2.0 * math.pi
-_CHUNK = 1 << 15  # most points per spherical_table call
+_CHUNK = 1 << 15  # most points per block of spherical-function tables
+_BLOCK_BYTES = 1 << 26  # most working memory of one block's tables (64 MiB)
 
 
 class SpaceKind(enum.Enum):
@@ -162,8 +163,6 @@ def index_label(index) -> tuple[int, ...]:
 
 
 def _sphere_multiplicity(d: int, ell: int) -> int:
-    if ell == 0:
-        return 1
     high = math.comb(ell + d, ell)
     low = math.comb(ell + d - 2, ell - 2) if ell >= 2 else 0
     return high - low
@@ -197,21 +196,18 @@ def spectrum(space: Space, casimir_max: float) -> list[SpectralIndex]:
     """
     if casimir_max < 0:
         raise ValueError("casimir_max must be >= 0")
-    out: list[SpectralIndex] = []
+    n_max = math.isqrt(int(casimir_max))  # bounds every |n_a| and every degree
     if space.kind is SpaceKind.SPHERE:
         d = space.dim
-        ell = 0
-        while ell * (ell + d - 1) <= casimir_max:
-            out.append(_sphere_index(d, ell))
-            ell += 1
-    else:
-        n_max = math.isqrt(int(casimir_max))
-        rng = range(-n_max, n_max + 1)
-        for label in _cartesian(rng, repeat=space.dim):
-            if sum(k * k for k in label) <= casimir_max:
-                out.append(_lattice_index(label))
-    out.sort(key=lambda ix: (ix.casimir, ix.label))
-    return out
+        return [_sphere_index(d, ell) for ell in range(n_max + 1)
+                if ell * (ell + d - 1) <= casimir_max]
+    labels = np.indices((2 * n_max + 1,) * space.dim).reshape(space.dim, -1).T - n_max
+    kappa = (labels * labels).sum(axis=1)
+    keep = kappa <= casimir_max
+    labels, kappa = labels[keep], kappa[keep]
+    order = np.lexsort((*labels.T[::-1], kappa))
+    return [SpectralIndex(tuple(label), float(k), 1)
+            for label, k in zip(labels[order].tolist(), kappa[order].tolist())]
 
 
 def conjugate_index(space: Space, index: SpectralIndex) -> SpectralIndex:
@@ -258,21 +254,70 @@ def zonal_values(lam: float, degrees: int, x: np.ndarray) -> np.ndarray:
     return vals
 
 
-def spherical_table(space: Space, indices, pts: np.ndarray) -> np.ndarray:
-    """phi_pi at each point (rows) for each index (columns).
+def _powers(theta: np.ndarray, top: int) -> np.ndarray:
+    """exp(i n theta) for n = -top..top (rows): one exp per angle, then
+    repeated multiplication, and conjugates for negative n."""
+    out = np.ones((2 * top + 1, theta.size), dtype=complex)
+    if top:
+        np.exp(1j * theta, out=out[top + 1])
+    for n in range(top + 2, 2 * top + 1):
+        np.multiply(out[n - 1], out[top + 1], out=out[n])
+    np.conjugate(out[top + 1:][::-1], out=out[:top])
+    return out
 
-    Spheres: real normalized Gegenbauer values in the last coordinate, the
-    cosine of the distance to the origin.  Circle/torus: complex characters
-    ``exp(i n . theta)``.  The table holds len(pts) * len(indices) values,
-    so callers pass at most ``_CHUNK`` points per call.
-    """
+
+def _box(space: Space, indices):
+    """(rows, cols, shape, top, block): phi_pi = P[rows] * E[cols] for the
+    tables P and E of ``_factors``, of shape[0] and shape[1] rows; top is the
+    largest degree or |n_a|; block, the most points whose tables fit the budget."""
+    labels = np.array([index_label(ix) for ix in indices], dtype=int).reshape(-1, space.rank)
+    top = int(np.abs(labels).max()) if labels.size else 0
     if space.kind is SpaceKind.SPHERE:
-        degrees = np.array([ix.label[0] for ix in indices], dtype=int)
-        lmax = int(degrees.max()) if degrees.size else 0
+        rows, cols, shape = np.zeros(len(labels), dtype=int), labels[:, 0], (1, top + 1)
+    else:
+        width = 2 * top + 1
+        rows = (labels[:, :-1] + top) @ width ** np.arange(space.dim - 2, -1, -1)
+        cols, shape = labels[:, -1] + top, (width ** (space.dim - 1), width)
+    # per point: P and its last factor, the axis tables, the synthesis product
+    row_bytes = 16 * (shape[0] + shape[0] // shape[1] + (space.dim + 2) * shape[1] + 4)
+    return rows, cols, shape, top, max(1, min(_CHUNK, _BLOCK_BYTES // row_bytes))
+
+
+def _factors(space: Space, top: int, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """P and E at a block of points (columns).  Spheres: ones, and the zonal
+    table to degree top.  Circle/torus: the products of the other axes'
+    characters, and the last axis's characters, for |n_a| <= top."""
+    if space.kind is SpaceKind.SPHERE:
         lam = (space.dim - 1.0) / 2.0
-        return zonal_values(lam, lmax, np.clip(pts[:, -1], -1.0, 1.0))[degrees].T
-    labels = np.array([ix.label for ix in indices], dtype=float)
-    return np.exp(1j * (pts @ labels.T))
+        return np.ones((1, len(pts))), zonal_values(lam, top, np.clip(pts[:, -1], -1.0, 1.0))
+    tables = [_powers(pts[:, a], top) for a in range(space.dim)]
+    p = np.ones((1, len(pts)), dtype=complex)
+    for table in tables[:-1]:
+        p = (p[:, None, :] * table[None, :, :]).reshape(-1, len(pts))
+    return p, tables[-1]
+
+
+def spherical_sums(space: Space, indices, pts: np.ndarray) -> np.ndarray:
+    """sum over the points of phi_pi, per index: P @ E.T per block of points."""
+    rows, cols, shape, top, block = _box(space, indices)
+    sums = np.zeros(shape)
+    for lo in range(0, len(pts), block):
+        sums = sums + np.inner(*_factors(space, top, pts[lo:lo + block]))
+    return sums[rows, cols]
+
+
+def spherical_synthesis(space: Space, indices, weights, pts: np.ndarray) -> np.ndarray:
+    """sum over the indices of weight * phi_pi at each point (complex): the
+    weights fill a box W, and a block of points is ((W.T @ P) * E) summed."""
+    rows, cols, shape, top, block = _box(space, indices)
+    box = np.zeros(shape, dtype=np.result_type(np.asarray(weights), float))
+    box[rows, cols] = weights
+    out = np.empty(len(pts), dtype=complex)
+    for lo in range(0, len(pts), block):
+        p, e = _factors(space, top, pts[lo:lo + block])
+        out[lo:lo + block] = ((box.T @ p) * e).sum(axis=0)
+        del p, e  # the next block's tables are built without these
+    return out
 
 
 def spherical(space: Space, index: SpectralIndex, point: np.ndarray) -> complex | np.ndarray:
@@ -283,16 +328,12 @@ def spherical(space: Space, index: SpectralIndex, point: np.ndarray) -> complex 
     to 1 at the origin (Legendre polynomials for d = 2).
     """
     pts, single = _as_points(space, point)
-    out = spherical_table(space, [index], pts)[:, 0].astype(complex)
+    out = spherical_synthesis(space, [index], [1.0], pts)
     return out[0] if single else out
 
 
 # ---------------------------------------------------------------------------
 # geodesics and distances
-
-
-def _wrap_angles(theta: np.ndarray) -> np.ndarray:
-    return np.mod(theta, TWO_PI)
 
 
 def _signed_angles(theta: np.ndarray) -> np.ndarray:
@@ -328,7 +369,7 @@ def geodesic_step(
         moved = np.cos(dist) * pts + np.sin(dist) * dirs
         moved /= np.linalg.norm(moved, axis=1, keepdims=True)
     else:
-        moved = _wrap_angles(pts + dist * dirs)
+        moved = np.mod(pts + dist * dirs, TWO_PI)
     return moved[0] if single else moved
 
 
@@ -357,15 +398,8 @@ def weyl_census(space: Space, thresholds) -> list[tuple[int, int]]:
     top = max(ts) if ts else 0.0
     indices = spectrum(space, top)
     kappas = np.array([ix.casimir for ix in indices])
-    mults = np.array([ix.multiplicity for ix in indices])
-    order = np.argsort(kappas, kind="stable")
-    kappas = kappas[order]
-    cum_mult = np.concatenate([[0], np.cumsum(mults[order])])
-    out = []
-    for t in ts:
-        k = int(np.searchsorted(kappas, t, side="right"))
-        out.append((k, int(cum_mult[k])))
-    return out
+    cum_mult = np.concatenate([[0], np.cumsum([ix.multiplicity for ix in indices])])
+    return [(k, int(cum_mult[k])) for k in np.searchsorted(kappas, ts, side="right").tolist()]
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Log-transform coefficient estimators and their truncation rules."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,11 +12,13 @@ from decompound import (
     EmpiricalTransform,
     EstimatorConfig,
     HeatZonal,
+    ObservationSet,
     ProcessConfig,
     Variant,
     WrappedNormal,
     circle,
     coefficient_errors,
+    conjugate_index,
     coefficient_mse,
     deviation_bound,
     empirical_transform,
@@ -24,9 +27,12 @@ from decompound import (
     make_index,
     replicate_seed,
     sample_compound,
+    smoothing_cutoff,
     spectrum,
     sphere,
+    torus,
 )
+from decompound.spaces import _BLOCK_BYTES, _CHUNK, _box, spherical_synthesis
 
 
 def _transform(value, m=100, symmetrized=True, space=None, label=(1,)):
@@ -181,6 +187,56 @@ def test_transform_at_origin_is_exactly_one():
     for symmetrize in (False, True):
         nu = empirical_transform(atom, idx, symmetrize=symmetrize)
         assert all(nu.value(ix) == 1.0 for ix in idx)
+
+
+@pytest.mark.parametrize("space, cutoff", [(circle(), 100.0), (torus(2), 20.0), (torus(3), 8.0)],
+                         ids=["circle", "torus:2", "torus:3"])
+def test_flat_transform_and_synthesis_match_direct_characters(space, cutoff):
+    # per-axis character tables and one contraction per block against a
+    # direct exp(i n . theta); _CHUNK + 3 points cross a block boundary
+    rng = np.random.default_rng(47)
+    pts = rng.uniform(0.0, 2.0 * math.pi, size=(_CHUNK + 3, space.dim))
+    obs = ObservationSet(points=pts, config=ProcessConfig(law=WrappedNormal(space, sigma=0.5)))
+    indices = spectrum(space, cutoff)
+    labels = np.array([ix.label for ix in indices], dtype=float)
+    direct = np.array([np.exp(1j * (pts @ n)).mean() for n in labels])
+    for symmetrize in (False, True):
+        nu = empirical_transform(obs, indices, symmetrize=symmetrize)
+        got = np.array([nu.value(ix) for ix in indices])
+        assert np.max(np.abs(got - (direct.real if symmetrize else direct))) <= 1e-12
+        assert nu.value(indices[0]) == 1.0
+        # phi at -n is the conjugate of phi at n; the contraction keeps that
+        # to rounding, not bit for bit
+        for ix in indices:
+            assert abs(nu.value(conjugate_index(space, ix)) - nu.value(ix).conjugate()) <= 1e-16
+
+    weights = rng.standard_normal(len(indices)) + 1j * rng.standard_normal(len(indices))
+    want = sum(w * np.exp(1j * (pts @ n)) for w, n in zip(weights, labels))
+    assert np.max(np.abs(spherical_synthesis(space, indices, weights, pts) - want)) <= 1e-12
+
+
+def _transform_peak_bytes(obs, indices):
+    tracemalloc.start()
+    try:
+        empirical_transform(obs, indices)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_transform_memory_bounded_by_the_block_budget():
+    # torus:3 with every index below the cutoff for m = 1e6: one block's
+    # tables stay under the declared budget, and three blocks need no more
+    space = torus(3)
+    indices = spectrum(space, smoothing_cutoff(10**6, 2.0, space))
+    assert len(indices) > 1500
+    block = _box(space, indices)[-1]
+    rng = np.random.default_rng(8)
+    pts = rng.uniform(0.0, 2.0 * math.pi, size=(3 * block, 3))
+    cfg = ProcessConfig(law=WrappedNormal(space, sigma=0.5))
+    one_block = _transform_peak_bytes(ObservationSet(points=pts[:block], config=cfg), indices)
+    assert one_block <= _BLOCK_BYTES
+    assert _transform_peak_bytes(ObservationSet(points=pts, config=cfg), indices) <= 1.5 * one_block
 
 
 def test_transform_modulus_bounded():

@@ -166,6 +166,17 @@ def test_density_study_threads_do_not_change_numbers(density_result):
         assert threaded.fit == density_result.fit
 
 
+def test_torus_density_study_threads_do_not_change_numbers():
+    # the per-axis tables and their BLAS contraction run in forked pool
+    # workers; m = 40000 spans two blocks of points
+    cfg = dict(space="torus:2", law="wn:sigma=0.6", m_grid=(300, 3000, 40000), replicates=3)
+    serial = run_convergence_study(_tiny_density_config(**cfg))
+    for threads in (2, 3):
+        threaded = run_convergence_study(_tiny_density_config(threads=threads, **cfg))
+        assert threaded.rows == serial.rows
+        assert threaded.fit == serial.fit
+
+
 def test_apply_band(density_result):
     res = run_convergence_study(_tiny_density_config())
     res.apply_band(5.0)

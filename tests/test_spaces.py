@@ -1,6 +1,7 @@
 """Geometry and spectral bookkeeping for the three supported space families."""
 
 import math
+from itertools import product
 
 import numpy as np
 import pytest
@@ -81,6 +82,21 @@ def test_torus_spectrum_order():
         (1, -1),
         (1, 1),
     ]
+
+
+@pytest.mark.parametrize("space", [circle(), torus(2), torus(3)], ids=str)
+def test_lattice_spectrum_matches_cartesian_reference(space):
+    # the loop the vectorized enumeration replaced: same list, same order,
+    # labels as Python int tuples and Casimirs as floats
+    for cutoff in (0.0, 0.5, 1.0, 2.0, 8.0, 26.8, 100.0):
+        n = math.isqrt(int(cutoff))
+        want = sorted(((float(sum(k * k for k in label)), label)
+                       for label in product(range(-n, n + 1), repeat=space.dim)
+                       if sum(k * k for k in label) <= cutoff))
+        got = spectrum(space, cutoff)
+        assert [(ix.casimir, ix.label) for ix in got] == want
+        assert all(type(k) is int for ix in got for k in ix.label)
+        assert all(type(ix.casimir) is float and ix.multiplicity == 1 for ix in got)
 
 
 def test_sphere_spectrum_casimir_and_multiplicity():
