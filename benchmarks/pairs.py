@@ -99,6 +99,16 @@ def _compare(pairs: list[tuple[dict, dict]], name: str, better: str) -> dict:
             "pairs": len(pairs), "pairs_won": won, "pairs_lost": lost}
 
 
+def _section(pairs: list[tuple[dict, dict]], metrics: list[dict]) -> dict:
+    """Correct runs per side, then each metric's declared fields and comparison."""
+    out = {"correct_runs": {side: sum(pair[j]["correct"] for pair in pairs)
+                            for j, side in enumerate(("parent", "change"))}}
+    for metric in metrics:
+        declared = {k: metric[k] for k in ("unit", "better", "bound") if k in metric}
+        out[metric["name"]] = {**declared, **_compare(pairs, metric["name"], metric["better"])}
+    return out
+
+
 def main(argv=None) -> int:
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
         bench = json.load(fh)
@@ -154,30 +164,16 @@ def main(argv=None) -> int:
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
 
-    end_to_end, per_layer, machine = {}, {}, None
+    end_to_end, per_layer = {}, {}
     for w in workloads:
-        plain = runs[(0, w)]
-        end_to_end[w] = {"correct_runs": {
-            side: sum(pair[j]["correct"] for pair in plain)
-            for j, side in enumerate(("parent", "change"))}}
-        for metric in bench["end_to_end"]:
-            end_to_end[w][metric["name"]] = {
-                "unit": metric["unit"], "better": metric["better"], "bound": metric["bound"],
-                **_compare(plain, metric["name"], metric["better"])}
-        traced = runs[(1, w)]
-        per_layer[w] = {"correct_runs": {
-            side: sum(pair[j]["correct"] for pair in traced)
-            for j, side in enumerate(("parent", "change"))}}
-        for metric in bench["per_layer"]:
-            per_layer[w][metric["name"]] = {
-                "unit": metric["unit"], "better": metric["better"],
-                **_compare(traced, metric["name"], metric["better"])}
-        for pair in plain + traced:
-            for res in pair:
-                machine = machine or res.get("detail", {}).get("machine")
+        plain, traced = runs[(0, w)], runs[(1, w)]
+        end_to_end[w] = _section(plain, bench["end_to_end"])
+        per_layer[w] = _section(traced, bench["per_layer"])
         failures = [res["error"] for pair in plain + traced for res in pair if "error" in res]
         if failures:
             end_to_end[w]["errors"] = failures
+    machine = next((res["detail"]["machine"] for pairs in runs.values() for pair in pairs
+                    for res in pair if "detail" in res), None)
 
     report = {
         "parent_commit": parent_commit,
