@@ -1,21 +1,21 @@
 """Alternating parent/change pairs of the benchmark, summarized in one JSON file.
 
     python3 benchmarks/pairs.py --parent REV --tag NAME [--change REV] [--pairs N]
-        [--traced-pairs N] [--seed0 S] [--seconds X] [--workload W ...]
+        [--workload W ...]
 
-The parent revision (and the change, when ``--change`` names one; by default
-the change is this checkout as it stands) is extracted with ``git archive``
-into a temporary directory (under ``TMPDIR``), and each side runs its own
-``perfbench/run.py``.
-Pair i uses seed ``seed0 + i`` on both sides and runs the parent first when
-i is even; every workload runs once per side and pair, untraced (``--trace
-0``).  Then ``--traced-pairs`` more pairs run with ``--trace 1``, on seeds
-after the untraced ones.  Nothing else should run on the machine meanwhile.
+Both revisions (the change defaults to HEAD) are extracted with ``git
+archive`` into a temporary directory (under ``TMPDIR``), so uncommitted
+edits never run, and each side runs its own ``perfbench/run.py`` for the
+``run_seconds`` that BENCHMARK.json declares.  Pair i uses seed
+``SEED0 + i`` on both sides and runs the parent first when i is even; every
+workload runs once per side and pair, untraced (``--trace 0``).  Then
+``TRACED_PAIRS`` more pairs run with ``--trace 1``, on seeds after the
+untraced ones.  Nothing else should run on the machine meanwhile.
 
-``BENCH_<tag>.json`` (written to the root of this checkout, or ``--out``)
-holds, per workload, each end-to-end metric's per-side median, quartiles
-and values, the pairs won and lost by the change (by the metric's direction
-in BENCHMARK.json; ties count for neither) and its bound; per-layer medians
+``BENCH_<tag>.json``, written to the root of this checkout, holds, per
+workload, each end-to-end metric's per-side median, quartiles and values,
+the pairs won and lost by the change (by the metric's direction in
+BENCHMARK.json; ties count for neither) and its bound; per-layer medians
 and quartiles from the traced runs; the count of correct runs; the machine;
 and the command lines.  Peak memory is the ``peak_rss_mb`` metric.
 """
@@ -33,6 +33,8 @@ import tempfile
 import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SEED0 = 1000  # seed of the first pair
+TRACED_PAIRS = 3
 
 
 def _git(*args: str) -> str:
@@ -114,46 +116,36 @@ def main(argv=None) -> int:
         bench = json.load(fh)
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--parent", required=True, help="parent revision")
-    parser.add_argument("--change", help="change revision (default: this checkout)")
+    parser.add_argument("--change", default="HEAD", help="change revision (default: HEAD)")
     parser.add_argument("--tag", required=True, help="writes BENCH_<tag>.json")
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--traced-pairs", type=int, default=3)
-    parser.add_argument("--seed0", type=int, default=1000)
-    parser.add_argument("--seconds", type=float, default=bench["run_seconds"])
     parser.add_argument("--workload", action="append",
                         choices=[w["name"] for w in bench["workloads"]],
                         help="repeatable; default: every workload")
-    parser.add_argument("--out", help="output path (default: BENCH_<tag>.json here)")
     args = parser.parse_args(argv)
     workloads = args.workload or [w["name"] for w in bench["workloads"]]
-    out_path = args.out or os.path.join(ROOT, f"BENCH_{args.tag}.json")
+    seconds = bench["run_seconds"]
+    out_path = os.path.join(ROOT, f"BENCH_{args.tag}.json")
 
     scratch = tempfile.mkdtemp(prefix="bench-pairs-")
     try:
-        os.makedirs(os.path.join(scratch, "parent"))
-        parent_commit = _extract(args.parent, os.path.join(scratch, "parent"))
-        trees = {"parent": os.path.join(scratch, "parent", "tree")}
-        if args.change:
-            os.makedirs(os.path.join(scratch, "change"))
-            change_commit = _extract(args.change, os.path.join(scratch, "change"))
-            trees["change"] = os.path.join(scratch, "change", "tree")
-        else:
-            change_commit = _git("rev-parse", "HEAD")
-            if _git("status", "--porcelain", "--untracked-files=no"):
-                change_commit += " with uncommitted changes"
-            trees["change"] = ROOT
+        trees, commits = {}, {}
+        for side, rev in (("parent", args.parent), ("change", args.change)):
+            os.makedirs(os.path.join(scratch, side))
+            commits[side] = _extract(rev, os.path.join(scratch, side))
+            trees[side] = os.path.join(scratch, side, "tree")
 
         runs = {(trace, w): [] for trace in (0, 1) for w in workloads}
         schedule = [(0, i) for i in range(args.pairs)]
-        schedule += [(1, args.pairs + i) for i in range(args.traced_pairs)]
+        schedule += [(1, args.pairs + i) for i in range(TRACED_PAIRS)]
         started = time.monotonic()
         for trace, i in schedule:
-            seed = args.seed0 + i
+            seed = SEED0 + i
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             for w in workloads:
                 pair = {}
                 for side in order:
-                    pair[side] = _run(trees[side], w, seed, args.seconds, trace)
+                    pair[side] = _run(trees[side], w, seed, seconds, trace)
                     res = pair[side]
                     wall = res["metrics"].get("wall_s", {}).get("value")
                     print(f"[{time.monotonic() - started:7.0f} s] trace {trace} seed {seed} "
@@ -176,13 +168,13 @@ def main(argv=None) -> int:
                     for res in pair if "detail" in res), None)
 
     report = {
-        "parent_commit": parent_commit,
-        "change_commit": change_commit,
+        "parent_commit": commits["parent"],
+        "change_commit": commits["change"],
         "machine": machine,
-        "method": (f"python3 perfbench/run.py --workload W --seed S --seconds {args.seconds} "
+        "method": (f"python3 perfbench/run.py --workload W --seed S --seconds {seconds} "
                    f"--trace 0|1, each side from its own tree; {args.pairs} untraced pairs "
-                   f"per workload on seeds {args.seed0}..{args.seed0 + args.pairs - 1}, then "
-                   f"{args.traced_pairs} traced pairs on the next seeds; pair i runs the "
+                   f"per workload on seeds {SEED0}..{SEED0 + args.pairs - 1}, then "
+                   f"{TRACED_PAIRS} traced pairs on the next seeds; pair i runs the "
                    f"parent first when i is even"),
         "end_to_end": end_to_end,
         "per_layer": per_layer,

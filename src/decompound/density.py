@@ -13,11 +13,11 @@ from __future__ import annotations
 import json
 import math
 from collections import namedtuple
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
-from .spaces import _as_points, Space, conjugate_index, parse_space, spectrum, spherical_synthesis
+from .spaces import Space, conjugate_index, parse_space, spectrum, spherical_synthesis
 from .steplaws import (
     CoefficientVector,
     HeatZonal,
@@ -119,7 +119,13 @@ class DensityEstimate:
             "scale": self.scale,
         }
         if self.config is not None:
-            meta["config"] = {**asdict(self.config), "variant": self.config.variant.value}
+            meta["config"] = {
+                "variant": self.config.variant.value,
+                "delta": self.config.delta,
+                "intensity": self.config.intensity,
+                "time": self.config.time,
+                "noise_tau": self.config.noise_tau,
+            }
         with open(meta_path, "w") as fh:
             json.dump(meta, fh, sort_keys=True, indent=2)
             fh.write("\n")
@@ -128,7 +134,15 @@ class DensityEstimate:
     def from_files(cls, csv_path, meta_path) -> "DensityEstimate":
         with open(meta_path) as fh:
             meta = json.load(fh)
-        config = EstimatorConfig(**meta["config"]) if meta.get("config") else None
+        config = None
+        if meta.get("config"):
+            config = EstimatorConfig(
+                variant=Variant(meta["config"]["variant"]),
+                delta=meta["config"]["delta"],
+                intensity=meta["config"]["intensity"],
+                time=meta["config"]["time"],
+                noise_tau=meta["config"]["noise_tau"],
+            )
         return cls(
             coeffs=CoefficientVector.from_csv(csv_path),
             space=parse_space(meta["space"]),
@@ -244,7 +258,12 @@ def evaluate(est: DensityEstimate, points):
     For conjugate-symmetric coefficient vectors the imaginary residual is
     asserted to be at most 1e-9 (relative to the scale of the values).
     """
-    pts, single = _as_points(est.space, points)
+    pts = np.asarray(points, dtype=float)
+    single = pts.ndim == 1
+    if single:
+        pts = pts[None, :]
+    if pts.shape[1] != est.space.ambient_dim:
+        raise ValueError("point dimension does not match the space")
     values = _synthesize(est.space, est.coeffs, pts)
     residual = float(np.max(np.abs(values.imag))) if values.size else 0.0
     scale = max(1.0, float(np.max(np.abs(values.real))) if values.size else 0.0)

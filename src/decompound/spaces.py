@@ -163,6 +163,8 @@ def index_label(index) -> tuple[int, ...]:
 
 
 def _sphere_multiplicity(d: int, ell: int) -> int:
+    if ell == 0:
+        return 1
     high = math.comb(ell + d, ell)
     low = math.comb(ell + d - 2, ell - 2) if ell >= 2 else 0
     return high - low
@@ -254,67 +256,81 @@ def zonal_values(lam: float, degrees: int, x: np.ndarray) -> np.ndarray:
     return vals
 
 
-def _powers(theta: np.ndarray, top: int) -> np.ndarray:
-    """exp(i n theta) for n = -top..top (rows): one exp per angle, then
-    repeated multiplication, and conjugates for negative n."""
-    out = np.ones((2 * top + 1, theta.size), dtype=complex)
-    if top:
-        np.exp(1j * theta, out=out[top + 1])
-    for n in range(top + 2, 2 * top + 1):
-        np.multiply(out[n - 1], out[top + 1], out=out[n])
-    np.conjugate(out[top + 1:][::-1], out=out[:top])
+def _characters(theta: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """exp(i n theta) for each n of values (rows; repeats allowed).  A walk
+    up the magnitudes |n| the values use multiplies by exp(i step theta),
+    with one exp per distinct step; negative n are conjugates."""
+    out = np.empty((len(values), theta.size), dtype=complex)
+    cur, prev, steps = 1.0, 0, {}
+    for n in np.unique(np.abs(values)).tolist():
+        if n != prev:
+            if n - prev not in steps:
+                steps[n - prev] = np.exp(1j * (n - prev) * theta)
+            cur, prev = cur * steps[n - prev], n
+        out[values == n] = cur
+        if n:
+            out[values == -n] = np.conj(cur)
     return out
 
 
-def _box(space: Space, indices):
-    """(rows, cols, shape, top, block): phi_pi = P[rows] * E[cols] for the
-    tables P and E of ``_factors``, of shape[0] and shape[1] rows; top is the
-    largest degree or |n_a|; block, the most points whose tables fit the budget."""
+def _plan(space: Space, indices):
+    """(rows, cols, shape, values, block): phi_pi = P[rows] * E[cols] for the
+    tables P and E of ``_factors`` at ``values``, of shape[0] and shape[1]
+    rows.  Circle/torus: P has a row per distinct label prefix (all but the
+    last component) and E a row per distinct last component, so a sparse
+    set of indices builds few rows.  Spheres: P is a row of ones and E the
+    zonal table to the top degree.  block is the most points whose tables,
+    with the fixed shape-sized arrays, fit the byte budget."""
     labels = np.array([index_label(ix) for ix in indices], dtype=int).reshape(-1, space.rank)
-    top = int(np.abs(labels).max()) if labels.size else 0
     if space.kind is SpaceKind.SPHERE:
-        rows, cols, shape = np.zeros(len(labels), dtype=int), labels[:, 0], (1, top + 1)
+        top = int(labels.max()) if labels.size else 0
+        rows, cols, shape, values = np.zeros(len(labels), dtype=int), labels[:, 0], (1, top + 1), top
+        walk = 0
     else:
-        width = 2 * top + 1
-        rows = (labels[:, :-1] + top) @ width ** np.arange(space.dim - 2, -1, -1)
-        cols, shape = labels[:, -1] + top, (width ** (space.dim - 1), width)
-    # per point: P and its last factor, the axis tables, the synthesis product
-    row_bytes = 16 * (shape[0] + shape[0] // shape[1] + (space.dim + 2) * shape[1] + 4)
-    return rows, cols, shape, top, max(1, min(_CHUNK, _BLOCK_BYTES // row_bytes))
+        pre, rows = np.unique(labels[:, :-1], axis=0, return_inverse=True)
+        last, cols = np.unique(labels[:, -1], return_inverse=True)
+        shape, values = (len(pre), len(last)), (pre, last)
+        walk = max(len(np.unique(np.abs(col))) for col in labels.T) if labels.size else 0
+    # per point: P, E and the synthesis products, one axis table and its walk
+    row_bytes = 16 * (shape[0] + 3 * shape[1] + 3 * walk + 4)
+    fixed = 3 * 16 * shape[0] * shape[1]  # the sums, one block's sums, the weights
+    block = max(1, min(_CHUNK, (_BLOCK_BYTES - fixed) // row_bytes))
+    return rows.ravel(), cols.ravel(), shape, values, block
 
 
-def _factors(space: Space, top: int, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """P and E at a block of points (columns).  Spheres: ones, and the zonal
-    table to degree top.  Circle/torus: the products of the other axes'
-    characters, and the last axis's characters, for |n_a| <= top."""
+def _factors(space: Space, values, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """P and E of ``_plan`` at a block of points (columns)."""
     if space.kind is SpaceKind.SPHERE:
         lam = (space.dim - 1.0) / 2.0
-        return np.ones((1, len(pts))), zonal_values(lam, top, np.clip(pts[:, -1], -1.0, 1.0))
-    tables = [_powers(pts[:, a], top) for a in range(space.dim)]
-    p = np.ones((1, len(pts)), dtype=complex)
-    for table in tables[:-1]:
-        p = (p[:, None, :] * table[None, :, :]).reshape(-1, len(pts))
-    return p, tables[-1]
+        return np.ones((1, len(pts))), zonal_values(lam, values, np.clip(pts[:, -1], -1.0, 1.0))
+    pre, last = values
+    p = np.ones((len(pre), len(pts)), dtype=complex)
+    for a, col in enumerate(pre.T):
+        vals, at = np.unique(col, return_inverse=True)
+        table = _characters(pts[:, a], vals)
+        for row, i in zip(p, at):
+            row *= table[i]
+    return p, _characters(pts[:, -1], last)
 
 
 def spherical_sums(space: Space, indices, pts: np.ndarray) -> np.ndarray:
     """sum over the points of phi_pi, per index: P @ E.T per block of points."""
-    rows, cols, shape, top, block = _box(space, indices)
-    sums = np.zeros(shape)
+    rows, cols, shape, values, block = _plan(space, indices)
+    sums = np.zeros(shape, dtype=float if space.kind is SpaceKind.SPHERE else complex)
     for lo in range(0, len(pts), block):
-        sums = sums + np.inner(*_factors(space, top, pts[lo:lo + block]))
+        sums += np.inner(*_factors(space, values, pts[lo:lo + block]))
     return sums[rows, cols]
 
 
 def spherical_synthesis(space: Space, indices, weights, pts: np.ndarray) -> np.ndarray:
     """sum over the indices of weight * phi_pi at each point (complex): the
-    weights fill a box W, and a block of points is ((W.T @ P) * E) summed."""
-    rows, cols, shape, top, block = _box(space, indices)
+    weights fill W, and a block of points is ((W.T @ P) * E) summed."""
+    rows, cols, shape, values, block = _plan(space, indices)
     box = np.zeros(shape, dtype=np.result_type(np.asarray(weights), float))
-    box[rows, cols] = weights
+    np.add.at(box, (rows, cols), weights)
     out = np.empty(len(pts), dtype=complex)
     for lo in range(0, len(pts), block):
-        p, e = _factors(space, top, pts[lo:lo + block])
+        p, e = _factors(space, values, pts[lo:lo + block])
         out[lo:lo + block] = ((box.T @ p) * e).sum(axis=0)
         del p, e  # the next block's tables are built without these
     return out
@@ -334,6 +350,10 @@ def spherical(space: Space, index: SpectralIndex, point: np.ndarray) -> complex 
 
 # ---------------------------------------------------------------------------
 # geodesics and distances
+
+
+def _wrap_angles(theta: np.ndarray) -> np.ndarray:
+    return np.mod(theta, TWO_PI)
 
 
 def _signed_angles(theta: np.ndarray) -> np.ndarray:
@@ -369,7 +389,7 @@ def geodesic_step(
         moved = np.cos(dist) * pts + np.sin(dist) * dirs
         moved /= np.linalg.norm(moved, axis=1, keepdims=True)
     else:
-        moved = np.mod(pts + dist * dirs, TWO_PI)
+        moved = _wrap_angles(pts + dist * dirs)
     return moved[0] if single else moved
 
 
@@ -398,8 +418,15 @@ def weyl_census(space: Space, thresholds) -> list[tuple[int, int]]:
     top = max(ts) if ts else 0.0
     indices = spectrum(space, top)
     kappas = np.array([ix.casimir for ix in indices])
-    cum_mult = np.concatenate([[0], np.cumsum([ix.multiplicity for ix in indices])])
-    return [(k, int(cum_mult[k])) for k in np.searchsorted(kappas, ts, side="right").tolist()]
+    mults = np.array([ix.multiplicity for ix in indices])
+    order = np.argsort(kappas, kind="stable")
+    kappas = kappas[order]
+    cum_mult = np.concatenate([[0], np.cumsum(mults[order])])
+    out = []
+    for t in ts:
+        k = int(np.searchsorted(kappas, t, side="right"))
+        out.append((k, int(cum_mult[k])))
+    return out
 
 
 # ---------------------------------------------------------------------------

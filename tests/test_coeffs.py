@@ -32,7 +32,7 @@ from decompound import (
     sphere,
     torus,
 )
-from decompound.spaces import _BLOCK_BYTES, _CHUNK, _box, spherical_synthesis
+from decompound.spaces import _BLOCK_BYTES, _CHUNK, _plan, spherical, spherical_synthesis
 
 
 def _transform(value, m=100, symmetrized=True, space=None, label=(1,)):
@@ -230,13 +230,32 @@ def test_transform_memory_bounded_by_the_block_budget():
     space = torus(3)
     indices = spectrum(space, smoothing_cutoff(10**6, 2.0, space))
     assert len(indices) > 1500
-    block = _box(space, indices)[-1]
+    block = _plan(space, indices)[-1]
     rng = np.random.default_rng(8)
     pts = rng.uniform(0.0, 2.0 * math.pi, size=(3 * block, 3))
     cfg = ProcessConfig(law=WrappedNormal(space, sigma=0.5))
     one_block = _transform_peak_bytes(ObservationSet(points=pts[:block], config=cfg), indices)
     assert one_block <= _BLOCK_BYTES
     assert _transform_peak_bytes(ObservationSet(points=pts, config=cfg), indices) <= 1.5 * one_block
+
+
+def test_sparse_flat_indices_build_only_their_rows():
+    # a high index builds a row of P and a row of E, not the (2N+1)^d box
+    # of characters up to N = 60, so its blocks stay inside the budget
+    space = torus(3)
+    rng = np.random.default_rng(9)
+    pts = rng.uniform(0.0, 2.0 * math.pi, size=(2 * _CHUNK + 5, 3))
+    obs = ObservationSet(points=pts, config=ProcessConfig(law=WrappedNormal(space, sigma=0.5)))
+    for labels in ([(60, 0, 0)], [(60, 0, 0), (-60, 0, 0), (0, 0, 0), (3, -7, 11)]):
+        indices = [make_index(space, label) for label in labels]
+        prefixes, lasts = {label[:2] for label in labels}, {label[2] for label in labels}
+        assert _plan(space, indices)[2] == (len(prefixes), len(lasts))
+        assert _transform_peak_bytes(obs, indices) <= _BLOCK_BYTES
+        nu = empirical_transform(obs, indices)
+        direct = [np.exp(1j * (pts @ np.array(label, dtype=float))).mean() for label in labels]
+        assert np.max(np.abs(np.array([nu.value(ix) for ix in indices]) - direct)) <= 1e-12
+    high = make_index(space, (60, 0, 0))
+    assert np.max(np.abs(spherical(space, high, pts) - np.exp(60j * pts[:, 0]))) <= 1e-12
 
 
 def test_transform_modulus_bounded():
