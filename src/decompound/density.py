@@ -283,9 +283,9 @@ def truth_table(law: StepLaw, cutoff: float, coverage: float = 1e-10
     """Truth coefficients covering at least the given Casimir cutoff.
 
     HeatZonal/WrappedNormal extend until |c| drops below `coverage`
-    (analytic decay); UniformCap extends to 4x the cutoff with a monotone
-    tail estimate.  Returns (vector, tail_bound) where tail_bound bounds the
-    squared L2 mass beyond the vector's support.
+    (analytic decay); UniformCap extends to 4x the cutoff.  Returns (vector,
+    tail), tail the squared L2 mass beyond the vector's support: exact for a
+    cap (||f||^2 less the kept mass), else summed out to twice the reach.
     """
     if isinstance(law, HeatZonal):
         reach = math.log(1.0 / coverage) / law.tau0
@@ -304,8 +304,10 @@ def truth_table(law: StepLaw, cutoff: float, coverage: float = 1e-10
     above = [ix.casimir for ix in indices if ix.casimir > cutoff]
     keep_to = max(reach, min(above)) if above else reach
     kept = [(ix, full[ix]) for ix in indices if ix.casimir <= keep_to]
-    tail = sum(ix.multiplicity * abs(full[ix]) ** 2
-               for ix in indices if ix.casimir > keep_to)
     if isinstance(law, UniformCap):
-        tail *= 2.0  # octave masses decay by about half; allow one more octave
+        # f = 1/V on a set of normalized measure V, so ||f||^2 = 1/V = f(origin)
+        tail = law.radial_density(0.0) - sum(ix.multiplicity * abs(v) ** 2 for ix, v in kept)
+    else:
+        tail = sum(ix.multiplicity * abs(full[ix]) ** 2
+                   for ix in indices if ix.casimir > keep_to)
     return CoefficientVector(kept), float(tail)

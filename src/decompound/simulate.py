@@ -13,10 +13,10 @@ origin, so only the cosine of the distance to the origin is walked (the
 blur is one more step) and each endpoint is lifted along a uniform
 tangent direction at the origin.
 
-Reproducibility: a counter-based (Philox) generator keyed by
-(seed, block index), one stream per block of 4096 observations, so
-generation is parallelizable across blocks while output depends only on
-(config, m).
+Step counts are ``Generator.poisson`` draws.  Reproducibility: a
+counter-based (Philox) generator keyed by (seed, block index), one stream
+per block of 4096 observations, so generation is parallelizable across
+blocks while output depends only on (config, m).
 """
 from __future__ import annotations
 
@@ -26,10 +26,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .spaces import Space, SpaceKind, parse_space
-from .steplaws import HeatZonal, StepLaw, WrappedNormal, parse_law, uniform_tangents
+from .steplaws import HeatZonal, StepLaw, WrappedNormal, _lift_from_origin, parse_law
+from .steplaws import uniform_tangents  # noqa: F401  (re-exported)
 
 __all__ = [
     "ProcessConfig",
@@ -42,7 +42,6 @@ __all__ = [
 ]
 
 BLOCK = 4096
-_KNUTH_LIMIT = 30.0
 
 
 @dataclass(frozen=True)
@@ -125,7 +124,7 @@ class ObservationSet:
 
 
 # ---------------------------------------------------------------------------
-# RNG and Poisson
+# RNG
 
 
 def _block_rng(seed: int, block: int) -> np.random.Generator:
@@ -133,50 +132,11 @@ def _block_rng(seed: int, block: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _poisson_many(rate: float, n: int, rng) -> np.ndarray:
-    """n Poisson(rate) variates: Knuth multiplication for small rates,
-    transformed rejection (PTRS) above."""
-    if rate <= _KNUTH_LIMIT:
-        limit = math.exp(-rate)
-        k = np.zeros(n, dtype=np.int64)
-        p = rng.random(n)
-        active = p > limit
-        while active.any():
-            k[active] += 1
-            p[active] *= rng.random(int(active.sum()))
-            active &= p > limit
-        return k
-
-    b = 0.931 + 2.53 * math.sqrt(rate)
-    a = -0.059 + 0.02483 * b
-    inv_alpha = 1.1239 + 1.1328 / (b - 3.4)
-    v_r = 0.9277 - 3.6224 / (b - 2.0)
-    log_rate = math.log(rate)
-    out = np.empty(n, dtype=np.int64)
-    todo = np.arange(n)
-    while todo.size:
-        u = rng.random(todo.size) - 0.5
-        v = rng.random(todo.size)
-        us = 0.5 - np.abs(u)
-        k = np.floor((2.0 * a / us + b) * u + rate + 0.43).astype(np.int64)
-        accept = (us >= 0.07) & (v <= v_r)
-        screen = ~accept & (k >= 0) & ~((us < 0.013) & (v > us))
-        if screen.any():
-            kk = k[screen].astype(float)
-            lhs = np.log(v[screen] * inv_alpha / (a / us[screen] ** 2 + b))
-            rhs = -rate + kk * log_rate - gammaln(kk + 1.0)
-            accept[screen] = lhs <= rhs
-        accept &= k >= 0
-        out[todo[accept]] = k[accept]
-        todo = todo[~accept]
-    return out
-
-
 def poisson_draw(rate: float, rng) -> int:
-    """One Poisson(rate) variate."""
+    """One Poisson(rate) variate (``rng.poisson``; rate must be > 0)."""
     if rate <= 0:
         raise ValueError("rate must be > 0")
-    return int(_poisson_many(rate, 1, rng)[0])
+    return int(rng.poisson(rate))
 
 
 # ---------------------------------------------------------------------------
@@ -214,6 +174,8 @@ def _colatitude_step(z: np.ndarray, dist: np.ndarray, dim: int, rng) -> np.ndarr
     """
     if dim == 2:
         c = np.cos(2.0 * math.pi * rng.random(z.shape[0]))
+    elif dim == 3:
+        c = 2.0 * rng.random(z.shape[0]) - 1.0  # Beta(1, 1) is uniform
     else:
         a = (dim - 1) / 2.0
         c = 2.0 * rng.beta(a, a, z.shape[0]) - 1.0
@@ -230,7 +192,8 @@ def _sphere_endpoints(config: ProcessConfig, counts: np.ndarray, rng) -> np.ndar
     so each round's walkers are a prefix; the blur is one more step.
     """
     space = config.space
-    order = np.argsort(-counts, kind="stable")
+    # a stable sort of a small integer type is a radix sort
+    order = np.argsort((-counts).astype(np.min_scalar_type(-counts.max())), kind="stable")
     steps = counts[order]
     dist = config.law.sample_distances(int(steps.sum()), rng)
     walked = np.ones(steps.shape[0])
@@ -244,14 +207,12 @@ def _sphere_endpoints(config: ProcessConfig, counts: np.ndarray, rng) -> np.ndar
     if config.noise_tau:
         blur = _blur_law(space, config.noise_tau)
         z = _colatitude_step(z, blur.sample_distances(z.shape[0], rng), space.dim, rng)
-    origin = space.origin()
-    dirs = uniform_tangents(np.broadcast_to(origin, (z.shape[0], origin.size)), rng)
-    return z[:, None] * origin + np.sqrt(np.maximum(1.0 - z * z, 0.0))[:, None] * dirs
+    return _lift_from_origin(space, z, rng)
 
 
 def _walk_endpoints(config: ProcessConfig, n: int, rng) -> np.ndarray:
     """n independent (blurred) time-t observations drawn from one stream."""
-    counts = _poisson_many(config.mean_steps, n, rng)
+    counts = rng.poisson(config.mean_steps, n)
     space = config.space
     if not space.is_flat:
         return _sphere_endpoints(config, counts, rng)

@@ -7,7 +7,8 @@ Each law is a probability density on one of the supported spaces, with
 * an independent numerical-quadrature route to the same coefficients, and
 * a sampler for single steps: exact for wrapped normals (and so for flat
   heat kernels, which are wrapped normals) and caps; sphere heat steps
-  invert a tabulated radial CDF.
+  draw distances from an equal-mass quantile table of the radial law, whose
+  bias against the exact coefficients is stated in ``_RadialTable``.
 
 Densities are always taken relative to the normalized measure, so the
 trivial coefficient of every law is 1.
@@ -28,7 +29,6 @@ from .spaces import (
     SpaceKind,
     SpectralIndex,
     _signed_angles,
-    geodesic_step,
     index_label,
     make_index,
     spectrum,
@@ -145,7 +145,19 @@ class CoefficientVector:
 
 
 class _RadialTable:
-    """Tabulated CDF on an interval with monotone-cubic inversion."""
+    """Radial law sampled through an equal-mass quantile table.
+
+    Set-up inverts the tabulated CDF with a monotone cubic (PCHIP) and keeps
+    q_k = F^-1(k/K), k = 0..K, K = 2**16; a uniform u in cell k = floor(uK)
+    maps linearly onto [q_k, q_k+1].  The end cells (2/K of the draws) keep
+    the exact inverse: a chord across the far tail moved coefficients by
+    6.5e-6 at tau0 = 0.045.  Sampled zonal coefficients, l <= 8, then differ
+    from exp(-kappa tau0) by at most 1.9e-7 (3e-11 for the exact inverse),
+    by quadrature over the cells on sphere:2 at tau0 = 0.5, 0.35, 0.045
+    (2.8e-8, 8.9e-8, 1.5e-7) and sphere:3/4 at tau0 = 0.35 (1.4e-7, 1.9e-7).
+    """
+
+    CELLS = 2**16
 
     def __init__(self, grid: np.ndarray, pdf: np.ndarray):
         if pdf.min() < -1e-9:
@@ -158,12 +170,21 @@ class _RadialTable:
         self._inverse = PchipInterpolator(cdf[keep], grid[keep], extrapolate=True)
         self._lo = float(grid[0])
         self._hi = float(grid[-1])
+        q = self.invert(np.arange(self.CELLS + 1) / self.CELLS)
+        self._q = q[:-1]
+        self._dq = np.diff(q)
 
     def invert(self, u: np.ndarray) -> np.ndarray:
         return np.clip(self._inverse(u), self._lo, self._hi)
 
-    def sample(self, n: int, rng) -> np.ndarray:
-        return self.invert(rng.random(n))
+    def quantile(self, u: np.ndarray) -> np.ndarray:
+        """The sampler's map from uniforms in [0, 1) to distances."""
+        x = u * self.CELLS
+        k = x.astype(np.intp)
+        out = self._q[k] + self._dq[k] * (x - k)
+        edge = (k == 0) | (k == self.CELLS - 1)
+        out[edge] = self.invert(u[edge])
+        return out
 
 
 def uniform_tangents(points: np.ndarray, rng) -> np.ndarray:
@@ -184,6 +205,19 @@ def uniform_tangents(points: np.ndarray, rng) -> np.ndarray:
         g[bad] = fix
         norms[bad] = np.linalg.norm(g[bad], axis=1, keepdims=True)
     return g / norms
+
+
+def _lift_from_origin(space: Space, z: np.ndarray, rng) -> np.ndarray:
+    """Sphere points (sqrt(1 - z^2) * dir, z) at cosines z from the origin (the
+    last axis), with dir a uniform unit vector in R^d: (cos phi, sin phi) on S^2."""
+    n, d = z.shape[0], space.dim
+    if d == 2:
+        phi = 2.0 * math.pi * rng.random(n)
+        dirs = np.stack([np.cos(phi), np.sin(phi)], axis=1)
+    else:
+        dirs = rng.standard_normal((n, d))
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    return np.column_stack([np.sqrt(np.maximum(1.0 - z * z, 0.0))[:, None] * dirs, z])
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +324,7 @@ class HeatZonal(StepLaw):
     def sample_distances(self, n: int, rng) -> np.ndarray:
         if self.space.kind is not SpaceKind.SPHERE:
             raise ValueError("sample_distances is for spheres")
-        return self._sphere_table.sample(n, rng)
+        return self._sphere_table.quantile(rng.random(n))
 
     def sample_displacements(self, n: int, rng) -> np.ndarray:
         return self._flat_law.sample_displacements(n, rng)
@@ -474,9 +508,7 @@ def sample_points(law: StepLaw, n: int, rng) -> np.ndarray:
     """n independent single-step positions started from the origin."""
     space = law.space
     if space.kind is SpaceKind.SPHERE:
-        dist = law.sample_distances(n, rng)
-        base = np.broadcast_to(space.origin(), (n, space.ambient_dim))
-        return geodesic_step(space, base, dist, uniform_tangents(base, rng))
+        return _lift_from_origin(space, np.cos(law.sample_distances(n, rng)), rng)
     return np.mod(law.sample_displacements(n, rng), 2.0 * math.pi)
 
 

@@ -6,6 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy import integrate
 
 from decompound import (
     CoefficientVector,
@@ -21,6 +22,7 @@ from decompound import (
     circle,
     l2_error,
     make_index,
+    quadrature_coefficients,
     reconstruct,
     sample_compound,
     smoothing_cutoff,
@@ -193,6 +195,26 @@ def test_truth_table_cap_reports_positive_tail():
     truth, tail = truth_table(law, 4.0)
     assert truth.max_casimir >= 16.0  # extends well past the requested cutoff
     assert tail > 0.0
+
+
+@pytest.mark.parametrize("rho", [0.5, 1.2, 2.9])
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_truth_table_cap_tail_is_exact(d, rho):
+    # the cap density is 1/V on a set of normalized measure V, so by Parseval
+    # the squared L2 mass beyond the table is 1/V minus the kept d|c|^2
+    space = sphere(d)
+    law = UniformCap(space, rho=rho)
+    truth, tail = truth_table(law, 4.0)
+    zonal = [integrate.quad(lambda t: math.sin(t) ** (d - 1), 0.0, b)[0]
+             for b in (rho, math.pi)]
+    kept = sum(ix.multiplicity * abs(v) ** 2 for ix, v in truth.items())
+    assert tail == pytest.approx(zonal[1] / zonal[0] - kept, rel=1e-9)
+    # so it holds at least the mass of the next degrees
+    top = max(ix.label[0] for ix in truth.indices())
+    nxt = [make_index(space, (ell,)) for ell in range(top + 1, 4 * top + 1)]
+    beyond = sum(ix.multiplicity * abs(v) ** 2
+                 for ix, v in quadrature_coefficients(law, nxt).items())
+    assert 0.0 < beyond < tail
 
 
 # --- reconstruct and evaluate ------------------------------------------------------

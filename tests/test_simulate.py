@@ -106,8 +106,8 @@ def test_poisson_draw_rate_boundary():
 
 @pytest.mark.parametrize("rate", [1.0, 4.5, 50.0, 200.0])
 def test_poisson_draw_moments(rate):
-    # rates below 30 exercise the product method, above it the transformed
-    # rejection sampler; both must produce the right mean and variance
+    # numpy multiplies uniforms below rate 10 and uses transformed rejection
+    # (PTRS) above; both must produce the right mean and variance
     rng = np.random.default_rng(17)
     n = 40_000
     draws = np.array([poisson_draw(rate, rng) for _ in range(n)], dtype=float)
@@ -183,7 +183,7 @@ def _reference_sphere_walk(cfg, n, rng):
                          uniform_tangents(pts, rng))
 
 
-@pytest.mark.parametrize("d", [3, 4])
+@pytest.mark.parametrize("d", [2, 3, 4])
 def test_sphere_kernel_matches_reference_walk(d):
     # the sampler walks only cos(distance to origin) and lifts once; the
     # endpoint law must match a walk of full ambient vectors

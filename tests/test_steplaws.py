@@ -22,7 +22,9 @@ from decompound import (
     torus,
     true_coefficients,
     uniform_tangents,
+    zonal_values,
 )
+from decompound.steplaws import _lift_from_origin
 
 
 # --- exact coefficient formulas -------------------------------------------
@@ -159,6 +161,65 @@ def test_uniform_tangents_orthonormal():
     tg = uniform_tangents(pts, rng)
     assert np.allclose(np.einsum("ij,ij->i", tg, pts), 0.0, atol=1e-12)
     assert np.allclose(np.linalg.norm(tg, axis=1), 1.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_lift_from_origin_unit_vectors(d):
+    # a point at cosine z from the origin (the last axis), in a uniform
+    # tangent direction there: unit norm, last coordinate z with its sign
+    rng = np.random.default_rng(d)
+    z = np.concatenate([[1.0, -1.0, 0.0], rng.uniform(-1.0, 1.0, 4997)])
+    pts = _lift_from_origin(sphere(d), z, rng)
+    assert pts.shape == (5000, d + 1)
+    assert np.allclose(np.linalg.norm(pts, axis=1), 1.0, atol=1e-12)
+    assert np.array_equal(pts[:, -1], z)
+    assert not pts[:2, :d].any()
+    # the direction is uniform: its first coordinate is 2 Beta(a, a) - 1
+    dirs = pts[3:, :d] / np.linalg.norm(pts[3:, :d], axis=1, keepdims=True)
+    a = (d - 1) / 2.0
+    ks = stats.kstest((dirs[:, 0] + 1.0) / 2.0, stats.beta(a, a).cdf)
+    assert ks.pvalue > 1e-3
+
+
+def _radial_table_coefficients(law, lmax, nodes=8, chunk=1 << 14):
+    """Zonal coefficients of the law the radial table samples, by
+    Gauss-Legendre quadrature of its quantile map over u in [0, 1).
+
+    The map is linear on each interior cell [k/K, (k+1)/K); the two end
+    cells use the monotone-cubic inverse, split here at its knots."""
+    table = law._sphere_table
+    cells = table.CELLS
+    knots = table._inverse.x
+
+    def split(a, b):
+        return np.concatenate([[a], knots[(knots > a) & (knots < b)], [b]])
+
+    bounds = np.unique(np.concatenate([split(0.0, 1.0 / cells),
+                                       np.arange(2, cells - 1) / cells,
+                                       split(1.0 - 1.0 / cells, 1.0)]))
+    lo, width = bounds[:-1], np.diff(bounds)
+    s, w = np.polynomial.legendre.leggauss(nodes)
+    s, w = (s + 1.0) / 2.0, w / 2.0
+    lam = (law.space.dim - 1.0) / 2.0
+    total = np.zeros(lmax + 1)
+    for a in range(0, lo.size, chunk):
+        u = (lo[a:a + chunk, None] + width[a:a + chunk, None] * s).ravel()
+        weight = (width[a:a + chunk, None] * w).ravel()
+        # rounding can carry a node to 1.0, which no draw reaches
+        theta = table.quantile(np.minimum(u, 1.0 - 2.0**-53))
+        total += zonal_values(lam, lmax, np.cos(theta)) @ weight
+    return total
+
+
+@pytest.mark.parametrize("d,tau0", [(2, 0.5), (2, 0.045), (4, 0.35)])
+def test_radial_table_sampler_bias(d, tau0):
+    # the sampled law itself, without draws: its coefficients stay within
+    # 1e-6 of exp(-kappa tau0); tau0 = 0.045 is the heat blur at tau = 0.3
+    law = HeatZonal(sphere(d), tau0=tau0)
+    got = _radial_table_coefficients(law, 8)
+    want = [law.coefficient(make_index(sphere(d), (ell,))).real for ell in range(9)]
+    assert got[0] == pytest.approx(1.0, abs=1e-12)
+    assert np.max(np.abs(got - want)) <= 1e-6
 
 
 def test_uniform_cap_distances_match_beta_cdf():
