@@ -29,7 +29,9 @@ import numpy as np
 
 from .spaces import Space, SpaceKind, parse_space
 from .steplaws import HeatZonal, StepLaw, WrappedNormal, _lift_from_origin, parse_law
-from .steplaws import uniform_tangents  # noqa: F401  (re-exported)
+# perfbench/tracing.py wraps simulate.uniform_tangents; drop this import with
+# that wrap
+from .steplaws import uniform_tangents  # noqa: F401
 
 __all__ = [
     "ProcessConfig",
@@ -174,8 +176,6 @@ def _colatitude_step(z: np.ndarray, dist: np.ndarray, dim: int, rng) -> np.ndarr
     """
     if dim == 2:
         c = np.cos(2.0 * math.pi * rng.random(z.shape[0]))
-    elif dim == 3:
-        c = 2.0 * rng.random(z.shape[0]) - 1.0  # Beta(1, 1) is uniform
     else:
         a = (dim - 1) / 2.0
         c = 2.0 * rng.beta(a, a, z.shape[0]) - 1.0
