@@ -209,9 +209,15 @@ def uniform_tangents(points: np.ndarray, rng) -> np.ndarray:
 
 def _lift_from_origin(space: Space, z: np.ndarray, rng) -> np.ndarray:
     """Sphere points (sqrt(1 - z^2) * dir, z) at cosines z from the origin (the
-    last axis), with dir a uniform unit vector in R^d (normalized normals)."""
-    dirs = rng.standard_normal((z.shape[0], space.dim))
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    last axis), with dir a uniform unit vector in R^d: normalized normals, or
+    on S^2 the cheaper (cos phi, sin phi)."""
+    n, d = z.shape[0], space.dim
+    if d == 2:
+        phi = 2.0 * math.pi * rng.random(n)
+        dirs = np.stack([np.cos(phi), np.sin(phi)], axis=1)
+    else:
+        dirs = rng.standard_normal((n, d))
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     return np.column_stack([np.sqrt(np.maximum(1.0 - z * z, 0.0))[:, None] * dirs, z])
 
 
