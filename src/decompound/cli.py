@@ -16,12 +16,14 @@ makes the exit code 3 on failure; config/usage errors exit 2.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 from .spaces import parse_space
 from .coeffs import EstimatorConfig, Variant
 from .density import SobolevSpec, reconstruct, smoothing_cutoff
 from .harness import (
+    FIELD_READERS,
     StudyConfig,
     run_census,
     run_coefficient_study,
@@ -42,50 +44,34 @@ COEFF_BAND = 0.2
 CENSUS_BAND = 0.1
 
 
-def _add_study_flags(sub: argparse.ArgumentParser, include_index: bool) -> None:
-    sub.add_argument("--config", help="INI file with a [study] section")
-    sub.add_argument("--space", help="space spec, e.g. circle, torus:2, sphere:2")
-    sub.add_argument("--law", help="law spec, e.g. wn:sigma=0.7 or heat:tau=0.3")
-    sub.add_argument("--intensity", type=float, help="Poisson intensity Lambda")
-    sub.add_argument("--time", type=float, help="observation horizon t")
-    sub.add_argument("--variant", help="estimator variant "
-                     "(real-log, real-log-untruncated, complex-log, noise-corrected)")
-    sub.add_argument("--delta", type=float, help="truncation constant")
-    sub.add_argument("--noise-tau", dest="noise_tau", type=float,
-                     help="noise scale known to the estimator")
-    sub.add_argument("--observation-noise-tau", dest="observation_noise_tau",
-                     type=float, help="noise scale applied to the data")
-    sub.add_argument("--s", type=float, help="Sobolev smoothness order")
-    sub.add_argument("--scale", type=float, help="smoothing-cutoff scale factor")
-    sub.add_argument("--m-grid", dest="m_grid",
-                     help="comma-separated observation counts")
-    sub.add_argument("--replicates", type=int)
-    sub.add_argument("--seed", type=int)
-    if include_index:
-        sub.add_argument("--index", help="target index label, e.g. 1 or 0;1 "
-                         "(default: lowest nonzero frequency)")
-    sub.add_argument("--threads", type=int)
-    sub.add_argument("--emit-coefficients", dest="emit_coefficients",
-                     action="store_const", const=True)
-    sub.add_argument("--emit-svg", dest="emit_svg", action="store_const", const=True)
-    sub.add_argument("--out", help="output directory")
+# The study verbs' flags are the StudyConfig fields, except these per-verb
+# cases: fields one verb owns, and the few that census shares.
+_ONLY_ON = {"index": "study-coeff", "thresholds": "census"}
+_CENSUS_SHARES = ("space", "seed", "out")
+
+
+def _add_study_flags(sub: argparse.ArgumentParser, verb: str) -> None:
+    if verb != "census":
+        sub.add_argument("--config", help="INI file with a [study] section")
+    for f in dataclasses.fields(StudyConfig):
+        if f.name in _ONLY_ON:
+            if _ONLY_ON[f.name] != verb:
+                continue
+        elif verb == "census" and f.name not in _CENSUS_SHARES:
+            continue
+        flag, help_text = "--" + f.name.replace("_", "-"), f.metadata["help"]
+        if f.type == "bool":
+            sub.add_argument(flag, action="store_const", const=True, help=help_text)
+        else:
+            sub.add_argument(flag, type=FIELD_READERS[f.type], help=help_text)
     sub.add_argument("--assert", dest="assert_band", action="store_true",
                      help="exit 3 unless the fitted slope lies in the reference band")
 
 
 def _study_config(args: argparse.Namespace) -> StudyConfig:
-    keys = ("space", "law", "intensity", "time", "variant", "delta", "noise_tau",
-            "observation_noise_tau", "s", "scale", "m_grid", "replicates", "seed",
-            "index", "threads", "emit_coefficients", "emit_svg", "out")
-    overrides = {}
-    for key in keys:
-        value = getattr(args, key, None)
-        if value is None:
-            continue
-        if key == "m_grid" and isinstance(value, str):
-            value = tuple(int(v) for v in value.split(","))
-        overrides[key] = value
-    if args.config:
+    overrides = {f.name: getattr(args, f.name) for f in dataclasses.fields(StudyConfig)
+                 if getattr(args, f.name, None) is not None}
+    if getattr(args, "config", None):
         return StudyConfig.from_ini(args.config, **overrides)
     return StudyConfig(**overrides)
 
@@ -102,12 +88,13 @@ def _report_rate(result, label: str) -> None:
           f"reference {result.reference:.4f})")
 
 
-def _finish_study(result, cfg: StudyConfig, band: float, check: bool) -> int:
+def _finish_study(result, band: float, check: bool) -> int:
     if check:
         result.apply_band(band)
-    if cfg.out:
-        paths = write_study_outputs(result, cfg.out)
-        print(f"outputs written to {cfg.out} ({', '.join(sorted(paths))})")
+    out = result.config.out
+    if out:
+        paths = write_study_outputs(result, out)
+        print(f"outputs written to {out} ({', '.join(sorted(paths))})")
     if check:
         print(f"assertion: {'pass' if result.passed else 'FAIL'} "
               f"(band +-{band} around reference)")
@@ -116,39 +103,31 @@ def _finish_study(result, cfg: StudyConfig, band: float, check: bool) -> int:
     return 0
 
 
-def _cmd_study_density(args) -> int:
+def _cmd_study(args) -> int:
     cfg = _study_config(args)
     if args.assert_band and cfg.replicates < 30:
         raise ValueError("acceptance runs require replicates >= 30")
-    result = run_convergence_study(cfg)
-    _report_rate(result, "density error rate")
-    return _finish_study(result, cfg, DENSITY_BAND, args.assert_band)
-
-
-def _cmd_study_coeff(args) -> int:
-    cfg = _study_config(args)
-    if args.assert_band and cfg.replicates < 30:
-        raise ValueError("acceptance runs require replicates >= 30")
-    result = run_coefficient_study(cfg)
-    _report_rate(result, "coefficient MSE rate")
-    return _finish_study(result, cfg, COEFF_BAND, args.assert_band)
+    # plain calls, so the module globals are read at call time
+    # (perfbench/tracing.py wraps them)
+    if args.command == "study-density":
+        result, label, band = run_convergence_study(cfg), "density error rate", DENSITY_BAND
+    else:
+        result, label, band = run_coefficient_study(cfg), "coefficient MSE rate", COEFF_BAND
+    _report_rate(result, label)
+    return _finish_study(result, band, args.assert_band)
 
 
 def _cmd_census(args) -> int:
-    thresholds = None
-    if args.thresholds:
-        thresholds = tuple(float(v) for v in args.thresholds.split(","))
-    result = run_census(args.space or "circle", thresholds, seed=args.seed or 0)
+    cfg = _study_config(args)
+    result = run_census(cfg.space, cfg.thresholds, seed=cfg.seed)
     for row in result.rows:
         print(f"  T={row['threshold']:g} spherical={row['count_spherical']} "
               f"weighted={row['count_weighted']}")
     print(f"spherical exponent {result.fit.slope:.4f} (reference {result.reference})")
     print(f"weighted exponent {result.secondary_fit.slope:.4f} "
           f"(reference {result.secondary_reference})")
-    cfg = result.config
-    if args.out:
-        cfg.out = args.out
-    return _finish_study(result, cfg, CENSUS_BAND, args.assert_band)
+    result.config.out = cfg.out
+    return _finish_study(result, CENSUS_BAND, args.assert_band)
 
 
 def _cmd_sample(args) -> int:
@@ -207,21 +186,12 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     subs = parser.add_subparsers(dest="command", required=True)
 
-    sd = subs.add_parser("study-density", help="density-error convergence study")
-    _add_study_flags(sd, include_index=False)
-    sd.set_defaults(handler=_cmd_study_density)
-
-    sc = subs.add_parser("study-coeff", help="coefficient-MSE convergence study")
-    _add_study_flags(sc, include_index=True)
-    sc.set_defaults(handler=_cmd_study_coeff)
-
-    ce = subs.add_parser("census", help="spectral counting exponents")
-    ce.add_argument("--space", help="space spec (default circle)")
-    ce.add_argument("--thresholds", help="comma-separated Casimir thresholds")
-    ce.add_argument("--seed", type=int, default=0)
-    ce.add_argument("--out", help="output directory")
-    ce.add_argument("--assert", dest="assert_band", action="store_true")
-    ce.set_defaults(handler=_cmd_census)
+    for verb, help_text in (("study-density", "density-error convergence study"),
+                            ("study-coeff", "coefficient-MSE convergence study"),
+                            ("census", "spectral counting exponents")):
+        sub = subs.add_parser(verb, help=help_text)
+        _add_study_flags(sub, verb)
+        sub.set_defaults(handler=_cmd_census if verb == "census" else _cmd_study)
 
     sa = subs.add_parser("sample", help="generate observations and dump CSV")
     sa.add_argument("--space", required=True)

@@ -37,6 +37,7 @@ __all__ = [
     "coefficient_errors",
     "replicate_seed",
     "replicate_observations",
+    "observed_noise_tau",
     "require_inverse_invariant",
     "standard_error",
 ]
@@ -193,6 +194,16 @@ def replicate_observations(law: StepLaw, cfg: EstimatorConfig, m: int, seed: int
         yield rep, sample(config, m)
 
 
+def observed_noise_tau(variant: Variant, noise_tau: float,
+                       observation_noise_tau: float | None = None) -> float:
+    """Heat-blur scale of the generated data: observation_noise_tau when
+    given, else the estimator's own observation model (noise_tau for the
+    noise-corrected variant, 0 otherwise)."""
+    if observation_noise_tau is not None:
+        return observation_noise_tau
+    return noise_tau if variant is Variant.NOISE_CORRECTED else 0.0
+
+
 def require_inverse_invariant(law: StepLaw, variant: Variant) -> None:
     """Real-log variants read only Re(nu), which fixes c only for inverse-invariant laws."""
     if variant in _REAL_VARIANTS and not law.inverse_invariant:
@@ -219,24 +230,21 @@ def coefficient_errors(
 ) -> np.ndarray:
     """Squared estimation errors |c_hat - c|^2 over independent replicates.
 
-    observation_noise_tau sets the blur in the generated data; it defaults
-    to cfg.noise_tau for the noise-corrected variant (matching observation
-    model) and 0 otherwise.  Pass it explicitly to study a mismatched
+    observation_noise_tau sets the blur in the generated data (default: see
+    observed_noise_tau).  Pass it explicitly to study a mismatched
     estimator, e.g. plain real-log on noisy data.  first_replicate offsets
     the replicate-stream indices so work can be sharded across workers
     without changing the draws.
     """
     require_inverse_invariant(law, cfg.variant)
-    if observation_noise_tau is None:
-        observation_noise_tau = (cfg.noise_tau
-                                 if cfg.variant is Variant.NOISE_CORRECTED else 0.0)
     symmetrize = cfg.variant is not Variant.COMPLEX_LOG
     conj = conjugate_index(law.space, index)
     truth = true_coefficients(law, [index])[index]
     errs = np.empty(replicates)
     for j, (_, obs) in enumerate(replicate_observations(
             law, cfg, m, seed, first_replicate, first_replicate + replicates,
-            observation_noise_tau, sample_compound)):
+            observed_noise_tau(cfg.variant, cfg.noise_tau, observation_noise_tau),
+            sample_compound)):
         nu = empirical_transform(obs, [conj], symmetrize=symmetrize)
         est = estimate_coefficient(nu, conj, cfg)
         errs[j] = abs(est - truth) ** 2

@@ -10,10 +10,12 @@ budget, so its working memory does not grow with the number of points.
 """
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from collections import namedtuple
 from dataclasses import dataclass
+from enum import Enum
 
 import numpy as np
 
@@ -119,13 +121,8 @@ class DensityEstimate:
             "scale": self.scale,
         }
         if self.config is not None:
-            meta["config"] = {
-                "variant": self.config.variant.value,
-                "delta": self.config.delta,
-                "intensity": self.config.intensity,
-                "time": self.config.time,
-                "noise_tau": self.config.noise_tau,
-            }
+            meta["config"] = {k: v.value if isinstance(v, Enum) else v
+                              for k, v in dataclasses.asdict(self.config).items()}
         with open(meta_path, "w") as fh:
             json.dump(meta, fh, sort_keys=True, indent=2)
             fh.write("\n")
@@ -134,15 +131,7 @@ class DensityEstimate:
     def from_files(cls, csv_path, meta_path) -> "DensityEstimate":
         with open(meta_path) as fh:
             meta = json.load(fh)
-        config = None
-        if meta.get("config"):
-            config = EstimatorConfig(
-                variant=Variant(meta["config"]["variant"]),
-                delta=meta["config"]["delta"],
-                intensity=meta["config"]["intensity"],
-                time=meta["config"]["time"],
-                noise_tau=meta["config"]["noise_tau"],
-            )
+        config = EstimatorConfig(**meta["config"]) if meta.get("config") else None
         return cls(
             coeffs=CoefficientVector.from_csv(csv_path),
             space=parse_space(meta["space"]),

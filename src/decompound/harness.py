@@ -6,7 +6,8 @@ interval.  Everything is driven by a StudyConfig (INI file and/or keyword
 overrides), per-replicate RNG streams are derived from
 (seed, m, replicate index), and results are written as deterministic CSV /
 JSON (plus an optional SVG chart), so identical configs give byte-identical
-outputs regardless of worker count.
+outputs regardless of worker count, for a fixed BLAS thread count (the
+transform's matrix products can round differently with the thread count).
 
 Both replicate studies share one runner: work units of (m, replicate range),
 largest m first, run serially or through one process pool per study.  The
@@ -34,6 +35,7 @@ from .coeffs import (
     EstimatorConfig,
     Variant,
     coefficient_errors,
+    observed_noise_tau,
     replicate_observations,
     require_inverse_invariant,
     standard_error,
@@ -67,33 +69,41 @@ _BOOTSTRAP_RESAMPLES = 1000
 # configuration
 
 
-def _default_thresholds() -> tuple[float, ...]:
-    return tuple(np.logspace(2.0, 5.0, 10))
+def _param(default, help=None):
+    """A StudyConfig field; `help` is its command-line help text."""
+    return field(default=default, metadata={"help": help})
 
 
 @dataclass
 class StudyConfig:
-    """Resolved study parameters; every field is echoed into the outputs."""
+    """Resolved study parameters; every field is echoed into the outputs.
 
-    space: str = "circle"
-    law: str = "wn:sigma=0.7"
-    intensity: float = 1.0
-    time: float = 1.0
-    variant: str = "real-log"
-    delta: float = 1.0
-    noise_tau: float = 0.0
-    observation_noise_tau: float | None = None
-    s: float = 2.0
-    scale: float = 1.0
-    m_grid: tuple[int, ...] = (100, 1000, 10000)
-    replicates: int = 30
-    seed: int = 0
-    index: str | None = None
-    thresholds: tuple[float, ...] = field(default_factory=_default_thresholds)
-    threads: int = 1
-    emit_coefficients: bool = False
-    emit_svg: bool = False
-    out: str | None = None
+    The fields are the single declaration of a study: each is an INI key of
+    the [study] section and a command-line flag, both read by the reader of
+    its declared type in FIELD_READERS.
+    """
+
+    space: str = _param("circle", "space spec, e.g. circle, torus:2, sphere:2 (default circle)")
+    law: str = _param("wn:sigma=0.7", "law spec, e.g. wn:sigma=0.7 or heat:tau=0.3")
+    intensity: float = _param(1.0, "Poisson intensity Lambda")
+    time: float = _param(1.0, "observation horizon t")
+    variant: str = _param("real-log", f"estimator variant ({', '.join(v.value for v in Variant)})")
+    delta: float = _param(1.0, "truncation constant")
+    noise_tau: float = _param(0.0, "noise scale known to the estimator")
+    observation_noise_tau: float | None = _param(None, "noise scale applied to the data")
+    s: float = _param(2.0, "Sobolev smoothness order")
+    scale: float = _param(1.0, "smoothing-cutoff scale factor")
+    m_grid: tuple[int, ...] = _param((100, 1000, 10000), "comma-separated observation counts")
+    replicates: int = _param(30)
+    seed: int = _param(0)
+    index: str | None = _param(None, "target index label, e.g. 1 or 0;1 "
+                                     "(default: lowest nonzero frequency)")
+    thresholds: tuple[float, ...] = _param(tuple(np.logspace(2.0, 5.0, 10)),
+                                           "comma-separated Casimir thresholds")
+    threads: int = _param(1)
+    emit_coefficients: bool = _param(False)
+    emit_svg: bool = _param(False)
+    out: str | None = _param(None, "output directory")
 
     def __post_init__(self):
         self.m_grid = tuple(int(v) for v in self.m_grid)
@@ -115,25 +125,14 @@ class StudyConfig:
         return parse_law(self.law, self.space_object())
 
     def estimator_config(self) -> EstimatorConfig:
-        return EstimatorConfig(
-            variant=Variant(self.variant),
-            delta=self.delta,
-            intensity=self.intensity,
-            time=self.time,
-            noise_tau=self.noise_tau,
-        )
+        return EstimatorConfig(**{f.name: getattr(self, f.name)
+                                  for f in dataclasses.fields(EstimatorConfig)})
 
     def data_noise_tau(self) -> float:
-        if self.observation_noise_tau is not None:
-            return self.observation_noise_tau
-        if Variant(self.variant) is Variant.NOISE_CORRECTED:
-            return self.noise_tau
-        return 0.0
+        return observed_noise_tau(Variant(self.variant), self.noise_tau,
+                                  self.observation_noise_tau)
 
     # -- INI round trip ---------------------------------------------------------
-
-    _LIST_FIELDS = ("m_grid", "thresholds")
-    _OPTIONAL_FIELDS = ("observation_noise_tau", "index", "out")
 
     @classmethod
     def from_ini(cls, path, **overrides) -> "StudyConfig":
@@ -148,7 +147,10 @@ class StudyConfig:
         for key, raw in parser.items("study"):
             if key not in fields:
                 raise ValueError(f"{path}: unknown study key {key!r}")
-            values[key] = _parse_field(key, raw)
+            try:
+                values[key] = FIELD_READERS[fields[key].type](raw)
+            except ValueError:
+                raise ValueError(f"{path}: bad value for {key}: {raw!r}") from None
         values.update({k: v for k, v in overrides.items() if v is not None})
         return cls(**values)
 
@@ -156,38 +158,38 @@ class StudyConfig:
         lines = ["[study]"]
         for f in dataclasses.fields(self):
             value = getattr(self, f.name)
-            if value is None:
-                continue
-            if f.name in self._LIST_FIELDS:
-                value = ",".join(repr(v) if isinstance(v, float) else str(v)
-                                 for v in value)
-            elif isinstance(value, bool):
-                value = "true" if value else "false"
-            elif isinstance(value, float):
-                value = repr(value)
-            lines.append(f"{f.name} = {value}")
+            if value is not None:
+                text = ",".join(map(_fmt, value)) if isinstance(value, tuple) else _fmt(value)
+                lines.append(f"{f.name} = {text}")
         return "\n".join(lines) + "\n"
 
 
-def _parse_field(key: str, raw: str):
-    raw = raw.strip()
-    if key in ("m_grid",):
-        return tuple(int(v) for v in raw.split(","))
-    if key in ("thresholds",):
-        return tuple(float(v) for v in raw.split(","))
-    if key in ("replicates", "seed", "threads"):
-        return int(raw)
-    if key in ("intensity", "time", "delta", "noise_tau", "s", "scale"):
-        return float(raw)
-    if key in ("observation_noise_tau",):
-        return None if raw.lower() in ("", "none") else float(raw)
-    if key in ("emit_coefficients", "emit_svg"):
-        if raw.lower() in ("true", "1", "yes", "on"):
-            return True
-        if raw.lower() in ("false", "0", "no", "off"):
-            return False
-        raise ValueError(f"bad boolean for {key}: {raw!r}")
-    return raw
+def _bool(raw: str) -> bool:
+    if raw.lower() in ("true", "1", "yes", "on"):
+        return True
+    if raw.lower() in ("false", "0", "no", "off"):
+        return False
+    raise ValueError(f"bad boolean: {raw!r}")
+
+
+def _ints(raw: str) -> tuple[int, ...]:
+    return tuple(int(v) for v in raw.split(","))
+
+
+def _floats(raw: str) -> tuple[float, ...]:
+    return tuple(float(v) for v in raw.split(","))
+
+
+def _float_or_none(raw: str) -> float | None:
+    return None if raw.lower() in ("", "none") else float(raw)
+
+
+# The reader of each StudyConfig field type, keyed by the annotation as
+# written (annotations are postponed here, so a field's type is its text).
+FIELD_READERS = {
+    "str": str, "str | None": str, "int": int, "float": float, "bool": _bool,
+    "float | None": _float_or_none, "tuple[int, ...]": _ints, "tuple[float, ...]": _floats,
+}
 
 
 @dataclass
@@ -532,26 +534,23 @@ def write_study_outputs(result: StudyResult, outdir) -> dict:
 
     if result.config.emit_svg:
         svg_path = os.path.join(outdir, "chart.svg")
-        _write_svg(result, series, svg_path)
+        _write_svg(result, series, plot_rows, svg_path)
         paths["svg"] = svg_path
     return paths
 
 
-def _write_svg(result: StudyResult, series, path) -> None:
-    """Minimal hand-rolled log-log chart: measured points, fitted line,
-    reference-slope line."""
+def _write_svg(result: StudyResult, series, plot_rows, path) -> None:
+    """Minimal hand-rolled log-log chart: measured points, and the fitted
+    and reference-slope lines of the plotdata rows."""
     width, height, margin = 640, 480, 60
     xs = [x for _, sx, _ in series for x in sx]
     ys = [y for _, _, sy in series for y in sy]
-    lines = []
-    if result.fit is not None:
-        lines.append(("fit", [(x, result.fit.intercept + result.fit.slope * x)
-                              for x in (min(xs), max(xs))]))
-        if result.reference is not None:
-            x0, y0 = series[0][1][0], series[0][2][0]
-            lines.append(("reference", [(x, y0 + result.reference * (x - x0))
-                                        for x in (min(xs), max(xs))]))
-        ys = ys + [y for _, pts in lines for _, y in pts]
+    # the fitted series' x grid is increasing: its end rows span the chart
+    fitted = [r for r in plot_rows if r["log10_fit"] is not None]
+    lines = [(name, [(r["log10_x"], r[key]) for r in (fitted[0], fitted[-1])])
+             for name, key in (("fit", "log10_fit"), ("reference", "log10_reference"))
+             if fitted and fitted[0][key] is not None]
+    ys = ys + [y for _, pts in lines for _, y in pts]
     x_lo, x_hi = min(xs), max(xs)
     y_lo, y_hi = min(ys), max(ys)
     x_span = (x_hi - x_lo) or 1.0

@@ -416,12 +416,9 @@ def weyl_census(space: Space, thresholds) -> list[tuple[int, int]]:
     if any(t < 0 for t in ts):
         raise ValueError("thresholds must be >= 0")
     top = max(ts) if ts else 0.0
-    indices = spectrum(space, top)
+    indices = spectrum(space, top)  # sorted by Casimir
     kappas = np.array([ix.casimir for ix in indices])
-    mults = np.array([ix.multiplicity for ix in indices])
-    order = np.argsort(kappas, kind="stable")
-    kappas = kappas[order]
-    cum_mult = np.concatenate([[0], np.cumsum(mults[order])])
+    cum_mult = np.concatenate([[0], np.cumsum([ix.multiplicity for ix in indices])])
     out = []
     for t in ts:
         k = int(np.searchsorted(kappas, t, side="right"))

@@ -22,13 +22,14 @@ from functools import cached_property
 import numpy as np
 from scipy.integrate import cumulative_simpson
 from scipy.interpolate import PchipInterpolator
-from scipy.special import betainc, betaincinv
+from scipy.special import betainc, betaincinv, eval_gegenbauer
 
 from .spaces import (
     Space,
     SpaceKind,
     SpectralIndex,
     _signed_angles,
+    _zonal_weight_log_norm,
     index_label,
     make_index,
     spectrum,
@@ -426,8 +427,18 @@ class UniformCap(StepLaw):
     def coefficient(self, index: SpectralIndex) -> complex:
         if index.casimir == 0.0:
             return 1.0 + 0.0j
-        # no closed form is relied on; the quadrature oracle is the reference
-        return quadrature_coefficients(self, [index])[index]
+        # (1/V) * integral over the cap of C_l^lam(cos t) / C_l^lam(1) against the
+        # normalized zonal weight; the Gegenbauer derivative identity (DLMF
+        # 18.9) gives the integral of C_l^lam(x) (1-x^2)^(lam-1/2) over
+        # [cos rho, 1] as 2 lam sin^d rho C_{l-1}^{lam+1}(cos rho) / (l (l+2 lam))
+        d, ell = self.space.dim, index.label[0]
+        lam = (d - 1) / 2.0
+        integral = (2.0 * lam * math.sin(self.rho) ** d
+                    * eval_gegenbauer(ell - 1, lam + 1.0, math.cos(self.rho))
+                    / (ell * (ell + 2.0 * lam)))
+        norm = (eval_gegenbauer(ell, lam, 1.0) * math.exp(_zonal_weight_log_norm(d))
+                * self._cap_fraction)
+        return complex(integral / norm)
 
     def spec_string(self) -> str:
         return f"cap:rho={self.rho!r}"
@@ -444,14 +455,8 @@ class UniformCap(StepLaw):
 
 
 def true_coefficients(law: StepLaw, indices) -> CoefficientVector:
-    """Exact spectral coefficients of the law at the given indices.
-
-    HeatZonal and WrappedNormal use their closed forms; UniformCap delegates
-    to the quadrature oracle (no closed form is assumed).
-    """
-    indices = list(indices)
-    if isinstance(law, UniformCap):
-        return quadrature_coefficients(law, indices)
+    """Exact spectral coefficients of the law at the given indices, from each
+    law's closed form (quadrature_coefficients is the independent check)."""
     return CoefficientVector((ix, law.coefficient(ix)) for ix in indices)
 
 

@@ -1,12 +1,13 @@
 """Command-line entry points and their exit-code contract."""
 
+import argparse
 import json
 
 import numpy as np
 import pytest
 
 from decompound import DensityEstimate, read_observations
-from decompound.cli import main
+from decompound.cli import _build_parser, main
 
 
 def test_sample_writes_readable_csv(tmp_path):
@@ -146,3 +147,29 @@ def test_threads_flag_does_not_change_numbers(tmp_path):
         outs.append(out)
     for fname in ("results.csv", "plotdata.csv", "fit.json"):
         assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes()
+
+
+_STUDY_OPTIONS = {
+    "-h", "--help", "--config", "--space", "--law", "--intensity", "--time",
+    "--variant", "--delta", "--noise-tau", "--observation-noise-tau", "--s",
+    "--scale", "--m-grid", "--replicates", "--seed", "--threads",
+    "--emit-coefficients", "--emit-svg", "--out", "--assert",
+}
+
+
+@pytest.mark.parametrize("verb,options", [
+    ("study-density", _STUDY_OPTIONS),
+    ("study-coeff", _STUDY_OPTIONS | {"--index"}),
+    ("census", {"-h", "--help", "--space", "--thresholds", "--seed", "--out", "--assert"}),
+    ("sample", {"-h", "--help", "--space", "--law", "--intensity", "--time",
+                "--noise-tau", "--seed", "--count", "--out"}),
+    ("coeffs", {"-h", "--help", "--in", "--variant", "--delta", "--s", "--scale",
+                "--cutoff", "--intensity", "--time", "--noise-tau", "--out"}),
+])
+def test_verb_option_strings(verb, options):
+    # the study verbs' flags are derived from StudyConfig; adding a field
+    # must not add a flag to a verb unnoticed
+    subs = next(a for a in _build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction))
+    got = {o for action in subs.choices[verb]._actions for o in action.option_strings}
+    assert got == options

@@ -1,6 +1,7 @@
 """Study drivers: rate fits, CSV/SVG outputs, INI configs, determinism."""
 
 import csv
+import dataclasses
 import json
 import math
 import xml.etree.ElementTree as ET
@@ -90,9 +91,23 @@ def test_study_config_validation():
         _tiny_density_config(variant="nonsense")
 
 
-def test_study_config_ini_round_trip(tmp_path):
-    cfg = _tiny_density_config(variant="noise-corrected", noise_tau=0.3,
-                               s=1.5, scale=2.0)
+@pytest.mark.parametrize("overrides,every_field", [
+    pytest.param(dict(variant="noise-corrected", noise_tau=0.3, s=1.5, scale=2.0),
+                 False, id="noise-corrected"),
+    pytest.param(dict(space="sphere:2", law="heat:tau=0.3", intensity=1.5, time=0.8,
+                      variant="noise-corrected", delta=0.5, noise_tau=0.2,
+                      observation_noise_tau=0.25, s=1.5, scale=1.25,
+                      m_grid=(10, 20, 40), replicates=7, seed=3, index="2",
+                      thresholds=(1.0, 10.0, 1000.0), threads=2,
+                      emit_coefficients=True, emit_svg=True, out="runs/x"),
+                 True, id="every-field"),
+])
+def test_study_config_ini_round_trip(tmp_path, overrides, every_field):
+    cfg = _tiny_density_config(**overrides)
+    if every_field:  # a field added to StudyConfig must be set here too
+        default = StudyConfig()
+        assert all(getattr(cfg, f.name) != getattr(default, f.name)
+                   for f in dataclasses.fields(StudyConfig))
     path = tmp_path / "study.cfg"
     path.write_text(cfg.to_ini_text())
     back = StudyConfig.from_ini(path)

@@ -72,6 +72,17 @@ def test_uniform_cap_coefficient_against_direct_integral():
         assert got.real == pytest.approx(want, abs=1e-9)
 
 
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_uniform_cap_closed_form_matches_quadrature(d):
+    space = sphere(d)
+    indices = [make_index(space, (ell,)) for ell in range(61)]
+    for rho in (0.5, 1.2, 2.9):
+        law = UniformCap(space, rho=rho)
+        quad = quadrature_coefficients(law, indices)
+        for ix in indices:
+            assert abs(law.coefficient(ix) - quad[ix]) <= 1e-13, (rho, ix.label)
+
+
 def test_trivial_index_coefficient_is_one():
     for law in (
         HeatZonal(circle(), tau0=0.4),
