@@ -51,13 +51,11 @@ from .coeffs import (
     EmpiricalTransform,
     EstimatorConfig,
     Variant,
-    coefficient_errors,
-    coefficient_mse,
     deviation_bound,
     empirical_transform,
     estimate_coefficient,
+    estimate_coefficients,
     estimate_with_flag,
-    replicate_seed,
 )
 from .density import (
     CoverageError,
@@ -76,6 +74,7 @@ from .harness import (
     StudyConfig,
     StudyResult,
     fit_rate,
+    replicate_seed,
     run_census,
     run_coefficient_study,
     run_convergence_study,
@@ -95,13 +94,13 @@ __all__ = [
     "ProcessConfig", "ObservationSet", "sample_compound", "poisson_draw",
     "observations_text", "write_observations", "read_observations",
     "Variant", "EstimatorConfig", "EmpiricalTransform", "empirical_transform",
-    "estimate_coefficient", "estimate_with_flag", "deviation_bound",
-    "coefficient_mse", "coefficient_errors", "replicate_seed",
+    "estimate_coefficient", "estimate_coefficients", "estimate_with_flag",
+    "deviation_bound",
     "SobolevSpec", "DensityEstimate", "CoverageError", "L2Error",
     "smoothing_cutoff", "reconstruct", "l2_error", "sobolev_norm", "evaluate",
     "truth_table",
     "StudyConfig", "StudyResult", "FitResult", "fit_rate",
     "run_convergence_study", "run_coefficient_study", "run_census",
-    "write_study_outputs",
+    "write_study_outputs", "replicate_seed",
     "__version__",
 ]

@@ -23,6 +23,7 @@ from .spaces import parse_space
 from .coeffs import EstimatorConfig, Variant
 from .density import SobolevSpec, reconstruct, smoothing_cutoff
 from .harness import (
+    CENSUS_FIELDS,
     FIELD_READERS,
     StudyConfig,
     run_census,
@@ -44,20 +45,17 @@ COEFF_BAND = 0.2
 CENSUS_BAND = 0.1
 
 
-# The study verbs' flags are the StudyConfig fields, except these per-verb
-# cases: fields one verb owns, and the few that census shares.
+# The study verbs' flags are the StudyConfig fields, except the fields one
+# verb owns; census takes only the fields it reads.
 _ONLY_ON = {"index": "study-coeff", "thresholds": "census"}
-_CENSUS_SHARES = ("space", "seed", "out")
 
 
 def _add_study_flags(sub: argparse.ArgumentParser, verb: str) -> None:
     if verb != "census":
         sub.add_argument("--config", help="INI file with a [study] section")
     for f in dataclasses.fields(StudyConfig):
-        if f.name in _ONLY_ON:
-            if _ONLY_ON[f.name] != verb:
-                continue
-        elif verb == "census" and f.name not in _CENSUS_SHARES:
+        if (f.name not in CENSUS_FIELDS if verb == "census"
+                else _ONLY_ON.get(f.name, verb) != verb):
             continue
         flag, help_text = "--" + f.name.replace("_", "-"), f.metadata["help"]
         if f.type == "bool":

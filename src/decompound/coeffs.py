@@ -10,6 +10,10 @@ symmetrized transforms conjugation is a no-op.  Estimators invert the
 link with a logarithm, guarded by the truncation rules below (a truncated
 estimate is 0), and the noise-corrected variant adds the known heat-blur
 compensation tau^2 * kappa / (2 t Lambda).
+
+``estimate_coefficients`` is the one estimation step of both studies: the
+density study applies it to every index below the cutoff, the coefficient
+study to one index.
 """
 from __future__ import annotations
 
@@ -19,11 +23,12 @@ import warnings
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
 from .spaces import SpectralIndex, conjugate_index, index_label, spherical_sums
-from .steplaws import StepLaw, true_coefficients
-from .simulate import ObservationSet, ProcessConfig, sample_compound
+from .steplaws import CoefficientVector, StepLaw
+from .simulate import ObservationSet
+# perfbench/tracing.py wraps coeffs.sample_compound; drop this import with
+# that wrap
+from .simulate import sample_compound  # noqa: F401
 
 __all__ = [
     "Variant",
@@ -31,15 +36,10 @@ __all__ = [
     "EmpiricalTransform",
     "empirical_transform",
     "estimate_coefficient",
+    "estimate_coefficients",
     "estimate_with_flag",
     "deviation_bound",
-    "coefficient_mse",
-    "coefficient_errors",
-    "replicate_seed",
-    "replicate_observations",
-    "observed_noise_tau",
     "require_inverse_invariant",
-    "standard_error",
 ]
 
 
@@ -84,13 +84,12 @@ class EstimatorConfig:
 class EmpiricalTransform:
     """Per-index sample averages of the spherical functions."""
 
-    def __init__(self, values, m: int, symmetrized: bool, space):
+    def __init__(self, values, m: int, symmetrized: bool):
         if m < 1:
             raise ValueError("m must be >= 1")
         self._values = {index_label(ix): complex(v) for ix, v in values}
         self.m = int(m)
         self.symmetrized = bool(symmetrized)
-        self.space = space
 
     def value(self, index) -> complex:
         return self._values[index_label(index)]
@@ -120,7 +119,7 @@ def empirical_transform(obs: ObservationSet, indices, symmetrize: bool = False) 
     indices = list(indices)
     sums = spherical_sums(obs.config.space, indices, obs.points)
     values = [(ix, _clamp_value(s / obs.m, symmetrize)) for ix, s in zip(indices, sums)]
-    return EmpiricalTransform(values, m=obs.m, symmetrized=symmetrize, space=obs.config.space)
+    return EmpiricalTransform(values, m=obs.m, symmetrized=symmetrize)
 
 
 def estimate_with_flag(nu: EmpiricalTransform, index, cfg: EstimatorConfig) -> tuple[complex, bool]:
@@ -167,6 +166,27 @@ def estimate_coefficient(nu: EmpiricalTransform, index, cfg: EstimatorConfig) ->
     return estimate_with_flag(nu, index, cfg)[0]
 
 
+def estimate_coefficients(obs: ObservationSet, indices, cfg: EstimatorConfig) -> CoefficientVector:
+    """Estimates c_hat(pi) = 1 + log nu_hat(conj pi) / (t Lambda) at each index,
+    0 where the truncation rule fires (those indices are marked truncated).
+
+    The transform is taken at the conjugate indices, symmetrized unless the
+    variant is complex-log.
+    """
+    require_inverse_invariant(obs.config.law, cfg.variant)
+    indices = list(indices)
+    conj = [conjugate_index(obs.config.space, ix) for ix in indices]
+    # module globals, read at call time (perfbench/tracing.py wraps them)
+    nu = empirical_transform(obs, conj, symmetrize=cfg.variant is not Variant.COMPLEX_LOG)
+    pairs, truncated = [], []
+    for ix, sigma in zip(indices, conj):
+        value, flag = estimate_with_flag(nu, sigma, cfg)
+        pairs.append((ix, value))
+        if flag:
+            truncated.append(ix)
+    return CoefficientVector(pairs, truncated=truncated)
+
+
 def deviation_bound(gap: float, m: int) -> float:
     """One-sided Hoeffding bound exp(-gap^2 m / 4) for means of [-1, 1]
     variables at deviation `gap`; gap = nu/2 gives exp(-nu^2 m / 16)."""
@@ -177,90 +197,7 @@ def deviation_bound(gap: float, m: int) -> float:
     return math.exp(-(gap**2) * m / 4.0)
 
 
-def replicate_seed(seed: int, m: int, replicate: int) -> int:
-    """Independent per-replicate stream roots derived from (seed, m, replicate)."""
-    ss = np.random.SeedSequence((seed % (1 << 64), m, replicate))
-    return int(ss.generate_state(1, np.uint64)[0])
-
-
-def replicate_observations(law: StepLaw, cfg: EstimatorConfig, m: int, seed: int,
-                           lo: int, hi: int, noise_tau: float, sample):
-    """Yield (replicate, observations) for replicates lo..hi-1 at sample size m,
-    each from its own stream replicate_seed(seed, m, replicate).  `sample` is
-    the caller's `sample_compound` (perfbench/tracing.py wraps each module's)."""
-    for rep in range(lo, hi):
-        config = ProcessConfig(law=law, intensity=cfg.intensity, time=cfg.time,
-                               noise_tau=noise_tau, seed=replicate_seed(seed, m, rep))
-        yield rep, sample(config, m)
-
-
-def observed_noise_tau(variant: Variant, noise_tau: float,
-                       observation_noise_tau: float | None = None) -> float:
-    """Heat-blur scale of the generated data: observation_noise_tau when
-    given, else the estimator's own observation model (noise_tau for the
-    noise-corrected variant, 0 otherwise)."""
-    if observation_noise_tau is not None:
-        return observation_noise_tau
-    return noise_tau if variant is Variant.NOISE_CORRECTED else 0.0
-
-
 def require_inverse_invariant(law: StepLaw, variant: Variant) -> None:
     """Real-log variants read only Re(nu), which fixes c only for inverse-invariant laws."""
     if variant in _REAL_VARIANTS and not law.inverse_invariant:
         raise ValueError("real-log variants require an inverse-invariant law")
-
-
-def standard_error(values: np.ndarray) -> float:
-    """Standard error of a replicate mean, std(ddof=1) / sqrt(n) (the same
-    as its jackknife estimate); nan for fewer than two values."""
-    if values.size < 2:
-        return float("nan")
-    return float(values.std(ddof=1) / math.sqrt(values.size))
-
-
-def coefficient_errors(
-    law: StepLaw,
-    cfg: EstimatorConfig,
-    index: SpectralIndex,
-    m: int,
-    replicates: int,
-    seed: int,
-    observation_noise_tau: float | None = None,
-    first_replicate: int = 0,
-) -> np.ndarray:
-    """Squared estimation errors |c_hat - c|^2 over independent replicates.
-
-    observation_noise_tau sets the blur in the generated data (default: see
-    observed_noise_tau).  Pass it explicitly to study a mismatched
-    estimator, e.g. plain real-log on noisy data.  first_replicate offsets
-    the replicate-stream indices so work can be sharded across workers
-    without changing the draws.
-    """
-    require_inverse_invariant(law, cfg.variant)
-    symmetrize = cfg.variant is not Variant.COMPLEX_LOG
-    conj = conjugate_index(law.space, index)
-    truth = true_coefficients(law, [index])[index]
-    errs = np.empty(replicates)
-    for j, (_, obs) in enumerate(replicate_observations(
-            law, cfg, m, seed, first_replicate, first_replicate + replicates,
-            observed_noise_tau(cfg.variant, cfg.noise_tau, observation_noise_tau),
-            sample_compound)):
-        nu = empirical_transform(obs, [conj], symmetrize=symmetrize)
-        est = estimate_coefficient(nu, conj, cfg)
-        errs[j] = abs(est - truth) ** 2
-    return errs
-
-
-def coefficient_mse(
-    law: StepLaw,
-    cfg: EstimatorConfig,
-    index: SpectralIndex,
-    m: int,
-    replicates: int,
-    seed: int,
-    observation_noise_tau: float | None = None,
-) -> tuple[float, float]:
-    """Monte Carlo MSE of the coefficient estimator and its standard error."""
-    errs = coefficient_errors(law, cfg, index, m, replicates, seed,
-                              observation_noise_tau=observation_noise_tau)
-    return float(errs.mean()), standard_error(errs)

@@ -1,9 +1,11 @@
 """Spectral-cutoff density reconstruction and exact coefficient-space errors.
 
 The estimate is f_hat = sum over kappa <= T of d_pi * c_hat(pi) * phi_pi,
-with T the smoothing cutoff scale * m^(2/(2s+d)).  Errors are computed in
-coefficient space, where Parseval makes the variance/bias split exact:
-everything below the cutoff is variance, the rest of the truth is bias.
+with T the smoothing cutoff scale * m^(2/(2s+d)) and c_hat from
+``coeffs.estimate_coefficients`` at every index below T.  Errors are
+computed in coefficient space, where Parseval makes the variance/bias split
+exact: everything below the cutoff is variance, the rest of the truth is
+bias.
 Pointwise synthesis exists for output and plots only; it is
 ``spaces.spherical_synthesis``, whose blocks of points fit a fixed byte
 budget, so its working memory does not grow with the number of points.
@@ -29,8 +31,13 @@ from .steplaws import (
     true_coefficients,
 )
 from .simulate import ObservationSet
-from .coeffs import (EstimatorConfig, Variant, empirical_transform, estimate_with_flag,
-                     require_inverse_invariant)
+from .coeffs import EstimatorConfig, estimate_coefficients
+# perfbench/tracing.py wraps density.empirical_transform; drop this import
+# with that wrap
+from .coeffs import empirical_transform  # noqa: F401
+# perfbench/tracing.py wraps density.estimate_with_flag; drop this import
+# with that wrap
+from .coeffs import estimate_with_flag  # noqa: F401
 
 __all__ = [
     "SobolevSpec",
@@ -55,16 +62,13 @@ L2Error = namedtuple("L2Error", ["variance_term", "bias_term", "total"])
 
 @dataclass(frozen=True)
 class SobolevSpec:
-    """Smoothness order s, with an optional ball radius Q for checks."""
+    """Smoothness order s."""
 
     s: float
-    radius: float | None = None
 
     def __post_init__(self):
         if self.s <= 0:
             raise ValueError("s must be > 0")
-        if self.radius is not None and self.radius <= 1:
-            raise ValueError("radius must be > 1 when given")
 
 
 def smoothing_cutoff(m: int, s: float, space: Space, scale: float = 1.0) -> float:
@@ -146,22 +150,10 @@ class DensityEstimate:
 def reconstruct(obs: ObservationSet, cfg: EstimatorConfig, spec: SobolevSpec,
                 scale: float = 1.0) -> DensityEstimate:
     """Estimate every coefficient below the smoothing cutoff from observations."""
-    law = obs.config.law
-    require_inverse_invariant(law, cfg.variant)
     space = obs.config.space
     cutoff = smoothing_cutoff(obs.m, spec.s, space, scale)
-    indices = spectrum(space, cutoff)
-    symmetrize = cfg.variant is not Variant.COMPLEX_LOG
-    nu = empirical_transform(obs, indices, symmetrize=symmetrize)
-    pairs = []
-    truncated = []
-    for ix in indices:
-        value, flag = estimate_with_flag(nu, conjugate_index(space, ix), cfg)
-        pairs.append((ix, value))
-        if flag:
-            truncated.append(ix.label)
     return DensityEstimate(
-        coeffs=CoefficientVector(pairs, truncated=truncated),
+        coeffs=estimate_coefficients(obs, spectrum(space, cutoff), cfg),
         space=space,
         m=obs.m,
         cutoff=cutoff,
@@ -266,20 +258,22 @@ def evaluate(est: DensityEstimate, points):
 # ---------------------------------------------------------------------------
 # ground truth with controlled coverage
 
+# HeatZonal/WrappedNormal truth tables extend until |c| drops below this
+_TRUTH_COVERAGE = 1e-10
 
-def truth_table(law: StepLaw, cutoff: float, coverage: float = 1e-10
-                ) -> tuple[CoefficientVector, float]:
+
+def truth_table(law: StepLaw, cutoff: float) -> tuple[CoefficientVector, float]:
     """Truth coefficients covering at least the given Casimir cutoff.
 
-    HeatZonal/WrappedNormal extend until |c| drops below `coverage`
+    HeatZonal/WrappedNormal extend until |c| drops below _TRUTH_COVERAGE
     (analytic decay); UniformCap extends to 4x the cutoff.  Returns (vector,
     tail), tail the squared L2 mass beyond the vector's support: exact for a
     cap (||f||^2 less the kept mass), else summed out to twice the reach.
     """
     if isinstance(law, HeatZonal):
-        reach = math.log(1.0 / coverage) / law.tau0
+        reach = math.log(1.0 / _TRUTH_COVERAGE) / law.tau0
     elif isinstance(law, WrappedNormal):
-        reach = 2.0 * math.log(1.0 / coverage) / law.sigma**2
+        reach = 2.0 * math.log(1.0 / _TRUTH_COVERAGE) / law.sigma**2
     elif isinstance(law, UniformCap):
         reach = max(4.0 * cutoff, 50.0)
     else:

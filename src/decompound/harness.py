@@ -9,10 +9,13 @@ JSON (plus an optional SVG chart), so identical configs give byte-identical
 outputs regardless of worker count, for a fixed BLAS thread count (the
 transform's matrix products can round differently with the thread count).
 
-Both replicate studies share one runner: work units of (m, replicate range),
-largest m first, run serially or through one process pool per study.  The
-layers and the pool class are called through this module's globals, where
-perfbench/tracing.py wraps them.
+Both replicate studies share one replicate loop: each replicate samples its
+observations through ``sample_compound`` from its own stream and hands them
+to the study's measure (the L2 error of ``reconstruct``, or the squared
+error of ``estimate_coefficients`` at one index).  Work units of
+(m, replicate range), largest m first, run serially or through one process
+pool per study.  The layers and the pool class are called through this
+module's globals, where perfbench/tracing.py wraps them.
 """
 from __future__ import annotations
 
@@ -29,17 +32,9 @@ from functools import partial
 import numpy as np
 
 from .spaces import Space, make_index, parse_space, spectrum, weyl_census
-from .steplaws import CoefficientVector, parse_law
-from .simulate import sample_compound
-from .coeffs import (
-    EstimatorConfig,
-    Variant,
-    coefficient_errors,
-    observed_noise_tau,
-    replicate_observations,
-    require_inverse_invariant,
-    standard_error,
-)
+from .steplaws import parse_law, true_coefficients
+from .simulate import ProcessConfig, sample_compound
+from .coeffs import EstimatorConfig, Variant, estimate_coefficients, require_inverse_invariant
 from .density import (
     SobolevSpec,
     l2_error,
@@ -58,11 +53,16 @@ __all__ = [
     "run_coefficient_study",
     "run_census",
     "write_study_outputs",
+    "replicate_seed",
+    "standard_error",
 ]
 
 FitResult = namedtuple("FitResult", ["slope", "intercept", "ci_low", "ci_high"])
 
 _BOOTSTRAP_RESAMPLES = 1000
+
+# The StudyConfig fields census reads: its flags and its study.cfg echo.
+CENSUS_FIELDS = ("space", "thresholds", "seed", "out")
 
 
 # ---------------------------------------------------------------------------
@@ -76,7 +76,8 @@ def _param(default, help=None):
 
 @dataclass
 class StudyConfig:
-    """Resolved study parameters; every field is echoed into the outputs.
+    """Resolved study parameters; every field the study reads is echoed
+    into the outputs.
 
     The fields are the single declaration of a study: each is an INI key of
     the [study] section and a command-line flag, both read by the reader of
@@ -110,6 +111,8 @@ class StudyConfig:
         self.thresholds = tuple(float(v) for v in self.thresholds)
         if any(b <= a for a, b in zip(self.m_grid, self.m_grid[1:])):
             raise ValueError("m_grid must be strictly increasing")
+        if any(m < 1 for m in self.m_grid):
+            raise ValueError("m_grid values must be >= 1")
         if self.replicates < 1:
             raise ValueError("replicates must be >= 1")
         if self.threads < 1:
@@ -129,8 +132,12 @@ class StudyConfig:
                                   for f in dataclasses.fields(EstimatorConfig)})
 
     def data_noise_tau(self) -> float:
-        return observed_noise_tau(Variant(self.variant), self.noise_tau,
-                                  self.observation_noise_tau)
+        """Heat-blur scale of the generated data: observation_noise_tau when
+        given, else the estimator's own observation model (noise_tau for the
+        noise-corrected variant, 0 otherwise)."""
+        if self.observation_noise_tau is not None:
+            return self.observation_noise_tau
+        return self.noise_tau if Variant(self.variant) is Variant.NOISE_CORRECTED else 0.0
 
     # -- INI round trip ---------------------------------------------------------
 
@@ -154,9 +161,12 @@ class StudyConfig:
         values.update({k: v for k, v in overrides.items() if v is not None})
         return cls(**values)
 
-    def to_ini_text(self) -> str:
+    def to_ini_text(self, names=None) -> str:
+        """The [study] section of the fields given by name (default: all)."""
         lines = ["[study]"]
         for f in dataclasses.fields(self):
+            if names is not None and f.name not in names:
+                continue
             value = getattr(self, f.name)
             if value is not None:
                 text = ",".join(map(_fmt, value)) if isinstance(value, tuple) else _fmt(value)
@@ -270,13 +280,41 @@ def fit_rate(points, replicate_errors=None, resamples: int = _BOOTSTRAP_RESAMPLE
 # study runners
 
 
-def _replicate_results(cfg: StudyConfig, fn) -> dict:
-    """Per-replicate results at every m, in replicate order: {m: [...]}.
+def replicate_seed(seed: int, m: int, replicate: int) -> int:
+    """Independent per-replicate stream roots derived from (seed, m, replicate)."""
+    ss = np.random.SeedSequence((seed % (1 << 64), m, replicate))
+    return int(ss.generate_state(1, np.uint64)[0])
 
-    fn((m, lo, hi)) returns the results of replicates lo..hi-1 at m.  Units
-    run largest m first, serially or through one pool; each replicate has its
-    own stream, so the results do not depend on threads.
+
+def standard_error(values: np.ndarray) -> float:
+    """Standard error of a replicate mean, std(ddof=1) / sqrt(n) (the same
+    as its jackknife estimate); nan for fewer than two values."""
+    if values.size < 2:
+        return float("nan")
+    return float(values.std(ddof=1) / math.sqrt(values.size))
+
+
+def _replicates(cfg: StudyConfig, law, measure, unit) -> list:
+    """measure(rep, obs) for replicates rep = lo..hi-1 at sample size m, each
+    observed through sample_compound from its own stream replicate_seed(seed, m, rep)."""
+    m, lo, hi = unit
+    out = []
+    for rep in range(lo, hi):
+        config = ProcessConfig(law=law, intensity=cfg.intensity, time=cfg.time,
+                               noise_tau=cfg.data_noise_tau(),
+                               seed=replicate_seed(cfg.seed, m, rep))
+        out.append(measure(rep, sample_compound(config, m)))
+    return out
+
+
+def _replicate_results(cfg: StudyConfig, law, measure) -> dict:
+    """measure(rep, obs) of every replicate at every m, in replicate order: {m: [...]}.
+
+    Work units (m, lo, hi) cover replicates lo..hi-1 at m.  Units run largest
+    m first, serially or through one pool; each replicate has its own stream,
+    so the results do not depend on threads.
     """
+    fn = partial(_replicates, cfg, law, measure)
     size = math.ceil(cfg.replicates / cfg.threads)
     units = [(m, lo, min(lo + size, cfg.replicates))
              for m in reversed(cfg.m_grid)
@@ -292,16 +330,10 @@ def _replicate_results(cfg: StudyConfig, fn) -> dict:
     return results
 
 
-def _density_replicates(cfg: StudyConfig, law, est_cfg, truth, unit):
-    m, lo, hi = unit
-    out = []
-    for rep, obs in replicate_observations(law, est_cfg, m, cfg.seed, lo, hi,
-                                           cfg.data_noise_tau(), sample_compound):
-        est = reconstruct(obs, est_cfg, SobolevSpec(cfg.s), cfg.scale)
-        err = l2_error(est, truth)
-        out.append((err.variance_term, err.bias_term, err.total,
-                    est.coeffs if rep == 0 else None))
-    return out
+def _density_error(cfg: StudyConfig, est_cfg, truth, rep, obs):
+    est = reconstruct(obs, est_cfg, SobolevSpec(cfg.s), cfg.scale)
+    err = l2_error(est, truth)
+    return err.variance_term, err.bias_term, err.total, est.coeffs if rep == 0 else None
 
 
 def run_convergence_study(cfg: StudyConfig) -> StudyResult:
@@ -322,8 +354,7 @@ def run_convergence_study(cfg: StudyConfig) -> StudyResult:
         snorm = None
         notes.append(f"sobolev norm unavailable: {exc}")
 
-    results = _replicate_results(
-        cfg, partial(_density_replicates, cfg, law, est_cfg, truth))
+    results = _replicate_results(cfg, law, partial(_density_error, cfg, est_cfg, truth))
     rows = []
     rep_totals = []
     tables = {}
@@ -369,10 +400,8 @@ def _resolve_index(cfg: StudyConfig, space: Space):
     raise ValueError("no nontrivial index found")  # unreachable
 
 
-def _coefficient_replicates(cfg: StudyConfig, law, est_cfg, index, unit):
-    m, lo, hi = unit
-    return coefficient_errors(law, est_cfg, index, m, hi - lo, cfg.seed,
-                              observation_noise_tau=cfg.data_noise_tau(), first_replicate=lo)
+def _coefficient_error(est_cfg, index, truth, rep, obs) -> float:
+    return abs(estimate_coefficients(obs, [index], est_cfg)[index] - truth) ** 2
 
 
 def run_coefficient_study(cfg: StudyConfig) -> StudyResult:
@@ -384,9 +413,10 @@ def run_coefficient_study(cfg: StudyConfig) -> StudyResult:
     est_cfg = cfg.estimator_config()
     require_inverse_invariant(law, est_cfg.variant)
     index = _resolve_index(cfg, space)
+    truth = true_coefficients(law, [index])[index]
 
     results = _replicate_results(
-        cfg, partial(_coefficient_replicates, cfg, law, est_cfg, index))
+        cfg, law, partial(_coefficient_error, est_cfg, index, truth))
     rows = []
     rep_errors = []
     for m in cfg.m_grid:
@@ -470,7 +500,7 @@ def write_study_outputs(result: StudyResult, outdir) -> dict:
 
     cfg_path = os.path.join(outdir, "study.cfg")
     with open(cfg_path, "w") as fh:
-        fh.write(result.config.to_ini_text())
+        fh.write(result.config.to_ini_text(CENSUS_FIELDS if result.kind == "census" else None))
     paths["config"] = cfg_path
 
     if result.kind == "census":

@@ -124,6 +124,14 @@ def test_exit_code_3_on_failed_assertion(capsys):
     assert code == 3
 
 
+def test_census_config_echoes_only_the_fields_census_reads(tmp_path):
+    out = tmp_path / "census"
+    assert main(["census", "--space", "sphere:2", "--out", str(out)]) == 0
+    lines = (out / "study.cfg").read_text().splitlines()
+    assert lines[0] == "[study]"
+    assert {line.split(" = ")[0] for line in lines[1:]} == {"space", "thresholds", "seed", "out"}
+
+
 def test_census_assert_passes(tmp_path, capsys):
     out = tmp_path / "census"
     code = main(["census", "--space", "sphere:2", "--assert",

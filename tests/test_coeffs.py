@@ -14,17 +14,20 @@ from decompound import (
     HeatZonal,
     ObservationSet,
     ProcessConfig,
+    SobolevSpec,
     Variant,
     WrappedNormal,
     circle,
-    coefficient_errors,
     conjugate_index,
-    coefficient_mse,
     deviation_bound,
     empirical_transform,
     estimate_coefficient,
+    estimate_coefficients,
     estimate_with_flag,
     make_index,
+    parse_law,
+    parse_space,
+    reconstruct,
     replicate_seed,
     sample_compound,
     smoothing_cutoff,
@@ -35,11 +38,9 @@ from decompound import (
 from decompound.spaces import _BLOCK_BYTES, _CHUNK, _plan, spherical, spherical_synthesis
 
 
-def _transform(value, m=100, symmetrized=True, space=None, label=(1,)):
-    space = space or circle()
-    idx = make_index(space, label)
-    return EmpiricalTransform([(idx, value)], m=m, symmetrized=symmetrized,
-                              space=space), idx
+def _transform(value, m=100, symmetrized=True, label=(1,)):
+    idx = make_index(circle(), label)
+    return EmpiricalTransform([(idx, value)], m=m, symmetrized=symmetrized), idx
 
 
 def _cfg(variant, t_lambda=1.0, delta=1.0, noise_tau=0.0):
@@ -328,33 +329,21 @@ def test_replicate_seed_distinct_and_stable():
     assert replicate_seed(7, 10, 3) == replicate_seed(7, 10, 3)
 
 
-def test_coefficient_mse_matches_errors():
-    law = WrappedNormal(circle(), sigma=0.7)
-    cfg = _cfg(Variant.REAL_LOG)
-    idx = make_index(circle(), (1,))
-    errors = coefficient_errors(law, cfg, idx, m=200, replicates=40, seed=3)
-    mse, stderr = coefficient_mse(law, cfg, idx, m=200, replicates=40, seed=3)
-    assert mse == pytest.approx(float(errors.mean()), abs=1e-15)
-    # jackknife stderr of a plain mean reduces to std/sqrt(R)
-    assert stderr == pytest.approx(float(errors.std(ddof=1)) / math.sqrt(40),
-                                   rel=1e-9)
+# --- the one estimation step ---------------------------------------------------------
 
 
-def test_coefficient_errors_sharded_replicates_agree():
-    law = WrappedNormal(circle(), sigma=0.7)
-    cfg = _cfg(Variant.REAL_LOG)
-    idx = make_index(circle(), (1,))
-    full = coefficient_errors(law, cfg, idx, m=100, replicates=20, seed=5)
-    head = coefficient_errors(law, cfg, idx, m=100, replicates=10, seed=5)
-    tail = coefficient_errors(law, cfg, idx, m=100, replicates=10, seed=5,
-                              first_replicate=10)
-    assert np.array_equal(full, np.concatenate([head, tail]))
-
-
-def test_coefficient_mse_shrinks_with_m():
-    law = HeatZonal(sphere(2), tau0=0.5)
-    cfg = _cfg(Variant.REAL_LOG)
-    idx = make_index(sphere(2), (1,))
-    mse_small, _ = coefficient_mse(law, cfg, idx, m=100, replicates=30, seed=9)
-    mse_big, _ = coefficient_mse(law, cfg, idx, m=10_000, replicates=30, seed=9)
-    assert mse_big < mse_small / 10
+@pytest.mark.parametrize("space, law, variant, delta", [
+    ("sphere:2", "heat:tau=0.35", Variant.REAL_LOG, 100.0),
+    ("torus:2", "wn:sigma=0.6,mean=0.4", Variant.COMPLEX_LOG, 150.0),
+], ids=["sphere:2-real-log", "torus:2-complex-log"])
+def test_estimate_coefficients_matches_reconstruct(space, law, variant, delta):
+    # delta and the cutoff scale are large enough that some indices below
+    # the cutoff are truncated and some are not
+    law = parse_law(law, parse_space(space))
+    obs = sample_compound(ProcessConfig(law=law, intensity=1.5, seed=17), 400)
+    cfg = EstimatorConfig(variant=variant, intensity=1.5, delta=delta)
+    est = reconstruct(obs, cfg, SobolevSpec(2.0), scale=4.0)
+    got = estimate_coefficients(obs, spectrum(law.space, est.cutoff), cfg)
+    assert got.items() == est.coeffs.items()
+    assert got.truncated == est.coeffs.truncated
+    assert 0 < len(got.truncated) < len(got) - 1

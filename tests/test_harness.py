@@ -15,7 +15,7 @@ from decompound import (
     SobolevSpec,
     StudyConfig,
     Variant,
-    coefficient_errors,
+    estimate_coefficients,
     fit_rate,
     harness,
     make_index,
@@ -203,6 +203,14 @@ def test_apply_band(density_result):
 # --- run_coefficient_study ---------------------------------------------------------
 
 
+def test_coefficient_mse_shrinks_with_m():
+    # the replicate streams at m = 100 and 10000 are those of seed 9
+    res = run_coefficient_study(StudyConfig(space="sphere:2", law="heat:tau=0.5", index="1",
+                                            m_grid=(100, 1000, 10_000), replicates=30,
+                                            seed=9))
+    assert res.rows[-1]["mse"] < res.rows[0]["mse"] / 10
+
+
 def test_coefficient_study_rows_and_reference():
     cfg = _tiny_density_config(replicates=30)
     res = run_coefficient_study(cfg)
@@ -247,6 +255,26 @@ def test_coefficient_study_threads_do_not_change_numbers():
 # --- the shared replicate runner ---------------------------------------------------
 
 
+def test_standard_error_is_std_over_root_n():
+    values = np.random.default_rng(3).uniform(size=40)
+    assert harness.standard_error(values) == pytest.approx(
+        float(values.std(ddof=1)) / math.sqrt(40), rel=1e-9)
+    assert math.isnan(harness.standard_error(values[:1]))
+
+
+@pytest.mark.parametrize("study", [run_convergence_study, run_coefficient_study])
+def test_studies_sample_once_per_replicate_through_the_harness(monkeypatch, study):
+    sampled = []
+
+    def counting(config, m):
+        sampled.append(m)
+        return sample_compound(config, m)
+
+    monkeypatch.setattr(harness, "sample_compound", counting)
+    study(_tiny_density_config(replicates=4))
+    assert sorted(sampled) == sorted([100, 300, 1000] * 4)
+
+
 @pytest.fixture
 def pools_opened(monkeypatch):
     opened = []
@@ -283,17 +311,25 @@ _REAL_LOG = EstimatorConfig(variant=Variant.REAL_LOG)
 @pytest.mark.parametrize("call", [
     lambda: reconstruct(sample_compound(ProcessConfig(law=_shifted_law(), seed=1), 50),
                         _REAL_LOG, SobolevSpec(2.0)),
-    lambda: coefficient_errors(_shifted_law(), _REAL_LOG, make_index(parse_space("circle"), (1,)),
-                               m=50, replicates=2, seed=1),
+    lambda: estimate_coefficients(sample_compound(ProcessConfig(law=_shifted_law(), seed=1), 50),
+                                  [make_index(parse_space("circle"), (1,))], _REAL_LOG),
     lambda: run_convergence_study(_tiny_density_config(law=_SHIFTED, variant="real-log",
                                                        threads=2)),
     lambda: run_coefficient_study(_tiny_density_config(law=_SHIFTED, variant="real-log",
                                                        threads=2)),
-], ids=["reconstruct", "coefficient_errors", "run_convergence_study", "run_coefficient_study"])
+], ids=["reconstruct", "estimate_coefficients", "run_convergence_study",
+        "run_coefficient_study"])
 def test_real_log_rejects_laws_without_inverse_invariance(pools_opened, call):
     with pytest.raises(ValueError, match="real-log variants require an inverse-invariant law"):
         call()
     assert pools_opened == []  # the studies check before opening a pool
+
+
+@pytest.mark.parametrize("study", [run_convergence_study, run_coefficient_study])
+def test_m_grid_below_one_rejected_before_any_pool(pools_opened, study):
+    with pytest.raises(ValueError, match="m_grid values must be >= 1"):
+        study(_tiny_density_config(m_grid=(0, 10, 100), threads=2))
+    assert pools_opened == []
 
 
 # --- run_census ----------------------------------------------------------------------
