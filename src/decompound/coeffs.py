@@ -69,10 +69,16 @@ class EstimatorConfig:
             raise ValueError("delta must be > 0")
         if self.noise_tau < 0:
             raise ValueError("noise_tau must be >= 0")
+        # arg nu = t*Lambda*Im c with |Im c| <= 1: the principal branch is exact
+        # while t*Lambda < pi, and a wrong-branch value can pass the Re nu > 0
+        # rule only once t*Lambda >= 3 pi / 2
+        if self.variant is Variant.COMPLEX_LOG and self.t_lambda >= 1.5 * math.pi:
+            raise ValueError("complex-log needs t*Lambda < 3*pi/2: beyond it the "
+                             "Re nu > 0 rule can keep a wrong-branch logarithm")
         if self.variant is Variant.COMPLEX_LOG and self.t_lambda > math.pi / 2.0:
             warnings.warn(
-                "complex-log with t*Lambda > pi/2: the principal branch may be "
-                "invalid for coefficients far from 1",
+                "complex-log with t*Lambda > pi/2: the Re nu > 0 rule truncates "
+                "every estimate whose phase t*Lambda*Im c leaves (-pi/2, pi/2)",
                 stacklevel=2,
             )
 

@@ -330,10 +330,12 @@ def _replicate_results(cfg: StudyConfig, law, measure) -> dict:
     return results
 
 
-def _density_error(cfg: StudyConfig, est_cfg, truth, rep, obs):
+def _density_error(cfg: StudyConfig, est_cfg, truth, tail, rep, obs):
+    """The error against the law: the mass beyond the truth table is bias."""
     est = reconstruct(obs, est_cfg, SobolevSpec(cfg.s), cfg.scale)
     err = l2_error(est, truth)
-    return err.variance_term, err.bias_term, err.total, est.coeffs if rep == 0 else None
+    return (err.variance_term, err.bias_term + tail, err.total + tail,
+            est.coeffs if rep == 0 else None)
 
 
 def run_convergence_study(cfg: StudyConfig) -> StudyResult:
@@ -346,15 +348,15 @@ def run_convergence_study(cfg: StudyConfig) -> StudyResult:
     require_inverse_invariant(law, est_cfg.variant)
 
     t_max = smoothing_cutoff(max(cfg.m_grid), cfg.s, space, cfg.scale)
-    truth, tail_bound = truth_table(law, t_max)
-    notes = [f"truth tail bound beyond coverage: {tail_bound!r}"]
+    truth, tail = truth_table(law, t_max)
+    notes = [f"truth tail beyond coverage, counted in bias_term: {tail!r}"]
     try:
         snorm = sobolev_norm(truth, space, cfg.s)
     except ValueError as exc:
         snorm = None
         notes.append(f"sobolev norm unavailable: {exc}")
 
-    results = _replicate_results(cfg, law, partial(_density_error, cfg, est_cfg, truth))
+    results = _replicate_results(cfg, law, partial(_density_error, cfg, est_cfg, truth, tail))
     rows = []
     rep_totals = []
     tables = {}

@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, roots_legendre
 
 __all__ = [
     "SpaceKind",
@@ -432,7 +431,7 @@ def weyl_census(space: Space, thresholds) -> list[tuple[int, int]]:
 
 def _zonal_weight_log_norm(d: int) -> float:
     # integral of sin^{d-1} over [0, pi]
-    return 0.5 * math.log(math.pi) + gammaln(d / 2.0) - gammaln((d + 1) / 2.0)
+    return 0.5 * math.log(math.pi) + math.lgamma(d / 2.0) - math.lgamma((d + 1) / 2.0)
 
 
 def zonal_quadrature(space: Space, nodes: int, support: tuple[float, float] | None = None):
@@ -445,7 +444,7 @@ def zonal_quadrature(space: Space, nodes: int, support: tuple[float, float] | No
     if space.kind is not SpaceKind.SPHERE:
         raise ValueError("zonal_quadrature is for spheres")
     lo, hi = support if support is not None else (0.0, math.pi)
-    xs, ws = roots_legendre(nodes)
+    xs, ws = np.polynomial.legendre.leggauss(nodes)
     theta = 0.5 * (hi - lo) * (xs + 1.0) + lo
     w = 0.5 * (hi - lo) * ws
     d = space.dim

@@ -6,9 +6,9 @@ Each law is a probability density on one of the supported spaces, with
   f * conj(phi)`` against the normalized invariant measure,
 * an independent numerical-quadrature route to the same coefficients, and
 * a sampler for single steps: exact for wrapped normals (and so for flat
-  heat kernels, which are wrapped normals) and caps; sphere heat steps
-  draw distances from an equal-mass quantile table of the radial law, whose
-  bias against the exact coefficients is stated in ``_RadialTable``.
+  heat kernels, which are wrapped normals); every sphere law (heat or cap)
+  draws distances from an equal-mass quantile table of its radial law,
+  whose bias against the exact coefficients is stated in ``_RadialTable``.
 
 Densities are always taken relative to the normalized measure, so the
 trivial coefficient of every law is 1.
@@ -20,9 +20,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.integrate import cumulative_simpson
-from scipy.interpolate import PchipInterpolator
-from scipy.special import betainc, betaincinv, eval_gegenbauer
 
 from .spaces import (
     Space,
@@ -52,7 +49,7 @@ __all__ = [
 ]
 
 _TAIL_CUT = 1e-14
-_TABLE_NODES = 4096  # 2**12
+_TABLE_NODES = 2**14
 
 
 # ---------------------------------------------------------------------------
@@ -142,20 +139,24 @@ class CoefficientVector:
 
 
 # ---------------------------------------------------------------------------
-# radial CDF table (heat sampling)
+# radial CDF table (sphere sampling)
 
 
 class _RadialTable:
     """Radial law sampled through an equal-mass quantile table.
 
-    Set-up inverts the tabulated CDF with a monotone cubic (PCHIP) and keeps
-    q_k = F^-1(k/K), k = 0..K, K = 2**16; a uniform u in cell k = floor(uK)
-    maps linearly onto [q_k, q_k+1].  The end cells (2/K of the draws) keep
-    the exact inverse: a chord across the far tail moved coefficients by
-    6.5e-6 at tau0 = 0.045.  Sampled zonal coefficients, l <= 8, then differ
-    from exp(-kappa tau0) by at most 1.9e-7 (3e-11 for the exact inverse),
-    by quadrature over the cells on sphere:2 at tau0 = 0.5, 0.35, 0.045
-    (2.8e-8, 8.9e-8, 1.5e-7) and sphere:3/4 at tau0 = 0.35 (1.4e-7, 1.9e-7).
+    Set-up integrates the density on a uniform grid of 2**14 nodes by
+    Simpson's rule, one cell at a time, and inverts that CDF linearly
+    between grid knots: q_k = F^-1(k/K), k = 0..K, K = 2**16.  A uniform u
+    in cell k = floor(uK) maps linearly onto [q_k, q_k+1].  The end cells
+    (2/K of the draws) invert the grid CDF directly: one chord across the
+    far tail moved coefficients by 6.5e-6 at tau0 = 0.045.  Sampled zonal
+    coefficients, l <= 8, then differ from the exact ones by at most 1.9e-7,
+    by quadrature over the cells: heat on sphere:2 at tau0 = 0.5, 0.35,
+    0.045 (3.2e-8, 9.4e-8, 1.7e-7) and on sphere:3/4 at tau0 = 0.35
+    (1.5e-7, 1.9e-7); caps on sphere:2/3/4 at rho = 1.2, 1.0, 2.0 (2.5e-9,
+    1.1e-8, 6.7e-8).  The linear inverse needs the fine grid: at 2**12
+    nodes the bias at tau0 = 0.045 is 5.4e-7.
     """
 
     CELLS = 2**16
@@ -165,18 +166,17 @@ class _RadialTable:
             raise ValueError("radial density is significantly negative; "
                              "increase the diffusion time")
         pdf = np.maximum(pdf, 0.0)
-        cdf = cumulative_simpson(pdf, x=grid, initial=0.0)
-        cdf /= cdf[-1]
-        keep = np.concatenate([[True], np.diff(cdf) > 0.0])
-        self._inverse = PchipInterpolator(cdf[keep], grid[keep], extrapolate=True)
-        self._lo = float(grid[0])
-        self._hi = float(grid[-1])
-        q = self.invert(np.arange(self.CELLS + 1) / self.CELLS)
+        # Simpson's rule on each cell [x_i, x_i+1] through the next node (the
+        # previous one in the last cell): h/12 (5 f_i + 8 f_i+1 - f_i+2)
+        step = np.empty(grid.size - 1)
+        step[:-1] = 5.0 * pdf[:-2] + 8.0 * pdf[1:-1] - pdf[2:]
+        step[-1] = 5.0 * pdf[-1] + 8.0 * pdf[-2] - pdf[-3]
+        cdf = np.concatenate([[0.0], np.cumsum(np.maximum(step * np.diff(grid) / 12.0, 0.0))])
+        self._grid = grid
+        self._cdf = cdf / cdf[-1]
+        q = np.interp(np.arange(self.CELLS + 1) / self.CELLS, self._cdf, grid)
         self._q = q[:-1]
         self._dq = np.diff(q)
-
-    def invert(self, u: np.ndarray) -> np.ndarray:
-        return np.clip(self._inverse(u), self._lo, self._hi)
 
     def quantile(self, u: np.ndarray) -> np.ndarray:
         """The sampler's map from uniforms in [0, 1) to distances."""
@@ -184,7 +184,7 @@ class _RadialTable:
         k = x.astype(np.intp)
         out = self._q[k] + self._dq[k] * (x - k)
         edge = (k == 0) | (k == self.CELLS - 1)
-        out[edge] = self.invert(u[edge])
+        out[edge] = np.interp(u[edge], self._cdf, self._grid)
         return out
 
 
@@ -250,9 +250,19 @@ class StepLaw:
         """Flat spaces: n signed angle displacement vectors, shape (n, d)."""
         raise NotImplementedError
 
+    # spheres: one sampler for every law ---------------------------------------
+    @cached_property
+    def _sphere_table(self) -> _RadialTable:
+        """The radial law: radial_density against sin^(d-1) on radial_support."""
+        theta = np.linspace(*self.radial_support(), _TABLE_NODES)
+        weight = np.sin(theta) ** (self.space.dim - 1)
+        return _RadialTable(theta, self.radial_density(theta) * weight)
+
     def sample_distances(self, n: int, rng) -> np.ndarray:
-        """Spheres: n radial step distances in [0, pi]."""
-        raise NotImplementedError
+        """Spheres: n radial step distances in radial_support()."""
+        if self.space.kind is not SpaceKind.SPHERE:
+            raise ValueError("sample_distances is for spheres")
+        return self._sphere_table.quantile(rng.random(n))
 
 
 @dataclass(frozen=True)
@@ -312,21 +322,6 @@ class HeatZonal(StepLaw):
 
     def density_on_angles(self, pts: np.ndarray) -> np.ndarray:
         return self._flat_law.density_on_angles(pts)
-
-    @cached_property
-    def _sphere_table(self) -> _RadialTable:
-        theta = np.linspace(0.0, math.pi, _TABLE_NODES)
-        d = self.space.dim
-        with np.errstate(divide="ignore"):
-            log_sin = np.where(theta % math.pi == 0.0, -np.inf, np.log(np.abs(np.sin(theta))))
-        weight = np.exp((d - 1) * log_sin)
-        weight[~np.isfinite(weight)] = 0.0
-        return _RadialTable(theta, self.radial_density(theta) * weight)
-
-    def sample_distances(self, n: int, rng) -> np.ndarray:
-        if self.space.kind is not SpaceKind.SPHERE:
-            raise ValueError("sample_distances is for spheres")
-        return self._sphere_table.quantile(rng.random(n))
 
     def sample_displacements(self, n: int, rng) -> np.ndarray:
         return self._flat_law.sample_displacements(n, rng)
@@ -410,12 +405,11 @@ class UniformCap(StepLaw):
     def inverse_invariant(self) -> bool:
         return True
 
-    @property
+    @cached_property
     def _cap_fraction(self) -> float:
-        """Normalized volume of the cap."""
-        a = self.space.dim / 2.0
-        v = 0.5 * (1.0 - math.cos(self.rho))
-        return float(betainc(a, a, v))
+        """Normalized volume of the cap (Gauss-Legendre is exact to rounding
+        for the smooth sin^(d-1) in 64 nodes)."""
+        return float(zonal_quadrature(self.space, 64, (0.0, self.rho))[1].sum())
 
     def radial_support(self) -> tuple[float, float]:
         return (0.0, self.rho)
@@ -430,24 +424,16 @@ class UniformCap(StepLaw):
         # (1/V) * integral over the cap of C_l^lam(cos t) / C_l^lam(1) against the
         # normalized zonal weight; the Gegenbauer derivative identity (DLMF
         # 18.9) gives the integral of C_l^lam(x) (1-x^2)^(lam-1/2) over
-        # [cos rho, 1] as 2 lam sin^d rho C_{l-1}^{lam+1}(cos rho) / (l (l+2 lam))
+        # [cos rho, 1] as 2 lam sin^d rho C_{l-1}^{lam+1}(cos rho) / (l (l+2 lam)),
+        # which is sin^d rho C_l^lam(1) Z_{l-1}^{lam+1}(cos rho) / d in the
+        # normalized values Z = C(x) / C(1)
         d, ell = self.space.dim, index.label[0]
-        lam = (d - 1) / 2.0
-        integral = (2.0 * lam * math.sin(self.rho) ** d
-                    * eval_gegenbauer(ell - 1, lam + 1.0, math.cos(self.rho))
-                    / (ell * (ell + 2.0 * lam)))
-        norm = (eval_gegenbauer(ell, lam, 1.0) * math.exp(_zonal_weight_log_norm(d))
-                * self._cap_fraction)
-        return complex(integral / norm)
+        z = zonal_values((d + 1) / 2.0, ell - 1, math.cos(self.rho))[-1, 0]
+        norm = d * math.exp(_zonal_weight_log_norm(d)) * self._cap_fraction
+        return complex(math.sin(self.rho) ** d * z / norm)
 
     def spec_string(self) -> str:
         return f"cap:rho={self.rho!r}"
-
-    def sample_distances(self, n: int, rng) -> np.ndarray:
-        a = self.space.dim / 2.0
-        u = rng.random(n)
-        v = betaincinv(a, a, u * self._cap_fraction)
-        return np.arccos(np.clip(1.0 - 2.0 * v, -1.0, 1.0))
 
 
 # ---------------------------------------------------------------------------

@@ -141,8 +141,11 @@ def test_estimator_config_validation_and_warning():
                         delta=0.0)
     with pytest.raises(ValueError):
         EstimatorConfig(variant=Variant.REAL_LOG, intensity=-1.0, time=1.0)
-    with pytest.warns(UserWarning):
+    with pytest.warns(UserWarning, match="truncates every estimate whose phase"):
         EstimatorConfig(variant=Variant.COMPLEX_LOG, intensity=2.0, time=1.0)
+    # past 3 pi / 2 a wrong-branch value can pass the Re nu > 0 rule
+    with pytest.raises(ValueError, match="3\\*pi/2"):
+        EstimatorConfig(variant=Variant.COMPLEX_LOG, intensity=2.5, time=2.0)
 
 
 @given(value=st.floats(-1.0, 1.0), delta=st.floats(1e-6, 10.0))

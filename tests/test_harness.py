@@ -26,6 +26,7 @@ from decompound import (
     run_coefficient_study,
     run_convergence_study,
     sample_compound,
+    spectrum,
     write_study_outputs,
 )
 
@@ -190,6 +191,18 @@ def test_torus_density_study_threads_do_not_change_numbers():
         threaded = run_convergence_study(_tiny_density_config(threads=threads, **cfg))
         assert threaded.rows == serial.rows
         assert threaded.fit == serial.fit
+
+
+def test_cap_density_bias_counts_mass_beyond_truth_table():
+    # a cap's coefficients decay slowly, so the truth table leaves real mass
+    # out; the bias is measured against the law: ||f||^2 = 1/V less the kept mass
+    cfg = _tiny_density_config(space="sphere:2", law="cap:rho=1.2", replicates=2)
+    law = cfg.law_object()
+    norm2 = law.radial_density(0.0)
+    for row in run_convergence_study(cfg).rows:
+        kept = sum(ix.multiplicity * abs(law.coefficient(ix)) ** 2
+                   for ix in spectrum(cfg.space_object(), row["cutoff"]))
+        assert abs(row["bias_term"] - (norm2 - kept)) <= 1e-12
 
 
 def test_apply_band(density_result):

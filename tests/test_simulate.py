@@ -10,6 +10,7 @@ from decompound import (
     HeatZonal,
     ObservationSet,
     ProcessConfig,
+    UniformCap,
     WrappedNormal,
     circle,
     geodesic_step,
@@ -166,6 +167,20 @@ def test_transform_link_sphere_with_noise(space):
         want = math.exp(c - 1.0) * math.exp(-0.25 * idx.casimir / 2.0)
         se = vals.std(ddof=1) / math.sqrt(obs.m)
         assert abs(vals.mean() - want) < 4.5 * se
+
+
+def test_transform_link_sphere_cap():
+    # cap distances come from the same radial table as heat distances
+    space = sphere(3)
+    law = UniformCap(space, rho=1.0)
+    cfg = ProcessConfig(law=law, intensity=1.0, time=1.0, seed=5)
+    obs = sample_compound(cfg, 200_000)
+    for ell in (1, 2, 3, 4):
+        idx = make_index(space, (ell,))
+        vals = spherical(space, idx, obs.points).real
+        want = math.exp(law.coefficient(idx).real - 1.0)
+        se = vals.std(ddof=1) / math.sqrt(obs.m)
+        assert abs(vals.mean() - want) < 4.0 * se
 
 
 def _reference_sphere_walk(cfg, n, rng):

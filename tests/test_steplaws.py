@@ -2,6 +2,9 @@
 
 import io
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -197,10 +200,10 @@ def _radial_table_coefficients(law, lmax, nodes=8, chunk=1 << 14):
     Gauss-Legendre quadrature of its quantile map over u in [0, 1).
 
     The map is linear on each interior cell [k/K, (k+1)/K); the two end
-    cells use the monotone-cubic inverse, split here at its knots."""
+    cells invert the grid CDF linearly, split here at its knots."""
     table = law._sphere_table
     cells = table.CELLS
-    knots = table._inverse.x
+    knots = table._cdf
 
     def split(a, b):
         return np.concatenate([[a], knots[(knots > a) & (knots < b)], [b]])
@@ -222,26 +225,50 @@ def _radial_table_coefficients(law, lmax, nodes=8, chunk=1 << 14):
     return total
 
 
-@pytest.mark.parametrize("d,tau0", [(2, 0.5), (2, 0.045), (4, 0.35)])
-def test_radial_table_sampler_bias(d, tau0):
-    # the sampled law itself, without draws: its coefficients stay within
-    # 1e-6 of exp(-kappa tau0); tau0 = 0.045 is the heat blur at tau = 0.3
-    law = HeatZonal(sphere(d), tau0=tau0)
+def _assert_sampled_law_bias(law):
     got = _radial_table_coefficients(law, 8)
-    want = [law.coefficient(make_index(sphere(d), (ell,))).real for ell in range(9)]
+    want = [law.coefficient(make_index(law.space, (ell,))).real for ell in range(9)]
     assert got[0] == pytest.approx(1.0, abs=1e-12)
     assert np.max(np.abs(got - want)) <= 1e-6
 
 
-def test_uniform_cap_distances_match_beta_cdf():
+@pytest.mark.parametrize("d,tau0", [(2, 0.5), (2, 0.045), (4, 0.35)])
+def test_radial_table_sampler_bias(d, tau0):
+    # the sampled law itself, without draws: its coefficients stay within
+    # 1e-6 of exp(-kappa tau0); tau0 = 0.045 is the heat blur at tau = 0.3
+    _assert_sampled_law_bias(HeatZonal(sphere(d), tau0=tau0))
+
+
+@pytest.mark.parametrize("d,rho", [(2, 1.2), (3, 1.0), (4, 2.0)])
+def test_radial_table_sampler_bias_caps(d, rho):
+    # caps sample through the same table, on the support [0, rho]
+    _assert_sampled_law_bias(UniformCap(sphere(d), rho=rho))
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_uniform_cap_distances_match_beta_cdf(d):
     rho = 1.2
-    law = UniformCap(sphere(2), rho=rho)
+    law = UniformCap(sphere(d), rho=rho)
     rng = np.random.default_rng(11)
-    d = law.sample_distances(20_000, rng)
-    assert d.min() >= 0.0 and d.max() <= rho
-    # distance CDF on S^2 restricted to a cap: (1-cos t)/(1-cos rho)
-    ks = stats.kstest(d, lambda t: (1 - np.cos(t)) / (1 - np.cos(rho)))
+    dist = law.sample_distances(20_000, rng)
+    assert dist.min() >= 0.0 and dist.max() <= rho
+    # the distance from the origin of a uniform point on S^d has
+    # (1 - cos t) / 2 ~ Beta(d/2, d/2); the cap restricts it to [0, rho]
+    a = d / 2.0
+    ks = stats.kstest(dist, lambda t: special.betainc(a, a, (1 - np.cos(t)) / 2)
+                      / special.betainc(a, a, (1 - math.cos(rho)) / 2))
     assert ks.pvalue > 1e-3
+
+
+def test_import_loads_no_scipy():
+    # numpy is the only runtime dependency; scipy serves the tests alone
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    script = ("import sys; sys.path.insert(0, sys.argv[1]); import decompound; "
+              "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", script, src], capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_heat_circle_displacements_match_density():
