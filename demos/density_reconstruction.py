@@ -44,7 +44,8 @@ print(f"m = {m}, smoothing cutoff T = {cutoff:.2f} (keeps {len(indices)} indices
 
 obs = sample_compound(proc, m)
 estimate = reconstruct(obs, est_cfg, spec)
-truth, tail = truth_table(law, cutoff)  # tail = mass the table leaves out
+# tail = mass beyond the table: 0.0 for heat laws, whose true tail is <= 4e-18
+truth, tail = truth_table(law, cutoff)
 
 
 def true_density(chi: float) -> float:

@@ -16,7 +16,6 @@ from decompound import (
     WrappedNormal,
     circle,
     make_index,
-    poisson_draw,
     sample_compound,
     spherical,
     sphere,
@@ -28,7 +27,7 @@ SEED = 7
 
 def step_count_table(rate: float) -> None:
     rng = np.random.default_rng(SEED)
-    draws = np.array([poisson_draw(rate, rng) for _ in range(10_000)])
+    draws = rng.poisson(rate, 10_000)
     print(f"\nstep counts at rate {rate}: mean {draws.mean():.3f} "
           f"(expect {rate}), var {draws.var():.3f}")
     print("  k    observed   poisson")

@@ -42,7 +42,6 @@ from .simulate import (
     ObservationSet,
     ProcessConfig,
     observations_text,
-    poisson_draw,
     read_observations,
     sample_compound,
     write_observations,
@@ -53,7 +52,6 @@ from .coeffs import (
     Variant,
     deviation_bound,
     empirical_transform,
-    estimate_coefficient,
     estimate_coefficients,
     estimate_with_flag,
 )
@@ -91,10 +89,10 @@ __all__ = [
     "StepLaw", "HeatZonal", "WrappedNormal", "UniformCap", "CoefficientVector",
     "parse_law", "true_coefficients", "quadrature_coefficients",
     "sample_points", "uniform_tangents",
-    "ProcessConfig", "ObservationSet", "sample_compound", "poisson_draw",
+    "ProcessConfig", "ObservationSet", "sample_compound",
     "observations_text", "write_observations", "read_observations",
     "Variant", "EstimatorConfig", "EmpiricalTransform", "empirical_transform",
-    "estimate_coefficient", "estimate_coefficients", "estimate_with_flag",
+    "estimate_coefficients", "estimate_with_flag",
     "deviation_bound",
     "SobolevSpec", "DensityEstimate", "CoverageError", "L2Error",
     "smoothing_cutoff", "reconstruct", "l2_error", "sobolev_norm", "evaluate",

@@ -35,7 +35,6 @@ __all__ = [
     "EstimatorConfig",
     "EmpiricalTransform",
     "empirical_transform",
-    "estimate_coefficient",
     "estimate_coefficients",
     "estimate_with_flag",
     "deviation_bound",
@@ -165,11 +164,6 @@ def estimate_with_flag(nu: EmpiricalTransform, index, cfg: EstimatorConfig) -> t
             value += cfg.noise_tau**2 * index.casimir / (2.0 * t_lambda)
         return complex(value), False
     return 0.0 + 0.0j, True
-
-
-def estimate_coefficient(nu: EmpiricalTransform, index, cfg: EstimatorConfig) -> complex:
-    """Log-link coefficient estimate; 0 when the truncation rule fires."""
-    return estimate_with_flag(nu, index, cfg)[0]
 
 
 def estimate_coefficients(obs: ObservationSet, indices, cfg: EstimatorConfig) -> CoefficientVector:

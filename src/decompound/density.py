@@ -5,7 +5,9 @@ with T the smoothing cutoff scale * m^(2/(2s+d)) and c_hat from
 ``coeffs.estimate_coefficients`` at every index below T.  Errors are
 computed in coefficient space, where Parseval makes the variance/bias split
 exact: everything below the cutoff is variance, the rest of the truth is
-bias.
+bias.  ``truth_table`` supplies that truth.  A cap's tail beyond the table is
+exact; heat and wrapped-normal tails read 0.0, since they are at most 4e-18
+and ||f||^2 less the kept mass would carry rounding up to 4e-16.
 Pointwise synthesis exists for output and plots only; it is
 ``spaces.spherical_synthesis``, whose blocks of points fit a fixed byte
 budget, so its working memory does not grow with the number of points.
@@ -267,8 +269,12 @@ def truth_table(law: StepLaw, cutoff: float) -> tuple[CoefficientVector, float]:
 
     HeatZonal/WrappedNormal extend until |c| drops below _TRUTH_COVERAGE
     (analytic decay); UniformCap extends to 4x the cutoff.  Returns (vector,
-    tail), tail the squared L2 mass beyond the vector's support: exact for a
-    cap (||f||^2 less the kept mass), else summed out to twice the reach.
+    tail), tail the squared L2 mass beyond the vector's support.  A cap's
+    tail is exact: ||f||^2 less the kept mass.  Heat and wrapped-normal
+    tails are returned as 0.0: summed out to twice the reach they are at most
+    4e-18 (circle, tori and spheres, tau0 in [0.045, 1], sigma in [0.3, 1.5]),
+    while ||f||^2 less the kept mass carries rounding up to 4e-16, more than
+    the smallest bias terms it would be added to.
     """
     if isinstance(law, HeatZonal):
         reach = math.log(1.0 / _TRUTH_COVERAGE) / law.tau0
@@ -279,18 +285,17 @@ def truth_table(law: StepLaw, cutoff: float) -> tuple[CoefficientVector, float]:
     else:
         raise ValueError(f"no truth table for {type(law).__name__}")
     reach = max(float(cutoff), reach)
-    extended = 2.0 * reach + 10.0
-    indices = spectrum(law.space, extended)
-    full = true_coefficients(law, indices)
+    # frequency or degree n + 1 lies past the cutoff, at Casimir (n+1)^2 on the
+    # circle and tori and (n+1)(n+d) on spheres: the walk reaches the next level
+    n, d = math.isqrt(int(cutoff)), law.space.dim
+    indices = spectrum(law.space, max(reach, (n + 1) * (n + d)))
     # always keep one spectrum level strictly past the cutoff so the table
     # provably covers every index an estimate at this cutoff may contain
-    above = [ix.casimir for ix in indices if ix.casimir > cutoff]
-    keep_to = max(reach, min(above)) if above else reach
-    kept = [(ix, full[ix]) for ix in indices if ix.casimir <= keep_to]
+    keep_to = max(reach, min(ix.casimir for ix in indices if ix.casimir > cutoff))
+    kept = true_coefficients(law, [ix for ix in indices if ix.casimir <= keep_to])
+    tail = 0.0
     if isinstance(law, UniformCap):
         # f = 1/V on a set of normalized measure V, so ||f||^2 = 1/V = f(origin)
-        tail = law.radial_density(0.0) - sum(ix.multiplicity * abs(v) ** 2 for ix, v in kept)
-    else:
-        tail = sum(ix.multiplicity * abs(full[ix]) ** 2
-                   for ix in indices if ix.casimir > keep_to)
-    return CoefficientVector(kept), float(tail)
+        tail = law.radial_density(0.0) - sum(ix.multiplicity * abs(v) ** 2
+                                             for ix, v in kept.items())
+    return kept, float(tail)

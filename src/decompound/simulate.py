@@ -37,7 +37,6 @@ __all__ = [
     "ProcessConfig",
     "ObservationSet",
     "sample_compound",
-    "poisson_draw",
     "observations_text",
     "write_observations",
     "read_observations",
@@ -132,13 +131,6 @@ class ObservationSet:
 def _block_rng(seed: int, block: int) -> np.random.Generator:
     key = np.array([seed % (1 << 64), block % (1 << 64)], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
-
-
-def poisson_draw(rate: float, rng) -> int:
-    """One Poisson(rate) variate (``rng.poisson``; rate must be > 0)."""
-    if rate <= 0:
-        raise ValueError("rate must be > 0")
-    return int(rng.poisson(rate))
 
 
 # ---------------------------------------------------------------------------

@@ -311,14 +311,15 @@ class HeatZonal(StepLaw):
         """Density value at distance theta from the step origin (sphere)."""
         if self.space.kind is not SpaceKind.SPHERE:
             raise ValueError("radial_density is the sphere profile")
+        theta = np.asarray(theta, dtype=float)
         lmax = self._sphere_degree_cut()
         lam = (self.space.dim - 1.0) / 2.0
         vals = zonal_values(lam, lmax, np.cos(theta))
-        out = np.zeros_like(np.asarray(theta, dtype=float))
+        out = np.zeros(theta.size)
         for ell in range(lmax + 1):
             ix = make_index(self.space, (ell,))
             out += ix.multiplicity * math.exp(-ix.casimir * self.tau0) * vals[ell]
-        return out
+        return out.reshape(theta.shape)
 
     def density_on_angles(self, pts: np.ndarray) -> np.ndarray:
         return self._flat_law.density_on_angles(pts)

@@ -21,7 +21,6 @@ from decompound import (
     conjugate_index,
     deviation_bound,
     empirical_transform,
-    estimate_coefficient,
     estimate_coefficients,
     estimate_with_flag,
     make_index,
@@ -55,7 +54,7 @@ def test_real_log_exact_value():
     # nu = exp(t Lambda (c - 1)) inverts to c exactly
     nu, idx = _transform(math.exp(-0.6))
     cfg = _cfg(Variant.REAL_LOG)
-    assert estimate_coefficient(nu, idx, cfg) == pytest.approx(0.4, abs=1e-15)
+    assert estimate_with_flag(nu, idx, cfg)[0] == pytest.approx(0.4, abs=1e-15)
 
 
 def test_real_log_zero_coefficient_not_truncated():
@@ -87,7 +86,7 @@ def test_untruncated_variant_keeps_tiny_positive_values():
 
 def test_complex_log_principal_branch():
     nu, idx = _transform(0.5 + 0.5j, symmetrized=False)
-    got = estimate_coefficient(nu, idx, _cfg(Variant.COMPLEX_LOG, delta=1e-6))
+    got = estimate_with_flag(nu, idx, _cfg(Variant.COMPLEX_LOG, delta=1e-6))[0]
     want = 1.0 + complex(math.log(math.sqrt(0.5)), math.pi / 4)
     assert got == pytest.approx(want, abs=1e-15)
 
@@ -108,14 +107,14 @@ def test_noise_corrected_removes_known_blur():
     idx_val = math.exp(-1.0) * math.exp(-tau * tau * kappa / 2.0)
     nu, idx = _transform(idx_val, label=(2,))
     cfg = _cfg(Variant.NOISE_CORRECTED, noise_tau=tau)
-    assert estimate_coefficient(nu, idx, cfg) == pytest.approx(0.0, abs=1e-15)
+    assert estimate_with_flag(nu, idx, cfg)[0] == pytest.approx(0.0, abs=1e-15)
 
 
 def test_noise_corrected_needs_spectral_index():
     nu, _ = _transform(0.5)
     cfg = _cfg(Variant.NOISE_CORRECTED, noise_tau=0.3)
     with pytest.raises(ValueError):
-        estimate_coefficient(nu, (1,), cfg)
+        estimate_with_flag(nu, (1,), cfg)
 
 
 def test_trivial_index_estimates_one_for_every_variant():
@@ -123,16 +122,16 @@ def test_trivial_index_estimates_one_for_every_variant():
         sym = variant is not Variant.COMPLEX_LOG
         nu, idx = _transform(1.0, symmetrized=sym, label=(0,))
         cfg = _cfg(variant, noise_tau=0.1)
-        assert estimate_coefficient(nu, idx, cfg) == 1.0 + 0.0j
+        assert estimate_with_flag(nu, idx, cfg)[0] == 1.0 + 0.0j
 
 
 def test_variant_transform_mismatch_rejected():
     nu_sym, idx = _transform(0.5, symmetrized=True)
     nu_raw, _ = _transform(0.5, symmetrized=False)
     with pytest.raises(ValueError):
-        estimate_coefficient(nu_raw, idx, _cfg(Variant.REAL_LOG))
+        estimate_with_flag(nu_raw, idx, _cfg(Variant.REAL_LOG))
     with pytest.raises(ValueError):
-        estimate_coefficient(nu_sym, idx, _cfg(Variant.COMPLEX_LOG))
+        estimate_with_flag(nu_sym, idx, _cfg(Variant.COMPLEX_LOG))
 
 
 def test_estimator_config_validation_and_warning():
@@ -292,8 +291,8 @@ def test_complex_and_real_log_agree_on_spheres():
     cfg_c = _cfg(Variant.COMPLEX_LOG)
     cfg_r = _cfg(Variant.REAL_LOG)
     for idx in indices:
-        a = estimate_coefficient(nu_raw, idx, cfg_c)
-        b = estimate_coefficient(nu_sym, idx, cfg_r)
+        a = estimate_with_flag(nu_raw, idx, cfg_c)[0]
+        b = estimate_with_flag(nu_sym, idx, cfg_r)[0]
         assert a == pytest.approx(b, abs=1e-12)
 
 

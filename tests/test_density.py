@@ -22,6 +22,8 @@ from decompound import (
     circle,
     l2_error,
     make_index,
+    parse_law,
+    parse_space,
     quadrature_coefficients,
     reconstruct,
     sample_compound,
@@ -35,6 +37,7 @@ from decompound import (
     truth_table,
     zonal_quadrature,
 )
+from decompound import density
 from decompound.spaces import _CHUNK
 
 
@@ -212,6 +215,86 @@ def test_truth_table_cap_tail_is_exact(d, rho):
     beyond = sum(ix.multiplicity * abs(v) ** 2
                  for ix, v in quadrature_coefficients(law, nxt).items())
     assert 0.0 < beyond < tail
+
+
+def _reach(law, cutoff):
+    # the index casimir to which each law's truth table extends at least
+    if isinstance(law, HeatZonal):
+        reach = math.log(1e10) / law.tau0
+    elif isinstance(law, WrappedNormal):
+        reach = 2.0 * math.log(1e10) / law.sigma**2
+    else:
+        reach = max(4.0 * cutoff, 50.0)
+    return max(cutoff, reach)
+
+
+_TRUTH_CASES = [  # flat-density at m = 1e5, then the C5 studies' m grid
+    ("torus:2", "wn:sigma=0.5", (100_000,)),
+    ("torus:3", "wn:sigma=0.5", (100_000,)),
+    ("circle", "wn:sigma=0.55", (100, 1000, 10_000, 100_000)),
+    ("sphere:2", "heat:tau=0.35", (100, 1000, 10_000, 100_000)),
+]
+
+
+def _case_id(value):
+    return "m=" + "|".join(map(str, value)) if isinstance(value, tuple) else value
+
+
+@pytest.mark.parametrize("space_text,law_text,ms", _TRUTH_CASES + [
+    ("sphere:3", "cap:rho=1.2", (100, 100_000)),
+    ("sphere:4", "heat:tau=0.045", (100, 100_000)),
+], ids=_case_id)
+def test_truth_table_enumerates_spectrum_once_to_first_level_past_cutoff(
+        monkeypatch, space_text, law_text, ms):
+    # one spectrum walk, no further than the reach or the first spectrum level
+    # past the cutoff ((n+1)^2 on flat spaces, (n+1)(n+d) on spheres), and one
+    # coefficient per kept index
+    space = parse_space(space_text)
+    law = parse_law(law_text, space)
+    casimir_maxes = []
+    coefficient_calls = []
+
+    def recording_spectrum(space, casimir_max):
+        casimir_maxes.append(casimir_max)
+        return spectrum(space, casimir_max)
+
+    def counting_coefficient(self, index):
+        coefficient_calls.append(index)
+        return law_coefficient(self, index)
+
+    law_coefficient = type(law).coefficient
+    monkeypatch.setattr(density, "spectrum", recording_spectrum)
+    monkeypatch.setattr(type(law), "coefficient", counting_coefficient)
+    for m in ms:
+        cutoff = smoothing_cutoff(m, 2.0, space)
+        casimir_maxes.clear()
+        coefficient_calls.clear()
+        truth, _ = truth_table(law, cutoff)
+        n = math.isqrt(int(cutoff))
+        assert len(casimir_maxes) == 1
+        assert casimir_maxes[0] <= max(_reach(law, cutoff), (n + 1) * (n + space.dim))
+        assert len(coefficient_calls) == len(truth)
+
+
+@pytest.mark.parametrize("space_text,law_text,ms", _TRUTH_CASES, ids=_case_id)
+def test_truth_table_keeps_the_extended_enumeration_and_drops_negligible_mass(
+        space_text, law_text, ms):
+    # the table the extended enumeration to 2 reach + 10 kept, and the mass
+    # beyond it, summed out there, is below 1e-17: so the tail reads 0.0
+    space = parse_space(space_text)
+    law = parse_law(law_text, space)
+    for m in ms:
+        cutoff = smoothing_cutoff(m, 2.0, space)
+        reach = _reach(law, cutoff)
+        extended = spectrum(space, 2.0 * reach + 10.0)
+        keep_to = max(reach, min(ix.casimir for ix in extended if ix.casimir > cutoff))
+        truth, tail = truth_table(law, cutoff)
+        want = true_coefficients(law, [ix for ix in extended if ix.casimir <= keep_to])
+        assert truth.items() == want.items()
+        assert tail == 0.0
+        beyond = sum(ix.multiplicity * abs(law.coefficient(ix)) ** 2
+                     for ix in extended if ix.casimir > keep_to)
+        assert beyond <= 1e-17
 
 
 # --- reconstruct and evaluate ------------------------------------------------------

@@ -16,7 +16,6 @@ from decompound import (
     geodesic_step,
     make_index,
     observations_text,
-    poisson_draw,
     read_observations,
     sample_compound,
     spherical,
@@ -97,21 +96,14 @@ def test_process_config_validation():
 # --- Poisson counts ----------------------------------------------------------
 
 
-def test_poisson_draw_rate_boundary():
-    rng = np.random.default_rng(0)
-    # rate must be strictly positive; tiny rates give 0 almost surely
-    with pytest.raises(ValueError):
-        poisson_draw(0.0, rng)
-    assert all(poisson_draw(1e-12, rng) == 0 for _ in range(20))
-
-
 @pytest.mark.parametrize("rate", [1.0, 4.5, 50.0, 200.0])
 def test_poisson_draw_moments(rate):
-    # numpy multiplies uniforms below rate 10 and uses transformed rejection
-    # (PTRS) above; both must produce the right mean and variance
+    # step counts are rng.poisson(rate, n); numpy multiplies uniforms below
+    # rate 10 and uses transformed rejection (PTRS) above; both must produce
+    # the right mean and variance
     rng = np.random.default_rng(17)
     n = 40_000
-    draws = np.array([poisson_draw(rate, rng) for _ in range(n)], dtype=float)
+    draws = rng.poisson(rate, n).astype(float)
     se_mean = math.sqrt(rate / n)
     assert abs(draws.mean() - rate) < 4.5 * se_mean
     # Var(sample var) ~ (mu + 2 mu^2)/n for Poisson
@@ -122,7 +114,7 @@ def test_poisson_draw_moments(rate):
 def test_poisson_draw_small_rate_pmf():
     rng = np.random.default_rng(23)
     n = 30_000
-    draws = np.array([poisson_draw(0.8, rng) for _ in range(n)])
+    draws = rng.poisson(0.8, n)
     for k in range(3):
         want = math.exp(-0.8) * 0.8**k / math.factorial(k)
         got = float(np.mean(draws == k))

@@ -260,6 +260,20 @@ def test_uniform_cap_distances_match_beta_cdf(d):
     assert ks.pvalue > 1e-3
 
 
+@pytest.mark.parametrize("law", [HeatZonal(sphere(2), tau0=0.35),
+                                 UniformCap(sphere(3), rho=1.2)],
+                         ids=["heat", "cap"])
+def test_radial_density_keeps_input_shape(law):
+    # a scalar distance gives a scalar value; an array keeps its shape
+    assert np.ndim(law.radial_density(0.0)) == 0
+    assert float(law.radial_density(0.0)) > 1.0
+    theta = np.linspace(0.0, 1.0, 6).reshape(2, 3)
+    values = law.radial_density(theta)
+    assert values.shape == (2, 3)
+    np.testing.assert_array_equal(values.ravel(), law.radial_density(theta.ravel()))
+    assert float(law.radial_density(0.5)) == law.radial_density(np.array([0.5]))[0]
+
+
 def test_import_loads_no_scipy():
     # numpy is the only runtime dependency; scipy serves the tests alone
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
