@@ -15,7 +15,9 @@ untraced ones.  Nothing else should run on the machine meanwhile.
 ``BENCH_<tag>.json``, written to the root of this checkout, holds, per
 workload, each end-to-end metric's per-side median, quartiles and values,
 the pairs won and lost by the change (by the metric's direction in
-BENCHMARK.json; ties count for neither) and its bound; per-layer medians
+BENCHMARK.json; ties count for neither), its bound, and ``claim_holds``: the
+change won at least nine tenths of the pairs run and its median is better
+than the parent's by more than the parent's interquartile range; per-layer medians
 and quartiles from the traced runs; the count of correct runs; the machine;
 and the command lines.  Peak memory is the ``peak_rss_mb`` metric.
 """
@@ -97,8 +99,14 @@ def _compare(pairs: list[tuple[dict, dict]], name: str, better: str) -> dict:
     change = _summary(_side_values([c for _, c in pairs], name))
     ratio = (change["median"] / parent["median"]
              if parent["median"] and change["median"] is not None else None)
+    claim = False
+    if pairs and parent["median"] is not None and change["median"] is not None:
+        gap = parent["median"] - change["median"]
+        if better != "lower":
+            gap = -gap
+        claim = won >= 0.9 * len(pairs) and gap > parent["q3"] - parent["q1"]
     return {"parent": parent, "change": change, "change_over_parent": ratio,
-            "pairs": len(pairs), "pairs_won": won, "pairs_lost": lost}
+            "pairs": len(pairs), "pairs_won": won, "pairs_lost": lost, "claim_holds": claim}
 
 
 def _section(pairs: list[tuple[dict, dict]], metrics: list[dict]) -> dict:

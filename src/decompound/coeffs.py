@@ -121,9 +121,16 @@ def empirical_transform(obs: ObservationSet, indices, symmetrize: bool = False) 
     symmetrize=True averages phi and its inversion pullback, i.e. keeps the
     real part; offer it only for laws that are inverse invariant.
     """
+    space = obs.config.space
     indices = list(indices)
-    sums = spherical_sums(obs.config.space, indices, obs.points)
-    values = [(ix, _clamp_value(s / obs.m, symmetrize)) for ix, s in zip(indices, sums)]
+    keys = [index_label(ix) for ix in indices]
+    if symmetrize:
+        # Re phi is the same at n and -n, so one sum serves the pair: the
+        # larger label of the two (on spheres the index itself)
+        keys = [max(key, index_label(conjugate_index(space, key))) for key in keys]
+    distinct = list(dict.fromkeys(keys))
+    sums = dict(zip(distinct, spherical_sums(space, distinct, obs.points)))
+    values = [(ix, _clamp_value(sums[key] / obs.m, symmetrize)) for ix, key in zip(indices, keys)]
     return EmpiricalTransform(values, m=obs.m, symmetrized=symmetrize)
 
 

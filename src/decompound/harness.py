@@ -252,20 +252,23 @@ def fit_rate(points, replicate_errors=None, resamples: int = _BOOTSTRAP_RESAMPLE
     slope, intercept = np.polyfit(xs, ys, 1)
 
     rng = np.random.default_rng(seed)
-    slopes = np.empty(resamples)
     if replicate_errors is not None:
         errors = [np.asarray(e, dtype=float) for e in replicate_errors]
         if len(errors) != len(points):
             raise ValueError("one replicate-error array per point is required")
+        # the draws in the per-resample, per-point order; then one fit of
+        # every resample's column
+        picks = [np.empty((resamples, errs.size), dtype=np.int64) for errs in errors]
         for b in range(resamples):
-            yb = np.empty(len(errors))
-            for i, errs in enumerate(errors):
-                take = errs[rng.integers(0, errs.size, errs.size)]
-                mean = take.mean()
-                yb[i] = math.log10(mean) if mean > 0 else ys[i]
-            slopes[b] = np.polyfit(xs, yb, 1)[0]
+            for pick, errs in zip(picks, errors):
+                pick[b] = rng.integers(0, errs.size, errs.size)
+        yb = np.array([[math.log10(mean) if mean > 0 else y
+                        for mean in errs[pick].mean(axis=1).tolist()]
+                       for errs, pick, y in zip(errors, picks, ys.tolist())])
+        slopes = np.polyfit(xs, yb, 1)[0]
     else:
         n = len(points)
+        slopes = np.empty(resamples)
         for b in range(resamples):
             while True:
                 pick = rng.integers(0, n, n)

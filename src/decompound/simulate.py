@@ -110,7 +110,7 @@ class ObservationSet:
             raise ValueError("non-finite observation coordinates")
         space = self.config.space
         if space.kind is SpaceKind.SPHERE:
-            norms = np.linalg.norm(pts, axis=1)
+            norms = np.sqrt(np.einsum("ij,ij->i", pts, pts))
             if np.max(np.abs(norms - 1.0)) > 1e-6:
                 raise ValueError("sphere observations must lie on the unit sphere")
         else:

@@ -44,7 +44,13 @@ __all__ = [
 
 TWO_PI = 2.0 * math.pi
 _CHUNK = 1 << 15  # most points per block of spherical-function tables
-_BLOCK_BYTES = 1 << 26  # most working memory of one block's tables (64 MiB)
+# Most working memory of one block's tables (8 MiB).  Peak memory follows
+# it: a flat-density pass (torus:2 and torus:3 at m = 1e5, one BLAS thread,
+# 2-CPU Xeon) peaked at 89, 71, 60 and 54 MB with 64, 16, 8 and 4 MiB, and
+# its time did not move beyond the noise.  With 4 MiB or less each pass
+# spends 4-8 ms of system time in the allocator; a table above glibc's
+# 32 MiB mmap threshold would be mapped and zeroed afresh for every block.
+_BLOCK_BYTES = 1 << 23
 
 
 class SpaceKind(enum.Enum):
@@ -211,12 +217,13 @@ def spectrum(space: Space, casimir_max: float) -> list[SpectralIndex]:
             for label, k in zip(labels[order].tolist(), kappa[order].tolist())]
 
 
-def conjugate_index(space: Space, index: SpectralIndex) -> SpectralIndex:
+def conjugate_index(space: Space, index):
     """Index of the conjugate character: negated lattice label on flat spaces,
-    the index itself on spheres (zonal spherical functions there are real)."""
+    the index itself on spheres (zonal spherical functions there are real).
+    Takes a SpectralIndex or a raw label; a sphere's comes back as given."""
     if space.kind is SpaceKind.SPHERE:
         return index
-    return _lattice_index(tuple(-k for k in index.label))
+    return _lattice_index(tuple(-k for k in index_label(index)))
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import special
 
 from decompound import (
     EmpiricalTransform,
@@ -216,6 +217,48 @@ def test_flat_transform_and_synthesis_match_direct_characters(space, cutoff):
     weights = rng.standard_normal(len(indices)) + 1j * rng.standard_normal(len(indices))
     want = sum(w * np.exp(1j * (pts @ n)) for w, n in zip(weights, labels))
     assert np.max(np.abs(spherical_synthesis(space, indices, weights, pts) - want)) <= 1e-12
+
+
+@pytest.mark.parametrize("d, top", [(2, 40), (3, 30)], ids=["sphere:2", "sphere:3"])
+def test_sphere_transform_across_blocks_matches_direct_gegenbauer(d, top):
+    # sums over three blocks and a partial fourth against direct means of
+    # C_l^lam(cos theta) / C_l^lam(1), lam = (d - 1) / 2
+    space = sphere(d)
+    indices = [make_index(space, (ell,)) for ell in range(top + 1)]
+    block = _plan(space, indices)[-1]
+    assert block < _CHUNK
+    rng = np.random.default_rng(d)
+    pts = rng.standard_normal((3 * block + 17, d + 1))
+    pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+    obs = ObservationSet(points=pts, config=ProcessConfig(law=HeatZonal(space, tau0=0.4)))
+    lam = (d - 1) / 2.0
+    x = np.clip(pts[:, -1], -1.0, 1.0)
+    direct = [(special.eval_gegenbauer(ell, lam, x) / special.eval_gegenbauer(ell, lam, 1.0)).mean()
+              for ell in range(top + 1)]
+    for symmetrize in (False, True):
+        nu = empirical_transform(obs, indices, symmetrize=symmetrize)
+        got = np.array([nu.value(ix) for ix in indices])
+        assert np.max(np.abs(got - direct)) <= 1e-12
+
+
+def test_symmetrized_torus_transform_pairs_are_bit_equal_across_blocks():
+    # one sum serves n and -n: the two values are the same float, and both
+    # match direct means of cos(n . theta) over several blocks
+    space = torus(3)
+    indices = spectrum(space, 30.0)
+    halves = [ix for ix in indices if ix.label >= conjugate_index(space, ix).label]
+    assert 2 * len(halves) == len(indices) + 1
+    block = _plan(space, halves)[-1]
+    rng = np.random.default_rng(31)
+    pts = rng.uniform(0.0, 2.0 * math.pi, size=(3 * block + 5, 3))
+    obs = ObservationSet(points=pts, config=ProcessConfig(law=WrappedNormal(space, sigma=0.5)))
+    nu = empirical_transform(obs, indices, symmetrize=True)
+    for ix in indices:
+        assert nu.value(ix) == nu.value(conjugate_index(space, ix))
+    direct = np.array([np.cos(pts @ np.array(ix.label, dtype=float)).mean() for ix in indices])
+    got = np.array([nu.value(ix) for ix in indices])
+    assert not got.imag.any()
+    assert np.max(np.abs(got.real - direct)) <= 1e-12
 
 
 def _transform_peak_bytes(obs, indices):

@@ -73,6 +73,35 @@ def test_fit_rate_bootstrap_deterministic():
     assert fit_rate(pts, replicate_errors=reps, seed=3) == c
 
 
+def _per_resample_ci(pts, reps, seed, resamples=1000):
+    # one draw per (resample, point) and one fit per resample
+    xs = np.array([x for x, _ in pts])
+    ys = np.array([y for _, y in pts])
+    rng = np.random.default_rng(seed)
+    slopes = np.empty(resamples)
+    for b in range(resamples):
+        yb = np.empty(len(reps))
+        for i, errs in enumerate(reps):
+            mean = errs[rng.integers(0, errs.size, errs.size)].mean()
+            yb[i] = math.log10(mean) if mean > 0 else ys[i]
+        slopes[b] = np.polyfit(xs, yb, 1)[0]
+    lo, hi = np.percentile(slopes, [2.5, 97.5])
+    return float(lo), float(hi)
+
+
+@pytest.mark.parametrize("seed", [0, 5, 11])
+def test_fit_rate_replicate_bootstrap_matches_per_resample_fits(seed):
+    # the batched bootstrap keeps the draw order and the arithmetic of one
+    # fit per resample, so its interval is bit for bit the reference's
+    rng = np.random.default_rng(100 + seed)
+    xs = np.log10([100.0, 1000.0, 10_000.0, 100_000.0])
+    reps = [rng.uniform(0.2, 1.8, size=n) * 10.0 ** (-x) for x, n in zip(xs, (20, 30, 40, 30))]
+    reps[0][:] = 0.0  # a zero mean falls back to the point's own value
+    pts = [(x, math.log10(e.mean()) if e.mean() > 0 else -2.0) for x, e in zip(xs, reps)]
+    fit = fit_rate(pts, replicate_errors=reps, seed=seed)
+    assert (fit.ci_low, fit.ci_high) == _per_resample_ci(pts, reps, seed)
+
+
 def test_fit_rate_ci_brackets_slope():
     rng = np.random.default_rng(1)
     pts = [(x, -0.9 * x + rng.normal(0, 0.05)) for x in np.linspace(2, 5, 8)]
