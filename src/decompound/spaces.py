@@ -46,7 +46,7 @@ TWO_PI = 2.0 * math.pi
 _CHUNK = 1 << 15  # most points per block of spherical-function tables
 # Most working memory of one block's tables (8 MiB).  Peak memory follows
 # it: a flat-density pass (torus:2 and torus:3 at m = 1e5, one BLAS thread,
-# 2-CPU Xeon) peaked at 89, 71, 60 and 54 MB with 64, 16, 8 and 4 MiB, and
+# 2-CPU Xeon) reached ru_maxrss 89, 71, 60 and 54 MB at 64, 16, 8 and 4 MiB;
 # its time did not move beyond the noise.  With 4 MiB or less each pass
 # spends 4-8 ms of system time in the allocator; a table above glibc's
 # 32 MiB mmap threshold would be mapped and zeroed afresh for every block.
