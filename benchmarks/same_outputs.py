@@ -1,0 +1,114 @@
+"""Check that two revisions write byte-identical outputs for a fixed set of CLI calls.
+
+    python3 benchmarks/same_outputs.py --parent REV [--change REV]
+
+Both revisions (the change defaults to HEAD) are extracted with ``git
+archive`` into a temporary directory (under ``TMPDIR``), so uncommitted edits
+never run.  Each tree runs the same ``decompound`` calls from its own
+``src``, each in its own output directory: ``sample`` on sphere:2/3/4 (heat
+and cap, with and without ``--noise-tau``), the circle and torus:2; a small
+noisy ``study-coeff`` on sphere:2; and a small ``study-density`` on the
+circle and sphere:2 at ``--threads 1`` and ``--threads 2``.  Every file they
+write, and each call's standard output, is hashed.  The script prints both
+sha256 values for each file and exits 1 if any file differs, is missing on
+one side, or any call fails.
+"""
+from __future__ import annotations
+
+import argparse
+import hashlib
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+
+from pairs import _extract
+
+_SAMPLES = [(f"sphere:{d}", law, noise) for d in (2, 3, 4)
+            for law in ("heat:tau=0.3", "cap:rho=1.2") for noise in ("0", "0.3")]
+_SAMPLES += [("circle", "wn:sigma=0.7", "0.3"), ("torus:2", "heat:tau=0.4", "0")]
+
+CALLS = [
+    (f"sample-{space}-{law.split(':')[0]}-noise{noise}",
+     ["sample", "--space", space, "--law", law, "--noise-tau", noise, "--intensity", "2.0",
+      "--seed", "5", "--count", "9000", "--out", "points.csv"])
+    for space, law, noise in _SAMPLES
+]
+CALLS.append(("study-coeff-sphere2-noise",
+              ["study-coeff", "--space", "sphere:2", "--law", "heat:tau=0.3",
+               "--variant", "noise-corrected", "--noise-tau", "0.3", "--index", "1",
+               "--m-grid", "100,1000,5000", "--replicates", "6", "--seed", "3",
+               "--out", "study"]))
+for space, law in (("circle", "wn:sigma=0.55"), ("sphere:2", "heat:tau=0.35")):
+    for threads in (1, 2):
+        CALLS.append((f"study-density-{space}-threads{threads}",
+                      ["study-density", "--space", space, "--law", law,
+                       "--m-grid", "100,1000,10000", "--replicates", "4", "--seed", "2",
+                       "--threads", str(threads), "--emit-coefficients", "--emit-svg",
+                       "--out", "study"]))
+
+
+def _run_calls(tree: str, outdir: str) -> list[str]:
+    """Run every call in tree, each in outdir/<name>; return the failures."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    env["PYTHONPATH"] = os.path.join(tree, "src")
+    failures = []
+    for name, argv in CALLS:
+        cwd = os.path.join(outdir, name)
+        os.makedirs(cwd)
+        proc = subprocess.run([sys.executable, "-m", "decompound.cli", *argv], cwd=cwd,
+                              env=env, capture_output=True, text=True)
+        with open(os.path.join(cwd, "stdout.txt"), "w") as fh:
+            fh.write(proc.stdout)
+        if proc.returncode != 0:
+            failures.append(f"{name}: exit {proc.returncode}: {proc.stderr.strip()[-500:]}")
+    return failures
+
+
+def _hashes(outdir: str) -> dict[str, str]:
+    """sha256 of every file under outdir, by relative path."""
+    out = {}
+    for root, _, files in os.walk(outdir):
+        for fname in files:
+            path = os.path.join(root, fname)
+            with open(path, "rb") as fh:
+                out[os.path.relpath(path, outdir)] = hashlib.sha256(fh.read()).hexdigest()
+    return out
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--parent", required=True, help="parent revision")
+    parser.add_argument("--change", default="HEAD", help="change revision (default: HEAD)")
+    args = parser.parse_args(argv)
+
+    scratch = tempfile.mkdtemp(prefix="same-outputs-")
+    try:
+        hashes, failures = {}, []
+        for side, rev in (("parent", args.parent), ("change", args.change)):
+            os.makedirs(os.path.join(scratch, side))
+            commit = _extract(rev, os.path.join(scratch, side))
+            print(f"{side}: {commit}")
+            outdir = os.path.join(scratch, side, "out")
+            failures += [f"{side} {f}" for f in
+                         _run_calls(os.path.join(scratch, side, "tree"), outdir)]
+            hashes[side] = _hashes(outdir)
+    finally:
+        shutil.rmtree(scratch, ignore_errors=True)
+
+    differ = 0
+    for path in sorted(set(hashes["parent"]) | set(hashes["change"])):
+        parent, change = hashes["parent"].get(path, "-"), hashes["change"].get(path, "-")
+        same = parent == change
+        differ += not same
+        print(f"{'same   ' if same else 'DIFFERS'} {path}\n  parent {parent}\n  change {change}")
+    for failure in failures:
+        print(f"FAILED {failure}")
+    print(f"{len(hashes['parent'] | hashes['change'])} files, {differ} differ, "
+          f"{len(failures)} calls failed")
+    return 1 if differ or failures else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -256,12 +256,11 @@ def fit_rate(points, replicate_errors=None, resamples: int = _BOOTSTRAP_RESAMPLE
         errors = [np.asarray(e, dtype=float) for e in replicate_errors]
         if len(errors) != len(points):
             raise ValueError("one replicate-error array per point is required")
-        # the draws in the per-resample, per-point order; then one fit of
-        # every resample's column
-        picks = [np.empty((resamples, errs.size), dtype=np.int64) for errs in errors]
-        for b in range(resamples):
-            for pick, errs in zip(picks, errors):
-                pick[b] = rng.integers(0, errs.size, errs.size)
+        # one draw in the per-resample, per-point order, split per point;
+        # then one fit of every resample's column
+        sizes = np.array([errs.size for errs in errors])
+        draws = rng.integers(0, np.tile(np.repeat(sizes, sizes), resamples))
+        picks = np.split(draws.reshape(resamples, -1), np.cumsum(sizes)[:-1], axis=1)
         yb = np.array([[math.log10(mean) if mean > 0 else y
                         for mean in errs[pick].mean(axis=1).tolist()]
                        for errs, pick, y in zip(errors, picks, ys.tolist())])

@@ -9,9 +9,12 @@ Optionally each observation is blurred by an independent heat-kernel
 displacement whose spectral signature is exactly exp(-tau^2 * kappa / 2).
 
 On spheres the endpoint law is invariant under rotations fixing the
-origin, so only the cosine of the distance to the origin is walked (the
-blur is one more step) and each endpoint is lifted along a uniform
-tangent direction at the origin.
+origin, so only the cosine of the distance to the origin is walked and each
+endpoint is lifted along a uniform tangent direction at the origin.  The
+kernel works in place: walks are taken longest first, the cos and sin of a
+block's distances are taken once, the first round (from the origin) lands at
+cos d, the blur is one more step in the same walk order, and the lift
+writes straight into the output.
 
 Step counts are ``Generator.poisson`` draws.  Reproducibility: a
 counter-based (Philox) generator keyed by (seed, block index), one stream
@@ -110,8 +113,11 @@ class ObservationSet:
             raise ValueError("non-finite observation coordinates")
         space = self.config.space
         if space.kind is SpaceKind.SPHERE:
-            norms = np.sqrt(np.einsum("ij,ij->i", pts, pts))
-            if np.max(np.abs(norms - 1.0)) > 1e-6:
+            # the 1e-6 norm rule, on squared norms summed column by column
+            sq = np.square(pts[:, 0])
+            for j in range(1, pts.shape[1]):
+                sq += np.square(pts[:, j])
+            if not (1.0 - 1e-6) ** 2 <= sq.min() <= sq.max() <= (1.0 + 1e-6) ** 2:
                 raise ValueError("sphere observations must lie on the unit sphere")
         else:
             if pts.min() < -1e-9 or pts.max() >= 2.0 * math.pi + 1e-9:
@@ -158,63 +164,98 @@ def _flat_segment_sums(disp: np.ndarray, counts: np.ndarray, dim: int) -> np.nda
     return cs[ends] - cs[starts]
 
 
-def _colatitude_step(z: np.ndarray, dist: np.ndarray, dim: int, rng) -> np.ndarray:
-    """Cosines of the distance to the origin after one zonal step of each
-    length from points at cosines z on the sphere S^dim.
-
-    The step's direction is uniform in the dim-dimensional tangent space, so
-    its cosine c with the direction back to the origin is the first
-    coordinate of a uniform unit vector in R^dim.
-    """
+def _direction_draws(dim: int, n: int, rng) -> np.ndarray:
+    """The draws behind n uniform tangent directions on S^dim: uniform angles
+    in turns on S^2, otherwise Beta((dim-1)/2, (dim-1)/2) variates."""
     if dim == 2:
-        c = np.cos(2.0 * math.pi * rng.random(z.shape[0]))
-    else:
-        a = (dim - 1) / 2.0
-        c = 2.0 * rng.beta(a, a, z.shape[0]) - 1.0
-    s = np.sqrt(np.maximum(1.0 - z * z, 0.0))
-    return np.clip(z * np.cos(dist) + s * np.sin(dist) * c, -1.0, 1.0)
+        return rng.random(n)
+    a = (dim - 1) / 2.0
+    return rng.beta(a, a, n)
 
 
-def _sphere_endpoints(config: ProcessConfig, counts: np.ndarray, rng) -> np.ndarray:
-    """Endpoints of zonal walks from the origin with the given step counts.
+def _direction_cosines(dim: int, draws: np.ndarray) -> np.ndarray:
+    """In place: each direction's cosine c with the direction back to the
+    origin, the first coordinate of a uniform unit vector in R^dim."""
+    if dim == 2:
+        draws *= 2.0 * math.pi
+        return np.cos(draws, out=draws)
+    draws *= 2.0
+    draws -= 1.0
+    return draws
+
+
+def _colatitude_step(z: np.ndarray, cos_d: np.ndarray, sin_d: np.ndarray,
+                     c: np.ndarray) -> None:
+    """In place: the cosines z of the distance to the origin after one zonal
+    step of distance d in a direction at cosine c to the way back there,
+    z cos d + (sqrt(1 - z^2) sin d) c, clipped to [-1, 1]."""
+    s = 1.0 - z * z
+    np.maximum(s, 0.0, out=s)
+    np.sqrt(s, out=s)
+    s *= sin_d
+    s *= c
+    z *= cos_d
+    z += s
+    np.maximum(z, -1.0, out=z)
+    np.minimum(z, 1.0, out=z)
+
+
+def _sphere_endpoints(config: ProcessConfig, counts: np.ndarray, rng,
+                      out: np.ndarray) -> None:
+    """Endpoints of zonal walks from the origin with the given step counts,
+    written into out.
 
     Their law is invariant under rotations fixing the origin, so only
     z = cos(distance to origin) is walked, and each endpoint is lifted once
     along a uniform tangent at the origin.  Walks are taken longest first,
-    so each round's walkers are a prefix; the blur is one more step.
+    so each round's walkers are a prefix; the first round starts at the
+    origin, where every walker lands at cos d.  The blur is one more step,
+    taken in the same order: the walkers that never moved land at cos d too.
     """
-    space = config.space
+    space, dim = config.space, config.space.dim
     # a stable sort of a small integer type is a radix sort
     order = np.argsort((-counts).astype(np.min_scalar_type(-counts.max())), kind="stable")
-    steps = counts[order]
-    dist = config.law.sample_distances(int(steps.sum()), rng)
-    walked = np.ones(steps.shape[0])
+    # walkers still moving in each round: movers[k] = #(counts > k)
+    movers = counts.size - np.cumsum(np.bincount(counts))
+    dist = config.law.sample_distances(int(counts.sum()), rng)
+    cos_d = np.cos(dist)
+    moved = int(movers[0])
+    walked = np.ones(counts.size)
+    _direction_draws(dim, moved, rng)
+    walked[:moved] = cos_d[:moved]
+    # only the later rounds' steps, from off the origin, need sin d
+    cos_d, sin_d = cos_d[moved:], np.sin(dist[moved:])
     lo = 0
-    for k in range(int(steps[0])):
-        na = int(np.count_nonzero(steps > k))
-        walked[:na] = _colatitude_step(walked[:na], dist[lo:lo + na], space.dim, rng)
+    for na in movers[1:-1].tolist():
+        c = _direction_cosines(dim, _direction_draws(dim, na, rng))
+        _colatitude_step(walked[:na], cos_d[lo:lo + na], sin_d[lo:lo + na], c)
         lo += na
+    if config.noise_tau:
+        blur = _blur_law(space, config.noise_tau).sample_distances(counts.size, rng)[order]
+        c = _direction_cosines(dim, _direction_draws(dim, counts.size, rng)[order[:moved]])
+        cos_b = np.cos(blur)
+        walked[moved:] = cos_b[moved:]
+        _colatitude_step(walked[:moved], cos_b[:moved], np.sin(blur[:moved]), c)
     z = np.empty_like(walked)
     z[order] = walked
-    if config.noise_tau:
-        blur = _blur_law(space, config.noise_tau)
-        z = _colatitude_step(z, blur.sample_distances(z.shape[0], rng), space.dim, rng)
-    return _lift_from_origin(space, z, rng)
+    _lift_from_origin(space, z, rng, out)
 
 
-def _walk_endpoints(config: ProcessConfig, n: int, rng) -> np.ndarray:
-    """n independent (blurred) time-t observations drawn from one stream."""
+def _walk_endpoints(config: ProcessConfig, rng, out: np.ndarray) -> None:
+    """len(out) independent (blurred) time-t observations drawn from one
+    stream, written into out."""
+    n = out.shape[0]
     counts = rng.poisson(config.mean_steps, n)
     space = config.space
     if not space.is_flat:
-        return _sphere_endpoints(config, counts, rng)
+        return _sphere_endpoints(config, counts, rng, out)
     total = int(counts.sum())
     disp = (config.law.sample_displacements(total, rng) if total
             else np.zeros((0, space.dim)))
     pos = _flat_segment_sums(disp, counts, space.dim)
     if config.noise_tau:
-        pos = pos + _blur_law(space, config.noise_tau).sample_displacements(n, rng)
-    return np.mod(pos, 2.0 * math.pi)
+        pos += _blur_law(space, config.noise_tau).sample_displacements(n, rng)
+    np.mod(pos, 2.0 * math.pi, out=out)
 
 
 def sample_compound(config: ProcessConfig, m: int) -> ObservationSet:
@@ -223,8 +264,7 @@ def sample_compound(config: ProcessConfig, m: int) -> ObservationSet:
         raise ValueError("m must be >= 1")
     pts = np.empty((m, config.space.ambient_dim))
     for lo in range(0, m, BLOCK):
-        hi = min(lo + BLOCK, m)
-        pts[lo:hi] = _walk_endpoints(config, hi - lo, _block_rng(config.seed, lo // BLOCK))
+        _walk_endpoints(config, _block_rng(config.seed, lo // BLOCK), pts[lo:lo + BLOCK])
     return ObservationSet(points=pts, config=config)
 
 

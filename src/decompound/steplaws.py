@@ -182,9 +182,13 @@ class _RadialTable:
         """The sampler's map from uniforms in [0, 1) to distances."""
         x = u * self.CELLS
         k = x.astype(np.intp)
-        out = self._q[k] + self._dq[k] * (x - k)
-        edge = (k == 0) | (k == self.CELLS - 1)
-        out[edge] = np.interp(u[edge], self._cdf, self._grid)
+        out = self._q.take(k)
+        x -= k
+        x *= self._dq.take(k)
+        out += x
+        if k.size and (k.min() == 0 or k.max() == self.CELLS - 1):
+            edge = (k == 0) | (k == self.CELLS - 1)
+            out[edge] = np.interp(u[edge], self._cdf, self._grid)
         return out
 
 
@@ -208,18 +212,22 @@ def uniform_tangents(points: np.ndarray, rng) -> np.ndarray:
     return g / norms
 
 
-def _lift_from_origin(space: Space, z: np.ndarray, rng) -> np.ndarray:
-    """Sphere points (sqrt(1 - z^2) * dir, z) at cosines z from the origin (the
-    last axis), with dir a uniform unit vector in R^d: normalized normals, or
-    on S^2 the cheaper (cos phi, sin phi)."""
+def _lift_from_origin(space: Space, z: np.ndarray, rng, out: np.ndarray) -> np.ndarray:
+    """Write into out, and return it, the sphere points (sqrt(1 - z^2) * dir, z)
+    at cosines z from the origin (the last axis), with dir a uniform unit
+    vector in R^d: normalized normals, or on S^2 the cheaper (cos phi, sin phi)."""
     n, d = z.shape[0], space.dim
+    r = np.sqrt(np.maximum(1.0 - z * z, 0.0))
     if d == 2:
         phi = 2.0 * math.pi * rng.random(n)
-        dirs = np.stack([np.cos(phi), np.sin(phi)], axis=1)
+        np.multiply(r, np.cos(phi), out=out[:, 0])
+        np.multiply(r, np.sin(phi, out=phi), out=out[:, 1])
     else:
         dirs = rng.standard_normal((n, d))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    return np.column_stack([np.sqrt(np.maximum(1.0 - z * z, 0.0))[:, None] * dirs, z])
+        np.multiply(r[:, None], dirs, out=out[:, :d])
+    out[:, d] = z
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -501,7 +509,8 @@ def sample_points(law: StepLaw, n: int, rng) -> np.ndarray:
     """n independent single-step positions started from the origin."""
     space = law.space
     if space.kind is SpaceKind.SPHERE:
-        return _lift_from_origin(space, np.cos(law.sample_distances(n, rng)), rng)
+        return _lift_from_origin(space, np.cos(law.sample_distances(n, rng)), rng,
+                                 np.empty((n, space.ambient_dim)))
     return np.mod(law.sample_displacements(n, rng), 2.0 * math.pi)
 
 

@@ -24,6 +24,7 @@ from decompound import (
     uniform_tangents,
     write_observations,
 )
+from decompound.simulate import BLOCK, _block_rng
 
 
 def _circle_config(**kw):
@@ -75,6 +76,29 @@ def test_observation_set_validates_points():
         ObservationSet(points=bad, config=cfg)
     good = np.array([[0.0, 0.0, 1.0]])
     assert ObservationSet(points=good, config=cfg).m == 1
+
+
+@pytest.mark.parametrize("d", [2, 4])
+def test_observation_set_sphere_norm_tolerance(d):
+    # norms within 1e-6 of 1 pass, norms beyond fail, and a NaN is reported
+    # as non-finite before any norm is taken
+    cfg = ProcessConfig(law=HeatZonal(sphere(d), tau0=0.3))
+    rng = np.random.default_rng(d)
+    pts = rng.standard_normal((50, d + 1))
+    pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+    for row in (0, 49):
+        for off in (5e-7, -5e-7):
+            moved = pts.copy()
+            moved[row] *= 1.0 + off
+            assert ObservationSet(points=moved, config=cfg).m == 50
+        for off in (2e-6, -2e-6):
+            moved = pts.copy()
+            moved[row] *= 1.0 + off
+            with pytest.raises(ValueError, match="unit sphere"):
+                ObservationSet(points=moved, config=cfg)
+    pts[7, 1] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        ObservationSet(points=pts, config=cfg)
 
 
 def test_process_config_round_trip():
@@ -200,6 +224,80 @@ def test_sphere_kernel_matches_reference_walk(d):
     want = _reference_sphere_walk(cfg, 20_000, np.random.default_rng(50 + d))
     for col in (0, d):
         assert stats.ks_2samp(got[:, col], want[:, col]).pvalue > 1e-3
+
+
+# The per-round kernel as it was before the walk was taken in place: every
+# round draws its directions and takes cos and sin of its own distances, the
+# blur steps the un-permuted cosines, and the lift stacks new columns.
+
+
+def _plain_colatitude_step(z, dist, dim, rng):
+    if dim == 2:
+        c = np.cos(2.0 * math.pi * rng.random(z.shape[0]))
+    else:
+        a = (dim - 1) / 2.0
+        c = 2.0 * rng.beta(a, a, z.shape[0]) - 1.0
+    s = np.sqrt(np.maximum(1.0 - z * z, 0.0))
+    return np.clip(z * np.cos(dist) + s * np.sin(dist) * c, -1.0, 1.0)
+
+
+def _plain_lift_from_origin(space, z, rng):
+    n, d = z.shape[0], space.dim
+    if d == 2:
+        phi = 2.0 * math.pi * rng.random(n)
+        dirs = np.stack([np.cos(phi), np.sin(phi)], axis=1)
+    else:
+        dirs = rng.standard_normal((n, d))
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    return np.column_stack([np.sqrt(np.maximum(1.0 - z * z, 0.0))[:, None] * dirs, z])
+
+
+def _plain_sphere_endpoints(cfg, counts, rng):
+    space = cfg.space
+    order = np.argsort(-counts, kind="stable")
+    steps = counts[order]
+    dist = cfg.law.sample_distances(int(steps.sum()), rng)
+    walked = np.ones(steps.shape[0])
+    lo = 0
+    for k in range(int(steps[0])):
+        na = int(np.count_nonzero(steps > k))
+        walked[:na] = _plain_colatitude_step(walked[:na], dist[lo:lo + na], space.dim, rng)
+        lo += na
+    z = np.empty_like(walked)
+    z[order] = walked
+    if cfg.noise_tau:
+        blur = HeatZonal(space, tau0=cfg.noise_tau**2 / 2.0)
+        z = _plain_colatitude_step(z, blur.sample_distances(z.shape[0], rng), space.dim, rng)
+    return _plain_lift_from_origin(space, z, rng)
+
+
+def _plain_sample(cfg, m):
+    pts = np.empty((m, cfg.space.ambient_dim))
+    for lo in range(0, m, BLOCK):
+        hi = min(lo + BLOCK, m)
+        rng = _block_rng(cfg.seed, lo // BLOCK)
+        pts[lo:hi] = _plain_sphere_endpoints(cfg, rng.poisson(cfg.mean_steps, hi - lo), rng)
+    return pts
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+@pytest.mark.parametrize("law", ["heat", "cap"])
+def test_sphere_kernel_is_bit_identical_to_the_per_round_kernel(d, law):
+    # the in-place kernel makes the same draws and the same arithmetic, so
+    # every endpoint is the old kernel's to the bit: one point, a partial
+    # block, several blocks, and walks that never move
+    space = sphere(d)
+    step_law = HeatZonal(space, tau0=0.3) if law == "heat" else UniformCap(space, rho=1.2)
+    cases = [(rate, noise, m) for rate in (0.3, 1.0, 3.0) for noise in (0.0, 0.3)
+             for m in (1, 1000, 2 * BLOCK + 5)]
+    cases += [(1e-12, 0.0, 300), (1e-12, 0.3, 300)]
+    for rate, noise, m in cases:
+        cfg = ProcessConfig(law=step_law, intensity=rate, time=1.0, noise_tau=noise,
+                            seed=int(rate * 10) + m)
+        got = sample_compound(cfg, m).points
+        assert got.tobytes() == _plain_sample(cfg, m).tobytes(), (rate, noise, m)
+    # the last two cases drew no step at all
+    assert not _block_rng(cfg.seed, 0).poisson(cfg.mean_steps, 300).any()
 
 
 # --- CSV round trip ----------------------------------------------------------

@@ -183,8 +183,8 @@ def test_lift_from_origin_unit_vectors(d):
     # tangent direction there: unit norm, last coordinate z with its sign
     rng = np.random.default_rng(d)
     z = np.concatenate([[1.0, -1.0, 0.0], rng.uniform(-1.0, 1.0, 4997)])
-    pts = _lift_from_origin(sphere(d), z, rng)
-    assert pts.shape == (5000, d + 1)
+    pts = np.full((5000, d + 1), np.nan)
+    _lift_from_origin(sphere(d), z, rng, pts)
     assert np.allclose(np.linalg.norm(pts, axis=1), 1.0, atol=1e-12)
     assert np.array_equal(pts[:, -1], z)
     assert not pts[:2, :d].any()
@@ -193,6 +193,31 @@ def test_lift_from_origin_unit_vectors(d):
     a = (d - 1) / 2.0
     ks = stats.kstest((dirs[:, 0] + 1.0) / 2.0, stats.beta(a, a).cdf)
     assert ks.pvalue > 1e-3
+
+
+def _quantile_formula(table, u):
+    """The table's quantile map as one gather per cell table and a mask of
+    the end cells over every draw."""
+    x = u * table.CELLS
+    k = x.astype(np.intp)
+    out = table._q[k] + table._dq[k] * (x - k)
+    edge = (k == 0) | (k == table.CELLS - 1)
+    out[edge] = np.interp(u[edge], table._cdf, table._grid)
+    return out
+
+
+@pytest.mark.parametrize("law", [HeatZonal(sphere(2), tau0=0.045),
+                                 UniformCap(sphere(3), rho=1.0)], ids=["heat", "cap"])
+def test_radial_table_quantile_matches_formula_at_end_cells(law):
+    # the end cells are inverted on the grid only when a draw falls in them;
+    # every draw, in an end cell or not, maps as the formula maps it
+    table = law._sphere_table
+    ends = np.array([0.0, 2.0**-17, 1.0 - 2.0**-17, 1.0 - 2.0**-53])
+    inner = np.random.default_rng(3).random(1000)
+    inner = inner[(inner >= 1.0 / table.CELLS) & (inner < 1.0 - 1.0 / table.CELLS)]
+    for u in (ends, inner, np.concatenate([inner, ends]), ends[:1], ends[-1:],
+              inner[:1], inner[:0]):
+        assert table.quantile(u).tobytes() == _quantile_formula(table, u).tobytes()
 
 
 def _radial_table_coefficients(law, lmax, nodes=8, chunk=1 << 14):
