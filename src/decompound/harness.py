@@ -257,10 +257,12 @@ def fit_rate(points, replicate_errors=None, resamples: int = _BOOTSTRAP_RESAMPLE
         if len(errors) != len(points):
             raise ValueError("one replicate-error array per point is required")
         # one draw in the per-resample, per-point order, split per point;
-        # then one fit of every resample's column
+        # then one fit of every resample's column (numpy draws ranges below
+        # 2**32 the same way for int32 and int64, so int32 halves the array)
         sizes = np.array([errs.size for errs in errors])
-        draws = rng.integers(0, np.tile(np.repeat(sizes, sizes), resamples))
-        picks = np.split(draws.reshape(resamples, -1), np.cumsum(sizes)[:-1], axis=1)
+        draws = rng.integers(0, np.repeat(sizes, sizes), size=(resamples, sizes.sum()),
+                             dtype=np.int32)
+        picks = np.split(draws, np.cumsum(sizes)[:-1], axis=1)
         yb = np.array([[math.log10(mean) if mean > 0 else y
                         for mean in errs[pick].mean(axis=1).tolist()]
                        for errs, pick, y in zip(errors, picks, ys.tolist())])

@@ -179,9 +179,7 @@ def _direction_cosines(dim: int, draws: np.ndarray) -> np.ndarray:
     if dim == 2:
         draws *= 2.0 * math.pi
         return np.cos(draws, out=draws)
-    draws *= 2.0
-    draws -= 1.0
-    return draws
+    return np.subtract(2.0 * draws, 1.0, out=draws)
 
 
 def _colatitude_step(z: np.ndarray, cos_d: np.ndarray, sin_d: np.ndarray,
