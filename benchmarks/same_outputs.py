@@ -6,8 +6,9 @@ Both revisions (the change defaults to HEAD) are extracted with ``git
 archive`` into a temporary directory (under ``TMPDIR``), so uncommitted edits
 never run.  Each tree runs the same ``decompound`` calls from its own
 ``src``, each in its own output directory: ``sample`` on sphere:2/3/4 (heat
-and cap, with and without ``--noise-tau``), the circle and torus:2; a small
-noisy ``study-coeff`` on sphere:2; and a small ``study-density`` on the
+and cap, with and without ``--noise-tau``), the circle and torus:2;
+``coeffs --in`` on the noisy sphere:2 heat sample; a small noisy
+``study-coeff`` on sphere:2; and a small ``study-density`` on the
 circle and sphere:2 at ``--threads 1`` and ``--threads 2``.  Every file they
 write, and each call's standard output, is hashed.  The script prints both
 sha256 values for each file and exits 1 if any file differs, is missing on
@@ -35,6 +36,11 @@ CALLS = [
       "--seed", "5", "--count", "9000", "--out", "points.csv"])
     for space, law, noise in _SAMPLES
 ]
+# read back a noisy sphere:2 sample written above: the points path of the
+# transform, next to the walked cosines a study hands it
+CALLS.append(("coeffs-sphere2-noise",
+              ["coeffs", "--in", "../sample-sphere:2-heat-noise0.3/points.csv",
+               "--variant", "noise-corrected", "--out", "coeffs.csv"]))
 CALLS.append(("study-coeff-sphere2-noise",
               ["study-coeff", "--space", "sphere:2", "--law", "heat:tau=0.3",
                "--variant", "noise-corrected", "--noise-tau", "0.3", "--index", "1",

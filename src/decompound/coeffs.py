@@ -129,7 +129,10 @@ def empirical_transform(obs: ObservationSet, indices, symmetrize: bool = False) 
         # larger label of the two (on spheres the index itself)
         keys = [max(key, index_label(conjugate_index(space, key))) for key in keys]
     distinct = list(dict.fromkeys(keys))
-    sums = dict(zip(distinct, spherical_sums(space, distinct, obs.points)))
+    # a sphere's spherical functions read only the last coordinate, so a
+    # sphere set hands over its cosine column alone
+    pts = obs.points if obs.cosines is None else obs.cosines[:, None]
+    sums = dict(zip(distinct, spherical_sums(space, distinct, pts)))
     values = [(ix, _clamp_value(sums[key] / obs.m, symmetrize)) for ix, key in zip(indices, keys)]
     return EmpiricalTransform(values, m=obs.m, symmetrized=symmetrize)
 

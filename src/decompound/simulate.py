@@ -9,17 +9,20 @@ Optionally each observation is blurred by an independent heat-kernel
 displacement whose spectral signature is exactly exp(-tau^2 * kappa / 2).
 
 On spheres the endpoint law is invariant under rotations fixing the
-origin, so only the cosine of the distance to the origin is walked and each
-endpoint is lifted along a uniform tangent direction at the origin.  The
-kernel works in place: walks are taken longest first, the cos and sin of a
-block's distances are taken once, the first round (from the origin) lands at
-cos d, the blur is one more step in the same walk order, and the lift
-writes straight into the output.
+origin, so only the cosine of the distance to the origin is walked, and a
+sphere sample keeps just that cosine column: the spherical functions read
+nothing else.  Each endpoint is lifted along a uniform tangent direction at
+the origin on the first read of ``points``, from the state each block's
+stream was left in by its walk, so the lifted points are those a lift at
+sampling time would draw.  The kernel works in place: walks are taken
+longest first, the cos and sin of a block's distances are taken once, the
+first round (from the origin) lands at cos d, and the blur is one more step
+in the same walk order.
 
 Step counts are ``Generator.poisson`` draws.  Reproducibility: a
-counter-based (Philox) generator keyed by (seed, block index), one stream
-per block of 4096 observations, so generation is parallelizable across
-blocks while output depends only on (config, m).
+counter-based (Philox) stream keyed by (seed, block index), one per block of
+4096 observations, so generation is parallelizable across blocks while
+output depends only on (config, m).  One generator is re-keyed per block.
 """
 from __future__ import annotations
 
@@ -96,23 +99,50 @@ class ProcessConfig:
         )
 
 
-@dataclass(frozen=True)
 class ObservationSet:
-    """Immutable batch of observation points plus the config that produced it."""
+    """Immutable batch of observations plus the config that produced it.
 
-    points: np.ndarray
-    config: ProcessConfig
+    ``ObservationSet(points=..., config=...)`` copies and checks the points.
+    A sphere sample from `sample_compound` keeps only each observation's
+    cosine of its distance to the origin, which is all a spherical function
+    reads, and the state of each block's stream after its walk: `points`
+    lifts from those states on first read, to the same bytes as a lift at
+    sampling time, and caches the result read-only.  ``cosines`` is that
+    read-only column on a sphere (the last coordinate) and None on flat
+    spaces.
+    """
 
-    def __post_init__(self):
-        pts = np.array(self.points, dtype=float)  # defensive copy
-        if pts.ndim != 2 or pts.shape[1] != self.config.space.ambient_dim:
+    def __init__(self, points, config: ProcessConfig):
+        self._keep(np.array(points, dtype=float), config)  # defensive copy
+
+    @classmethod
+    def _adopt(cls, pts: np.ndarray, config: ProcessConfig) -> "ObservationSet":
+        """A set that owns pts, a freshly filled array: checked, not copied."""
+        obs = cls.__new__(cls)
+        obs._keep(pts, config)
+        return obs
+
+    @classmethod
+    def _walked(cls, cosines: np.ndarray, states, config: ProcessConfig) -> "ObservationSet":
+        """A sphere set of walked cosines; states[b] is block b's stream state
+        after its walk, from which its lift is drawn."""
+        if not -1.0 <= cosines.min() <= cosines.max() <= 1.0:  # a NaN fails too
+            raise ValueError("walked cosines must be finite and in [-1, 1]")
+        cosines.setflags(write=False)
+        obs = cls.__new__(cls)
+        vars(obs).update(config=config, cosines=cosines, _points=None, _states=tuple(states))
+        return obs
+
+    def _keep(self, pts: np.ndarray, config: ProcessConfig) -> None:
+        space = config.space
+        if pts.ndim != 2 or pts.shape[1] != space.ambient_dim:
             raise ValueError("points must have shape (m, ambient_dim)")
         if pts.shape[0] == 0:
             raise ValueError("empty observation set")
         if not np.all(np.isfinite(pts)):
             raise ValueError("non-finite observation coordinates")
-        space = self.config.space
-        if space.kind is SpaceKind.SPHERE:
+        sphere = space.kind is SpaceKind.SPHERE
+        if sphere:
             # the 1e-6 norm rule, on squared norms summed column by column
             sq = np.square(pts[:, 0])
             for j in range(1, pts.shape[1]):
@@ -123,11 +153,33 @@ class ObservationSet:
             if pts.min() < -1e-9 or pts.max() >= 2.0 * math.pi + 1e-9:
                 raise ValueError("flat observations must be angles in [0, 2*pi)")
         pts.setflags(write=False)
-        object.__setattr__(self, "points", pts)
+        vars(self).update(config=config, cosines=pts[:, -1] if sphere else None,
+                          _points=pts, _states=None)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("ObservationSet is immutable")
+
+    @property
+    def points(self) -> np.ndarray:
+        """The (m, ambient_dim) observation coordinates, read-only."""
+        if self._points is None:
+            self._lift()
+        return self._points
 
     @property
     def m(self) -> int:
-        return self.points.shape[0]
+        return len(self._points if self.cosines is None else self.cosines)
+
+    def _lift(self) -> None:
+        """Replay each block's lift from the stream state its walk left."""
+        space, z = self.config.space, self.cosines
+        pts = np.empty((len(z), space.ambient_dim))
+        rng = _block_rng(self.config.seed, 0)  # a Philox generator; its state is replaced
+        for lo, state in zip(range(0, len(z), BLOCK), self._states):
+            rng.bit_generator.state = state
+            _lift_from_origin(space, z[lo:lo + BLOCK], rng, pts[lo:lo + BLOCK])
+        pts.setflags(write=False)
+        vars(self)["_points"] = pts
 
 
 # ---------------------------------------------------------------------------
@@ -137,6 +189,19 @@ class ObservationSet:
 def _block_rng(seed: int, block: int) -> np.random.Generator:
     key = np.array([seed % (1 << 64), block % (1 << 64)], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
+
+
+def _rekey(rng: np.random.Generator, seed: int, block: int) -> np.random.Generator:
+    """Set rng's Philox to the start of _block_rng(seed, block)'s stream: key
+    (seed mod 2^64, block), counter 0, nothing buffered.  Cheaper than a new
+    generator."""
+    rng.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": np.zeros(4, np.uint64),
+                  "key": np.array([seed % (1 << 64), block % (1 << 64)], dtype=np.uint64)},
+        "buffer": np.zeros(4, np.uint64), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
+    }
+    return rng
 
 
 # ---------------------------------------------------------------------------
@@ -198,17 +263,18 @@ def _colatitude_step(z: np.ndarray, cos_d: np.ndarray, sin_d: np.ndarray,
     np.minimum(z, 1.0, out=z)
 
 
-def _sphere_endpoints(config: ProcessConfig, counts: np.ndarray, rng,
-                      out: np.ndarray) -> None:
-    """Endpoints of zonal walks from the origin with the given step counts,
-    written into out.
+def _sphere_cosines(config: ProcessConfig, counts: np.ndarray, rng,
+                    out: np.ndarray) -> None:
+    """The cosines z = cos(distance to origin) of zonal walks from the origin
+    with the given step counts, written into out.
 
-    Their law is invariant under rotations fixing the origin, so only
-    z = cos(distance to origin) is walked, and each endpoint is lifted once
-    along a uniform tangent at the origin.  Walks are taken longest first,
-    so each round's walkers are a prefix; the first round starts at the
-    origin, where every walker lands at cos d.  The blur is one more step,
-    taken in the same order: the walkers that never moved land at cos d too.
+    Their law is invariant under rotations fixing the origin, so only z is
+    walked; `ObservationSet` lifts each endpoint along a uniform tangent at
+    the origin, with the draws that follow the walk in rng's stream.  Walks
+    are taken longest first, so each round's walkers are a prefix; the first
+    round starts at the origin, where every walker lands at cos d.  The blur
+    is one more step, taken in the same order: the walkers that never moved
+    land at cos d too.
     """
     space, dim = config.space, config.space.dim
     # a stable sort of a small integer type is a radix sort
@@ -234,19 +300,17 @@ def _sphere_endpoints(config: ProcessConfig, counts: np.ndarray, rng,
         cos_b = np.cos(blur)
         walked[moved:] = cos_b[moved:]
         _colatitude_step(walked[:moved], cos_b[:moved], np.sin(blur[:moved]), c)
-    z = np.empty_like(walked)
-    z[order] = walked
-    _lift_from_origin(space, z, rng, out)
+    out[order] = walked
 
 
 def _walk_endpoints(config: ProcessConfig, rng, out: np.ndarray) -> None:
     """len(out) independent (blurred) time-t observations drawn from one
-    stream, written into out."""
+    stream, written into out: points on flat spaces, cosines on spheres."""
     n = out.shape[0]
     counts = rng.poisson(config.mean_steps, n)
     space = config.space
     if not space.is_flat:
-        return _sphere_endpoints(config, counts, rng, out)
+        return _sphere_cosines(config, counts, rng, out)
     total = int(counts.sum())
     disp = (config.law.sample_displacements(total, rng) if total
             else np.zeros((0, space.dim)))
@@ -260,10 +324,17 @@ def sample_compound(config: ProcessConfig, m: int) -> ObservationSet:
     """m observations of the compound process under the given config."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    pts = np.empty((m, config.space.ambient_dim))
+    flat = config.space.is_flat
+    out = np.empty((m, config.space.ambient_dim) if flat else m)
+    rng = _block_rng(config.seed, 0)
+    states = []  # on spheres, each block's stream state after its walk
     for lo in range(0, m, BLOCK):
-        _walk_endpoints(config, _block_rng(config.seed, lo // BLOCK), pts[lo:lo + BLOCK])
-    return ObservationSet(points=pts, config=config)
+        _walk_endpoints(config, _rekey(rng, config.seed, lo // BLOCK), out[lo:lo + BLOCK])
+        if not flat:
+            states.append(rng.bit_generator.state)
+    if flat:
+        return ObservationSet._adopt(out, config)
+    return ObservationSet._walked(out, states, config)
 
 
 # ---------------------------------------------------------------------------

@@ -392,3 +392,19 @@ def test_estimate_coefficients_matches_reconstruct(space, law, variant, delta):
     assert got.items() == est.coeffs.items()
     assert got.truncated == est.coeffs.truncated
     assert 0 < len(got.truncated) < len(got) - 1
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_walked_cosines_estimate_as_their_lifted_points(d):
+    # a sampled sphere set hands the transform its walked cosine column; the
+    # same observations built from their lifted points give the same bits
+    law = HeatZonal(sphere(d), tau0=0.3)
+    walked = sample_compound(ProcessConfig(law=law, intensity=2.0, noise_tau=0.3, seed=d),
+                             20_000)
+    lifted = ObservationSet(points=walked.points, config=walked.config)
+    indices = spectrum(law.space, 80.0)
+    for cfg in (EstimatorConfig(intensity=2.0, delta=100.0),
+                EstimatorConfig(variant=Variant.NOISE_CORRECTED, intensity=2.0, noise_tau=0.3)):
+        got, want = estimate_coefficients(walked, indices, cfg), estimate_coefficients(lifted, indices, cfg)
+        assert got.items() == want.items()
+        assert got.truncated == want.truncated

@@ -26,6 +26,7 @@ from decompound import (
     run_coefficient_study,
     run_convergence_study,
     sample_compound,
+    simulate,
     spectrum,
     write_study_outputs,
 )
@@ -467,3 +468,22 @@ def test_census_outputs(tmp_path):
         rows = list(csv.DictReader(fh))
     assert {"threshold", "count_spherical", "count_weighted"} <= set(rows[0])
     assert len(rows) == 10  # default grid: ten points over three decades
+
+
+def test_sphere_studies_never_lift_their_samples(monkeypatch):
+    # estimates read only the walked cosines, so a study on a sphere runs
+    # to the same rows with the lift taken away
+    coeff = StudyConfig(space="sphere:2", law="heat:tau=0.5", index="2", replicates=4,
+                        m_grid=(100, 1000, 5000), variant="noise-corrected", noise_tau=0.3,
+                        seed=3)
+    density = _tiny_density_config(space="sphere:2", law="heat:tau=0.35", replicates=3)
+    want = run_coefficient_study(coeff), run_convergence_study(density)
+
+    def no_lift(*args):
+        raise AssertionError("a study lifted its sample")
+
+    monkeypatch.setattr(simulate, "_lift_from_origin", no_lift)
+    got = run_coefficient_study(coeff), run_convergence_study(density)
+    for g, w in zip(got, want):
+        assert g.rows == w.rows
+        assert g.fit == w.fit

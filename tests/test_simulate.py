@@ -1,6 +1,7 @@
 """Sampling the compound process: determinism, distributions, round trips."""
 
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from decompound import (
     UniformCap,
     WrappedNormal,
     circle,
+    empirical_transform,
     geodesic_step,
     make_index,
     observations_text,
@@ -24,7 +26,8 @@ from decompound import (
     uniform_tangents,
     write_observations,
 )
-from decompound.simulate import BLOCK, _block_rng
+from decompound import simulate
+from decompound.simulate import BLOCK, _block_rng, _rekey
 
 
 def _circle_config(**kw):
@@ -99,6 +102,77 @@ def test_observation_set_sphere_norm_tolerance(d):
     pts[7, 1] = np.nan
     with pytest.raises(ValueError, match="non-finite"):
         ObservationSet(points=pts, config=cfg)
+
+
+def test_observation_set_copies_outside_arrays():
+    cfg = _circle_config()
+    pts = np.array([[0.5], [1.5]])
+    obs = ObservationSet(points=pts, config=cfg)
+    pts[0, 0] = 2.5
+    assert obs.points[:, 0].tolist() == [0.5, 1.5]
+    assert not obs.points.flags.writeable
+
+
+def test_rekeyed_generator_draws_as_a_new_block_generator():
+    # one generator re-keyed per block replaces a new one per block: every
+    # block's draws are those of _block_rng, after any earlier block's draws
+    for seed in (0, 7, 2**64 + 3, 2**70 + 11):
+        rng = _block_rng(seed, 0)
+        for block in (0, 1, 2, 5, 1, 2**40):
+            want = _block_rng(seed, block)
+            got = _rekey(rng, seed, block)
+            assert np.array_equal(got.poisson(1.5, 300), want.poisson(1.5, 300))
+            # five doubles leave part of a Philox output block buffered
+            assert np.array_equal(got.random(5), want.random(5))
+            assert np.array_equal(got.beta(1.5, 1.5, 77), want.beta(1.5, 1.5, 77))
+            assert np.array_equal(got.standard_normal(33), want.standard_normal(33))
+
+
+def _sphere_sample(d=2, m=5000, noise=0.3):
+    law = HeatZonal(sphere(d), tau0=0.3)
+    return sample_compound(ProcessConfig(law=law, intensity=2.0, noise_tau=noise, seed=d), m)
+
+
+def test_walked_sphere_set_lifts_once_on_first_read(monkeypatch):
+    obs = _sphere_sample()
+    lifts = []
+    lift = simulate._lift_from_origin
+    monkeypatch.setattr(simulate, "_lift_from_origin",
+                        lambda *args: lifts.append(1) or lift(*args))
+    # the size and the transform read the walked cosines alone
+    assert obs.m == 5000
+    empirical_transform(obs, [make_index(obs.config.space, (1,))])
+    assert not lifts
+    pts = obs.points
+    assert len(lifts) == 2  # one per block
+    assert obs.points is pts
+    assert len(lifts) == 2
+    assert not pts.flags.writeable and not obs.cosines.flags.writeable
+    assert np.array_equal(pts[:, -1], obs.cosines)
+
+
+def test_walked_sphere_set_pickles_before_its_lift():
+    obs = _sphere_sample(d=3)
+    back = pickle.loads(pickle.dumps(obs))
+    assert back.points.tobytes() == obs.points.tobytes()
+    assert back.config == obs.config
+
+
+def test_walked_cosines_must_be_finite_and_in_range():
+    obs = _sphere_sample(m=10)
+    for bad in (np.nan, 1.5, -np.inf):
+        z = np.array(obs.cosines)
+        z[3] = bad
+        with pytest.raises(ValueError, match="walked cosines"):
+            ObservationSet._walked(z, obs._states, obs.config)
+
+
+def test_observation_set_is_immutable():
+    obs = _sphere_sample(m=10)
+    with pytest.raises(AttributeError):
+        obs.points = np.zeros((10, 3))
+    with pytest.raises(AttributeError):
+        obs.config = _circle_config()
 
 
 def test_process_config_round_trip():
