@@ -159,6 +159,12 @@ class ObservationSet:
     def __setattr__(self, name, value):
         raise AttributeError("ObservationSet is immutable")
 
+    def __setstate__(self, state):
+        for value in state.values():  # pickle drops numpy's read-only flag
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
+        vars(self).update(state)
+
     @property
     def points(self) -> np.ndarray:
         """The (m, ambient_dim) observation coordinates, read-only."""

@@ -405,6 +405,7 @@ def test_walked_cosines_estimate_as_their_lifted_points(d):
     indices = spectrum(law.space, 80.0)
     for cfg in (EstimatorConfig(intensity=2.0, delta=100.0),
                 EstimatorConfig(variant=Variant.NOISE_CORRECTED, intensity=2.0, noise_tau=0.3)):
-        got, want = estimate_coefficients(walked, indices, cfg), estimate_coefficients(lifted, indices, cfg)
+        got = estimate_coefficients(walked, indices, cfg)
+        want = estimate_coefficients(lifted, indices, cfg)
         assert got.items() == want.items()
         assert got.truncated == want.truncated

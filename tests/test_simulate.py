@@ -20,13 +20,13 @@ from decompound import (
     observations_text,
     read_observations,
     sample_compound,
+    simulate,
     spherical,
     sphere,
     torus,
     uniform_tangents,
     write_observations,
 )
-from decompound import simulate
 from decompound.simulate import BLOCK, _block_rng, _rekey
 
 
@@ -128,9 +128,9 @@ def test_rekeyed_generator_draws_as_a_new_block_generator():
             assert np.array_equal(got.standard_normal(33), want.standard_normal(33))
 
 
-def _sphere_sample(d=2, m=5000, noise=0.3):
+def _sphere_sample(d=2, m=5000):
     law = HeatZonal(sphere(d), tau0=0.3)
-    return sample_compound(ProcessConfig(law=law, intensity=2.0, noise_tau=noise, seed=d), m)
+    return sample_compound(ProcessConfig(law=law, intensity=2.0, noise_tau=0.3, seed=d), m)
 
 
 def test_walked_sphere_set_lifts_once_on_first_read(monkeypatch):
@@ -154,8 +154,11 @@ def test_walked_sphere_set_lifts_once_on_first_read(monkeypatch):
 def test_walked_sphere_set_pickles_before_its_lift():
     obs = _sphere_sample(d=3)
     back = pickle.loads(pickle.dumps(obs))
+    assert not back.cosines.flags.writeable
     assert back.points.tobytes() == obs.points.tobytes()
     assert back.config == obs.config
+    flat = pickle.loads(pickle.dumps(sample_compound(_circle_config(), 10)))
+    assert not flat.points.flags.writeable
 
 
 def test_walked_cosines_must_be_finite_and_in_range():
