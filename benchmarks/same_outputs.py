@@ -10,9 +10,11 @@ and cap, with and without ``--noise-tau``), the circle and torus:2;
 ``coeffs --in`` on the noisy sphere:2 heat sample; a small noisy
 ``study-coeff`` on sphere:2; and a small ``study-density`` on the
 circle and sphere:2 at ``--threads 1`` and ``--threads 2``.  Every file they
-write, and each call's standard output, is hashed.  The script prints both
-sha256 values for each file and exits 1 if any file differs, is missing on
-one side, or any call fails.
+write, and each call's standard output, is hashed, and so is each column of
+every ``points.csv`` (listed as ``points.csv[x1]`` and so on), to show which
+coordinates differ.  The script prints both sha256 values for each file and
+column and exits 1 if any file differs, is missing on one side, or any call
+fails.
 """
 from __future__ import annotations
 
@@ -72,14 +74,27 @@ def _run_calls(tree: str, outdir: str) -> list[str]:
     return failures
 
 
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
 def _hashes(outdir: str) -> dict[str, str]:
-    """sha256 of every file under outdir, by relative path."""
+    """sha256 of every file under outdir, by relative path, and of each
+    column of every points.csv, by ``path[column name]``."""
     out = {}
     for root, _, files in os.walk(outdir):
         for fname in files:
             path = os.path.join(root, fname)
+            rel = os.path.relpath(path, outdir)
             with open(path, "rb") as fh:
-                out[os.path.relpath(path, outdir)] = hashlib.sha256(fh.read()).hexdigest()
+                data = fh.read()
+            out[rel] = _sha256(data)
+            if fname == "points.csv":
+                # a ProcessConfig comment, the column names, then one row per point
+                lines = data.decode().splitlines()
+                rows = [line.split(",") for line in lines[2:]]
+                for j, name in enumerate(lines[1].split(",")):
+                    out[f"{rel}[{name}]"] = _sha256("\n".join(r[j] for r in rows).encode())
     return out
 
 
@@ -103,15 +118,19 @@ def main(argv=None) -> int:
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
 
-    differ = 0
-    for path in sorted(set(hashes["parent"]) | set(hashes["change"])):
+    paths = sorted(set(hashes["parent"]) | set(hashes["change"]))
+    differ = set()
+    for path in paths:
         parent, change = hashes["parent"].get(path, "-"), hashes["change"].get(path, "-")
-        same = parent == change
-        differ += not same
-        print(f"{'same   ' if same else 'DIFFERS'} {path}\n  parent {parent}\n  change {change}")
+        if parent != change:
+            differ.add(path)
+        print(f"{'DIFFERS' if path in differ else 'same   '} {path}\n"
+              f"  parent {parent}\n  change {change}")
     for failure in failures:
         print(f"FAILED {failure}")
-    print(f"{len(hashes['parent'] | hashes['change'])} files, {differ} differ, "
+    columns = {path for path in paths if path.endswith("]")}
+    print(f"{len(paths) - len(columns)} files, {len(differ - columns)} differ; "
+          f"{len(columns)} points.csv columns, {len(differ & columns)} differ; "
           f"{len(failures)} calls failed")
     return 1 if differ or failures else 0
 

@@ -23,7 +23,7 @@ from enum import Enum
 
 import numpy as np
 
-from .spaces import Space, conjugate_index, parse_space, spectrum, spherical_synthesis
+from .spaces import Space, _as_points, conjugate_index, parse_space, spectrum, spherical_synthesis
 from .steplaws import (
     CoefficientVector,
     HeatZonal,
@@ -241,12 +241,7 @@ def evaluate(est: DensityEstimate, points):
     For conjugate-symmetric coefficient vectors the imaginary residual is
     asserted to be at most 1e-9 (relative to the scale of the values).
     """
-    pts = np.asarray(points, dtype=float)
-    single = pts.ndim == 1
-    if single:
-        pts = pts[None, :]
-    if pts.shape[1] != est.space.ambient_dim:
-        raise ValueError("point dimension does not match the space")
+    pts, single = _as_points(est.space, points)
     values = _synthesize(est.space, est.coeffs, pts)
     residual = float(np.max(np.abs(values.imag))) if values.size else 0.0
     scale = max(1.0, float(np.max(np.abs(values.real))) if values.size else 0.0)

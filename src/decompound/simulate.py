@@ -11,13 +11,13 @@ displacement whose spectral signature is exactly exp(-tau^2 * kappa / 2).
 On spheres the endpoint law is invariant under rotations fixing the
 origin, so only the cosine of the distance to the origin is walked, and a
 sphere sample keeps just that cosine column: the spherical functions read
-nothing else.  Each endpoint is lifted along a uniform tangent direction at
-the origin on the first read of ``points``, from the state each block's
-stream was left in by its walk, so the lifted points are those a lift at
-sampling time would draw.  The kernel works in place: walks are taken
-longest first, the cos and sin of a block's distances are taken once, the
-first round (from the origin) lands at cos d, and the blur is one more step
-in the same walk order.
+nothing else.  On the first read of ``points`` every endpoint is lifted, in
+one call over the whole set, along a uniform tangent direction at the
+origin drawn from a stream of its own, keyed (seed, 2^64 - 1), which no walk
+block reaches.  The kernel works in place: walks are taken longest first,
+the cos and sin of a block's distances are taken once, the first round
+(from the origin) lands at cos d, and the blur is one more step in the same
+walk order.
 
 Step counts are ``Generator.poisson`` draws.  Reproducibility: a
 counter-based (Philox) stream keyed by (seed, block index), one per block of
@@ -105,32 +105,27 @@ class ObservationSet:
     ``ObservationSet(points=..., config=...)`` copies and checks the points.
     A sphere sample from `sample_compound` keeps only each observation's
     cosine of its distance to the origin, which is all a spherical function
-    reads, and the state of each block's stream after its walk: `points`
-    lifts from those states on first read, to the same bytes as a lift at
-    sampling time, and caches the result read-only.  ``cosines`` is that
-    read-only column on a sphere (the last coordinate) and None on flat
-    spaces.
+    reads: `points` lifts the whole set on first read, from the lift's own
+    stream ``_block_rng(seed, -1)``, and caches the result read-only.
+    ``cosines`` is that read-only column on a sphere (the last coordinate)
+    and None on flat spaces.
     """
 
     def __init__(self, points, config: ProcessConfig):
         self._keep(np.array(points, dtype=float), config)  # defensive copy
 
     @classmethod
-    def _adopt(cls, pts: np.ndarray, config: ProcessConfig) -> "ObservationSet":
-        """A set that owns pts, a freshly filled array: checked, not copied."""
+    def _adopt(cls, sample: np.ndarray, config: ProcessConfig) -> "ObservationSet":
+        """A set that owns sample, a freshly sampled array, checked and not
+        copied: flat points, or a sphere's walked cosines."""
         obs = cls.__new__(cls)
-        obs._keep(pts, config)
-        return obs
-
-    @classmethod
-    def _walked(cls, cosines: np.ndarray, states, config: ProcessConfig) -> "ObservationSet":
-        """A sphere set of walked cosines; states[b] is block b's stream state
-        after its walk, from which its lift is drawn."""
-        if not -1.0 <= cosines.min() <= cosines.max() <= 1.0:  # a NaN fails too
+        if config.space.is_flat:
+            obs._keep(sample, config)
+            return obs
+        if not -1.0 <= sample.min() <= sample.max() <= 1.0:  # a NaN fails too
             raise ValueError("walked cosines must be finite and in [-1, 1]")
-        cosines.setflags(write=False)
-        obs = cls.__new__(cls)
-        vars(obs).update(config=config, cosines=cosines, _points=None, _states=tuple(states))
+        sample.setflags(write=False)
+        vars(obs).update(config=config, cosines=sample, _points=None)
         return obs
 
     def _keep(self, pts: np.ndarray, config: ProcessConfig) -> None:
@@ -153,8 +148,7 @@ class ObservationSet:
             if pts.min() < -1e-9 or pts.max() >= 2.0 * math.pi + 1e-9:
                 raise ValueError("flat observations must be angles in [0, 2*pi)")
         pts.setflags(write=False)
-        vars(self).update(config=config, cosines=pts[:, -1] if sphere else None,
-                          _points=pts, _states=None)
+        vars(self).update(config=config, cosines=pts[:, -1] if sphere else None, _points=pts)
 
     def __setattr__(self, name, value):
         raise AttributeError("ObservationSet is immutable")
@@ -169,23 +163,15 @@ class ObservationSet:
     def points(self) -> np.ndarray:
         """The (m, ambient_dim) observation coordinates, read-only."""
         if self._points is None:
-            self._lift()
+            pts = _lift_from_origin(self.config.space, self.cosines,
+                                    _block_rng(self.config.seed, -1))
+            pts.setflags(write=False)
+            vars(self)["_points"] = pts
         return self._points
 
     @property
     def m(self) -> int:
         return len(self._points if self.cosines is None else self.cosines)
-
-    def _lift(self) -> None:
-        """Replay each block's lift from the stream state its walk left."""
-        space, z = self.config.space, self.cosines
-        pts = np.empty((len(z), space.ambient_dim))
-        rng = _block_rng(self.config.seed, 0)  # a Philox generator; its state is replaced
-        for lo, state in zip(range(0, len(z), BLOCK), self._states):
-            rng.bit_generator.state = state
-            _lift_from_origin(space, z[lo:lo + BLOCK], rng, pts[lo:lo + BLOCK])
-        pts.setflags(write=False)
-        vars(self)["_points"] = pts
 
 
 # ---------------------------------------------------------------------------
@@ -276,11 +262,10 @@ def _sphere_cosines(config: ProcessConfig, counts: np.ndarray, rng,
 
     Their law is invariant under rotations fixing the origin, so only z is
     walked; `ObservationSet` lifts each endpoint along a uniform tangent at
-    the origin, with the draws that follow the walk in rng's stream.  Walks
-    are taken longest first, so each round's walkers are a prefix; the first
-    round starts at the origin, where every walker lands at cos d.  The blur
-    is one more step, taken in the same order: the walkers that never moved
-    land at cos d too.
+    the origin, from a stream of its own.  Walks are taken longest first, so
+    each round's walkers are a prefix; the first round starts at the origin,
+    where every walker lands at cos d.  The blur is one more step, taken in
+    the same order: the walkers that never moved land at cos d too.
     """
     space, dim = config.space, config.space.dim
     # a stable sort of a small integer type is a radix sort
@@ -330,17 +315,11 @@ def sample_compound(config: ProcessConfig, m: int) -> ObservationSet:
     """m observations of the compound process under the given config."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    flat = config.space.is_flat
-    out = np.empty((m, config.space.ambient_dim) if flat else m)
+    out = np.empty((m, config.space.ambient_dim) if config.space.is_flat else m)
     rng = _block_rng(config.seed, 0)
-    states = []  # on spheres, each block's stream state after its walk
     for lo in range(0, m, BLOCK):
         _walk_endpoints(config, _rekey(rng, config.seed, lo // BLOCK), out[lo:lo + BLOCK])
-        if not flat:
-            states.append(rng.bit_generator.state)
-    if flat:
-        return ObservationSet._adopt(out, config)
-    return ObservationSet._walked(out, states, config)
+    return ObservationSet._adopt(out, config)
 
 
 # ---------------------------------------------------------------------------

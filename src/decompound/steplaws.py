@@ -212,11 +212,12 @@ def uniform_tangents(points: np.ndarray, rng) -> np.ndarray:
     return g / norms
 
 
-def _lift_from_origin(space: Space, z: np.ndarray, rng, out: np.ndarray) -> np.ndarray:
-    """Write into out, and return it, the sphere points (sqrt(1 - z^2) * dir, z)
-    at cosines z from the origin (the last axis), with dir a uniform unit
-    vector in R^d: normalized normals, or on S^2 the cheaper (cos phi, sin phi)."""
+def _lift_from_origin(space: Space, z: np.ndarray, rng) -> np.ndarray:
+    """The sphere points (sqrt(1 - z^2) * dir, z) at cosines z from the origin
+    (the last axis), with dir a uniform unit vector in R^d: normalized
+    normals, or on S^2 the cheaper (cos phi, sin phi)."""
     n, d = z.shape[0], space.dim
+    out = np.empty((n, d + 1))
     r = np.sqrt(np.maximum(1.0 - z * z, 0.0))
     if d == 2:
         phi = 2.0 * math.pi * rng.random(n)
@@ -509,8 +510,7 @@ def sample_points(law: StepLaw, n: int, rng) -> np.ndarray:
     """n independent single-step positions started from the origin."""
     space = law.space
     if space.kind is SpaceKind.SPHERE:
-        return _lift_from_origin(space, np.cos(law.sample_distances(n, rng)), rng,
-                                 np.empty((n, space.ambient_dim)))
+        return _lift_from_origin(space, np.cos(law.sample_distances(n, rng)), rng)
     return np.mod(law.sample_displacements(n, rng), 2.0 * math.pi)
 
 
@@ -535,14 +535,17 @@ def parse_law(text: str, space: Space) -> StepLaw:
     kind = head.strip().lower()
     try:
         if kind == "heat":
-            return HeatZonal(space, tau0=float(kv.pop("tau")))
-        if kind == "wn":
+            law = HeatZonal(space, tau0=float(kv.pop("tau")))
+        elif kind == "wn":
             sigma = float(kv.pop("sigma"))
-            mean_text = kv.pop("mean", "0")
-            mean = tuple(float(v) for v in mean_text.split(";"))
-            return WrappedNormal(space, sigma=sigma, mean=mean)
-        if kind == "cap":
-            return UniformCap(space, rho=float(kv.pop("rho")))
+            mean = tuple(float(v) for v in kv.pop("mean", "0").split(";"))
+            law = WrappedNormal(space, sigma=sigma, mean=mean)
+        elif kind == "cap":
+            law = UniformCap(space, rho=float(kv.pop("rho")))
+        else:
+            raise ValueError(f"unrecognized law spec {text!r}")
     except KeyError as exc:
         raise ValueError(f"law spec {text!r} is missing parameter {exc}") from None
-    raise ValueError(f"unrecognized law spec {text!r}")
+    if kv:
+        raise ValueError(f"law spec {text!r} has unknown parameters: {', '.join(map(repr, kv))}")
+    return law

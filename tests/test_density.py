@@ -340,6 +340,19 @@ def test_evaluate_worked_example():
     assert float(got_pi[0]) == pytest.approx(0.0, abs=1e-12)
 
 
+def test_evaluate_checks_point_shapes():
+    # one point of ambient_dim coordinates, or a (k, ambient_dim) array; any
+    # other shape is rejected with the message spherical gives
+    s2 = sphere(2)
+    est = DensityEstimate(coeffs=_vec(s2, {(0,): 1.0, (1,): 0.5}), space=s2, m=4, cutoff=2.0)
+    north = np.array([0.0, 0.0, 1.0])
+    assert est.evaluate(north) == pytest.approx(1.0 + 3 * 0.5, abs=1e-12)
+    assert est.evaluate(np.stack([north, -north])).tolist() == pytest.approx([2.5, -0.5])
+    for bad in (np.zeros((2, 3, 1)), np.float64(0.5), np.zeros((2, 2)), np.zeros(4)):
+        with pytest.raises(ValueError, match="expected points with 3 coordinates"):
+            est.evaluate(bad)
+
+
 def test_evaluate_imaginary_residual_guard(monkeypatch):
     # symmetric estimates synthesize to real values; the guard only exists to
     # catch numerical corruption, so corrupt the synthesis to test it

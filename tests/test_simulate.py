@@ -18,6 +18,8 @@ from decompound import (
     geodesic_step,
     make_index,
     observations_text,
+    parse_law,
+    parse_space,
     read_observations,
     sample_compound,
     simulate,
@@ -50,10 +52,13 @@ def test_different_seed_differs():
     assert not np.array_equal(a.points, b.points)
 
 
-def test_block_prefix_stability():
-    # observation i is driven by the stream of its 4096-wide block only, so
-    # extending m by whole blocks must not disturb earlier blocks
-    cfg = _circle_config()
+@pytest.mark.parametrize("space", ["circle", "sphere:2", "sphere:3"])
+def test_block_prefix_stability(space):
+    # observation i is walked from the stream of its 4096-wide block only,
+    # and a sphere's lift draws its directions in observation order from one
+    # stream, so extending m by whole blocks must not disturb earlier blocks
+    law = parse_law("wn:sigma=0.7" if space == "circle" else "heat:tau=0.3", parse_space(space))
+    cfg = ProcessConfig(law=law, intensity=1.0, noise_tau=0.2, seed=123)
     small = sample_compound(cfg, 4096)
     big = sample_compound(cfg, 8192)
     assert np.array_equal(small.points, big.points[:4096])
@@ -144,9 +149,9 @@ def test_walked_sphere_set_lifts_once_on_first_read(monkeypatch):
     empirical_transform(obs, [make_index(obs.config.space, (1,))])
     assert not lifts
     pts = obs.points
-    assert len(lifts) == 2  # one per block
+    assert len(lifts) == 1  # one per set, over both blocks
     assert obs.points is pts
-    assert len(lifts) == 2
+    assert len(lifts) == 1
     assert not pts.flags.writeable and not obs.cosines.flags.writeable
     assert np.array_equal(pts[:, -1], obs.cosines)
 
@@ -167,7 +172,7 @@ def test_walked_cosines_must_be_finite_and_in_range():
         z = np.array(obs.cosines)
         z[3] = bad
         with pytest.raises(ValueError, match="walked cosines"):
-            ObservationSet._walked(z, obs._states, obs.config)
+            ObservationSet._adopt(z, obs.config)
 
 
 def test_observation_set_is_immutable():
@@ -299,13 +304,13 @@ def test_sphere_kernel_matches_reference_walk(d):
     cfg = ProcessConfig(law=law, intensity=2.0, time=1.0, noise_tau=0.4, seed=40 + d)
     got = sample_compound(cfg, 20_000).points
     want = _reference_sphere_walk(cfg, 20_000, np.random.default_rng(50 + d))
-    for col in (0, d):
-        assert stats.ks_2samp(got[:, col], want[:, col]).pvalue > 1e-3
+    for col in range(d + 1):
+        assert stats.ks_2samp(got[:, col], want[:, col]).pvalue > 1e-3, col
 
 
 # The per-round kernel as it was before the walk was taken in place: every
-# round draws its directions and takes cos and sin of its own distances, the
-# blur steps the un-permuted cosines, and the lift stacks new columns.
+# round draws its directions and takes cos and sin of its own distances, and
+# the blur steps the un-permuted cosines.  The lift stacks new columns.
 
 
 def _plain_colatitude_step(z, dist, dim, rng):
@@ -345,36 +350,51 @@ def _plain_sphere_endpoints(cfg, counts, rng):
     if cfg.noise_tau:
         blur = HeatZonal(space, tau0=cfg.noise_tau**2 / 2.0)
         z = _plain_colatitude_step(z, blur.sample_distances(z.shape[0], rng), space.dim, rng)
-    return _plain_lift_from_origin(space, z, rng)
+    return z
 
 
 def _plain_sample(cfg, m):
-    pts = np.empty((m, cfg.space.ambient_dim))
+    z = np.empty(m)
     for lo in range(0, m, BLOCK):
         hi = min(lo + BLOCK, m)
         rng = _block_rng(cfg.seed, lo // BLOCK)
-        pts[lo:hi] = _plain_sphere_endpoints(cfg, rng.poisson(cfg.mean_steps, hi - lo), rng)
-    return pts
+        z[lo:hi] = _plain_sphere_endpoints(cfg, rng.poisson(cfg.mean_steps, hi - lo), rng)
+    return z
 
 
-@pytest.mark.parametrize("d", [2, 3, 4])
-@pytest.mark.parametrize("law", ["heat", "cap"])
-def test_sphere_kernel_is_bit_identical_to_the_per_round_kernel(d, law):
-    # the in-place kernel makes the same draws and the same arithmetic, so
-    # every endpoint is the old kernel's to the bit: one point, a partial
-    # block, several blocks, and walks that never move
+def _kernel_cases(d, law):
+    """Configs and sizes for one point, a partial block, several blocks, and
+    walks that never move."""
     space = sphere(d)
     step_law = HeatZonal(space, tau0=0.3) if law == "heat" else UniformCap(space, rho=1.2)
     cases = [(rate, noise, m) for rate in (0.3, 1.0, 3.0) for noise in (0.0, 0.3)
              for m in (1, 1000, 2 * BLOCK + 5)]
     cases += [(1e-12, 0.0, 300), (1e-12, 0.3, 300)]
     for rate, noise, m in cases:
-        cfg = ProcessConfig(law=step_law, intensity=rate, time=1.0, noise_tau=noise,
-                            seed=int(rate * 10) + m)
-        got = sample_compound(cfg, m).points
-        assert got.tobytes() == _plain_sample(cfg, m).tobytes(), (rate, noise, m)
+        yield ProcessConfig(law=step_law, intensity=rate, time=1.0, noise_tau=noise,
+                            seed=int(rate * 10) + m), m
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+@pytest.mark.parametrize("law", ["heat", "cap"])
+def test_sphere_kernel_is_bit_identical_to_the_per_round_kernel(d, law):
+    # the in-place kernel makes the same draws and the same arithmetic, so
+    # every walked cosine is the old kernel's to the bit
+    for cfg, m in _kernel_cases(d, law):
+        got = sample_compound(cfg, m).cosines
+        assert got.tobytes() == _plain_sample(cfg, m).tobytes(), (cfg, m)
     # the last two cases drew no step at all
     assert not _block_rng(cfg.seed, 0).poisson(cfg.mean_steps, 300).any()
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+@pytest.mark.parametrize("law", ["heat", "cap"])
+def test_sphere_points_are_the_plain_lift_from_the_lift_stream(d, law):
+    # the whole set is lifted in one call, from the stream keyed (seed, -1)
+    for cfg, m in _kernel_cases(d, law):
+        obs = sample_compound(cfg, m)
+        want = _plain_lift_from_origin(cfg.space, obs.cosines, _block_rng(cfg.seed, -1))
+        assert obs.points.tobytes() == want.tobytes(), (cfg, m)
 
 
 # --- CSV round trip ----------------------------------------------------------

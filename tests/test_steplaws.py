@@ -183,8 +183,8 @@ def test_lift_from_origin_unit_vectors(d):
     # tangent direction there: unit norm, last coordinate z with its sign
     rng = np.random.default_rng(d)
     z = np.concatenate([[1.0, -1.0, 0.0], rng.uniform(-1.0, 1.0, 4997)])
-    pts = np.full((5000, d + 1), np.nan)
-    _lift_from_origin(sphere(d), z, rng, pts)
+    pts = _lift_from_origin(sphere(d), z, rng)
+    assert pts.shape == (5000, d + 1)
     assert np.allclose(np.linalg.norm(pts, axis=1), 1.0, atol=1e-12)
     assert np.array_equal(pts[:, -1], z)
     assert not pts[:2, :d].any()
@@ -381,5 +381,15 @@ def test_parse_law_rejects_bad_specs():
         parse_law("cap:rho=0.5", circle())  # caps are sphere-only
     with pytest.raises(ValueError):
         parse_law("banana:x=1", circle())
+
+
+def test_parse_law_rejects_unknown_parameters():
+    # a misspelt key must not fall back to a default silently
+    with pytest.raises(ValueError, match="unknown parameters: 'mena'"):
+        parse_law("wn:sigma=0.7,mena=1", circle())
+    with pytest.raises(ValueError, match="'sigma'"):
+        parse_law("heat:tau=0.3,sigma=1", circle())
+    with pytest.raises(ValueError, match="'rho2'"):
+        parse_law("cap:rho=0.9,rho2=1", sphere(2))
     with pytest.raises(ValueError):
         UniformCap(sphere(2), rho=4.0)  # rho must stay below pi
