@@ -6,9 +6,10 @@ Both revisions (the change defaults to HEAD) are extracted with ``git
 archive`` into a temporary directory (under ``TMPDIR``), so uncommitted edits
 never run.  Each tree runs the same ``decompound`` calls from its own
 ``src``, each in its own output directory: ``sample`` on sphere:2/3/4 (heat
-and cap, with and without ``--noise-tau``), the circle and torus:2;
-``coeffs --in`` on the noisy sphere:2 heat sample; a small noisy
-``study-coeff`` on sphere:2; and a small ``study-density`` on the
+and cap, with and without ``--noise-tau``), the circle and torus:2, and a
+one-block (4096-point) sample on each of the circle and torus:2, the first
+block of any longer sample; ``coeffs --in`` on the noisy sphere:2 heat
+sample; a small noisy ``study-coeff`` on sphere:2; and a small ``study-density`` on the
 circle and sphere:2 at ``--threads 1`` and ``--threads 2``.  Every file they
 write, and each call's standard output, is hashed, and so is each column of
 every ``points.csv`` (listed as ``points.csv[x1]`` and so on), to show which
@@ -28,15 +29,17 @@ import tempfile
 
 from pairs import _extract
 
-_SAMPLES = [(f"sphere:{d}", law, noise) for d in (2, 3, 4)
+_SAMPLES = [(f"sphere:{d}", law, noise, "") for d in (2, 3, 4)
             for law in ("heat:tau=0.3", "cap:rho=1.2") for noise in ("0", "0.3")]
-_SAMPLES += [("circle", "wn:sigma=0.7", "0.3"), ("torus:2", "heat:tau=0.4", "0")]
+_FLAT = [("circle", "wn:sigma=0.7", "0.3"), ("torus:2", "heat:tau=0.4", "0")]
+# one block of 4096 draws, which every longer sample starts with
+_SAMPLES += [(*flat, "") for flat in _FLAT] + [(*flat, "-count4096") for flat in _FLAT]
 
 CALLS = [
-    (f"sample-{space}-{law.split(':')[0]}-noise{noise}",
+    (f"sample-{space}-{law.split(':')[0]}-noise{noise}{tag}",
      ["sample", "--space", space, "--law", law, "--noise-tau", noise, "--intensity", "2.0",
-      "--seed", "5", "--count", "9000", "--out", "points.csv"])
-    for space, law, noise in _SAMPLES
+      "--seed", "5", "--count", "4096" if tag else "9000", "--out", "points.csv"])
+    for space, law, noise, tag in _SAMPLES
 ]
 # read back a noisy sphere:2 sample written above: the points path of the
 # transform, next to the walked cosines a study hands it

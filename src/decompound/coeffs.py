@@ -62,6 +62,8 @@ class EstimatorConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "variant", Variant(self.variant))
+        if not all(map(math.isfinite, (self.delta, self.intensity, self.time, self.noise_tau))):
+            raise ValueError("delta, intensity, time and noise_tau must be finite")
         if self.intensity <= 0 or self.time <= 0:
             raise ValueError("intensity and time must be positive")
         if self.variant is not Variant.REAL_LOG_UNTRUNCATED and self.delta <= 0:

@@ -13,16 +13,16 @@ origin, so only the cosine of the distance to the origin is walked, and a
 sphere sample keeps just that cosine column: the spherical functions read
 nothing else.  On the first read of ``points`` every endpoint is lifted, in
 one call over the whole set, along a uniform tangent direction at the
-origin drawn from a stream of its own, keyed (seed, 2^64 - 1), which no walk
-block reaches.  The kernel works in place: walks are taken longest first,
-the cos and sin of a block's distances are taken once, the first round
-(from the origin) lands at cos d, and the blur is one more step in the same
-walk order.
+origin drawn from a stream of its own.  The kernel works in place: walks
+are taken longest first, the cos and sin of a block's distances are taken
+once, the first round (from the origin) lands at cos d, and the blur is one
+more step in the same walk order.  It draws only the variates it uses.
 
-Step counts are ``Generator.poisson`` draws.  Reproducibility: a
-counter-based (Philox) stream keyed by (seed, block index), one per block of
-4096 observations, so generation is parallelizable across blocks while
-output depends only on (config, m).  One generator is re-keyed per block.
+Step counts are ``Generator.poisson`` draws.  Reproducibility: a sample is
+walked from one counter-based (Philox) stream keyed (seed, 0), block after
+block of 4096 observations (the block bounds working memory), and lifted
+from the stream keyed (seed, 2^64 - 1).  Output depends only on (config, m),
+and a sample extended by whole blocks keeps its earlier blocks.
 """
 from __future__ import annotations
 
@@ -62,6 +62,8 @@ class ProcessConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.intensity, self.time, self.noise_tau))):
+            raise ValueError("intensity, time and noise_tau must be finite")
         if self.intensity <= 0 or self.time <= 0:
             raise ValueError("intensity and time must be positive")
         if self.noise_tau < 0:
@@ -179,21 +181,9 @@ class ObservationSet:
 
 
 def _block_rng(seed: int, block: int) -> np.random.Generator:
+    """Philox keyed (seed, block) mod 2^64: a sample walks block 0, lifts -1."""
     key = np.array([seed % (1 << 64), block % (1 << 64)], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
-
-
-def _rekey(rng: np.random.Generator, seed: int, block: int) -> np.random.Generator:
-    """Set rng's Philox to the start of _block_rng(seed, block)'s stream: key
-    (seed mod 2^64, block), counter 0, nothing buffered.  Cheaper than a new
-    generator."""
-    rng.bit_generator.state = {
-        "bit_generator": "Philox",
-        "state": {"counter": np.zeros(4, np.uint64),
-                  "key": np.array([seed % (1 << 64), block % (1 << 64)], dtype=np.uint64)},
-        "buffer": np.zeros(4, np.uint64), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
-    }
-    return rng
 
 
 # ---------------------------------------------------------------------------
@@ -221,22 +211,16 @@ def _flat_segment_sums(disp: np.ndarray, counts: np.ndarray, dim: int) -> np.nda
     return cs[ends] - cs[starts]
 
 
-def _direction_draws(dim: int, n: int, rng) -> np.ndarray:
-    """The draws behind n uniform tangent directions on S^dim: uniform angles
-    in turns on S^2, otherwise Beta((dim-1)/2, (dim-1)/2) variates."""
+def _direction_cosines(dim: int, n: int, rng) -> np.ndarray:
+    """Cosines of n uniform tangent directions on S^dim with the way back to
+    the origin, the first coordinate of a uniform unit vector in R^dim:
+    cos(2 pi U) on S^2, else 2B - 1 with B ~ Beta((dim-1)/2, (dim-1)/2)."""
     if dim == 2:
-        return rng.random(n)
+        c = rng.random(n)
+        c *= 2.0 * math.pi
+        return np.cos(c, out=c)
     a = (dim - 1) / 2.0
-    return rng.beta(a, a, n)
-
-
-def _direction_cosines(dim: int, draws: np.ndarray) -> np.ndarray:
-    """In place: each direction's cosine c with the direction back to the
-    origin, the first coordinate of a uniform unit vector in R^dim."""
-    if dim == 2:
-        draws *= 2.0 * math.pi
-        return np.cos(draws, out=draws)
-    return np.subtract(2.0 * draws, 1.0, out=draws)
+    return 2.0 * rng.beta(a, a, n) - 1.0
 
 
 def _colatitude_step(z: np.ndarray, cos_d: np.ndarray, sin_d: np.ndarray,
@@ -264,8 +248,9 @@ def _sphere_cosines(config: ProcessConfig, counts: np.ndarray, rng,
     walked; `ObservationSet` lifts each endpoint along a uniform tangent at
     the origin, from a stream of its own.  Walks are taken longest first, so
     each round's walkers are a prefix; the first round starts at the origin,
-    where every walker lands at cos d.  The blur is one more step, taken in
-    the same order: the walkers that never moved land at cos d too.
+    where every walker lands at cos d and draws no direction.  The blur is one
+    more step in the same order: the walkers that never moved land at cos d
+    too and draw none.  All draws are i.i.d., so each is made in walk order.
     """
     space, dim = config.space, config.space.dim
     # a stable sort of a small integer type is a radix sort
@@ -276,21 +261,20 @@ def _sphere_cosines(config: ProcessConfig, counts: np.ndarray, rng,
     cos_d = np.cos(dist)
     moved = int(movers[0])
     walked = np.ones(counts.size)
-    _direction_draws(dim, moved, rng)
     walked[:moved] = cos_d[:moved]
     # only the later rounds' steps, from off the origin, need sin d
     cos_d, sin_d = cos_d[moved:], np.sin(dist[moved:])
     lo = 0
     for na in movers[1:-1].tolist():
-        c = _direction_cosines(dim, _direction_draws(dim, na, rng))
-        _colatitude_step(walked[:na], cos_d[lo:lo + na], sin_d[lo:lo + na], c)
+        _colatitude_step(walked[:na], cos_d[lo:lo + na], sin_d[lo:lo + na],
+                         _direction_cosines(dim, na, rng))
         lo += na
     if config.noise_tau:
-        blur = _blur_law(space, config.noise_tau).sample_distances(counts.size, rng)[order]
-        c = _direction_cosines(dim, _direction_draws(dim, counts.size, rng)[order[:moved]])
+        blur = _blur_law(space, config.noise_tau).sample_distances(counts.size, rng)
         cos_b = np.cos(blur)
         walked[moved:] = cos_b[moved:]
-        _colatitude_step(walked[:moved], cos_b[:moved], np.sin(blur[:moved]), c)
+        _colatitude_step(walked[:moved], cos_b[:moved], np.sin(blur[:moved]),
+                         _direction_cosines(dim, moved, rng))
     out[order] = walked
 
 
@@ -318,7 +302,7 @@ def sample_compound(config: ProcessConfig, m: int) -> ObservationSet:
     out = np.empty((m, config.space.ambient_dim) if config.space.is_flat else m)
     rng = _block_rng(config.seed, 0)
     for lo in range(0, m, BLOCK):
-        _walk_endpoints(config, _rekey(rng, config.seed, lo // BLOCK), out[lo:lo + BLOCK])
+        _walk_endpoints(config, rng, out[lo:lo + BLOCK])
     return ObservationSet._adopt(out, config)
 
 

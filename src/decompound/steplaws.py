@@ -214,19 +214,13 @@ def uniform_tangents(points: np.ndarray, rng) -> np.ndarray:
 
 def _lift_from_origin(space: Space, z: np.ndarray, rng) -> np.ndarray:
     """The sphere points (sqrt(1 - z^2) * dir, z) at cosines z from the origin
-    (the last axis), with dir a uniform unit vector in R^d: normalized
-    normals, or on S^2 the cheaper (cos phi, sin phi)."""
+    (the last axis), with dir a uniform unit vector in R^d, a normalized
+    normal."""
     n, d = z.shape[0], space.dim
     out = np.empty((n, d + 1))
-    r = np.sqrt(np.maximum(1.0 - z * z, 0.0))
-    if d == 2:
-        phi = 2.0 * math.pi * rng.random(n)
-        np.multiply(r, np.cos(phi), out=out[:, 0])
-        np.multiply(r, np.sin(phi, out=phi), out=out[:, 1])
-    else:
-        dirs = rng.standard_normal((n, d))
-        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-        np.multiply(r[:, None], dirs, out=out[:, :d])
+    dirs = rng.standard_normal((n, d))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    np.multiply(np.sqrt(np.maximum(1.0 - z * z, 0.0))[:, None], dirs, out=out[:, :d])
     out[:, d] = z
     return out
 
@@ -281,8 +275,8 @@ class HeatZonal(StepLaw):
     tau0: float = 0.5
 
     def __post_init__(self):
-        if self.tau0 <= 0:
-            raise ValueError("tau0 must be > 0")
+        if not (math.isfinite(self.tau0) and self.tau0 > 0):
+            raise ValueError("tau0 must be finite and > 0")
 
     @property
     def inverse_invariant(self) -> bool:
@@ -351,8 +345,8 @@ class WrappedNormal(StepLaw):
     def __post_init__(self):
         if self.space.kind is SpaceKind.SPHERE:
             raise ValueError("WrappedNormal is defined on the circle/torus only")
-        if self.sigma <= 0:
-            raise ValueError("sigma must be > 0")
+        if not (math.isfinite(self.sigma) and self.sigma > 0):
+            raise ValueError("sigma must be finite and > 0")
         mean = self.mean
         if np.isscalar(mean):
             mean = (float(mean),) * self.space.dim
@@ -362,6 +356,8 @@ class WrappedNormal(StepLaw):
                 mean = mean * self.space.dim
         if len(mean) != self.space.dim:
             raise ValueError("mean must have one entry per dimension")
+        if not all(map(math.isfinite, mean)):
+            raise ValueError("mean must be finite")
         object.__setattr__(self, "mean", mean)
 
     @property
@@ -523,6 +519,8 @@ def _parse_kv(body: str) -> dict[str, str]:
     if body:
         for item in body.split(","):
             key, _, val = item.partition("=")
+            if key.strip() in out:
+                raise ValueError(f"law spec repeats parameter {key.strip()!r}")
             out[key.strip()] = val.strip()
     return out
 

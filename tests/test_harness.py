@@ -32,6 +32,28 @@ from decompound import (
 )
 
 
+@pytest.mark.parametrize("build", [
+    lambda: run_coefficient_study(StudyConfig(
+        space="circle", law="wn:sigma=0.7", delta=float("nan"), index="1",
+        m_grid=(100, 1000, 10000), replicates=3)),
+    lambda: EstimatorConfig(intensity=float("nan")),
+    lambda: EstimatorConfig(noise_tau=float("inf")),
+    lambda: ProcessConfig(law=parse_law("wn:sigma=0.7", parse_space("circle")),
+                          time=float("inf")),
+    lambda: ProcessConfig(law=parse_law("wn:sigma=0.7", parse_space("circle")),
+                          noise_tau=float("nan")),
+    lambda: parse_law("heat:tau=nan", parse_space("sphere:2")),
+    lambda: parse_law("wn:sigma=inf", parse_space("circle")),
+    lambda: parse_law("wn:sigma=0.7,mean=0;nan", parse_space("torus:2")),
+], ids=["study-delta", "estimator-intensity", "estimator-noise", "process-time",
+        "process-noise", "heat-tau", "wn-sigma", "wn-mean"])
+def test_non_finite_parameters_are_rejected(build):
+    # a NaN passes every `<= 0` check; before it was rejected, a NaN delta
+    # truncated every estimate and the study still fitted a slope
+    with pytest.raises(ValueError, match="finite"):
+        build()
+
+
 def _tiny_density_config(**kw):
     base = dict(space="circle", law="wn:sigma=0.7", m_grid=(100, 300, 1000),
                 replicates=5, seed=1)

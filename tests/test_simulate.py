@@ -29,7 +29,7 @@ from decompound import (
     uniform_tangents,
     write_observations,
 )
-from decompound.simulate import BLOCK, _block_rng, _rekey
+from decompound.simulate import BLOCK, _block_rng
 
 
 def _circle_config(**kw):
@@ -54,14 +54,31 @@ def test_different_seed_differs():
 
 @pytest.mark.parametrize("space", ["circle", "sphere:2", "sphere:3"])
 def test_block_prefix_stability(space):
-    # observation i is walked from the stream of its 4096-wide block only,
-    # and a sphere's lift draws its directions in observation order from one
-    # stream, so extending m by whole blocks must not disturb earlier blocks
+    # blocks are walked in order from one stream, and a sphere's lift draws
+    # its directions in observation order from a stream of its own, so
+    # extending m by whole blocks must not disturb earlier blocks
     law = parse_law("wn:sigma=0.7" if space == "circle" else "heat:tau=0.3", parse_space(space))
     cfg = ProcessConfig(law=law, intensity=1.0, noise_tau=0.2, seed=123)
     small = sample_compound(cfg, 4096)
     big = sample_compound(cfg, 8192)
     assert np.array_equal(small.points, big.points[:4096])
+
+
+@pytest.mark.parametrize("space", ["circle", "torus:2", "sphere:2"])
+def test_sample_walks_its_blocks_from_one_stream(space):
+    # one generator keyed (seed, 0) walks every block in order, so a sample
+    # of several blocks and a partial one is that loop's output to the bit
+    law = parse_law("heat:tau=0.3" if space == "sphere:2" else "wn:sigma=0.7",
+                    parse_space(space))
+    cfg = ProcessConfig(law=law, intensity=1.5, noise_tau=0.3, seed=31)
+    m = 2 * BLOCK + 5
+    want = np.empty((m, cfg.space.ambient_dim) if cfg.space.is_flat else m)
+    rng = _block_rng(cfg.seed, 0)
+    for lo in range(0, m, BLOCK):
+        simulate._walk_endpoints(cfg, rng, want[lo:lo + BLOCK])
+    obs = sample_compound(cfg, m)
+    got = obs.points if cfg.space.is_flat else obs.cosines
+    assert got.tobytes() == want.tobytes()
 
 
 def test_sample_compound_rejects_empty():
@@ -116,21 +133,6 @@ def test_observation_set_copies_outside_arrays():
     pts[0, 0] = 2.5
     assert obs.points[:, 0].tolist() == [0.5, 1.5]
     assert not obs.points.flags.writeable
-
-
-def test_rekeyed_generator_draws_as_a_new_block_generator():
-    # one generator re-keyed per block replaces a new one per block: every
-    # block's draws are those of _block_rng, after any earlier block's draws
-    for seed in (0, 7, 2**64 + 3, 2**70 + 11):
-        rng = _block_rng(seed, 0)
-        for block in (0, 1, 2, 5, 1, 2**40):
-            want = _block_rng(seed, block)
-            got = _rekey(rng, seed, block)
-            assert np.array_equal(got.poisson(1.5, 300), want.poisson(1.5, 300))
-            # five doubles leave part of a Philox output block buffered
-            assert np.array_equal(got.random(5), want.random(5))
-            assert np.array_equal(got.beta(1.5, 1.5, 77), want.beta(1.5, 1.5, 77))
-            assert np.array_equal(got.standard_normal(33), want.standard_normal(33))
 
 
 def _sphere_sample(d=2, m=5000):
@@ -291,73 +293,82 @@ def _reference_sphere_walk(cfg, n, rng):
         act = counts > k
         dist = cfg.law.sample_distances(int(act.sum()), rng)
         pts[act] = geodesic_step(space, pts[act], dist, uniform_tangents(pts[act], rng))
+    if not cfg.noise_tau:
+        return pts
     blur = HeatZonal(space, tau0=cfg.noise_tau**2 / 2.0)
     return geodesic_step(space, pts, blur.sample_distances(n, rng),
                          uniform_tangents(pts, rng))
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])
-def test_sphere_kernel_matches_reference_walk(d):
+@pytest.mark.parametrize("law", ["heat", "cap"])
+@pytest.mark.parametrize("noise", [0.0, 0.4])
+def test_sphere_kernel_matches_reference_walk(d, law, noise):
     # the sampler walks only cos(distance to origin) and lifts once; the
     # endpoint law must match a walk of full ambient vectors
-    law = HeatZonal(sphere(d), tau0=0.3)
-    cfg = ProcessConfig(law=law, intensity=2.0, time=1.0, noise_tau=0.4, seed=40 + d)
+    step_law = HeatZonal(sphere(d), tau0=0.3) if law == "heat" else UniformCap(sphere(d), rho=1.2)
+    cfg = ProcessConfig(law=step_law, intensity=2.0, time=1.0, noise_tau=noise, seed=40 + d)
     got = sample_compound(cfg, 20_000).points
     want = _reference_sphere_walk(cfg, 20_000, np.random.default_rng(50 + d))
     for col in range(d + 1):
         assert stats.ks_2samp(got[:, col], want[:, col]).pvalue > 1e-3, col
 
 
-# The per-round kernel as it was before the walk was taken in place: every
-# round draws its directions and takes cos and sin of its own distances, and
-# the blur steps the un-permuted cosines.  The lift stacks new columns.
+# A per-round reference for the in-place kernel: each round takes cos and sin
+# of its own distances and steps every walker it moves with the full formula.
+# It makes the kernel's draws in the kernel's order: one generator across
+# blocks, no directions in the first round (from the origin), the blur
+# distances in walk order and blur directions for the walkers that moved
+# only.  The lift stacks new columns.
 
 
-def _plain_colatitude_step(z, dist, dim, rng):
+def _plain_directions(dim, n, rng):
     if dim == 2:
-        c = np.cos(2.0 * math.pi * rng.random(z.shape[0]))
-    else:
-        a = (dim - 1) / 2.0
-        c = 2.0 * rng.beta(a, a, z.shape[0]) - 1.0
+        return np.cos(2.0 * math.pi * rng.random(n))
+    a = (dim - 1) / 2.0
+    return 2.0 * rng.beta(a, a, n) - 1.0
+
+
+def _plain_colatitude_step(z, dist, c):
     s = np.sqrt(np.maximum(1.0 - z * z, 0.0))
     return np.clip(z * np.cos(dist) + s * np.sin(dist) * c, -1.0, 1.0)
 
 
 def _plain_lift_from_origin(space, z, rng):
-    n, d = z.shape[0], space.dim
-    if d == 2:
-        phi = 2.0 * math.pi * rng.random(n)
-        dirs = np.stack([np.cos(phi), np.sin(phi)], axis=1)
-    else:
-        dirs = rng.standard_normal((n, d))
-        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    dirs = rng.standard_normal((z.shape[0], space.dim))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     return np.column_stack([np.sqrt(np.maximum(1.0 - z * z, 0.0))[:, None] * dirs, z])
 
 
 def _plain_sphere_endpoints(cfg, counts, rng):
-    space = cfg.space
+    space, n = cfg.space, counts.shape[0]
     order = np.argsort(-counts, kind="stable")
     steps = counts[order]
     dist = cfg.law.sample_distances(int(steps.sum()), rng)
-    walked = np.ones(steps.shape[0])
+    walked = np.ones(n)
     lo = 0
     for k in range(int(steps[0])):
         na = int(np.count_nonzero(steps > k))
-        walked[:na] = _plain_colatitude_step(walked[:na], dist[lo:lo + na], space.dim, rng)
+        # a walker at the origin lands at cos d whatever its direction
+        c = _plain_directions(space.dim, na, rng) if k else 0.0
+        walked[:na] = _plain_colatitude_step(walked[:na], dist[lo:lo + na], c)
         lo += na
+    if cfg.noise_tau:
+        blur = HeatZonal(space, tau0=cfg.noise_tau**2 / 2.0).sample_distances(n, rng)
+        moved = int(np.count_nonzero(steps))
+        c = np.zeros(n)
+        c[:moved] = _plain_directions(space.dim, moved, rng)
+        walked = _plain_colatitude_step(walked, blur, c)
     z = np.empty_like(walked)
     z[order] = walked
-    if cfg.noise_tau:
-        blur = HeatZonal(space, tau0=cfg.noise_tau**2 / 2.0)
-        z = _plain_colatitude_step(z, blur.sample_distances(z.shape[0], rng), space.dim, rng)
     return z
 
 
 def _plain_sample(cfg, m):
     z = np.empty(m)
+    rng = _block_rng(cfg.seed, 0)
     for lo in range(0, m, BLOCK):
         hi = min(lo + BLOCK, m)
-        rng = _block_rng(cfg.seed, lo // BLOCK)
         z[lo:hi] = _plain_sphere_endpoints(cfg, rng.poisson(cfg.mean_steps, hi - lo), rng)
     return z
 

@@ -393,3 +393,11 @@ def test_parse_law_rejects_unknown_parameters():
         parse_law("cap:rho=0.9,rho2=1", sphere(2))
     with pytest.raises(ValueError):
         UniformCap(sphere(2), rho=4.0)  # rho must stay below pi
+
+
+def test_parse_law_rejects_repeated_parameters():
+    # a repeated key must not keep its last value silently
+    with pytest.raises(ValueError, match="repeats parameter 'sigma'"):
+        parse_law("wn:sigma=0.7,sigma=0.9", circle())
+    with pytest.raises(ValueError, match="repeats parameter 'tau'"):
+        parse_law("heat: tau=0.3, tau =0.3", sphere(2))
