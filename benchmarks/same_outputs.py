@@ -9,8 +9,10 @@ never run.  Each tree runs the same ``decompound`` calls from its own
 and cap, with and without ``--noise-tau``), the circle and torus:2, and a
 one-block (4096-point) sample on each of the circle and torus:2, the first
 block of any longer sample; ``coeffs --in`` on the noisy sphere:2 heat
-sample; a small noisy ``study-coeff`` on sphere:2; and a small ``study-density`` on the
-circle and sphere:2 at ``--threads 1`` and ``--threads 2``.  Every file they
+sample (noise-corrected) and on a shifted circle wrapped normal
+(complex-log); a small noisy ``study-coeff`` on sphere:2; and a small
+``study-density`` on the circle and sphere:2 at ``--threads 1`` and
+``--threads 2``.  Every file they
 write, and each call's standard output, is hashed, and so is each column of
 every ``points.csv`` (listed as ``points.csv[x1]`` and so on), to show which
 coordinates differ.  The script prints both sha256 values for each file and
@@ -46,6 +48,14 @@ CALLS = [
 CALLS.append(("coeffs-sphere2-noise",
               ["coeffs", "--in", "../sample-sphere:2-heat-noise0.3/points.csv",
                "--variant", "noise-corrected", "--out", "coeffs.csv"]))
+# a shifted wrapped normal is not inverse invariant: complex-log reads the
+# unsymmetrized transform (t Lambda = 1, inside the principal-branch range)
+CALLS.append(("sample-circle-wn-shifted",
+              ["sample", "--space", "circle", "--law", "wn:sigma=0.7,mean=1", "--seed", "5",
+               "--count", "9000", "--out", "points.csv"]))
+CALLS.append(("coeffs-circle-complex-log",
+              ["coeffs", "--in", "../sample-circle-wn-shifted/points.csv",
+               "--variant", "complex-log", "--out", "coeffs.csv"]))
 CALLS.append(("study-coeff-sphere2-noise",
               ["study-coeff", "--space", "sphere:2", "--law", "heat:tau=0.3",
                "--variant", "noise-corrected", "--noise-tau", "0.3", "--index", "1",

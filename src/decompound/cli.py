@@ -19,7 +19,6 @@ import argparse
 import dataclasses
 import sys
 
-from .spaces import parse_space
 from .coeffs import EstimatorConfig, Variant
 from .density import SobolevSpec, reconstruct, smoothing_cutoff
 from .harness import (
@@ -38,7 +37,6 @@ from .simulate import (
     sample_compound,
     write_observations,
 )
-from .steplaws import parse_law
 
 DENSITY_BAND = 0.15
 COEFF_BAND = 0.2
@@ -129,16 +127,7 @@ def _cmd_census(args) -> int:
 
 
 def _cmd_sample(args) -> int:
-    space = parse_space(args.space)
-    law = parse_law(args.law, space)
-    config = ProcessConfig(
-        law=law,
-        intensity=args.intensity,
-        time=args.time,
-        noise_tau=args.noise_tau,
-        seed=args.seed,
-    )
-    obs = sample_compound(config, args.count)
+    obs = sample_compound(ProcessConfig.from_mapping(vars(args)), args.count)
     if args.out:
         write_observations(obs, args.out)
         print(f"wrote {obs.m} observations to {args.out}")

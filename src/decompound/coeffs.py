@@ -7,9 +7,9 @@ budget, so memory does not grow with m.  Its expectation is exp(t*Lambda*(c - 1)
 where c is the step-law coefficient at the conjugate index under the
 pairing <f, phi> = integral of f * conj(phi); on spheres and for
 symmetrized transforms conjugation is a no-op.  Estimators invert the
-link with a logarithm, guarded by the truncation rules below (a truncated
-estimate is 0), and the noise-corrected variant adds the known heat-blur
-compensation tau^2 * kappa / (2 t Lambda).
+link with a logarithm, guarded by one truncation rule for every variant
+(a truncated estimate is 0), and the noise-corrected variant adds the known
+heat-blur compensation tau^2 * kappa / (2 t Lambda).
 
 ``estimate_coefficients`` is the one estimation step of both studies: the
 density study applies it to every index below the cutoff, the coefficient
@@ -44,12 +44,13 @@ __all__ = [
 
 class Variant(Enum):
     REAL_LOG = "real-log"
-    REAL_LOG_UNTRUNCATED = "real-log-untruncated"
     COMPLEX_LOG = "complex-log"
     NOISE_CORRECTED = "noise-corrected"
 
-
-_REAL_VARIANTS = (Variant.REAL_LOG, Variant.REAL_LOG_UNTRUNCATED)
+    @property
+    def symmetrized(self) -> bool:
+        """Every variant but complex-log reads only Re nu, the symmetrized transform."""
+        return self is not Variant.COMPLEX_LOG
 
 
 @dataclass(frozen=True)
@@ -66,8 +67,8 @@ class EstimatorConfig:
             raise ValueError("delta, intensity, time and noise_tau must be finite")
         if self.intensity <= 0 or self.time <= 0:
             raise ValueError("intensity and time must be positive")
-        if self.variant is not Variant.REAL_LOG_UNTRUNCATED and self.delta <= 0:
-            raise ValueError("delta must be > 0")
+        if self.delta < 0:
+            raise ValueError("delta must be >= 0")
         if self.noise_tau < 0:
             raise ValueError("noise_tau must be >= 0")
         # arg nu = t*Lambda*Im c with |Im c| <= 1: the principal branch is exact
@@ -140,42 +141,34 @@ def empirical_transform(obs: ObservationSet, indices, symmetrize: bool = False) 
 
 
 def estimate_with_flag(nu: EmpiricalTransform, index, cfg: EstimatorConfig) -> tuple[complex, bool]:
-    """Coefficient estimate plus a flag marking truncation to 0.
+    """Coefficient estimate 1 + Log nu / (t Lambda) plus a flag marking
+    truncation to 0.
 
-    The returned value estimates the step-law coefficient at the conjugate
-    of `index`; pass the conjugate index to target a specific coefficient
-    (identity on spheres and for symmetrized transforms).
+    One rule serves every variant: the estimate is kept iff Re nu > 0 and
+    |nu| >= delta / m (delta = 0 keeps every Re nu > 0).  The returned value
+    estimates the step-law coefficient at the conjugate of `index`; pass the
+    conjugate index to target a specific coefficient (identity on spheres
+    and for symmetrized transforms).
     """
     variant = cfg.variant
-    if variant in _REAL_VARIANTS and not nu.symmetrized:
-        raise ValueError(f"{variant.value} requires a symmetrized transform")
-    if variant is Variant.COMPLEX_LOG and nu.symmetrized:
-        raise ValueError("complex-log requires the unsymmetrized transform")
+    if nu.symmetrized != variant.symmetrized:
+        state = "a symmetrized" if variant.symmetrized else "the unsymmetrized"
+        raise ValueError(f"{variant.value} requires {state} transform")
 
     z = nu.value(index)
+    if not (z.real > 0.0 and abs(z) >= cfg.delta / nu.m):
+        return 0.0 + 0.0j, True
     t_lambda = cfg.t_lambda
-    threshold = cfg.delta / nu.m
-
-    if variant is Variant.COMPLEX_LOG:
-        if z.real > 0.0 and abs(z) >= threshold:
-            return cmath.log(z) / t_lambda + 1.0, False
-        return 0.0 + 0.0j, True
-
-    r = z.real
-    if variant is Variant.REAL_LOG_UNTRUNCATED:
-        if r > 0.0:
-            return complex(math.log(r) / t_lambda + 1.0), False
-        return 0.0 + 0.0j, True
-
-    if r >= threshold:
-        value = math.log(r) / t_lambda + 1.0
-        if variant is Variant.NOISE_CORRECTED:
-            if not isinstance(index, SpectralIndex):
-                raise ValueError("noise-corrected estimation needs a SpectralIndex "
-                                 "(the correction depends on the Casimir eigenvalue)")
-            value += cfg.noise_tau**2 * index.casimir / (2.0 * t_lambda)
-        return complex(value), False
-    return 0.0 + 0.0j, True
+    if not variant.symmetrized:
+        return cmath.log(z) / t_lambda + 1.0, False
+    # math.log, not cmath.log: the two round differently for |z| in [0.71, 1.73]
+    value = math.log(z.real) / t_lambda + 1.0
+    if variant is Variant.NOISE_CORRECTED:
+        if not isinstance(index, SpectralIndex):
+            raise ValueError("noise-corrected estimation needs a SpectralIndex "
+                             "(the correction depends on the Casimir eigenvalue)")
+        value += cfg.noise_tau**2 * index.casimir / (2.0 * t_lambda)
+    return complex(value), False
 
 
 def estimate_coefficients(obs: ObservationSet, indices, cfg: EstimatorConfig) -> CoefficientVector:
@@ -189,7 +182,7 @@ def estimate_coefficients(obs: ObservationSet, indices, cfg: EstimatorConfig) ->
     indices = list(indices)
     conj = [conjugate_index(obs.config.space, ix) for ix in indices]
     # module globals, read at call time (perfbench/tracing.py wraps them)
-    nu = empirical_transform(obs, conj, symmetrize=cfg.variant is not Variant.COMPLEX_LOG)
+    nu = empirical_transform(obs, conj, symmetrize=cfg.variant.symmetrized)
     pairs, truncated = [], []
     for ix, sigma in zip(indices, conj):
         value, flag = estimate_with_flag(nu, sigma, cfg)
@@ -210,6 +203,7 @@ def deviation_bound(gap: float, m: int) -> float:
 
 
 def require_inverse_invariant(law: StepLaw, variant: Variant) -> None:
-    """Real-log variants read only Re(nu), which fixes c only for inverse-invariant laws."""
-    if variant in _REAL_VARIANTS and not law.inverse_invariant:
-        raise ValueError("real-log variants require an inverse-invariant law")
+    """Symmetrized variants read only Re(nu), which fixes c only for inverse-invariant laws."""
+    if variant.symmetrized and not law.inverse_invariant:
+        raise ValueError("real-log variants require an inverse-invariant law: "
+                         f"{variant.value} reads only Re nu")

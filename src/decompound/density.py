@@ -69,16 +69,17 @@ class SobolevSpec:
     s: float
 
     def __post_init__(self):
-        if self.s <= 0:
-            raise ValueError("s must be > 0")
+        if not 0.0 < self.s < math.inf:
+            raise ValueError("s must be finite and > 0")
 
 
 def smoothing_cutoff(m: int, s: float, space: Space, scale: float = 1.0) -> float:
     """Casimir cutoff scale * m^(2/(2s+d)) balancing variance against bias."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    if s <= 0 or scale <= 0:
-        raise ValueError("s and scale must be positive")
+    for name, value in (("s", s), ("scale", scale)):
+        if not 0.0 < value < math.inf:
+            raise ValueError(f"{name} must be finite and > 0")
     return scale * float(m) ** (2.0 / (2.0 * s + space.dim))
 
 

@@ -89,7 +89,7 @@ class StudyConfig:
     intensity: float = _param(1.0, "Poisson intensity Lambda")
     time: float = _param(1.0, "observation horizon t")
     variant: str = _param("real-log", f"estimator variant ({', '.join(v.value for v in Variant)})")
-    delta: float = _param(1.0, "truncation constant")
+    delta: float = _param(1.0, "truncation constant delta >= 0 (0: no truncation)")
     noise_tau: float = _param(0.0, "noise scale known to the estimator")
     observation_noise_tau: float | None = _param(None, "noise scale applied to the data")
     s: float = _param(2.0, "Sobolev smoothness order")
@@ -117,6 +117,11 @@ class StudyConfig:
             raise ValueError("replicates must be >= 1")
         if self.threads < 1:
             raise ValueError("threads must be >= 1")
+        for name in ("s", "scale"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and > 0")
+        if not all(0.0 <= t < math.inf for t in self.thresholds):
+            raise ValueError("thresholds must be finite and >= 0")
         Variant(self.variant)
 
     # -- resolution helpers ---------------------------------------------------

@@ -201,8 +201,8 @@ def spectrum(space: Space, casimir_max: float) -> list[SpectralIndex]:
     Returns indices sorted by (casimir, label lexicographic); the trivial
     index is always first.
     """
-    if casimir_max < 0:
-        raise ValueError("casimir_max must be >= 0")
+    if not 0.0 <= casimir_max < math.inf:
+        raise ValueError("casimir_max must be finite and >= 0")
     n_max = math.isqrt(int(casimir_max))  # bounds every |n_a| and every degree
     if space.kind is SpaceKind.SPHERE:
         d = space.dim
@@ -419,8 +419,8 @@ def weyl_census(space: Space, thresholds) -> list[tuple[int, int]]:
     The weighted count grows like T^{d/2}, the spherical count like T^{r/2}.
     """
     ts = [float(t) for t in thresholds]
-    if any(t < 0 for t in ts):
-        raise ValueError("thresholds must be >= 0")
+    if not all(0.0 <= t < math.inf for t in ts):
+        raise ValueError("thresholds must be finite and >= 0")
     top = max(ts) if ts else 0.0
     indices = spectrum(space, top)  # sorted by Casimir
     kappas = np.array([ix.casimir for ix in indices])

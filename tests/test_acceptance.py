@@ -60,7 +60,7 @@ def test_c1_trivial_index_exact_for_all_variants():
             if got != 1.0 + 0.0j:
                 failures.append((m, variant.value, got))
     ok = not failures
-    _line(1, ok, f"trivial-index estimate exact over m in (1,10,100) x 4 "
+    _line(1, ok, f"trivial-index estimate exact over m in (1,10,100) x {len(Variant)} "
                  f"variants; failures={failures}")
     assert ok
 

@@ -110,6 +110,14 @@ def test_exit_code_2_on_bad_config(tmp_path):
         assert main([verb, "--space", "circle", "--law", "wn:sigma=0.7,mean=1",
                      "--variant", "real-log", "--m-grid", "100,300,1000",
                      "--replicates", "5"]) == 2
+    # a non-finite study parameter is a config error, not a traceback
+    for flag, value in (("--scale", "inf"), ("--s", "nan")):
+        assert main(["study-density", "--space", "circle", "--law", "wn:sigma=0.7",
+                     "--m-grid", "100,300,1000", "--replicates", "2", flag, value]) == 2
+    # the untruncated variant is gone; --delta 0 is the untruncated estimator
+    assert main(["study-coeff", "--space", "circle", "--law", "wn:sigma=0.7",
+                 "--variant", "real-log-untruncated", "--m-grid", "100,300,1000",
+                 "--replicates", "5"]) == 2
     # acceptance mode requires enough replicates for a meaningful band check
     assert main(["study-coeff", "--space", "circle", "--law", "wn:sigma=0.7",
                  "--m-grid", "100,300,1000", "--replicates", "5",

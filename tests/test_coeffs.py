@@ -75,13 +75,14 @@ def test_real_log_truncates_below_threshold():
     assert got2 == 0.0 and trunc2
 
 
-def test_untruncated_variant_keeps_tiny_positive_values():
+def test_real_log_at_zero_delta_keeps_tiny_positive_values():
+    # delta = 0 truncates only where the logarithm is undefined
     nu, idx = _transform(1e-200)
-    got, truncated = estimate_with_flag(nu, idx, _cfg(Variant.REAL_LOG_UNTRUNCATED))
+    got, truncated = estimate_with_flag(nu, idx, _cfg(Variant.REAL_LOG, delta=0.0))
     assert not truncated
     assert got == pytest.approx(1.0 + math.log(1e-200), rel=1e-12)
     nu0, _ = _transform(-1e-3)
-    got0, trunc0 = estimate_with_flag(nu0, idx, _cfg(Variant.REAL_LOG_UNTRUNCATED))
+    got0, trunc0 = estimate_with_flag(nu0, idx, _cfg(Variant.REAL_LOG, delta=0.0))
     assert got0 == 0.0 and trunc0
 
 
@@ -138,7 +139,7 @@ def test_variant_transform_mismatch_rejected():
 def test_estimator_config_validation_and_warning():
     with pytest.raises(ValueError):
         EstimatorConfig(variant=Variant.REAL_LOG, intensity=1.0, time=1.0,
-                        delta=0.0)
+                        delta=-1e-3)
     with pytest.raises(ValueError):
         EstimatorConfig(variant=Variant.REAL_LOG, intensity=-1.0, time=1.0)
     with pytest.warns(UserWarning, match="truncates every estimate whose phase"):

@@ -27,7 +27,9 @@ from decompound import (
     run_convergence_study,
     sample_compound,
     simulate,
+    smoothing_cutoff,
     spectrum,
+    weyl_census,
     write_study_outputs,
 )
 
@@ -45,8 +47,20 @@ from decompound import (
     lambda: parse_law("heat:tau=nan", parse_space("sphere:2")),
     lambda: parse_law("wn:sigma=inf", parse_space("circle")),
     lambda: parse_law("wn:sigma=0.7,mean=0;nan", parse_space("torus:2")),
+    lambda: run_convergence_study(_tiny_density_config(s=float("nan"))),
+    lambda: _tiny_density_config(scale=float("inf")),
+    lambda: StudyConfig(thresholds=(100.0, float("nan"))),
+    lambda: SobolevSpec(float("nan")),
+    lambda: SobolevSpec(float("inf")),
+    lambda: smoothing_cutoff(100, float("nan"), parse_space("circle")),
+    lambda: smoothing_cutoff(100, 2.0, parse_space("circle"), scale=float("inf")),
+    lambda: spectrum(parse_space("circle"), float("inf")),
+    lambda: spectrum(parse_space("sphere:2"), float("nan")),
+    lambda: weyl_census(parse_space("sphere:2"), (10.0, float("nan"))),
 ], ids=["study-delta", "estimator-intensity", "estimator-noise", "process-time",
-        "process-noise", "heat-tau", "wn-sigma", "wn-mean"])
+        "process-noise", "heat-tau", "wn-sigma", "wn-mean", "study-s", "study-scale",
+        "study-thresholds", "sobolev-nan", "sobolev-inf", "cutoff-s", "cutoff-scale",
+        "spectrum-inf", "spectrum-nan", "census-thresholds"])
 def test_non_finite_parameters_are_rejected(build):
     # a NaN passes every `<= 0` check; before it was rejected, a NaN delta
     # truncated every estimate and the study still fitted a slope
@@ -371,19 +385,32 @@ def _shifted_law():
 
 
 _REAL_LOG = EstimatorConfig(variant=Variant.REAL_LOG)
+# noise-corrected reads only Re nu as well
+_NOISE = dict(variant="noise-corrected", noise_tau=0.3)
+_NOISE_CORRECTED = EstimatorConfig(**_NOISE)
+
+
+def _shifted_sample():
+    return sample_compound(ProcessConfig(law=_shifted_law(), seed=1), 50)
 
 
 @pytest.mark.parametrize("call", [
-    lambda: reconstruct(sample_compound(ProcessConfig(law=_shifted_law(), seed=1), 50),
-                        _REAL_LOG, SobolevSpec(2.0)),
-    lambda: estimate_coefficients(sample_compound(ProcessConfig(law=_shifted_law(), seed=1), 50),
-                                  [make_index(parse_space("circle"), (1,))], _REAL_LOG),
+    lambda: reconstruct(_shifted_sample(), _REAL_LOG, SobolevSpec(2.0)),
+    lambda: estimate_coefficients(_shifted_sample(), [make_index(parse_space("circle"), (1,))],
+                                  _REAL_LOG),
     lambda: run_convergence_study(_tiny_density_config(law=_SHIFTED, variant="real-log",
                                                        threads=2)),
     lambda: run_coefficient_study(_tiny_density_config(law=_SHIFTED, variant="real-log",
                                                        threads=2)),
+    lambda: reconstruct(_shifted_sample(), _NOISE_CORRECTED, SobolevSpec(2.0)),
+    lambda: estimate_coefficients(_shifted_sample(), [make_index(parse_space("circle"), (1,))],
+                                  _NOISE_CORRECTED),
+    lambda: run_convergence_study(_tiny_density_config(law=_SHIFTED, threads=2, **_NOISE)),
+    lambda: run_coefficient_study(_tiny_density_config(law=_SHIFTED, threads=2, **_NOISE)),
 ], ids=["reconstruct", "estimate_coefficients", "run_convergence_study",
-        "run_coefficient_study"])
+        "run_coefficient_study", "reconstruct-noise-corrected",
+        "estimate_coefficients-noise-corrected", "run_convergence_study-noise-corrected",
+        "run_coefficient_study-noise-corrected"])
 def test_real_log_rejects_laws_without_inverse_invariance(pools_opened, call):
     with pytest.raises(ValueError, match="real-log variants require an inverse-invariant law"):
         call()
