@@ -23,7 +23,7 @@ import warnings
 from dataclasses import dataclass
 from enum import Enum
 
-from .spaces import SpectralIndex, conjugate_index, index_label, spherical_sums
+from .spaces import SpectralIndex, conjugate_index, index_label, pair_label, spherical_sums
 from .steplaws import CoefficientVector, StepLaw
 from .simulate import ObservationSet
 # perfbench/tracing.py wraps coeffs.sample_compound; drop this import with
@@ -128,9 +128,8 @@ def empirical_transform(obs: ObservationSet, indices, symmetrize: bool = False) 
     indices = list(indices)
     keys = [index_label(ix) for ix in indices]
     if symmetrize:
-        # Re phi is the same at n and -n, so one sum serves the pair: the
-        # larger label of the two (on spheres the index itself)
-        keys = [max(key, index_label(conjugate_index(space, key))) for key in keys]
+        # Re phi is the same at n and -n, so one sum serves the pair
+        keys = [pair_label(space, key) for key in keys]
     distinct = list(dict.fromkeys(keys))
     # a sphere's spherical functions read only the last coordinate, so a
     # sphere set hands over its cosine column alone

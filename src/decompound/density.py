@@ -8,9 +8,9 @@ exact: everything below the cutoff is variance, the rest of the truth is
 bias.  ``truth_table`` supplies that truth.  A cap's tail beyond the table is
 exact; heat and wrapped-normal tails read 0.0, since they are at most 4e-18
 and ||f||^2 less the kept mass would carry rounding up to 4e-16.
-Pointwise synthesis exists for output and plots only; it is
-``spaces.spherical_synthesis``, whose blocks of points fit a fixed byte
-budget, so its working memory does not grow with the number of points.
+Pointwise synthesis, for output and plots only, folds each +- pair onto one
+label and runs ``spaces.spherical_synthesis`` in blocks of points that fit a
+fixed byte budget, so its working memory does not grow with the points.
 """
 from __future__ import annotations
 
@@ -23,7 +23,7 @@ from enum import Enum
 
 import numpy as np
 
-from .spaces import Space, _as_points, conjugate_index, parse_space, spectrum, spherical_synthesis
+from .spaces import Space, _as_points, pair_label, parse_space, spectrum, spherical_synthesis
 from .steplaws import (
     CoefficientVector,
     HeatZonal,
@@ -221,35 +221,17 @@ def sobolev_norm(coeffs: CoefficientVector, space: Space, s: float) -> float:
     return math.sqrt(total)
 
 
-def _synthesize(space: Space, coeffs: CoefficientVector, pts: np.ndarray) -> np.ndarray:
-    weights = [ix.multiplicity * c for ix, c in coeffs.items()]
-    return spherical_synthesis(space, coeffs.indices(), weights, pts)
-
-
-def _conjugate_symmetric(space: Space, coeffs: CoefficientVector, tol: float = 1e-12) -> bool:
-    for ix, c in coeffs.items():
-        sigma = conjugate_index(space, ix)
-        if sigma not in coeffs:
-            return False
-        if abs(coeffs[sigma] - c.conjugate()) > tol * max(1.0, abs(c)):
-            return False
-    return True
-
-
 def evaluate(est: DensityEstimate, points):
-    """Pointwise synthesis sum d_pi c(pi) phi_pi; returns the real part.
-
-    For conjugate-symmetric coefficient vectors the imaginary residual is
-    asserted to be at most 1e-9 (relative to the scale of the values).
-    """
+    """Re sum d_pi c(pi) phi_pi at the points, real by construction: since
+    phi_-n = conj phi_n, each +- pair folds onto its ``pair_label`` as
+    d (c(n) + conj c(-n)), the same real part for any coefficient vector."""
     pts, single = _as_points(est.space, points)
-    values = _synthesize(est.space, est.coeffs, pts)
-    residual = float(np.max(np.abs(values.imag))) if values.size else 0.0
-    scale = max(1.0, float(np.max(np.abs(values.real))) if values.size else 0.0)
-    if residual > 1e-9 * scale and _conjugate_symmetric(est.space, est.coeffs):
-        raise FloatingPointError(
-            f"imaginary residual {residual} exceeds 1e-9 for a symmetric estimate")
-    out = values.real
+    folded = {}
+    for ix, c in est.coeffs.items():
+        key = pair_label(est.space, ix)
+        w = ix.multiplicity * (c if ix.label == key else c.conjugate())
+        folded[key] = folded[key] + w if key in folded else w
+    out = spherical_synthesis(est.space, list(folded), list(folded.values()), pts).real
     return float(out[0]) if single else out
 
 

@@ -120,8 +120,10 @@ class StudyConfig:
         for name in ("s", "scale"):
             if not 0.0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be finite and > 0")
-        if not all(0.0 <= t < math.inf for t in self.thresholds):
-            raise ValueError("thresholds must be finite and >= 0")
+        if not all(0.0 < t < math.inf for t in self.thresholds):
+            raise ValueError("thresholds must be finite and > 0")
+        if not 0.0 <= (self.observation_noise_tau or 0.0) < math.inf:
+            raise ValueError("observation_noise_tau must be finite and >= 0")
         Variant(self.variant)
 
     # -- resolution helpers ---------------------------------------------------
@@ -411,8 +413,10 @@ def _resolve_index(cfg: StudyConfig, space: Space):
     raise ValueError("no nontrivial index found")  # unreachable
 
 
-def _coefficient_error(est_cfg, index, truth, rep, obs) -> float:
-    return abs(estimate_coefficients(obs, [index], est_cfg)[index] - truth) ** 2
+def _coefficient_error(est_cfg, index, truth, rep, obs) -> tuple[float, bool]:
+    """The squared error of the estimate at the index, and whether it was truncated."""
+    est = estimate_coefficients(obs, [index], est_cfg)
+    return abs(est[index] - truth) ** 2, est.is_truncated(index)
 
 
 def run_coefficient_study(cfg: StudyConfig) -> StudyResult:
@@ -431,14 +435,16 @@ def run_coefficient_study(cfg: StudyConfig) -> StudyResult:
     rows = []
     rep_errors = []
     for m in cfg.m_grid:
-        errs = np.array(results[m])
+        errs = np.array([err for err, _ in results[m]])
         rows.append({"m": m, "mse": float(errs.mean()), "stderr": standard_error(errs)})
         rep_errors.append(errs)
 
     notes = []
-    if index.is_trivial or all(r["mse"] == 0.0 for r in rows):
+    truncated = all(flag for part in results.values() for _, flag in part)
+    if index.is_trivial or truncated or all(r["mse"] == 0.0 for r in rows):
         fit = None
-        notes.append("all-zero errors (trivial index); rate fit skipped")
+        notes.append("every estimate truncated to 0 at every m; rate fit skipped" if truncated
+                     else "all-zero errors (trivial index); rate fit skipped")
     else:
         fit = fit_rate([(math.log10(r["m"]), math.log10(r["mse"])) for r in rows],
                        replicate_errors=rep_errors, seed=cfg.seed)

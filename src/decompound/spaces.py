@@ -34,6 +34,7 @@ __all__ = [
     "spherical_synthesis",
     "index_label",
     "conjugate_index",
+    "pair_label",
     "geodesic_step",
     "distance_to_origin",
     "weyl_census",
@@ -226,6 +227,13 @@ def conjugate_index(space: Space, index):
     return _lattice_index(tuple(-k for k in index_label(index)))
 
 
+def pair_label(space: Space, index) -> tuple[int, ...]:
+    """The one label of a +- pair (phi_-n = conj phi_n): the larger label of
+    n and -n; a sphere degree is its own pair."""
+    label = index_label(index)
+    return max(label, index_label(conjugate_index(space, label)))
+
+
 # ---------------------------------------------------------------------------
 # spherical function evaluation
 
@@ -337,8 +345,10 @@ def spherical_synthesis(space: Space, indices, weights, pts: np.ndarray) -> np.n
     out = np.empty(len(pts), dtype=complex)
     for lo in range(0, len(pts), block):
         p, e = _factors(space, values, pts[lo:lo + block])
-        out[lo:lo + block] = ((box.T @ p) * e).sum(axis=0)
-        del p, e  # the next block's tables are built without these
+        a = box.T @ p
+        a *= e  # in place: no second (E x block) product
+        out[lo:lo + block] = a.sum(axis=0)
+        del p, e, a  # the next block's tables are built without these
     return out
 
 

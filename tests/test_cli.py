@@ -98,6 +98,10 @@ def test_study_config_file_with_overrides(tmp_path, capsys):
 
 def test_exit_code_2_on_bad_config(tmp_path):
     assert main(["census", "--space", "klein:2"]) == 2
+    assert main(["census", "--space", "sphere:2", "--thresholds", "0,100,1000"]) == 2
+    assert main(["study-coeff", "--space", "circle", "--law", "wn:sigma=0.7",
+                 "--m-grid", "100,300,1000", "--replicates", "5", "--threads", "2",
+                 "--observation-noise-tau", "-0.5"]) == 2
     # sampling modes are gone; an old study.cfg with a mode key fails loudly
     legacy = tmp_path / "study.cfg"
     legacy.write_text("[study]\nspace = circle\nlaw = wn:sigma=0.7\n"
@@ -130,6 +134,18 @@ def test_exit_code_3_on_failed_assertion(capsys):
                  "--m-grid", "100,300,1000", "--replicates", "30",
                  "--seed", "1", "--index", "0", "--assert"])
     assert code == 3
+
+
+def test_exit_code_3_when_every_estimate_is_truncated(tmp_path, capsys):
+    # delta / m above |nu| at every m leaves no rate to fit
+    out = tmp_path / "coeff"
+    code = main(["study-coeff", "--space", "circle", "--law", "wn:sigma=0.7",
+                 "--delta", "1e9", "--m-grid", "100,300,1000", "--replicates", "30",
+                 "--assert", "--out", str(out)])
+    assert code == 3
+    assert "every estimate truncated" in capsys.readouterr().out
+    fit = json.loads((out / "fit.json").read_text())
+    assert fit["fit"]["slope"] is None and fit["passed"] is False
 
 
 def test_census_config_echoes_only_the_fields_census_reads(tmp_path):

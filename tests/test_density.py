@@ -31,6 +31,7 @@ from decompound import (
     sobolev_norm,
     sphere,
     spectrum,
+    spherical,
     torus,
     trapezoid_angles,
     true_coefficients,
@@ -38,7 +39,7 @@ from decompound import (
     zonal_quadrature,
 )
 from decompound import density
-from decompound.spaces import _CHUNK
+from decompound.spaces import _CHUNK, index_label, spherical_synthesis
 
 
 def _vec(space, mapping):
@@ -353,35 +354,75 @@ def test_evaluate_checks_point_shapes():
             est.evaluate(bad)
 
 
-def test_evaluate_imaginary_residual_guard(monkeypatch):
-    # symmetric estimates synthesize to real values; the guard only exists to
-    # catch numerical corruption, so corrupt the synthesis to test it
-    import decompound.density as density_mod
-
-    c = circle()
-    sym = DensityEstimate(
-        coeffs=_vec(c, {(0,): 1.0, (1,): 0.5, (-1,): 0.5}), space=c, m=4,
-        cutoff=1.0,
-    )
-    asym = DensityEstimate(
-        coeffs=_vec(c, {(0,): 1.0, (1,): 0.5j}), space=c, m=4, cutoff=1.0,
-    )
-    real_synth = density_mod._synthesize
-
-    def dirty(space, coeffs, pts):
-        return real_synth(space, coeffs, pts) + 1e-3j
-
-    monkeypatch.setattr(density_mod, "_synthesize", dirty)
-    with pytest.raises(FloatingPointError):
-        sym.evaluate(np.array([[0.3]]))
-    # asymmetric vectors legitimately carry imaginary parts; only the real
-    # part is returned and no error is raised
-    asym.evaluate(np.array([[0.3]]))
-
-
 def _law_estimate(law, cutoff):
     coeffs = true_coefficients(law, spectrum(law.space, cutoff))
     return DensityEstimate(coeffs=coeffs, space=law.space, m=1, cutoff=cutoff)
+
+
+# per space: the law whose true coefficients make a Hermitian vector, and the
+# law sampled for a complex-log estimate (a shifted wrapped normal off the sphere)
+_EVALUATE_LAWS = {
+    "circle": ("wn:sigma=0.7", "wn:sigma=0.7,mean=1"),
+    "torus:2": ("wn:sigma=0.5", "wn:sigma=0.5,mean=1;-0.5"),
+    "torus:3": ("wn:sigma=0.5", "wn:sigma=0.5,mean=1;-0.5;0.3"),
+    "sphere:2": ("heat:tau=0.35", "heat:tau=0.35"),
+}
+
+
+def _evaluate_cases(spec):
+    space = parse_space(spec)
+    truth_law, sampled = (parse_law(text, space) for text in _EVALUATE_LAWS[spec])
+    obs = sample_compound(ProcessConfig(law=sampled, seed=4), 2000)
+    zero, one = (0,) * space.rank, (0,) * (space.rank - 1) + (1,)
+    rng = np.random.default_rng(8)
+    indices = spectrum(space, 10.0)
+    noise = CoefficientVector([(ix, 1.0 if ix.is_trivial else complex(*rng.normal(0.0, 0.3, 2)))
+                               for ix in indices])
+    return {
+        "hermitian": _law_estimate(truth_law, 10.0),
+        "complex-log": reconstruct(obs, EstimatorConfig(variant=Variant.COMPLEX_LOG),
+                                   SobolevSpec(2.0)),
+        "half-pair": DensityEstimate(coeffs=_vec(space, {zero: 1.0, one: 0.5j}), space=space,
+                                     m=4, cutoff=10.0),
+        "random": DensityEstimate(coeffs=noise, space=space, m=1, cutoff=10.0),
+    }
+
+
+@pytest.mark.parametrize("spec", sorted(_EVALUATE_LAWS))
+def test_evaluate_is_the_real_part_of_the_brute_force_sum(spec):
+    # folding each +- pair onto one label keeps Re sum d c phi for any vector,
+    # Hermitian or not; a vector with imaginary parts returns only its real part
+    space = parse_space(spec)
+    rng = np.random.default_rng(9)
+    if space.is_flat:
+        pts = rng.uniform(0.0, 2.0 * math.pi, (300, space.dim))
+    else:
+        g = rng.standard_normal((300, space.ambient_dim))
+        pts = g / np.linalg.norm(g, axis=1, keepdims=True)
+    pts = np.vstack([space.origin(), pts])
+    for name, est in _evaluate_cases(spec).items():
+        brute = sum(ix.multiplicity * c * spherical(space, ix, pts)
+                    for ix, c in est.coeffs.items()).real
+        got = est.evaluate(pts)
+        assert got.dtype == np.float64, name
+        assert np.all(np.abs(got - brute) <= 1e-12 * np.maximum(1.0, np.abs(brute))), name
+
+
+def test_evaluate_synthesizes_one_label_of_each_pair(monkeypatch):
+    # n and -n fold onto one label, so a torus:3 estimate reaches the
+    # synthesis with no label together with its negation, and half the rows
+    seen = []
+
+    def recording(space, indices, weights, pts):
+        seen.append([index_label(ix) for ix in indices])
+        return spherical_synthesis(space, indices, weights, pts)
+
+    monkeypatch.setattr(density, "spherical_synthesis", recording)
+    est = _law_estimate(WrappedNormal(torus(3), sigma=0.5), 10.0)
+    est.evaluate(np.zeros((4, 3)))
+    (labels,) = seen
+    assert len(set(labels)) == len(labels) == (len(est.coeffs) + 1) // 2
+    assert not set(labels) & {tuple(-k for k in label) for label in labels if any(label)}
 
 
 def _evaluate_peak_bytes(est, pts):

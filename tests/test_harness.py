@@ -57,10 +57,13 @@ from decompound import (
     lambda: spectrum(parse_space("circle"), float("inf")),
     lambda: spectrum(parse_space("sphere:2"), float("nan")),
     lambda: weyl_census(parse_space("sphere:2"), (10.0, float("nan"))),
+    lambda: StudyConfig(observation_noise_tau=float("inf")),
+    lambda: StudyConfig(observation_noise_tau=float("nan")),
 ], ids=["study-delta", "estimator-intensity", "estimator-noise", "process-time",
         "process-noise", "heat-tau", "wn-sigma", "wn-mean", "study-s", "study-scale",
         "study-thresholds", "sobolev-nan", "sobolev-inf", "cutoff-s", "cutoff-scale",
-        "spectrum-inf", "spectrum-nan", "census-thresholds"])
+        "spectrum-inf", "spectrum-nan", "census-thresholds", "study-observation-noise-inf",
+        "study-observation-noise-nan"])
 def test_non_finite_parameters_are_rejected(build):
     # a NaN passes every `<= 0` check; before it was rejected, a NaN delta
     # truncated every estimate and the study still fitted a slope
@@ -313,6 +316,23 @@ def test_coefficient_study_explicit_index():
     assert res0.notes
 
 
+def test_coefficient_study_skips_the_fit_when_every_estimate_is_truncated():
+    # delta / m above |nu| at every m: each estimate is 0, so each squared
+    # error is |c|^2 with no spread, and no slope through the rows means anything
+    index = make_index(parse_space("circle"), (1,))
+    for threads in (1, 2):
+        cfg = _tiny_density_config(delta=1e9, replicates=2, threads=threads)
+        res = run_coefficient_study(cfg)
+        c = cfg.law_object().coefficient(index)
+        assert [(r["mse"], r["stderr"]) for r in res.rows] == [(abs(c) ** 2, 0.0)] * 3
+        assert res.fit is None
+        assert any("every estimate truncated" in note for note in res.notes)
+    # |nu| is about 0.8: delta = 100 truncates m = 100 only, and the fit stays
+    partly = run_coefficient_study(_tiny_density_config(delta=100.0, replicates=2))
+    assert partly.rows[0]["stderr"] == 0.0 and partly.rows[1]["stderr"] > 0.0
+    assert partly.fit is not None and partly.notes == ()
+
+
 def test_coefficient_study_torus_index_parsing():
     cfg = StudyConfig(space="torus:2", law="wn:sigma=0.6", index="1;-1",
                       m_grid=(100, 300, 1000), replicates=10, seed=2)
@@ -424,6 +444,14 @@ def test_m_grid_below_one_rejected_before_any_pool(pools_opened, study):
     assert pools_opened == []
 
 
+@pytest.mark.parametrize("tau", [-0.5, float("inf")])
+def test_observation_noise_tau_rejected_before_any_pool(pools_opened, tau):
+    # the config rejects it, naming the field, before a worker could see it
+    with pytest.raises(ValueError, match="observation_noise_tau must be finite and >= 0"):
+        run_coefficient_study(_tiny_density_config(observation_noise_tau=tau, threads=2))
+    assert pools_opened == []
+
+
 # --- run_census ----------------------------------------------------------------------
 
 
@@ -441,6 +469,10 @@ def test_census_rejects_bad_threshold_grids():
         run_census("circle", thresholds=(100.0, 200.0, 400.0))  # < 2 decades
     with pytest.raises(ValueError):
         run_census("circle", thresholds=(100.0, 100.0, 10_000.0))  # not increasing
+    # log10 of a zero threshold has no value; the counting itself accepts 0
+    with pytest.raises(ValueError, match="thresholds must be finite and > 0"):
+        run_census("sphere:2", (0.0, 100.0, 1000.0))
+    assert weyl_census(parse_space("sphere:2"), (0.0,)) == [(1, 1)]
 
 
 # --- outputs ----------------------------------------------------------------------------
