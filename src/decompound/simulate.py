@@ -14,15 +14,19 @@ sphere sample keeps just that cosine column: the spherical functions read
 nothing else.  On the first read of ``points`` every endpoint is lifted, in
 one call over the whole set, along a uniform tangent direction at the
 origin drawn from a stream of its own.  The kernel works in place: walks
-are taken longest first, the cos and sin of a block's distances are taken
-once, the first round (from the origin) lands at cos d, and the blur is one
-more step in the same walk order.  It draws only the variates it uses.
+are taken longest first, their step cosines come from the radial table and
+their sines are sqrt(1 - cos^2), the first round (from the origin) lands at
+cos d, and the blur is one more step in the same walk order.  It draws only
+the variates it uses.
 
-Step counts are ``Generator.poisson`` draws.  Reproducibility: a sample is
-walked from one counter-based (Philox) stream keyed (seed, 0), block after
-block of 4096 observations (the block bounds working memory), and lifted
-from the stream keyed (seed, 2^64 - 1).  Output depends only on (config, m),
-and a sample extended by whole blocks keeps its earlier blocks.
+Step counts are one multinomial draw per block over a cut Poisson pmf
+table: how many walkers make exactly k steps.  The walkers are walked
+grouped by count and then put in a uniformly random order, so the
+observations of a block are i.i.d.  Reproducibility: a sample is walked
+from one counter-based (Philox) stream keyed (seed, 0), block after block of
+4096 observations (the block bounds working memory), and lifted from the
+stream keyed (seed, 2^64 - 1).  Output depends only on (config, m), and a
+sample extended by whole blocks keeps its earlier blocks.
 """
 from __future__ import annotations
 
@@ -203,6 +207,19 @@ def _blur_law(space: Space, noise_tau: float) -> StepLaw:
     return HeatZonal(space, tau0=noise_tau**2 / 2.0)
 
 
+@functools.lru_cache(maxsize=8)
+def _count_pmf(rate: float) -> np.ndarray:
+    """The Poisson(rate) pmf p_0..p_K in log space (exp(-rate) underflows past
+    745), cut at the first K + 1 > rate with p_K / (1 - rate/(K + 2)) < 2^-53
+    and normalized; numpy's multinomial gives the last cell the remainder."""
+    pmf, log_rate = [], math.log(rate)
+    while True:
+        k = len(pmf)
+        pmf.append(math.exp(k * log_rate - rate - math.lgamma(k + 1)))
+        if k + 1 > rate and pmf[-1] / (1.0 - rate / (k + 2)) < 2.0**-53:
+            return np.array(pmf) / math.fsum(pmf)
+
+
 def _flat_segment_sums(disp: np.ndarray, counts: np.ndarray, dim: int) -> np.ndarray:
     """Sum consecutive displacement runs of the given lengths (zeros allowed)."""
     cs = np.vstack([np.zeros((1, dim)), np.cumsum(disp, axis=0)])
@@ -214,13 +231,21 @@ def _flat_segment_sums(disp: np.ndarray, counts: np.ndarray, dim: int) -> np.nda
 def _direction_cosines(dim: int, n: int, rng) -> np.ndarray:
     """Cosines of n uniform tangent directions on S^dim with the way back to
     the origin, the first coordinate of a uniform unit vector in R^dim:
-    cos(2 pi U) on S^2, else 2B - 1 with B ~ Beta((dim-1)/2, (dim-1)/2)."""
+    cos(2 pi U) on S^2, 2U - 1 on S^3, else 2B - 1 with
+    B ~ Beta((dim-1)/2, (dim-1)/2)."""
     if dim == 2:
         c = rng.random(n)
         c *= 2.0 * math.pi
         return np.cos(c, out=c)
-    a = (dim - 1) / 2.0
-    return 2.0 * rng.beta(a, a, n) - 1.0
+    c = rng.random(n) if dim == 3 else rng.beta((dim - 1) / 2.0, (dim - 1) / 2.0, n)
+    return 2.0 * c - 1.0
+
+
+def _sines(c: np.ndarray) -> np.ndarray:
+    """sqrt(max(0, 1 - c^2)), the sines of angles in [0, pi] with cosines c."""
+    s = 1.0 - c * c
+    np.maximum(s, 0.0, out=s)
+    return np.sqrt(s, out=s)
 
 
 def _colatitude_step(z: np.ndarray, cos_d: np.ndarray, sin_d: np.ndarray,
@@ -228,9 +253,7 @@ def _colatitude_step(z: np.ndarray, cos_d: np.ndarray, sin_d: np.ndarray,
     """In place: the cosines z of the distance to the origin after one zonal
     step of distance d in a direction at cosine c to the way back there,
     z cos d + (sqrt(1 - z^2) sin d) c, clipped to [-1, 1]."""
-    s = 1.0 - z * z
-    np.maximum(s, 0.0, out=s)
-    np.sqrt(s, out=s)
+    s = _sines(z)
     s *= sin_d
     s *= c
     z *= cos_d
@@ -239,10 +262,11 @@ def _colatitude_step(z: np.ndarray, cos_d: np.ndarray, sin_d: np.ndarray,
     np.minimum(z, 1.0, out=z)
 
 
-def _sphere_cosines(config: ProcessConfig, counts: np.ndarray, rng,
+def _sphere_cosines(config: ProcessConfig, movers: np.ndarray, rng,
                     out: np.ndarray) -> None:
-    """The cosines z = cos(distance to origin) of zonal walks from the origin
-    with the given step counts, written into out.
+    """The cosines z = cos(distance to origin) of zonal walks from the origin,
+    movers[k] of which make more than k steps, written into out in a uniformly
+    random order.
 
     Their law is invariant under rotations fixing the origin, so only z is
     walked; `ObservationSet` lifts each endpoint along a uniform tangent at
@@ -250,49 +274,50 @@ def _sphere_cosines(config: ProcessConfig, counts: np.ndarray, rng,
     each round's walkers are a prefix; the first round starts at the origin,
     where every walker lands at cos d and draws no direction.  The blur is one
     more step in the same order: the walkers that never moved land at cos d
-    too and draw none.  All draws are i.i.d., so each is made in walk order.
+    too and draw none.  Step cosines come from the radial tables and sines
+    from them, sin d = sqrt(1 - cos^2 d); one call draws every direction.
     """
-    space, dim = config.space, config.space.dim
-    # a stable sort of a small integer type is a radix sort
-    order = np.argsort((-counts).astype(np.min_scalar_type(-counts.max())), kind="stable")
-    # walkers still moving in each round: movers[k] = #(counts > k)
-    movers = counts.size - np.cumsum(np.bincount(counts))
-    dist = config.law.sample_distances(int(counts.sum()), rng)
-    cos_d = np.cos(dist)
+    space, n = config.space, out.shape[0]
     moved = int(movers[0])
-    walked = np.ones(counts.size)
+    # walkers still moving in each round after the first
+    rounds = movers[1:np.count_nonzero(movers)].tolist()
+    later = sum(rounds)
+    cos_d = config.law._sphere_table.cosines(rng.random(moved + later))
+    walked = np.ones(n)
     walked[:moved] = cos_d[:moved]
-    # only the later rounds' steps, from off the origin, need sin d
-    cos_d, sin_d = cos_d[moved:], np.sin(dist[moved:])
-    lo = 0
-    for na in movers[1:-1].tolist():
-        _colatitude_step(walked[:na], cos_d[lo:lo + na], sin_d[lo:lo + na],
-                         _direction_cosines(dim, na, rng))
-        lo += na
-    if config.noise_tau:
-        blur = _blur_law(space, config.noise_tau).sample_distances(counts.size, rng)
-        cos_b = np.cos(blur)
+    cos_d = cos_d[moved:]
+    blur = _blur_law(space, config.noise_tau) if config.noise_tau else None
+    if blur:
+        cos_b = blur._sphere_table.cosines(rng.random(n))
         walked[moved:] = cos_b[moved:]
-        _colatitude_step(walked[:moved], cos_b[:moved], np.sin(blur[:moved]),
-                         _direction_cosines(dim, moved, rng))
-    out[order] = walked
+    dirs = _direction_cosines(space.dim, later + moved if blur else later, rng)
+    sin_d = _sines(cos_d)
+    lo = 0
+    for na in rounds:
+        _colatitude_step(walked[:na], cos_d[lo:lo + na], sin_d[lo:lo + na], dirs[lo:lo + na])
+        lo += na
+    if blur:
+        _colatitude_step(walked[:moved], cos_b[:moved], _sines(cos_b[:moved]), dirs[lo:])
+    out[rng.permutation(n)] = walked
 
 
 def _walk_endpoints(config: ProcessConfig, rng, out: np.ndarray) -> None:
     """len(out) independent (blurred) time-t observations drawn from one
-    stream, written into out: points on flat spaces, cosines on spheres."""
+    stream, written into out: points on flat spaces, cosines on spheres,
+    walked grouped by step count and put in a uniformly random order."""
     n = out.shape[0]
-    counts = rng.poisson(config.mean_steps, n)
+    cells = rng.multinomial(n, _count_pmf(config.mean_steps))
     space = config.space
     if not space.is_flat:
-        return _sphere_cosines(config, counts, rng, out)
+        return _sphere_cosines(config, n - np.cumsum(cells), rng, out)
+    counts = np.repeat(np.arange(cells.size), cells)
     total = int(counts.sum())
     disp = (config.law.sample_displacements(total, rng) if total
             else np.zeros((0, space.dim)))
     pos = _flat_segment_sums(disp, counts, space.dim)
     if config.noise_tau:
         pos += _blur_law(space, config.noise_tau).sample_displacements(n, rng)
-    np.mod(pos, 2.0 * math.pi, out=out)
+    out[rng.permutation(n)] = np.mod(pos, 2.0 * math.pi, out=pos)
 
 
 def sample_compound(config: ProcessConfig, m: int) -> ObservationSet:

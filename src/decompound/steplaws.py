@@ -7,8 +7,8 @@ Each law is a probability density on one of the supported spaces, with
 * an independent numerical-quadrature route to the same coefficients, and
 * a sampler for single steps: exact for wrapped normals (and so for flat
   heat kernels, which are wrapped normals); every sphere law (heat or cap)
-  draws distances from an equal-mass quantile table of its radial law,
-  whose bias against the exact coefficients is stated in ``_RadialTable``.
+  draws distance cosines from an equal-mass quantile table of its radial
+  law, whose bias against the exact coefficients is stated in ``_RadialTable``.
 
 Densities are always taken relative to the normalized measure, so the
 trivial coefficient of every law is 1.
@@ -143,20 +143,23 @@ class CoefficientVector:
 
 
 class _RadialTable:
-    """Radial law sampled through an equal-mass quantile table.
+    """Radial law sampled through an equal-mass table of distance cosines.
 
     Set-up integrates the density on a uniform grid of 2**14 nodes by
     Simpson's rule, one cell at a time, and inverts that CDF linearly
-    between grid knots: q_k = F^-1(k/K), k = 0..K, K = 2**16.  A uniform u
-    in cell k = floor(uK) maps linearly onto [q_k, q_k+1].  The end cells
-    (2/K of the draws) invert the grid CDF directly: one chord across the
-    far tail moved coefficients by 6.5e-6 at tau0 = 0.045.  Sampled zonal
-    coefficients, l <= 8, then differ from the exact ones by at most 1.9e-7,
-    by quadrature over the cells: heat on sphere:2 at tau0 = 0.5, 0.35,
-    0.045 (3.2e-8, 9.4e-8, 1.7e-7) and on sphere:3/4 at tau0 = 0.35
-    (1.5e-7, 1.9e-7); caps on sphere:2/3/4 at rho = 1.2, 1.0, 2.0 (2.5e-9,
-    1.1e-8, 6.7e-8).  The linear inverse needs the fine grid: at 2**12
-    nodes the bias at tau0 = 0.045 is 5.4e-7.
+    between grid knots: q_k = F^-1(k/K), k = 0..K, K = 2**16.  The table
+    keeps only the knots cos q_k; a uniform u in cell k = floor(uK) maps
+    linearly onto [cos q_k, cos q_k+1], and a walk takes sin d as
+    sqrt(1 - cos^2 d), so no cos or sin runs on a draw.  The end cells (2/K
+    of the draws) interpolate the grid CDF against cos(grid) directly: one
+    chord across the far tail moved coefficients by 8.1e-6 at tau0 = 0.045.
+    Sampled zonal coefficients, l <= 8, then differ from the exact ones by
+    at most 1.7e-7, by quadrature over the cells: heat on sphere:2 at tau0 =
+    0.5, 0.35, 0.045 (4.8e-9, 1.6e-8, 1.7e-7) and on sphere:3/4 at tau0 =
+    0.35 (7.7e-8, 1.3e-7); caps on sphere:2/3/4 at rho = 1.2, 1.0, 2.0
+    (8.3e-10, 5.7e-9, 4.5e-8).  The linear inverse needs the fine grid: at
+    2**12 nodes the bias at tau0 = 0.045 is 5.4e-7.
+    `StepLaw.sample_distances` returns the arccos of the same map.
     """
 
     CELLS = 2**16
@@ -172,23 +175,23 @@ class _RadialTable:
         step[:-1] = 5.0 * pdf[:-2] + 8.0 * pdf[1:-1] - pdf[2:]
         step[-1] = 5.0 * pdf[-1] + 8.0 * pdf[-2] - pdf[-3]
         cdf = np.concatenate([[0.0], np.cumsum(np.maximum(step * np.diff(grid) / 12.0, 0.0))])
-        self._grid = grid
+        self._cos_grid = np.cos(grid)
         self._cdf = cdf / cdf[-1]
-        q = np.interp(np.arange(self.CELLS + 1) / self.CELLS, self._cdf, grid)
-        self._q = q[:-1]
-        self._dq = np.diff(q)
+        self._knots = np.cos(np.interp(np.arange(self.CELLS + 1) / self.CELLS, self._cdf, grid))
 
-    def quantile(self, u: np.ndarray) -> np.ndarray:
-        """The sampler's map from uniforms in [0, 1) to distances."""
+    def cosines(self, u: np.ndarray) -> np.ndarray:
+        """The sampler's map from uniforms in [0, 1) to distance cosines."""
         x = u * self.CELLS
         k = x.astype(np.intp)
-        out = self._q.take(k)
+        out = self._knots[1:].take(k)
+        lo = self._knots.take(k)
         x -= k
-        x *= self._dq.take(k)
-        out += x
+        out -= lo
+        out *= x
+        out += lo
         if k.size and (k.min() == 0 or k.max() == self.CELLS - 1):
             edge = (k == 0) | (k == self.CELLS - 1)
-            out[edge] = np.interp(u[edge], self._cdf, self._grid)
+            out[edge] = np.interp(u[edge], self._cdf, self._cos_grid)
         return out
 
 
@@ -265,7 +268,7 @@ class StepLaw:
         """Spheres: n radial step distances in radial_support()."""
         if self.space.kind is not SpaceKind.SPHERE:
             raise ValueError("sample_distances is for spheres")
-        return self._sphere_table.quantile(rng.random(n))
+        return np.arccos(self._sphere_table.cosines(rng.random(n)))
 
 
 @dataclass(frozen=True)
@@ -506,7 +509,7 @@ def sample_points(law: StepLaw, n: int, rng) -> np.ndarray:
     """n independent single-step positions started from the origin."""
     space = law.space
     if space.kind is SpaceKind.SPHERE:
-        return _lift_from_origin(space, np.cos(law.sample_distances(n, rng)), rng)
+        return _lift_from_origin(space, law._sphere_table.cosines(rng.random(n)), rng)
     return np.mod(law.sample_displacements(n, rng), 2.0 * math.pi)
 
 

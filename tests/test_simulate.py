@@ -204,14 +204,20 @@ def test_process_config_validation():
 # --- Poisson counts ----------------------------------------------------------
 
 
+def _counts(rate, n, rng):
+    """n step counts as the sampler draws them: the cells of one multinomial
+    draw over the cut Poisson pmf table, spread out one count per walker."""
+    cells = rng.multinomial(n, simulate._count_pmf(rate))
+    return np.repeat(np.arange(cells.size), cells)
+
+
 @pytest.mark.parametrize("rate", [1.0, 4.5, 50.0, 200.0])
 def test_poisson_draw_moments(rate):
-    # step counts are rng.poisson(rate, n); numpy multiplies uniforms below
-    # rate 10 and uses transformed rejection (PTRS) above; both must produce
-    # the right mean and variance
+    # step counts are the cells of rng.multinomial(n, _count_pmf(rate)); the
+    # cut table must keep the right mean and variance
     rng = np.random.default_rng(17)
     n = 40_000
-    draws = rng.poisson(rate, n).astype(float)
+    draws = _counts(rate, n, rng).astype(float)
     se_mean = math.sqrt(rate / n)
     assert abs(draws.mean() - rate) < 4.5 * se_mean
     # Var(sample var) ~ (mu + 2 mu^2)/n for Poisson
@@ -222,11 +228,56 @@ def test_poisson_draw_moments(rate):
 def test_poisson_draw_small_rate_pmf():
     rng = np.random.default_rng(23)
     n = 30_000
-    draws = rng.poisson(0.8, n)
+    draws = _counts(0.8, n, rng)
     for k in range(3):
         want = math.exp(-0.8) * 0.8**k / math.factorial(k)
         got = float(np.mean(draws == k))
         assert abs(got - want) < 4.5 * math.sqrt(want * (1 - want) / n)
+
+
+@pytest.mark.parametrize("rate", [0.5, 1.0, 4.0, 40.0])
+def test_block_count_cells_match_the_poisson_pmf(rate):
+    # each block draws its counts as one multinomial over the table; summed
+    # over 200 blocks the cells are a chi-square match to Poisson(rate), with
+    # the cells expecting fewer than 5 walkers pooled at each end
+    pmf = simulate._count_pmf(rate)
+    rng = _block_rng(19, 0)
+    got = sum(rng.multinomial(BLOCK, pmf) for _ in range(200))
+    want = 200 * BLOCK * stats.poisson.pmf(np.arange(pmf.size), rate)
+    want[-1] += 200 * BLOCK * stats.poisson.sf(pmf.size - 1, rate)
+    lo, hi = np.flatnonzero(want >= 5.0)[[0, -1]]
+
+    def pool(x):
+        return np.concatenate([[x[:lo + 1].sum()], x[lo + 1:hi], [x[hi:].sum()]])
+
+    assert stats.chisquare(pool(got), pool(want)).pvalue > 1e-3
+
+
+@pytest.mark.parametrize("rate,size", [(1e-12, 3), (0.5, 16), (1.0, 19), (2.0, 24),
+                                       (4.0, 31), (40.0, 104), (745.0, 982),
+                                       (746.0, 983), (1000.0, 1272)])
+def test_count_table_is_cut_where_the_tail_is_below_2_to_the_minus_53(rate, size):
+    # the table ends (taken in log space, so no term underflows to a wrong 0
+    # past rate 745), holds the Poisson pmf, and the Poisson mass it covers is
+    # within 2^-53 of 1
+    pmf = simulate._count_pmf(rate)
+    assert pmf.size == size
+    assert math.fsum(pmf) == pytest.approx(1.0, abs=2.0**-52)
+    assert stats.poisson.sf(size - 1, rate) <= 2.0**-53
+    np.testing.assert_allclose(pmf, stats.poisson.pmf(np.arange(size), rate),
+                               rtol=1e-10, atol=1e-300)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_direction_cosines_follow_the_uniform_direction_law(dim):
+    # the first coordinate of a uniform unit vector in R^dim is 2B - 1 with
+    # B ~ Beta((dim-1)/2, (dim-1)/2); on S^3 that is U(-1, 1), drawn as 2U - 1
+    c = simulate._direction_cosines(dim, 50_000, np.random.default_rng(29))
+    assert c.min() >= -1.0 and c.max() <= 1.0
+    a = (dim - 1) / 2.0
+    assert stats.kstest((c + 1.0) / 2.0, stats.beta(a, a).cdf).pvalue > 1e-3
+    if dim == 3:
+        assert stats.kstest(c, stats.uniform(-1.0, 2.0).cdf).pvalue > 1e-3
 
 
 # --- distributional checks ---------------------------------------------------
@@ -314,24 +365,29 @@ def test_sphere_kernel_matches_reference_walk(d, law, noise):
         assert stats.ks_2samp(got[:, col], want[:, col]).pvalue > 1e-3, col
 
 
-# A per-round reference for the in-place kernel: each round takes cos and sin
-# of its own distances and steps every walker it moves with the full formula.
-# It makes the kernel's draws in the kernel's order: one generator across
-# blocks, no directions in the first round (from the origin), the blur
-# distances in walk order and blur directions for the walkers that moved
-# only.  The lift stacks new columns.
+# A per-round reference for the in-place kernel: each round takes the sines
+# of its own step cosines and steps every walker it moves with the full
+# formula.  It makes the kernel's draws in the kernel's order: one generator
+# across blocks; per block the count cells, the step cosines, the blur
+# cosines, one call for the directions of every round after the first (from
+# the origin) and of the blur for the walkers that moved, then the
+# permutation that puts the walks, taken longest first, in random order.
+# The lift stacks new columns.
 
 
 def _plain_directions(dim, n, rng):
     if dim == 2:
         return np.cos(2.0 * math.pi * rng.random(n))
+    if dim == 3:
+        return 2.0 * rng.random(n) - 1.0
     a = (dim - 1) / 2.0
     return 2.0 * rng.beta(a, a, n) - 1.0
 
 
-def _plain_colatitude_step(z, dist, c):
+def _plain_colatitude_step(z, cos_d, c):
     s = np.sqrt(np.maximum(1.0 - z * z, 0.0))
-    return np.clip(z * np.cos(dist) + s * np.sin(dist) * c, -1.0, 1.0)
+    sin_d = np.sqrt(np.maximum(1.0 - cos_d * cos_d, 0.0))
+    return np.clip(z * cos_d + s * sin_d * c, -1.0, 1.0)
 
 
 def _plain_lift_from_origin(space, z, rng):
@@ -340,27 +396,30 @@ def _plain_lift_from_origin(space, z, rng):
     return np.column_stack([np.sqrt(np.maximum(1.0 - z * z, 0.0))[:, None] * dirs, z])
 
 
-def _plain_sphere_endpoints(cfg, counts, rng):
-    space, n = cfg.space, counts.shape[0]
-    order = np.argsort(-counts, kind="stable")
-    steps = counts[order]
-    dist = cfg.law.sample_distances(int(steps.sum()), rng)
+def _plain_sphere_endpoints(cfg, n, rng):
+    space = cfg.space
+    cells = rng.multinomial(n, simulate._count_pmf(cfg.mean_steps))
+    steps = np.repeat(np.arange(cells.size), cells)[::-1]  # longest first
+    total, moved = int(steps.sum()), int(np.count_nonzero(steps))
+    cos_d = cfg.law._sphere_table.cosines(rng.random(total))
+    if cfg.noise_tau:
+        blur = HeatZonal(space, tau0=cfg.noise_tau**2 / 2.0)
+        cos_b = blur._sphere_table.cosines(rng.random(n))
+    dirs = _plain_directions(space.dim, total if cfg.noise_tau else total - moved, rng)
     walked = np.ones(n)
     lo = 0
     for k in range(int(steps[0])):
         na = int(np.count_nonzero(steps > k))
         # a walker at the origin lands at cos d whatever its direction
-        c = _plain_directions(space.dim, na, rng) if k else 0.0
-        walked[:na] = _plain_colatitude_step(walked[:na], dist[lo:lo + na], c)
+        c = dirs[lo - moved:lo - moved + na] if k else 0.0
+        walked[:na] = _plain_colatitude_step(walked[:na], cos_d[lo:lo + na], c)
         lo += na
     if cfg.noise_tau:
-        blur = HeatZonal(space, tau0=cfg.noise_tau**2 / 2.0).sample_distances(n, rng)
-        moved = int(np.count_nonzero(steps))
         c = np.zeros(n)
-        c[:moved] = _plain_directions(space.dim, moved, rng)
-        walked = _plain_colatitude_step(walked, blur, c)
+        c[:moved] = dirs[total - moved:]
+        walked = _plain_colatitude_step(walked, cos_b, c)
     z = np.empty_like(walked)
-    z[order] = walked
+    z[rng.permutation(n)] = walked
     return z
 
 
@@ -369,7 +428,7 @@ def _plain_sample(cfg, m):
     rng = _block_rng(cfg.seed, 0)
     for lo in range(0, m, BLOCK):
         hi = min(lo + BLOCK, m)
-        z[lo:hi] = _plain_sphere_endpoints(cfg, rng.poisson(cfg.mean_steps, hi - lo), rng)
+        z[lo:hi] = _plain_sphere_endpoints(cfg, hi - lo, rng)
     return z
 
 
@@ -395,7 +454,8 @@ def test_sphere_kernel_is_bit_identical_to_the_per_round_kernel(d, law):
         got = sample_compound(cfg, m).cosines
         assert got.tobytes() == _plain_sample(cfg, m).tobytes(), (cfg, m)
     # the last two cases drew no step at all
-    assert not _block_rng(cfg.seed, 0).poisson(cfg.mean_steps, 300).any()
+    cells = _block_rng(cfg.seed, 0).multinomial(300, simulate._count_pmf(cfg.mean_steps))
+    assert cells[0] == 300
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])

@@ -27,7 +27,8 @@ from decompound import (
     uniform_tangents,
     zonal_values,
 )
-from decompound.steplaws import _lift_from_origin
+from decompound.simulate import _sines
+from decompound.steplaws import _TABLE_NODES, _lift_from_origin
 
 
 # --- exact coefficient formulas -------------------------------------------
@@ -195,14 +196,15 @@ def test_lift_from_origin_unit_vectors(d):
     assert ks.pvalue > 1e-3
 
 
-def _quantile_formula(table, u):
-    """The table's quantile map as one gather per cell table and a mask of
+def _cosine_formula(table, u):
+    """The table's cosine map as two gathers from its knots and a mask of
     the end cells over every draw."""
     x = u * table.CELLS
     k = x.astype(np.intp)
-    out = table._q[k] + table._dq[k] * (x - k)
+    lo = table._knots[k]
+    out = lo + (table._knots[k + 1] - lo) * (x - k)
     edge = (k == 0) | (k == table.CELLS - 1)
-    out[edge] = np.interp(u[edge], table._cdf, table._grid)
+    out[edge] = np.interp(u[edge], table._cdf, table._cos_grid)
     return out
 
 
@@ -217,15 +219,17 @@ def test_radial_table_quantile_matches_formula_at_end_cells(law):
     inner = inner[(inner >= 1.0 / table.CELLS) & (inner < 1.0 - 1.0 / table.CELLS)]
     for u in (ends, inner, np.concatenate([inner, ends]), ends[:1], ends[-1:],
               inner[:1], inner[:0]):
-        assert table.quantile(u).tobytes() == _quantile_formula(table, u).tobytes()
+        assert table.cosines(u).tobytes() == _cosine_formula(table, u).tobytes()
 
 
 def _radial_table_coefficients(law, lmax, nodes=8, chunk=1 << 14):
     """Zonal coefficients of the law the radial table samples, by
-    Gauss-Legendre quadrature of its quantile map over u in [0, 1).
+    Gauss-Legendre quadrature of its cosine map over u in [0, 1).
 
     The map is linear on each interior cell [k/K, (k+1)/K); the two end
-    cells invert the grid CDF linearly, split here at its knots."""
+    cells interpolate the grid CDF against cos(grid) linearly, split here at
+    its knots.  A zonal value of degree l is a polynomial of degree l in the
+    cosine, so the rule is exact up to rounding for lmax < 2 * nodes."""
     table = law._sphere_table
     cells = table.CELLS
     knots = table._cdf
@@ -245,8 +249,7 @@ def _radial_table_coefficients(law, lmax, nodes=8, chunk=1 << 14):
         u = (lo[a:a + chunk, None] + width[a:a + chunk, None] * s).ravel()
         weight = (width[a:a + chunk, None] * w).ravel()
         # rounding can carry a node to 1.0, which no draw reaches
-        theta = table.quantile(np.minimum(u, 1.0 - 2.0**-53))
-        total += zonal_values(lam, lmax, np.cos(theta)) @ weight
+        total += zonal_values(lam, lmax, table.cosines(np.minimum(u, 1.0 - 2.0**-53))) @ weight
     return total
 
 
@@ -268,6 +271,22 @@ def test_radial_table_sampler_bias(d, tau0):
 def test_radial_table_sampler_bias_caps(d, rho):
     # caps sample through the same table, on the support [0, rho]
     _assert_sampled_law_bias(UniformCap(sphere(d), rho=rho))
+
+
+def test_sines_of_table_cosines_keep_their_digits_at_small_distances():
+    # the walk takes sin d = sqrt(1 - c^2) from the table's cosines; at the
+    # tau = 0.3 blur (tau0 = 0.045) the first knot is at d = 1.6e-3 and the
+    # first grid node at 1.9e-4, where 1 - c^2 cancels most
+    law = HeatZonal(sphere(2), tau0=0.045)
+    table = law._sphere_table
+    grid = np.linspace(*law.radial_support(), _TABLE_NODES)
+    q = np.interp(np.arange(table.CELLS + 1) / table.CELLS, table._cdf, grid)
+    assert table._knots.tobytes() == np.cos(q).tobytes()
+    assert q[1] < 2e-3
+    rel = _sines(table._knots[1:-1]) / np.sin(q[1:-1]) - 1.0
+    assert np.max(np.abs(rel)) <= 1e-10
+    for c, d in ((table._knots, q), (table._cos_grid, grid)):
+        assert np.max(np.abs(_sines(c) - np.sin(d))) <= 1e-12
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])
