@@ -131,10 +131,10 @@ def empirical_transform(obs: ObservationSet, indices, symmetrize: bool = False) 
         # Re phi is the same at n and -n, so one sum serves the pair
         keys = [pair_label(space, key) for key in keys]
     distinct = list(dict.fromkeys(keys))
-    # a sphere's spherical functions read only the last coordinate, so a
-    # sphere set hands over its cosine column alone
-    pts = obs.points if obs.cosines is None else obs.cosines[:, None]
-    sums = dict(zip(distinct, spherical_sums(space, distinct, pts)))
+    # a sum reads no order, and a sphere's spherical functions read only the
+    # last coordinate: the set hands over its sample as walked, on a sphere
+    # its cosine column alone
+    sums = dict(zip(distinct, spherical_sums(space, distinct, obs._unordered())))
     values = [(ix, _clamp_value(sums[key] / obs.m, symmetrize)) for ix, key in zip(indices, keys)]
     return EmpiricalTransform(values, m=obs.m, symmetrized=symmetrize)
 

@@ -342,11 +342,14 @@ def _replicate_results(cfg: StudyConfig, law, measure) -> dict:
 
 
 def _density_error(cfg: StudyConfig, est_cfg, truth, tail, rep, obs):
-    """The error against the law: the mass beyond the truth table is bias."""
+    """The error against the law (the mass beyond the truth table is bias),
+    and whether every non-trivial estimate was truncated to 0."""
     est = reconstruct(obs, est_cfg, SobolevSpec(cfg.s), cfg.scale)
     err = l2_error(est, truth)
+    nontrivial = [ix for ix in est.coeffs.indices() if not ix.is_trivial]
+    truncated = bool(nontrivial) and all(est.coeffs.is_truncated(ix) for ix in nontrivial)
     return (err.variance_term, err.bias_term + tail, err.total + tail,
-            est.coeffs if rep == 0 else None)
+            est.coeffs if rep == 0 else None, truncated)
 
 
 def run_convergence_study(cfg: StudyConfig) -> StudyResult:
@@ -371,13 +374,17 @@ def run_convergence_study(cfg: StudyConfig) -> StudyResult:
     rows = []
     rep_totals = []
     tables = {}
-    for m, triples in results.items():
+    for m, reps in results.items():
         cutoff = smoothing_cutoff(m, cfg.s, space, cfg.scale)
-        variances = np.array([t[0] for t in triples])
-        biases = np.array([t[1] for t in triples])
-        totals = np.array([t[2] for t in triples])
+        variances = np.array([t[0] for t in reps])
+        biases = np.array([t[1] for t in reps])
+        totals = np.array([t[2] for t in reps])
         if cfg.emit_coefficients:
-            tables[m] = triples[0][3]
+            tables[m] = reps[0][3]
+        failed = sum(t[4] for t in reps)
+        if failed:
+            notes.append(f"m={m}: {failed} of {len(reps)} replicates had every "
+                         "non-trivial estimate truncated to 0")
         bias_term = float(biases.mean())
         bias_ok = None
         if snorm is not None:

@@ -11,22 +11,28 @@ displacement whose spectral signature is exactly exp(-tau^2 * kappa / 2).
 On spheres the endpoint law is invariant under rotations fixing the
 origin, so only the cosine of the distance to the origin is walked, and a
 sphere sample keeps just that cosine column: the spherical functions read
-nothing else.  On the first read of ``points`` every endpoint is lifted, in
-one call over the whole set, along a uniform tangent direction at the
-origin drawn from a stream of its own.  The kernel works in place: walks
-are taken longest first, their step cosines come from the radial table and
-their sines are sqrt(1 - cos^2), the first round (from the origin) lands at
-cos d, and the blur is one more step in the same walk order.  It draws only
-the variates it uses.
+nothing else.  The kernel works in place: walks are taken longest first,
+their step cosines come from the radial table and their sines are
+sqrt(1 - cos^2), the first round (from the origin) lands at cos d, and the
+blur is one more step in the same walk order.  Direction cosines on S^2 come
+from a knot table of cos(phi), phi ~ U[0, pi], which has the law of
+cos(2 pi U) to within (pi/2^16)^2/8 = 2.9e-10.  The kernel draws only the
+variates it uses.
 
 Step counts are one multinomial draw per block over a cut Poisson pmf
-table: how many walkers make exactly k steps.  The walkers are walked
-grouped by count and then put in a uniformly random order, so the
-observations of a block are i.i.d.  Reproducibility: a sample is walked
-from one counter-based (Philox) stream keyed (seed, 0), block after block of
-4096 observations (the block bounds working memory), and lifted from the
-stream keyed (seed, 2^64 - 1).  Output depends only on (config, m), and a
-sample extended by whole blocks keeps its earlier blocks.
+table: how many walkers make exactly k steps.  Each block is walked and
+kept grouped by count.  The empirical transform is a sum over the sample,
+so it reads that grouped sample; `ObservationSet.cosines` and `.points`
+put each block in a uniformly random order on their first read, so the
+observations they show are i.i.d., and a sphere's points lift every
+endpoint along a uniform tangent direction at the origin.
+
+Reproducibility: a sample is walked from one counter-based (Philox) stream
+keyed (seed, 0), block after block of 16384 observations (the block bounds
+working memory); its order is drawn from the stream keyed (seed, 2^64 - 2),
+one permutation per block in block order, and its lift from the stream keyed
+(seed, 2^64 - 1).  Output depends only on (config, m), and a sample extended
+by whole blocks keeps its earlier blocks.
 """
 from __future__ import annotations
 
@@ -38,7 +44,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .spaces import Space, SpaceKind, parse_space
-from .steplaws import HeatZonal, StepLaw, WrappedNormal, _lift_from_origin, parse_law
+from .steplaws import (HeatZonal, StepLaw, WrappedNormal, _RadialTable, _TABLE_NODES, _lift_from_origin,
+                       parse_law)
 # perfbench/tracing.py wraps simulate.uniform_tangents; drop this import with
 # that wrap
 from .steplaws import uniform_tangents  # noqa: F401
@@ -52,7 +59,7 @@ __all__ = [
     "read_observations",
 ]
 
-BLOCK = 4096
+BLOCK = 16384
 
 
 @dataclass(frozen=True)
@@ -108,53 +115,41 @@ class ProcessConfig:
 class ObservationSet:
     """Immutable batch of observations plus the config that produced it.
 
-    ``ObservationSet(points=..., config=...)`` copies and checks the points.
-    A sphere sample from `sample_compound` keeps only each observation's
-    cosine of its distance to the origin, which is all a spherical function
-    reads: `points` lifts the whole set on first read, from the lift's own
-    stream ``_block_rng(seed, -1)``, and caches the result read-only.
-    ``cosines`` is that read-only column on a sphere (the last coordinate)
-    and None on flat spaces.
+    ``ObservationSet(points=..., config=...)`` copies and checks the points
+    and keeps their order.  A set from `sample_compound` keeps its sample as
+    the walk left it, grouped by step count within each block: flat points,
+    or on a sphere each observation's cosine of its distance to the origin,
+    which is all a spherical function reads.  The empirical transform, a sum
+    over the sample, reads it through ``_unordered()``.  The public reads
+    are i.i.d.: ``cosines`` and a flat set's ``points`` put each block in a
+    uniformly random order on first read, one permutation per block in block
+    order from the stream ``_block_rng(seed, -2)``, and a sphere's
+    ``points`` lift those cosines from the stream ``_block_rng(seed, -1)``.
+    Both cache their result read-only.  ``cosines`` is the last coordinate
+    on a sphere and None on flat spaces.
     """
 
     def __init__(self, points, config: ProcessConfig):
-        self._keep(np.array(points, dtype=float), config)  # defensive copy
+        pts = np.array(points, dtype=float)  # defensive copy
+        _check_points(pts, config.space)
+        pts.setflags(write=False)
+        column = None if config.space.is_flat else pts[:, -1]
+        vars(self).update(config=config, _sample=pts if column is None else column,
+                          _cosines=column, _points=pts)
 
     @classmethod
     def _adopt(cls, sample: np.ndarray, config: ProcessConfig) -> "ObservationSet":
-        """A set that owns sample, a freshly sampled array, checked and not
-        copied: flat points, or a sphere's walked cosines."""
-        obs = cls.__new__(cls)
+        """A set that owns sample, a freshly walked array grouped by step
+        count within each block, checked and not copied: flat points, or a
+        sphere's cosines."""
         if config.space.is_flat:
-            obs._keep(sample, config)
-            return obs
-        if not -1.0 <= sample.min() <= sample.max() <= 1.0:  # a NaN fails too
+            _check_points(sample, config.space)
+        elif not -1.0 <= sample.min() <= sample.max() <= 1.0:  # a NaN fails too
             raise ValueError("walked cosines must be finite and in [-1, 1]")
         sample.setflags(write=False)
-        vars(obs).update(config=config, cosines=sample, _points=None)
+        obs = cls.__new__(cls)
+        vars(obs).update(config=config, _sample=sample, _cosines=None, _points=None)
         return obs
-
-    def _keep(self, pts: np.ndarray, config: ProcessConfig) -> None:
-        space = config.space
-        if pts.ndim != 2 or pts.shape[1] != space.ambient_dim:
-            raise ValueError("points must have shape (m, ambient_dim)")
-        if pts.shape[0] == 0:
-            raise ValueError("empty observation set")
-        if not np.all(np.isfinite(pts)):
-            raise ValueError("non-finite observation coordinates")
-        sphere = space.kind is SpaceKind.SPHERE
-        if sphere:
-            # the 1e-6 norm rule, on squared norms summed column by column
-            sq = np.square(pts[:, 0])
-            for j in range(1, pts.shape[1]):
-                sq += np.square(pts[:, j])
-            if not (1.0 - 1e-6) ** 2 <= sq.min() <= sq.max() <= (1.0 + 1e-6) ** 2:
-                raise ValueError("sphere observations must lie on the unit sphere")
-        else:
-            if pts.min() < -1e-9 or pts.max() >= 2.0 * math.pi + 1e-9:
-                raise ValueError("flat observations must be angles in [0, 2*pi)")
-        pts.setflags(write=False)
-        vars(self).update(config=config, cosines=pts[:, -1] if sphere else None, _points=pts)
 
     def __setattr__(self, name, value):
         raise AttributeError("ObservationSet is immutable")
@@ -165,19 +160,70 @@ class ObservationSet:
                 value.setflags(write=False)
         vars(self).update(state)
 
+    def _unordered(self) -> np.ndarray:
+        """The sample in no promised order, as the transform reads it: flat
+        points, or a sphere's cosine column as shape (m, 1)."""
+        return self._sample if self.config.space.is_flat else self._sample[:, None]
+
+    @property
+    def cosines(self) -> np.ndarray | None:
+        """A sphere's cosines of the distances to the origin, read-only; None
+        on flat spaces."""
+        if self.config.space.is_flat:
+            return None
+        if self._cosines is None:
+            vars(self)["_cosines"] = _in_random_order(self._sample, self.config.seed)
+        return self._cosines
+
     @property
     def points(self) -> np.ndarray:
         """The (m, ambient_dim) observation coordinates, read-only."""
         if self._points is None:
-            pts = _lift_from_origin(self.config.space, self.cosines,
-                                    _block_rng(self.config.seed, -1))
-            pts.setflags(write=False)
+            if self.config.space.is_flat:
+                pts = _in_random_order(self._sample, self.config.seed)
+            else:
+                pts = _lift_from_origin(self.config.space, self.cosines,
+                                        _block_rng(self.config.seed, -1))
+                pts.setflags(write=False)
             vars(self)["_points"] = pts
         return self._points
 
     @property
     def m(self) -> int:
-        return len(self._points if self.cosines is None else self.cosines)
+        return len(self._sample)
+
+
+def _check_points(pts: np.ndarray, space: Space) -> None:
+    """Raise unless pts is a non-empty (m, ambient_dim) array of finite
+    observations: angles in [0, 2 pi) on flat spaces, unit vectors on spheres."""
+    if pts.ndim != 2 or pts.shape[1] != space.ambient_dim:
+        raise ValueError("points must have shape (m, ambient_dim)")
+    if pts.shape[0] == 0:
+        raise ValueError("empty observation set")
+    if not np.all(np.isfinite(pts)):
+        raise ValueError("non-finite observation coordinates")
+    if space.kind is SpaceKind.SPHERE:
+        # the 1e-6 norm rule, on squared norms summed column by column
+        sq = np.square(pts[:, 0])
+        for j in range(1, pts.shape[1]):
+            sq += np.square(pts[:, j])
+        if not (1.0 - 1e-6) ** 2 <= sq.min() <= sq.max() <= (1.0 + 1e-6) ** 2:
+            raise ValueError("sphere observations must lie on the unit sphere")
+    elif pts.min() < -1e-9 or pts.max() >= 2.0 * math.pi + 1e-9:
+        raise ValueError("flat observations must be angles in [0, 2*pi)")
+
+
+def _in_random_order(sample: np.ndarray, seed: int) -> np.ndarray:
+    """A read-only copy of a walked sample with each block of BLOCK rows put
+    in a uniformly random order: one permutation per block, in block order,
+    from the stream keyed (seed, -2)."""
+    rng = _block_rng(seed, -2)
+    out = np.empty_like(sample)
+    for lo in range(0, len(sample), BLOCK):
+        block = sample[lo:lo + BLOCK]
+        out[lo:lo + BLOCK][rng.permutation(len(block))] = block
+    out.setflags(write=False)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +231,8 @@ class ObservationSet:
 
 
 def _block_rng(seed: int, block: int) -> np.random.Generator:
-    """Philox keyed (seed, block) mod 2^64: a sample walks block 0, lifts -1."""
+    """Philox keyed (seed, block) mod 2^64: a sample walks block 0, draws
+    its order from -2 and lifts from -1."""
     key = np.array([seed % (1 << 64), block % (1 << 64)], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
@@ -228,15 +275,26 @@ def _flat_segment_sums(disp: np.ndarray, counts: np.ndarray, dim: int) -> np.nda
     return cs[ends] - cs[starts]
 
 
+@functools.lru_cache(maxsize=1)
+def _half_turn_table() -> _RadialTable:
+    """cos(phi) for phi ~ U[0, pi], the law of cos(2 pi U): a radial table
+    of a flat density, whose knots are cos(pi k / 2^16).  The end cells
+    interpolate the grid, so its end nodes sit on the knots next to 0 and
+    pi; every cosine is then linear between cosines of angles pi/2^16
+    apart, within (pi/2^16)^2/8 = 2.9e-10 of cos(pi U)."""
+    step = math.pi / _RadialTable.CELLS
+    grid = np.concatenate([[0.0], np.linspace(step, math.pi - step, _TABLE_NODES - 2),
+                           [math.pi]])
+    return _RadialTable(grid, np.ones(grid.size))
+
+
 def _direction_cosines(dim: int, n: int, rng) -> np.ndarray:
     """Cosines of n uniform tangent directions on S^dim with the way back to
     the origin, the first coordinate of a uniform unit vector in R^dim:
-    cos(2 pi U) on S^2, 2U - 1 on S^3, else 2B - 1 with
-    B ~ Beta((dim-1)/2, (dim-1)/2)."""
+    cos(pi U) from the half-turn table on S^2, 2U - 1 on S^3, else 2B - 1
+    with B ~ Beta((dim-1)/2, (dim-1)/2)."""
     if dim == 2:
-        c = rng.random(n)
-        c *= 2.0 * math.pi
-        return np.cos(c, out=c)
+        return _half_turn_table().cosines(rng.random(n))
     c = rng.random(n) if dim == 3 else rng.beta((dim - 1) / 2.0, (dim - 1) / 2.0, n)
     return 2.0 * c - 1.0
 
@@ -265,8 +323,8 @@ def _colatitude_step(z: np.ndarray, cos_d: np.ndarray, sin_d: np.ndarray,
 def _sphere_cosines(config: ProcessConfig, movers: np.ndarray, rng,
                     out: np.ndarray) -> None:
     """The cosines z = cos(distance to origin) of zonal walks from the origin,
-    movers[k] of which make more than k steps, written into out in a uniformly
-    random order.
+    movers[k] of which make more than k steps, written into out longest walk
+    first.
 
     Their law is invariant under rotations fixing the origin, so only z is
     walked; `ObservationSet` lifts each endpoint along a uniform tangent at
@@ -283,28 +341,28 @@ def _sphere_cosines(config: ProcessConfig, movers: np.ndarray, rng,
     rounds = movers[1:np.count_nonzero(movers)].tolist()
     later = sum(rounds)
     cos_d = config.law._sphere_table.cosines(rng.random(moved + later))
-    walked = np.ones(n)
-    walked[:moved] = cos_d[:moved]
+    out[:moved] = cos_d[:moved]
     cos_d = cos_d[moved:]
     blur = _blur_law(space, config.noise_tau) if config.noise_tau else None
     if blur:
         cos_b = blur._sphere_table.cosines(rng.random(n))
-        walked[moved:] = cos_b[moved:]
+        out[moved:] = cos_b[moved:]
+    else:
+        out[moved:] = 1.0
     dirs = _direction_cosines(space.dim, later + moved if blur else later, rng)
     sin_d = _sines(cos_d)
     lo = 0
     for na in rounds:
-        _colatitude_step(walked[:na], cos_d[lo:lo + na], sin_d[lo:lo + na], dirs[lo:lo + na])
+        _colatitude_step(out[:na], cos_d[lo:lo + na], sin_d[lo:lo + na], dirs[lo:lo + na])
         lo += na
     if blur:
-        _colatitude_step(walked[:moved], cos_b[:moved], _sines(cos_b[:moved]), dirs[lo:])
-    out[rng.permutation(n)] = walked
+        _colatitude_step(out[:moved], cos_b[:moved], _sines(cos_b[:moved]), dirs[lo:])
 
 
 def _walk_endpoints(config: ProcessConfig, rng, out: np.ndarray) -> None:
     """len(out) independent (blurred) time-t observations drawn from one
-    stream, written into out: points on flat spaces, cosines on spheres,
-    walked grouped by step count and put in a uniformly random order."""
+    stream, written into out grouped by step count: points on flat spaces,
+    cosines on spheres."""
     n = out.shape[0]
     cells = rng.multinomial(n, _count_pmf(config.mean_steps))
     space = config.space
@@ -317,7 +375,7 @@ def _walk_endpoints(config: ProcessConfig, rng, out: np.ndarray) -> None:
     pos = _flat_segment_sums(disp, counts, space.dim)
     if config.noise_tau:
         pos += _blur_law(space, config.noise_tau).sample_displacements(n, rng)
-    out[rng.permutation(n)] = np.mod(pos, 2.0 * math.pi, out=pos)
+    np.mod(pos, 2.0 * math.pi, out=out)
 
 
 def sample_compound(config: ProcessConfig, m: int) -> ObservationSet:

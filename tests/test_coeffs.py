@@ -35,6 +35,7 @@ from decompound import (
     sphere,
     torus,
 )
+from decompound.simulate import BLOCK, _block_rng
 from decompound.spaces import _BLOCK_BYTES, _CHUNK, _plan, spherical, spherical_synthesis
 
 
@@ -398,11 +399,18 @@ def test_estimate_coefficients_matches_reconstruct(space, law, variant, delta):
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_walked_cosines_estimate_as_their_lifted_points(d):
     # a sampled sphere set hands the transform its walked cosine column; the
-    # same observations built from their lifted points give the same bits
+    # same observations built from their lifted points, put back in the walk's
+    # order, give the same bits, and in the public order the same estimates
+    # up to summation order
     law = HeatZonal(sphere(d), tau0=0.3)
     walked = sample_compound(ProcessConfig(law=law, intensity=2.0, noise_tau=0.3, seed=d),
                              20_000)
-    lifted = ObservationSet(points=walked.points, config=walked.config)
+    # the public order puts walked observation i at order[i]
+    rng = _block_rng(d, -2)
+    order = np.concatenate([lo + rng.permutation(min(BLOCK, walked.m - lo))
+                            for lo in range(0, walked.m, BLOCK)])
+    lifted = ObservationSet(points=walked.points[order], config=walked.config)
+    public = ObservationSet(points=walked.points, config=walked.config)
     indices = spectrum(law.space, 80.0)
     for cfg in (EstimatorConfig(intensity=2.0, delta=100.0),
                 EstimatorConfig(variant=Variant.NOISE_CORRECTED, intensity=2.0, noise_tau=0.3)):
@@ -410,3 +418,6 @@ def test_walked_cosines_estimate_as_their_lifted_points(d):
         want = estimate_coefficients(lifted, indices, cfg)
         assert got.items() == want.items()
         assert got.truncated == want.truncated
+        shuffled = estimate_coefficients(public, indices, cfg)
+        assert shuffled.truncated == got.truncated
+        assert max(abs(a - b) for (_, a), (_, b) in zip(got.items(), shuffled.items())) <= 1e-12

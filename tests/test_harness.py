@@ -262,6 +262,44 @@ def test_torus_density_study_threads_do_not_change_numbers():
         assert threaded.fit == serial.fit
 
 
+def test_density_study_notes_replicates_with_every_estimate_truncated():
+    # at t Lambda = 10, |nu| is about 0.11 at the first index and smaller
+    # beyond, so delta = 100 truncates every non-trivial estimate at every m
+    # up to 400 (the trivial one stays at 1): each such replicate is counted
+    # in a note for its m, in a pool too
+    for threads in (1, 2):
+        res = run_convergence_study(_tiny_density_config(
+            delta=100.0, intensity=10.0, m_grid=(100, 200, 400), replicates=2,
+            threads=threads))
+        assert [n for n in res.notes if "truncated" in n] == [
+            f"m={m}: 2 of 2 replicates had every non-trivial estimate truncated to 0"
+            for m in (100, 200, 400)]
+    # |nu| at the first index is about 0.8: delta = 100 truncates it at
+    # m = 100 only, where nothing is kept, and the notes say so
+    partly = run_convergence_study(_tiny_density_config(delta=100.0, replicates=2))
+    assert [n for n in partly.notes if "truncated" in n] == [
+        "m=100: 2 of 2 replicates had every non-trivial estimate truncated to 0"]
+    assert not any("truncated" in n for n in run_convergence_study(
+        _tiny_density_config(replicates=2)).notes)
+
+
+@pytest.mark.parametrize("run", [run_coefficient_study, run_convergence_study])
+@pytest.mark.parametrize("space,law", [("circle", "wn:sigma=0.7"), ("sphere:2", "heat:tau=0.5")])
+def test_studies_never_draw_the_public_order(run, space, law, monkeypatch):
+    # studies read samples only through the transform, a sum over the sample,
+    # so they give the same rows when drawing the public order raises; m =
+    # 20000 spans two blocks
+    cfg = _tiny_density_config(space=space, law=law, replicates=2, m_grid=(100, 1000, 20_000))
+    want = run(cfg)
+
+    def refuse(*args):
+        raise AssertionError("a study drew the public order")
+
+    monkeypatch.setattr(simulate, "_in_random_order", refuse)
+    got = run(cfg)
+    assert got.rows == want.rows and got.fit == want.fit
+
+
 def test_cap_density_bias_counts_mass_beyond_truth_table():
     # a cap's coefficients decay slowly, so the truth table leaves real mass
     # out; the bias is measured against the law: ||f||^2 = 1/V less the kept mass

@@ -2,6 +2,7 @@
 
 import math
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -54,14 +55,15 @@ def test_different_seed_differs():
 
 @pytest.mark.parametrize("space", ["circle", "sphere:2", "sphere:3"])
 def test_block_prefix_stability(space):
-    # blocks are walked in order from one stream, and a sphere's lift draws
-    # its directions in observation order from a stream of its own, so
-    # extending m by whole blocks must not disturb earlier blocks
+    # blocks are walked in order from one stream, their orders are drawn in
+    # block order from another, and a sphere's lift draws its directions in
+    # observation order from a third, so extending m by whole blocks must not
+    # disturb earlier blocks
     law = parse_law("wn:sigma=0.7" if space == "circle" else "heat:tau=0.3", parse_space(space))
     cfg = ProcessConfig(law=law, intensity=1.0, noise_tau=0.2, seed=123)
-    small = sample_compound(cfg, 4096)
-    big = sample_compound(cfg, 8192)
-    assert np.array_equal(small.points, big.points[:4096])
+    small = sample_compound(cfg, BLOCK)
+    big = sample_compound(cfg, 2 * BLOCK)
+    assert np.array_equal(small.points, big.points[:BLOCK])
 
 
 @pytest.mark.parametrize("space", ["circle", "torus:2", "sphere:2"])
@@ -76,9 +78,36 @@ def test_sample_walks_its_blocks_from_one_stream(space):
     rng = _block_rng(cfg.seed, 0)
     for lo in range(0, m, BLOCK):
         simulate._walk_endpoints(cfg, rng, want[lo:lo + BLOCK])
-    obs = sample_compound(cfg, m)
-    got = obs.points if cfg.space.is_flat else obs.cosines
+    got = sample_compound(cfg, m)._unordered()
     assert got.tobytes() == want.tobytes()
+
+
+def _block_order(seed, m):
+    """Where each walked observation goes in the public order: one
+    permutation per block, in block order, from the stream keyed (seed, -2)."""
+    rng = _block_rng(seed, -2)
+    return np.concatenate([lo + rng.permutation(min(BLOCK, m - lo))
+                           for lo in range(0, m, BLOCK)])
+
+
+def _public(grouped, seed):
+    out = np.empty_like(grouped)
+    out[_block_order(seed, len(grouped))] = grouped
+    return out
+
+
+@pytest.mark.parametrize("space", ["circle", "torus:2", "sphere:2"])
+def test_public_order_permutes_each_walked_block(space):
+    # points (flat) and cosines (sphere) are the walked sample with each
+    # block permuted by its own draw from the order stream
+    law = parse_law("heat:tau=0.3" if space == "sphere:2" else "wn:sigma=0.7",
+                    parse_space(space))
+    for m in (1, 2 * BLOCK + 5):
+        obs = sample_compound(ProcessConfig(law=law, intensity=1.5, noise_tau=0.3, seed=37), m)
+        walked = obs._unordered()
+        got = obs.points if obs.config.space.is_flat else obs.cosines[:, None]
+        assert got.tobytes() == _public(walked, 37).tobytes()
+        assert not got.flags.writeable
 
 
 def test_sample_compound_rejects_empty():
@@ -159,13 +188,17 @@ def test_walked_sphere_set_lifts_once_on_first_read(monkeypatch):
 
 
 def test_walked_sphere_set_pickles_before_its_lift():
-    obs = _sphere_sample(d=3)
-    back = pickle.loads(pickle.dumps(obs))
-    assert not back.cosines.flags.writeable
-    assert back.points.tobytes() == obs.points.tobytes()
-    assert back.config == obs.config
-    flat = pickle.loads(pickle.dumps(sample_compound(_circle_config(), 10)))
-    assert not flat.points.flags.writeable
+    # a walked set pickles before its order (and a sphere's lift) is drawn,
+    # and draws them the same way after
+    for obs in (_sphere_sample(d=3), sample_compound(_circle_config(), 10)):
+        back = pickle.loads(pickle.dumps(obs))
+        assert not back._unordered().flags.writeable
+        assert back.points.tobytes() == obs.points.tobytes()
+        assert not back.points.flags.writeable
+        assert back.config == obs.config
+        if obs.cosines is not None:
+            assert back.cosines.tobytes() == obs.cosines.tobytes()
+            assert not back.cosines.flags.writeable
 
 
 def test_walked_cosines_must_be_finite_and_in_range():
@@ -280,6 +313,45 @@ def test_direction_cosines_follow_the_uniform_direction_law(dim):
         assert stats.kstest(c, stats.uniform(-1.0, 2.0).cdf).pvalue > 1e-3
 
 
+def test_half_turn_table_is_cos_pi_u_to_within_its_knot_spacing():
+    # S^2 direction cosines come from a knot table of cos(phi), phi ~ U[0, pi]:
+    # linear between knots pi k / 2^16, so within (pi/2^16)^2/8 = 2.9e-10 of
+    # cos(pi U) on the same uniforms, the end cells and the ends included
+    table = simulate._half_turn_table()
+    k = 2**16
+    rng = np.random.default_rng(31)
+    u = np.concatenate([rng.random(1_000_000), rng.random(50_000) / k,
+                        1.0 - rng.random(50_000) / k, np.arange(k) / k,
+                        [2.0**-53, 1.0 - 2.0**-53]])
+    assert np.max(np.abs(table.cosines(u) - np.cos(math.pi * u))) <= 3e-10
+
+
+# tracemalloc's peak over a sample, beyond the sample itself: half the
+# transform's block budget (spaces._BLOCK_BYTES)
+_SAMPLE_BYTES = 1 << 22
+
+
+def _sample_peak_bytes(cfg, m):
+    sample_compound(cfg, m)  # the radial and count tables are built once
+    tracemalloc.start()
+    try:
+        obs = sample_compound(cfg, m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak - obs._unordered().nbytes
+
+
+@pytest.mark.parametrize("space,law", [("torus:3", "wn:sigma=0.5"), ("sphere:2", "heat:tau=0.5")])
+def test_sampling_memory_bounded_by_the_block(space, law):
+    # a block bounds the walk's working memory: one block stays under the
+    # budget, and three blocks need no more
+    cfg = ProcessConfig(law=parse_law(law, parse_space(space)), noise_tau=0.3, seed=6)
+    one_block = _sample_peak_bytes(cfg, BLOCK)
+    assert one_block <= _SAMPLE_BYTES
+    assert _sample_peak_bytes(cfg, 3 * BLOCK) <= 1.1 * one_block
+
+
 # --- distributional checks ---------------------------------------------------
 
 
@@ -370,14 +442,15 @@ def test_sphere_kernel_matches_reference_walk(d, law, noise):
 # formula.  It makes the kernel's draws in the kernel's order: one generator
 # across blocks; per block the count cells, the step cosines, the blur
 # cosines, one call for the directions of every round after the first (from
-# the origin) and of the blur for the walkers that moved, then the
-# permutation that puts the walks, taken longest first, in random order.
-# The lift stacks new columns.
+# the origin) and of the blur for the walkers that moved.  The walks stay
+# longest first; the public order puts each block in random order with one
+# permutation per block from the order stream (_public above).  The lift
+# stacks new columns.
 
 
 def _plain_directions(dim, n, rng):
     if dim == 2:
-        return np.cos(2.0 * math.pi * rng.random(n))
+        return simulate._half_turn_table().cosines(rng.random(n))
     if dim == 3:
         return 2.0 * rng.random(n) - 1.0
     a = (dim - 1) / 2.0
@@ -418,9 +491,7 @@ def _plain_sphere_endpoints(cfg, n, rng):
         c = np.zeros(n)
         c[:moved] = dirs[total - moved:]
         walked = _plain_colatitude_step(walked, cos_b, c)
-    z = np.empty_like(walked)
-    z[rng.permutation(n)] = walked
-    return z
+    return walked
 
 
 def _plain_sample(cfg, m):
@@ -449,10 +520,13 @@ def _kernel_cases(d, law):
 @pytest.mark.parametrize("law", ["heat", "cap"])
 def test_sphere_kernel_is_bit_identical_to_the_per_round_kernel(d, law):
     # the in-place kernel makes the same draws and the same arithmetic, so
-    # every walked cosine is the old kernel's to the bit
+    # every walked cosine is the old kernel's to the bit, and so is every
+    # public cosine
     for cfg, m in _kernel_cases(d, law):
-        got = sample_compound(cfg, m).cosines
-        assert got.tobytes() == _plain_sample(cfg, m).tobytes(), (cfg, m)
+        obs = sample_compound(cfg, m)
+        want = _plain_sample(cfg, m)
+        assert obs._unordered()[:, 0].tobytes() == want.tobytes(), (cfg, m)
+        assert obs.cosines.tobytes() == _public(want, cfg.seed).tobytes(), (cfg, m)
     # the last two cases drew no step at all
     cells = _block_rng(cfg.seed, 0).multinomial(300, simulate._count_pmf(cfg.mean_steps))
     assert cells[0] == 300
