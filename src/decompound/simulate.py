@@ -44,8 +44,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .spaces import Space, SpaceKind, parse_space
-from .steplaws import (HeatZonal, StepLaw, WrappedNormal, _RadialTable, _TABLE_NODES, _lift_from_origin,
-                       parse_law)
+from .steplaws import (_TABLE_NODES, HeatZonal, StepLaw, WrappedNormal, _lift_from_origin,
+                       _RadialTable, parse_law)
 # perfbench/tracing.py wraps simulate.uniform_tangents; drop this import with
 # that wrap
 from .steplaws import uniform_tangents  # noqa: F401
@@ -133,9 +133,9 @@ class ObservationSet:
         pts = np.array(points, dtype=float)  # defensive copy
         _check_points(pts, config.space)
         pts.setflags(write=False)
-        column = None if config.space.is_flat else pts[:, -1]
-        vars(self).update(config=config, _sample=pts if column is None else column,
-                          _cosines=column, _points=pts)
+        cosines = None if config.space.is_flat else pts[:, -1]
+        vars(self).update(config=config, _sample=pts if cosines is None else cosines,
+                          _cosines=cosines, _points=pts)
 
     @classmethod
     def _adopt(cls, sample: np.ndarray, config: ProcessConfig) -> "ObservationSet":
