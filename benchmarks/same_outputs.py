@@ -9,8 +9,8 @@ never run.  Each tree runs the same ``decompound`` calls from its own
 and cap, with and without ``--noise-tau``), the circle and torus:2, each of
 40,000 points (three blocks of ``simulate.BLOCK`` = 16,384, the last one
 partial), and a one-block (16,384-point) sample on each of the circle and
-torus:2, the first block of any longer sample; ``coeffs --in`` on the noisy sphere:2 heat
-sample (noise-corrected) and on a shifted circle wrapped normal
+torus:2, the first block of any longer sample; ``coeffs --in`` on the noisy
+sphere:2 heat sample (noise-corrected) and on a shifted circle wrapped normal
 (complex-log); a small noisy ``study-coeff`` on sphere:2; and a small
 ``study-density`` on the circle and sphere:2 at ``--threads 1`` and
 ``--threads 2``.  Every file they

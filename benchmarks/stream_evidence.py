@@ -29,7 +29,7 @@ conservative (p near 1); it can only flag a difference.
 
 The flag thresholds were fixed before the script's first run against a
 change and are not tuned afterwards: a z-score beyond Z_FLAG or a KS p-value
-below P_FLAG is flagged.  With 16 cases, 48 z-scores per revision and 20 KS
+below P_FLAG is flagged.  With 16 cases, 48 z-scores per revision and 18 KS
 tests, a correct sampler raises a false flag with probability about 0.02.
 The script exits 1 if any z-score of the change or any KS test is flagged,
 or a child fails.
