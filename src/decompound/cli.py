@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import sys
 
 from .coeffs import EstimatorConfig, Variant
@@ -127,6 +128,8 @@ def _cmd_census(args) -> int:
 
 
 def _cmd_sample(args) -> int:
+    if args.count < 1:
+        raise ValueError("--count must be >= 1")
     obs = sample_compound(ProcessConfig.from_mapping(vars(args)), args.count)
     if args.out:
         write_observations(obs, args.out)
@@ -137,6 +140,8 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_coeffs(args) -> int:
+    if args.cutoff is not None and not 0.0 < args.cutoff < math.inf:
+        raise ValueError("--cutoff must be finite and > 0")
     obs = read_observations(args.input)
     pc = obs.config
     cfg = EstimatorConfig(

@@ -8,24 +8,27 @@ current point.  The m observations of a sample are independent walks.
 Optionally each observation is blurred by an independent heat-kernel
 displacement whose spectral signature is exactly exp(-tau^2 * kappa / 2).
 
+Step counts are one multinomial draw per block over a cut Poisson pmf
+table: how many walkers make exactly k steps.  Both geometries walk a block
+in rounds, longest walk first, so round k moves a prefix: the walkers that
+make more than k steps.  The circle and torus are R^d / 2 pi Z^d, so a flat
+walk adds its steps and its blur in R^d and wraps each endpoint once.
+
 On spheres the endpoint law is invariant under rotations fixing the
 origin, so only the cosine of the distance to the origin is walked, and a
 sphere sample keeps just that cosine column: the spherical functions read
-nothing else.  The kernel works in place: walks are taken longest first,
-their step cosines come from the radial table and their sines are
-sqrt(1 - cos^2), the first round (from the origin) lands at cos d, and the
-blur is one more step in the same walk order.  Direction cosines on S^2 come
-from a knot table of cos(phi), phi ~ U[0, pi], which has the law of
-cos(2 pi U) to within (pi/2^16)^2/8 = 2.9e-10.  The kernel draws only the
-variates it uses.
+nothing else.  The kernel works in place: step cosines come from the radial
+table and their sines are sqrt(1 - cos^2), the first round (from the origin)
+lands at cos d, and the blur is one more step in the same walk order.
+Direction cosines on S^2 come from a knot table of cos(phi), phi ~ U[0, pi],
+which has the law of cos(2 pi U) to within (pi/2^16)^2/8 = 2.9e-10.  The
+kernel draws only the variates it uses.
 
-Step counts are one multinomial draw per block over a cut Poisson pmf
-table: how many walkers make exactly k steps.  Each block is walked and
-kept grouped by count.  The empirical transform is a sum over the sample,
-so it reads that grouped sample; `ObservationSet.cosines` and `.points`
-put each block in a uniformly random order on their first read, so the
-observations they show are i.i.d., and a sphere's points lift every
-endpoint along a uniform tangent direction at the origin.
+Each block is kept grouped by step count.  The empirical transform is a sum
+over the sample, so it reads that grouped sample; `ObservationSet.cosines`
+and `.points` put each block in a uniformly random order on their first
+read, so the observations they show are i.i.d., and a sphere's points lift
+every endpoint along a uniform tangent direction at the origin.
 
 Reproducibility: a sample is walked from one counter-based (Philox) stream
 keyed (seed, 0), block after block of 16384 observations (the block bounds
@@ -267,14 +270,6 @@ def _count_pmf(rate: float) -> np.ndarray:
             return np.array(pmf) / math.fsum(pmf)
 
 
-def _flat_segment_sums(disp: np.ndarray, counts: np.ndarray, dim: int) -> np.ndarray:
-    """Sum consecutive displacement runs of the given lengths (zeros allowed)."""
-    cs = np.vstack([np.zeros((1, dim)), np.cumsum(disp, axis=0)])
-    ends = np.cumsum(counts)
-    starts = ends - counts
-    return cs[ends] - cs[starts]
-
-
 @functools.lru_cache(maxsize=1)
 def _half_turn_table() -> _RadialTable:
     """cos(phi) for phi ~ U[0, pi], the law of cos(2 pi U): a radial table
@@ -320,25 +315,22 @@ def _colatitude_step(z: np.ndarray, cos_d: np.ndarray, sin_d: np.ndarray,
     np.minimum(z, 1.0, out=z)
 
 
-def _sphere_cosines(config: ProcessConfig, movers: np.ndarray, rng,
+def _sphere_cosines(config: ProcessConfig, rounds: list[int], rng,
                     out: np.ndarray) -> None:
-    """The cosines z = cos(distance to origin) of zonal walks from the origin,
-    movers[k] of which make more than k steps, written into out longest walk
-    first.
+    """The cosines z = cos(distance to origin) of zonal walks from the origin
+    in the given rounds, written into out longest walk first.
 
     Their law is invariant under rotations fixing the origin, so only z is
     walked; `ObservationSet` lifts each endpoint along a uniform tangent at
-    the origin, from a stream of its own.  Walks are taken longest first, so
-    each round's walkers are a prefix; the first round starts at the origin,
-    where every walker lands at cos d and draws no direction.  The blur is one
-    more step in the same order: the walkers that never moved land at cos d
-    too and draw none.  Step cosines come from the radial tables and sines
-    from them, sin d = sqrt(1 - cos^2 d); one call draws every direction.
+    the origin, from a stream of its own.  The first round starts at the
+    origin, where every walker lands at cos d and draws no direction.  The
+    blur is one more step in the same order: the walkers that never moved
+    land at cos d too and draw none.  Step cosines come from the radial
+    tables and sines from them, sin d = sqrt(1 - cos^2 d); one call draws
+    every direction.
     """
     space, n = config.space, out.shape[0]
-    moved = int(movers[0])
-    # walkers still moving in each round after the first
-    rounds = movers[1:np.count_nonzero(movers)].tolist()
+    moved, *rounds = rounds or [0]  # the round from the origin, then the rest
     later = sum(rounds)
     cos_d = config.law._sphere_table.cosines(rng.random(moved + later))
     out[:moved] = cos_d[:moved]
@@ -361,21 +353,23 @@ def _sphere_cosines(config: ProcessConfig, movers: np.ndarray, rng,
 
 def _walk_endpoints(config: ProcessConfig, rng, out: np.ndarray) -> None:
     """len(out) independent (blurred) time-t observations drawn from one
-    stream, written into out grouped by step count: points on flat spaces,
-    cosines on spheres."""
+    stream, written into out longest walk first: points on flat spaces,
+    cosines on spheres.  Round k moves the rounds[k] walkers that make more
+    than k steps."""
     n = out.shape[0]
-    cells = rng.multinomial(n, _count_pmf(config.mean_steps))
-    space = config.space
-    if not space.is_flat:
-        return _sphere_cosines(config, n - np.cumsum(cells), rng, out)
-    counts = np.repeat(np.arange(cells.size), cells)
-    total = int(counts.sum())
-    disp = (config.law.sample_displacements(total, rng) if total
-            else np.zeros((0, space.dim)))
-    pos = _flat_segment_sums(disp, counts, space.dim)
+    movers = n - np.cumsum(rng.multinomial(n, _count_pmf(config.mean_steps)))
+    rounds = movers[:np.count_nonzero(movers)].tolist()
+    if not config.space.is_flat:
+        return _sphere_cosines(config, rounds, rng, out)
+    disp = config.law.sample_displacements(sum(rounds), rng)
+    out.fill(0.0)
+    lo = 0
+    for na in rounds:
+        out[:na] += disp[lo:lo + na]
+        lo += na
     if config.noise_tau:
-        pos += _blur_law(space, config.noise_tau).sample_displacements(n, rng)
-    np.mod(pos, 2.0 * math.pi, out=out)
+        out += _blur_law(config.space, config.noise_tau).sample_displacements(n, rng)
+    np.mod(out, 2.0 * math.pi, out=out)
 
 
 def sample_compound(config: ProcessConfig, m: int) -> ObservationSet:

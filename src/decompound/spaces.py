@@ -186,13 +186,14 @@ def _lattice_index(label: tuple[int, ...]) -> SpectralIndex:
 
 def make_index(space: Space, label: tuple[int, ...]) -> SpectralIndex:
     """Build the SpectralIndex for a raw label on the given space."""
+    if len(label) != space.rank:
+        raise ValueError(f"index label {tuple(label)} has length {len(label)}; "
+                         f"{space.spec_string()} labels have length {space.rank}")
     if space.kind is SpaceKind.SPHERE:
         (ell,) = label
         if ell < 0:
             raise ValueError("sphere degrees are nonnegative")
         return _sphere_index(space.dim, ell)
-    if len(label) != space.dim:
-        raise ValueError(f"label length {len(label)} != dim {space.dim}")
     return _lattice_index(tuple(int(k) for k in label))
 
 
@@ -368,14 +369,6 @@ def spherical(space: Space, index: SpectralIndex, point: np.ndarray) -> complex 
 # geodesics and distances
 
 
-def _wrap_angles(theta: np.ndarray) -> np.ndarray:
-    return np.mod(theta, TWO_PI)
-
-
-def _signed_angles(theta: np.ndarray) -> np.ndarray:
-    """Reduce angles to [-pi, pi)."""
-    return np.mod(theta + math.pi, TWO_PI) - math.pi
-
 def geodesic_step(
     space: Space,
     from_point: np.ndarray,
@@ -405,7 +398,7 @@ def geodesic_step(
         moved = np.cos(dist) * pts + np.sin(dist) * dirs
         moved /= np.linalg.norm(moved, axis=1, keepdims=True)
     else:
-        moved = _wrap_angles(pts + dist * dirs)
+        moved = np.mod(pts + dist * dirs, TWO_PI)
     return moved[0] if single else moved
 
 
@@ -415,7 +408,8 @@ def distance_to_origin(space: Space, point: np.ndarray) -> float | np.ndarray:
     if space.kind is SpaceKind.SPHERE:
         out = np.arccos(np.clip(pts[:, -1], -1.0, 1.0))
     else:
-        out = np.linalg.norm(_signed_angles(pts), axis=1)
+        # the shorter arc on each axis: angles reduced to [-pi, pi)
+        out = np.linalg.norm(np.mod(pts + math.pi, TWO_PI) - math.pi, axis=1)
     return float(out[0]) if single else out
 
 

@@ -25,7 +25,6 @@ from .spaces import (
     Space,
     SpaceKind,
     SpectralIndex,
-    _signed_angles,
     _zonal_weight_log_norm,
     index_label,
     make_index,
@@ -253,7 +252,8 @@ class StepLaw:
         return (0.0, math.pi)
 
     def sample_displacements(self, n: int, rng) -> np.ndarray:
-        """Flat spaces: n signed angle displacement vectors, shape (n, d)."""
+        """Flat spaces: n step displacements in R^d, shape (n, d), not
+        reduced mod 2 pi; a walk adds them and wraps the sum once."""
         raise NotImplementedError
 
     # spheres: one sampler for every law ---------------------------------------
@@ -339,7 +339,8 @@ class WrappedNormal(StepLaw):
     """Wrapped normal step on the circle or torus.
 
     Coefficients ``exp(-|n|^2 sigma^2 / 2) * exp(-i n . mean)``; not inverse
-    invariant when the mean is nonzero.
+    invariant when the mean is nonzero.  A step is ``mean + sigma * z`` in
+    R^d, the covering space, not reduced mod 2 pi.
     """
 
     sigma: float = 1.0
@@ -393,9 +394,7 @@ class WrappedNormal(StepLaw):
         return out
 
     def sample_displacements(self, n: int, rng) -> np.ndarray:
-        d = self.space.dim
-        z = rng.standard_normal((n, d))
-        return _signed_angles(np.asarray(self.mean) + self.sigma * z)
+        return self.mean + self.sigma * rng.standard_normal((n, self.space.dim))
 
 
 @dataclass(frozen=True)

@@ -69,6 +69,20 @@ def test_coeffs_estimator_defaults_from_header(tmp_path, capsys):
     assert "cutoff=4" in out
 
 
+@pytest.mark.parametrize("cutoff", ["0", "-3", "nan", "inf"])
+def test_coeffs_rejects_a_bad_cutoff_by_its_flag(tmp_path, capsys, cutoff):
+    obs = tmp_path / "obs.csv"
+    main(["sample", "--space", "circle", "--law", "wn:sigma=0.7",
+          "--count", "50", "--seed", "3", "--out", str(obs)])
+    assert main(["coeffs", "--in", str(obs), "--cutoff", cutoff]) == 2
+    assert "--cutoff must be finite and > 0" in capsys.readouterr().err
+
+
+def test_sample_rejects_a_bad_count_by_its_flag(capsys):
+    assert main(["sample", "--space", "circle", "--law", "wn:sigma=0.7", "--count", "0"]) == 2
+    assert "--count must be >= 1" in capsys.readouterr().err
+
+
 def test_study_density_writes_outputs(tmp_path):
     out = tmp_path / "study"
     code = main(["study-density", "--space", "circle", "--law", "wn:sigma=0.7",

@@ -54,6 +54,10 @@ def test_traced_studies_record_every_layer():
         assert layer in coefficient["spans"]
         assert layer in density["spans"]
     assert "density.reconstruct" in density["spans"]
+    # the flat walk draws its steps through the law, so a traced circle study
+    # and a traced torus:2 sample both time them
+    assert "steplaws.sample_displacements" in density["spans"]
+    assert "steplaws.sample_displacements" in flat["spans"]
     # one estimate, and one operation, per replicate of the coefficient study
     counts = coefficient["counts"]
     assert counts["coeffs.estimate.calls"] == counts["ops"] == 3 * 3

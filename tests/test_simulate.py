@@ -542,6 +542,65 @@ def test_sphere_points_are_the_plain_lift_from_the_lift_stream(d, law):
         assert obs.points.tobytes() == want.tobytes(), (cfg, m)
 
 
+# A per-walker reference for the flat walk: each walker's endpoint is summed
+# on its own in R^d, the covering space, from the kernel's draws in the
+# kernel's order (one generator across blocks; per block the count cells,
+# every step normal in round order, then the blur normals), and wrapped
+# mod 2 pi once.  Walks stay longest first, so round k's rows belong to the
+# first walkers that make more than k steps.
+
+
+def _plain_flat_endpoints(cfg, n, rng):
+    law, d = cfg.law, cfg.space.dim
+    if isinstance(law, HeatZonal):
+        sigma, mean = math.sqrt(2.0 * law.tau0), (0.0,) * d
+    else:
+        sigma, mean = law.sigma, law.mean
+    cells = rng.multinomial(n, simulate._count_pmf(cfg.mean_steps))
+    steps = np.repeat(np.arange(cells.size), cells)[::-1].tolist()  # longest first
+    rounds = [sum(s > k for s in steps) for k in range(steps[0])]
+    first_row = np.cumsum([0] + rounds).tolist()
+    z = rng.standard_normal((first_row[-1], d)).tolist()
+    noise = rng.standard_normal((n, d)).tolist() if cfg.noise_tau else None
+    ends = []
+    for i, s in enumerate(steps):
+        pos = [0.0] * d
+        for k in range(s):
+            pos = [p + (mu + sigma * x) for p, mu, x in zip(pos, mean, z[first_row[k] + i])]
+        if noise:
+            pos = [p + (0.0 + cfg.noise_tau * x) for p, x in zip(pos, noise[i])]
+        ends.append(pos)
+    return np.mod(np.array(ends), 2.0 * math.pi)
+
+
+def _plain_flat_sample(cfg, m):
+    rng = _block_rng(cfg.seed, 0)
+    return np.concatenate([_plain_flat_endpoints(cfg, min(BLOCK, m - lo), rng)
+                           for lo in range(0, m, BLOCK)])
+
+
+@pytest.mark.parametrize("space,law,noise", [("circle", "wn:sigma=0.7,mean=0.4", 0.3),
+                                             ("torus:2", "heat:tau=0.4", 0.0)])
+def test_flat_walk_is_bit_identical_to_a_per_walker_walk(space, law, noise):
+    # the kernel adds each round's steps to a prefix of the walkers, so each
+    # endpoint is its walker's sum in the same order, to the bit; the last
+    # case draws no step at all
+    step_law = parse_law(law, parse_space(space))
+    for rate, m in ((1.5, 1), (1.5, 2 * BLOCK + 5), (1e-12, 300)):
+        cfg = ProcessConfig(law=step_law, intensity=rate, noise_tau=noise, seed=60 + m)
+        assert sample_compound(cfg, m)._unordered().tobytes() == \
+            _plain_flat_sample(cfg, m).tobytes(), (cfg, m)
+
+
+def test_wrapped_normal_steps_live_on_the_covering_space():
+    # a step is mean + sigma z in R^d, not reduced mod 2 pi; the walk wraps
+    # each endpoint once
+    law = WrappedNormal(torus(2), sigma=5.0, mean=0.4)
+    got = law.sample_displacements(1000, np.random.default_rng(8))
+    assert got.tobytes() == (0.4 + 5.0 * np.random.default_rng(8).standard_normal((1000, 2))).tobytes()
+    assert got.min() < -math.pi and got.max() >= math.pi
+
+
 # --- CSV round trip ----------------------------------------------------------
 
 

@@ -109,8 +109,11 @@ def test_sphere_spectrum_casimir_and_multiplicity():
 
 
 def test_make_index_validates_labels():
-    with pytest.raises(ValueError):
-        make_index(circle(), (1, 2))  # wrong arity
+    # every kind checks the label length against the rank, naming the space
+    for space, label in ((circle(), (1, 2)), (torus(2), (1,)), (sphere(2), (1, 2)),
+                         (sphere(3), ())):
+        with pytest.raises(ValueError, match=f"{space.spec_string()} labels have length"):
+            make_index(space, label)
     with pytest.raises(ValueError):
         make_index(sphere(2), (-1,))  # sphere degrees are nonnegative
     i = make_index(torus(2), (1, -2))

@@ -332,7 +332,7 @@ def test_import_loads_no_scipy():
 def test_heat_circle_displacements_match_density():
     law = HeatZonal(circle(), tau0=0.3)
     rng = np.random.default_rng(5)
-    # displacements are signed tangent increments; wrap them onto [0, 2pi)
+    # displacements are steps in R^d, the covering space; wrap them onto [0, 2pi)
     th = law.sample_displacements(20_000, rng)[:, 0] % (2 * math.pi)
     # CDF by quadrature of the wrapped-Gaussian-type series density
     grid = np.linspace(0.0, 2 * math.pi, 4097)
