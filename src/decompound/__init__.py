@@ -7,98 +7,17 @@ exponential link between observation and step spectra with truncated
 log-estimators, reconstructs the step density under a spectral cutoff, and
 benchmarks the convergence rates.
 """
-from .spaces import (
-    Space,
-    SpaceKind,
-    SpectralIndex,
-    circle,
-    conjugate_index,
-    distance_to_origin,
-    geodesic_step,
-    make_index,
-    parse_space,
-    sphere,
-    spectrum,
-    spherical,
-    torus,
-    trapezoid_angles,
-    weyl_census,
-    zonal_quadrature,
-    zonal_values,
-)
-from .steplaws import (
-    CoefficientVector,
-    HeatZonal,
-    StepLaw,
-    UniformCap,
-    WrappedNormal,
-    parse_law,
-    quadrature_coefficients,
-    sample_points,
-    true_coefficients,
-    uniform_tangents,
-)
-from .simulate import (
-    ObservationSet,
-    ProcessConfig,
-    observations_text,
-    read_observations,
-    sample_compound,
-    write_observations,
-)
-from .coeffs import (
-    EmpiricalTransform,
-    EstimatorConfig,
-    Variant,
-    deviation_bound,
-    empirical_transform,
-    estimate_coefficients,
-    estimate_with_flag,
-)
-from .density import (
-    CoverageError,
-    DensityEstimate,
-    L2Error,
-    SobolevSpec,
-    evaluate,
-    l2_error,
-    reconstruct,
-    smoothing_cutoff,
-    sobolev_norm,
-    truth_table,
-)
-from .harness import (
-    FitResult,
-    StudyConfig,
-    StudyResult,
-    fit_rate,
-    replicate_seed,
-    run_census,
-    run_coefficient_study,
-    run_convergence_study,
-    write_study_outputs,
-)
+# Each module's __all__ is the one list of its public names; the package
+# re-exports every one of them and adds only __version__.
+from .spaces import *  # noqa: F401,F403
+from .steplaws import *  # noqa: F401,F403
+from .simulate import *  # noqa: F401,F403
+from .coeffs import *  # noqa: F401,F403
+from .density import *  # noqa: F401,F403
+from .harness import *  # noqa: F401,F403
+from . import coeffs, density, harness, simulate, spaces, steplaws
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Space", "SpaceKind", "SpectralIndex", "circle", "torus", "sphere",
-    "parse_space", "spectrum", "spherical", "conjugate_index", "make_index",
-    "geodesic_step", "distance_to_origin", "weyl_census", "zonal_values",
-    "zonal_quadrature", "trapezoid_angles",
-    "StepLaw", "HeatZonal", "WrappedNormal", "UniformCap", "CoefficientVector",
-    "parse_law", "true_coefficients", "quadrature_coefficients",
-    "sample_points", "uniform_tangents",
-    "ProcessConfig", "ObservationSet", "sample_compound",
-    "observations_text", "write_observations", "read_observations",
-    "Variant", "EstimatorConfig", "EmpiricalTransform", "empirical_transform",
-    "estimate_coefficients", "estimate_with_flag",
-    "deviation_bound",
-    "SobolevSpec", "DensityEstimate", "CoverageError", "L2Error",
-    "smoothing_cutoff", "reconstruct", "l2_error", "sobolev_norm", "evaluate",
-    "truth_table",
-    "StudyConfig", "StudyResult", "FitResult", "fit_rate",
-    "run_convergence_study", "run_coefficient_study", "run_census",
-    "write_study_outputs", "replicate_seed",
-    "__version__",
-]
+__all__ = [name for module in (spaces, steplaws, simulate, coeffs, density, harness)
+           for name in module.__all__] + ["__version__"]

@@ -153,8 +153,11 @@ def _cmd_coeffs(args) -> int:
     )
     space = pc.space
     if args.cutoff is not None:
-        # honor an explicit Casimir cutoff by solving for the scale factor
+        # honor an explicit Casimir cutoff by solving for the scale factor,
+        # stepped up where scale * m^p rounds below the cutoff
         scale = args.cutoff / smoothing_cutoff(obs.m, args.s, space, 1.0)
+        while smoothing_cutoff(obs.m, args.s, space, scale) < args.cutoff:
+            scale = math.nextafter(scale, math.inf)
     else:
         scale = args.scale
     est = reconstruct(obs, cfg, SobolevSpec(args.s), scale)

@@ -38,7 +38,6 @@ __all__ = [
     "estimate_coefficients",
     "estimate_with_flag",
     "deviation_bound",
-    "require_inverse_invariant",
 ]
 
 

@@ -54,7 +54,6 @@ __all__ = [
     "run_census",
     "write_study_outputs",
     "replicate_seed",
-    "standard_error",
 ]
 
 FitResult = namedtuple("FitResult", ["slope", "intercept", "ci_low", "ci_high"])
@@ -241,8 +240,7 @@ class StudyResult:
 # rate fitting
 
 
-def fit_rate(points, replicate_errors=None, resamples: int = _BOOTSTRAP_RESAMPLES,
-             seed: int = 0) -> FitResult:
+def fit_rate(points, replicate_errors=None, seed: int = 0) -> FitResult:
     """OLS slope/intercept through (log m, log err) points with a bootstrap CI.
 
     With replicate_errors (one array of per-replicate errors per point) the
@@ -267,8 +265,8 @@ def fit_rate(points, replicate_errors=None, resamples: int = _BOOTSTRAP_RESAMPLE
         # then one fit of every resample's column (numpy draws ranges below
         # 2**32 the same way for int32 and int64, so int32 halves the array)
         sizes = np.array([errs.size for errs in errors])
-        draws = rng.integers(0, np.repeat(sizes, sizes), size=(resamples, sizes.sum()),
-                             dtype=np.int32)
+        draws = rng.integers(0, np.repeat(sizes, sizes),
+                             size=(_BOOTSTRAP_RESAMPLES, sizes.sum()), dtype=np.int32)
         picks = np.split(draws, np.cumsum(sizes)[:-1], axis=1)
         yb = np.array([[math.log10(mean) if mean > 0 else y
                         for mean in errs[pick].mean(axis=1).tolist()]
@@ -276,8 +274,8 @@ def fit_rate(points, replicate_errors=None, resamples: int = _BOOTSTRAP_RESAMPLE
         slopes = np.polyfit(xs, yb, 1)[0]
     else:
         n = len(points)
-        slopes = np.empty(resamples)
-        for b in range(resamples):
+        slopes = np.empty(_BOOTSTRAP_RESAMPLES)
+        for b in range(_BOOTSTRAP_RESAMPLES):
             while True:
                 pick = rng.integers(0, n, n)
                 if np.ptp(xs[pick]) > 0:
@@ -412,7 +410,11 @@ def run_convergence_study(cfg: StudyConfig) -> StudyResult:
 
 def _resolve_index(cfg: StudyConfig, space: Space):
     if cfg.index is not None:
-        label = tuple(int(v) for v in str(cfg.index).split(";"))
+        try:
+            label = tuple(int(v) for v in str(cfg.index).split(";"))
+        except ValueError:
+            raise ValueError(f"index must be integers separated by ';', "
+                             f"got {cfg.index!r}") from None
         return make_index(space, label)
     for ix in spectrum(space, 4.0 * space.dim + 1.0):
         if not ix.is_trivial:

@@ -30,11 +30,8 @@ __all__ = [
     "parse_space",
     "spectrum",
     "spherical",
-    "spherical_sums",
-    "spherical_synthesis",
-    "index_label",
     "conjugate_index",
-    "pair_label",
+    "make_index",
     "geodesic_step",
     "distance_to_origin",
     "weyl_census",
@@ -70,13 +67,10 @@ class Space:
         Family the space belongs to.
     dim : int
         Manifold dimension ``d``.
-    rank : int
-        Rank of the symmetric space (``d`` for tori, 1 otherwise).
     """
 
     kind: SpaceKind
     dim: int
-    rank: int
 
     def __post_init__(self) -> None:
         if self.dim < 1:
@@ -85,9 +79,11 @@ class Space:
             raise ValueError("the circle is one-dimensional")
         if self.kind is SpaceKind.SPHERE and self.dim < 2:
             raise ValueError("sphere requires dim >= 2 (use circle() for d = 1)")
-        expected_rank = self.dim if self.kind is not SpaceKind.SPHERE else 1
-        if self.rank != expected_rank:
-            raise ValueError(f"rank must be {expected_rank} for {self.kind.value}")
+
+    @property
+    def rank(self) -> int:
+        """Rank of the symmetric space: ``d`` for tori, 1 otherwise."""
+        return 1 if self.kind is SpaceKind.SPHERE else self.dim
 
     @property
     def ambient_dim(self) -> int:
@@ -114,15 +110,15 @@ class Space:
 
 
 def circle() -> Space:
-    return Space(SpaceKind.CIRCLE, 1, 1)
+    return Space(SpaceKind.CIRCLE, 1)
 
 
 def torus(d: int) -> Space:
-    return Space(SpaceKind.TORUS, d, d)
+    return Space(SpaceKind.TORUS, d)
 
 
 def sphere(d: int) -> Space:
-    return Space(SpaceKind.SPHERE, d, 1)
+    return Space(SpaceKind.SPHERE, d)
 
 
 def parse_space(text: str) -> Space:
@@ -426,13 +422,29 @@ def weyl_census(space: Space, thresholds) -> list[tuple[int, int]]:
     if not all(0.0 <= t < math.inf for t in ts):
         raise ValueError("thresholds must be finite and >= 0")
     top = max(ts) if ts else 0.0
-    indices = spectrum(space, top)  # sorted by Casimir
-    kappas = np.array([ix.casimir for ix in indices])
-    cum_mult = np.concatenate([[0], np.cumsum([ix.multiplicity for ix in indices])])
+    if space.kind is SpaceKind.SPHERE:
+        indices = spectrum(space, top)  # by Casimir: at most sqrt(top) + 1 degrees
+        kappas = [ix.casimir for ix in indices]
+        counts, weighted = [1] * len(indices), [ix.multiplicity for ix in indices]
+    else:
+        # per shell k <= top, #{n in Z^d : |n|^2 = k}, built one axis at a time
+        n_max = math.isqrt(int(top))
+        if (2 * n_max + 1) ** space.dim >= 2**63:
+            raise ValueError(f"census counts on {space.spec_string()} to {top:g} "
+                             "could overflow int64")
+        counts = np.zeros(int(top) + 1, dtype=np.int64)
+        counts[0] = 1
+        for _ in range(space.dim):
+            prev = counts.copy()
+            for n in range(1, n_max + 1):
+                counts[n * n:] += 2 * prev[:-n * n]
+        kappas, weighted = np.arange(len(counts)), counts
+    cum_counts = np.concatenate([[0], np.cumsum(counts)])
+    cum_weighted = np.concatenate([[0], np.cumsum(weighted)])
     out = []
     for t in ts:
         k = int(np.searchsorted(kappas, t, side="right"))
-        out.append((k, int(cum_mult[k])))
+        out.append((int(cum_counts[k]), int(cum_weighted[k])))
     return out
 
 

@@ -78,6 +78,29 @@ def test_coeffs_rejects_a_bad_cutoff_by_its_flag(tmp_path, capsys, cutoff):
     assert "--cutoff must be finite and > 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("space, law, count, cutoff, indices", [
+    ("circle", "wn:sigma=0.7", 100, "4", 5),  # +-2 sit at kappa = 4
+    ("circle", "wn:sigma=0.7", 100, "16", 9),
+    ("torus:2", "wn:sigma=0.7", 300, "8", 25),
+    ("sphere:2", "heat:tau=0.5", 300, "2", 2),
+])
+def test_coeffs_cutoff_keeps_the_indices_at_the_cutoff(tmp_path, capsys, space, law, count,
+                                                       cutoff, indices):
+    # at these (space, m, cutoff) scale * m^p once rounded one ulp below the cutoff
+    obs = tmp_path / "obs.csv"
+    main(["sample", "--space", space, "--law", law, "--count", str(count), "--out", str(obs)])
+    assert main(["coeffs", "--in", str(obs), "--cutoff", cutoff]) == 0
+    assert f"cutoff={cutoff} indices={indices} " in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("index", ["a", "", "1;x"])
+def test_study_coeff_rejects_a_bad_index_by_its_field(capsys, index):
+    assert main(["study-coeff", "--space", "torus:2", "--law", "wn:sigma=0.7",
+                 "--index", index, "--m-grid", "100,200,300", "--replicates", "2"]) == 2
+    assert (f"index must be integers separated by ';', got {index!r}"
+            in capsys.readouterr().err)
+
+
 def test_sample_rejects_a_bad_count_by_its_flag(capsys):
     assert main(["sample", "--space", "circle", "--law", "wn:sigma=0.7", "--count", "0"]) == 2
     assert "--count must be >= 1" in capsys.readouterr().err

@@ -4,6 +4,9 @@ import csv
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -511,6 +514,23 @@ def test_census_rejects_bad_threshold_grids():
     with pytest.raises(ValueError, match="thresholds must be finite and > 0"):
         run_census("sphere:2", (0.0, 100.0, 1000.0))
     assert weyl_census(parse_space("sphere:2"), (0.0,)) == [(1, 1)]
+
+
+def test_torus_census_memory_is_bounded():
+    # the default thresholds reach 1e5, about 1.3e8 lattice points on torus:3;
+    # counting them must not list them (a passing run maps about 150 MB), so
+    # the child runs under a 1 GiB address-space limit
+    src = os.path.dirname(os.path.dirname(os.path.abspath(harness.__file__)))
+    script = ("import resource, sys; "
+              "hard = resource.getrlimit(resource.RLIMIT_AS)[1]; "
+              "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, hard)); "
+              "sys.path.insert(0, sys.argv[1]); from decompound import run_census; "
+              "print(run_census('torus:3').rows[-1]['count_spherical'])")
+    proc = subprocess.run([sys.executable, "-c", script, src], capture_output=True, text=True,
+                          timeout=120, env={**os.environ, "OPENBLAS_NUM_THREADS": "1"})
+    assert proc.returncode == 0, proc.stderr
+    # sum over (a, b) with a^2 + b^2 <= 1e5 of 2 isqrt(1e5 - a^2 - b^2) + 1
+    assert int(proc.stdout) == 132_459_677
 
 
 # --- outputs ----------------------------------------------------------------------------

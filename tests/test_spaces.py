@@ -7,8 +7,6 @@ import numpy as np
 import pytest
 
 from decompound import (
-    Space,
-    SpaceKind,
     circle,
     conjugate_index,
     distance_to_origin,
@@ -44,8 +42,6 @@ def test_invalid_spaces_rejected():
         sphere(1)  # one-dimensional sphere is spelled circle()
     with pytest.raises(ValueError):
         torus(0)
-    with pytest.raises(ValueError):
-        Space(SpaceKind.SPHERE, 2, 2)  # spheres have rank 1
 
 
 def test_parse_space_round_trip():
@@ -225,6 +221,21 @@ def test_weyl_census_small_counts():
     assert weyl_census(sphere(2), [100.0]) == [(10, 100)]  # l(l+1) <= 100: l = 0..9
     assert weyl_census(sphere(3), [100.0]) == [(10, 385)]  # sum (l+1)^2, l = 0..9
     assert weyl_census(torus(2), [100.0]) == [(317, 317)]  # lattice points in a disk
+
+
+def test_weyl_census_counts_the_spectrum():
+    # tori count lattice shells and spheres their degrees; either way the
+    # counts are those of the listed spectrum
+    ts = [0.5, 1.0, 2.0, 3.5, 10.0, 99.9, 100.0, 500.0, 2500.0]
+    for sp in (circle(), torus(2), torus(3), sphere(2), sphere(3)):
+        indices = spectrum(sp, ts[-1])
+        assert len(indices) == weyl_census(sp, ts[-1:])[0][0]
+        assert weyl_census(sp, ts) == [
+            (len(kept), sum(ix.multiplicity for ix in kept))
+            for kept in ([ix for ix in indices if ix.casimir <= t] for t in ts)]
+    # 633^8 lattice labels in the box of torus:8 at 1e5 exceed int64: loud, not wrapped
+    with pytest.raises(ValueError, match="torus:8 to 100000 could overflow int64"):
+        weyl_census(torus(8), [1e5])
 
 
 def test_weyl_census_monotone_in_threshold():
