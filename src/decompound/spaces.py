@@ -422,12 +422,13 @@ def weyl_census(space: Space, thresholds) -> list[tuple[int, int]]:
     if not all(0.0 <= t < math.inf for t in ts):
         raise ValueError("thresholds must be finite and >= 0")
     top = max(ts) if ts else 0.0
-    if space.kind is SpaceKind.SPHERE:
-        indices = spectrum(space, top)  # by Casimir: at most sqrt(top) + 1 degrees
+    if space.rank == 1:
+        indices = spectrum(space, top)  # by Casimir: at most 2 sqrt(top) + 1 indices
         kappas = [ix.casimir for ix in indices]
         counts, weighted = [1] * len(indices), [ix.multiplicity for ix in indices]
     else:
-        # per shell k <= top, #{n in Z^d : |n|^2 = k}, built one axis at a time
+        # per shell k <= top, #{n in Z^d : |n|^2 = k}, built one axis at a
+        # time: top + 1 counts, fewer than the indices of rank >= 2
         n_max = math.isqrt(int(top))
         if (2 * n_max + 1) ** space.dim >= 2**63:
             raise ValueError(f"census counts on {space.spec_string()} to {top:g} "
