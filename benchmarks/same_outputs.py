@@ -13,7 +13,8 @@ torus:2, the first block of any longer sample; ``coeffs --in`` on the noisy
 sphere:2 heat sample (noise-corrected) and on a shifted circle wrapped normal
 (complex-log); a small noisy ``study-coeff`` on sphere:2; and a small
 ``study-density`` on the circle and sphere:2 at ``--threads 1`` and
-``--threads 2``.  Every file they
+``--threads 2``; and a small ``study-density`` on torus:3, whose 10,443-entry
+truth table sets every bias term it writes.  Every file they
 write, and each call's standard output, is hashed, and so is each column of
 every ``points.csv`` (listed as ``points.csv[x1]`` and so on), to show which
 coordinates differ.  The script prints both sha256 values for each file and
@@ -71,6 +72,11 @@ for space, law in (("circle", "wn:sigma=0.55"), ("sphere:2", "heat:tau=0.35")):
                        "--m-grid", "100,1000,10000", "--replicates", "4", "--seed", "2",
                        "--threads", str(threads), "--emit-coefficients", "--emit-svg",
                        "--out", "study"]))
+# torus:3 at sigma = 0.5: the truth table reaches Casimir 184 (10,443 entries)
+CALLS.append(("study-density-torus:3",
+              ["study-density", "--space", "torus:3", "--law", "wn:sigma=0.5",
+               "--m-grid", "100,1000,10000", "--replicates", "3", "--emit-coefficients",
+               "--out", "study"]))
 
 
 def _run_calls(tree: str, outdir: str) -> list[str]:

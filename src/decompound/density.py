@@ -7,7 +7,11 @@ computed in coefficient space, where Parseval makes the variance/bias split
 exact: everything below the cutoff is variance, the rest of the truth is
 bias.  ``truth_table`` supplies that truth.  A cap's tail beyond the table is
 exact; heat and wrapped-normal tails read 0.0, since they are at most 4e-18
-and ||f||^2 less the kept mass would carry rounding up to 4e-16.
+and ||f||^2 less the kept mass would carry rounding up to 4e-16.  The truth
+table, the L2 split and the Sobolev norm read coefficient vectors as arrays,
+with no SpectralIndex per entry, but keep the arithmetic scalar (math.exp,
+abs, ** and sequential sums), so the bits do not depend on numpy's SIMD
+dispatch.
 Pointwise synthesis, for output and plots only, folds each +- pair onto one
 label and runs ``spaces.spherical_synthesis`` in blocks of points that fit a
 fixed byte budget, so its working memory does not grow with the points.
@@ -23,14 +27,14 @@ from enum import Enum
 
 import numpy as np
 
-from .spaces import Space, _as_points, pair_label, parse_space, spectrum, spherical_synthesis
+from .spaces import (Space, _as_points, _spectrum_table, pair_label, parse_space, spectrum,
+                     spherical_synthesis)
 from .steplaws import (
     CoefficientVector,
     HeatZonal,
     StepLaw,
     UniformCap,
     WrappedNormal,
-    true_coefficients,
 )
 from .simulate import ObservationSet
 from .coeffs import EstimatorConfig, estimate_coefficients
@@ -96,10 +100,12 @@ class DensityEstimate:
     config: EstimatorConfig | None = None
 
     def __post_init__(self):
-        for ix in self.coeffs.indices():
-            if ix.casimir > self.cutoff + 1e-12:
-                raise ValueError(f"index {ix.label} lies beyond the cutoff")
-            if ix.is_trivial and abs(self.coeffs[ix] - 1.0) > 1e-12:
+        kappa = self.coeffs._casimir
+        for row in np.flatnonzero((kappa == 0.0) | (kappa > self.cutoff + 1e-12)).tolist():
+            if kappa[row] > self.cutoff + 1e-12:
+                raise ValueError(f"index {tuple(self.coeffs._labels[row].tolist())} "
+                                 "lies beyond the cutoff")
+            if abs(complex(self.coeffs._values[row]) - 1.0) > 1e-12:
                 raise ValueError("trivial coefficient must equal 1 (the estimate "
                                  "integrates to 1)")
 
@@ -175,13 +181,22 @@ def l2_error(est: DensityEstimate, truth: CoefficientVector) -> L2Error:
     """
     if truth.max_casimir < est.cutoff * (1.0 - 1e-12) - 1e-12:
         raise CoverageError("truth coefficients stop below the estimate's cutoff")
+    coeffs = est.coeffs
+    if np.array_equal(truth._labels[:len(coeffs)], coeffs._labels):
+        rows = np.arange(len(coeffs))  # a reconstruct's indices head its truth table
+    else:
+        try:
+            rows = [truth._rows[label] for label in map(tuple, coeffs._labels.tolist())]
+        except KeyError as exc:
+            raise CoverageError(f"truth is missing index {exc.args[0]}") from None
     variance = 0.0
-    for ix, value in est.coeffs.items():
-        if ix not in truth:
-            raise CoverageError(f"truth is missing index {ix.label}")
-        variance += ix.multiplicity * abs(value - truth[ix]) ** 2
-    bias = sum(ix.multiplicity * abs(c) ** 2
-               for ix, c in truth.items() if ix not in est.coeffs)
+    for d, value, c in zip(coeffs._mult.tolist(), coeffs._values.tolist(),
+                           truth._values[rows].tolist()):
+        variance += d * abs(value - c) ** 2
+    outside = np.ones(len(truth), dtype=bool)
+    outside[rows] = False
+    bias = sum(d * abs(c) ** 2 for d, c in zip(truth._mult[outside].tolist(),
+                                               truth._values[outside].tolist()))
     return L2Error(variance, bias, variance + bias)
 
 
@@ -193,22 +208,21 @@ def sobolev_norm(coeffs: CoefficientVector, space: Space, s: float) -> float:
     """
     if s < 0:
         raise ValueError("s must be >= 0")
-    entries = coeffs.items()
-    if not entries:
+    if not len(coeffs):
         return 0.0
-    weights = []
-    for ix, c in entries:
-        w = ix.multiplicity * abs(c) ** 2
+    kappa, weights = coeffs._casimir.tolist(), []
+    for k, d, c in zip(kappa, coeffs._mult.tolist(), coeffs._values.tolist()):
+        w = d * abs(c) ** 2
         if s > 0:
-            w *= 1.0 + ix.casimir**s
-        weights.append((ix.casimir, w))
-    total = sum(w for _, w in weights)
-    kmax = max(k for k, _ in weights)
+            w *= 1.0 + k**s
+        weights.append(w)
+    total = sum(weights)
+    kmax = max(kappa)
     if kmax > 1.0:
         # dyadic octaves [2^j, 2^{j+1}); the top one estimates the unseen tail
         j_top = math.floor(math.log2(kmax))
-        top = sum(w for k, w in weights if 2.0**j_top <= k)
-        prev = sum(w for k, w in weights if 2.0 ** (j_top - 1) <= k < 2.0**j_top)
+        top = sum(w for k, w in zip(kappa, weights) if 2.0**j_top <= k)
+        prev = sum(w for k, w in zip(kappa, weights) if 2.0 ** (j_top - 1) <= k < 2.0**j_top)
         if top > 1e-10 and prev > 0.0:
             if top >= prev:
                 raise ValueError("coefficient tail is not summable against kappa^s "
@@ -266,14 +280,15 @@ def truth_table(law: StepLaw, cutoff: float) -> tuple[CoefficientVector, float]:
     # frequency or degree n + 1 lies past the cutoff, at Casimir (n+1)^2 on the
     # circle and tori and (n+1)(n+d) on spheres: the walk reaches the next level
     n, d = math.isqrt(int(cutoff)), law.space.dim
-    indices = spectrum(law.space, max(reach, (n + 1) * (n + d)))
+    labels, kappa, mult = _spectrum_table(law.space, max(reach, (n + 1) * (n + d)))
     # always keep one spectrum level strictly past the cutoff so the table
     # provably covers every index an estimate at this cutoff may contain
-    keep_to = max(reach, min(ix.casimir for ix in indices if ix.casimir > cutoff))
-    kept = true_coefficients(law, [ix for ix in indices if ix.casimir <= keep_to])
+    keep = kappa <= max(reach, float(kappa[kappa > cutoff].min()))
+    labels, kappa, mult = labels[keep], kappa[keep], mult[keep]
+    values = [law._coefficient(label, k) for label, k in zip(labels.tolist(), kappa.tolist())]
     tail = 0.0
     if isinstance(law, UniformCap):
         # f = 1/V on a set of normalized measure V, so ||f||^2 = 1/V = f(origin)
-        tail = law.radial_density(0.0) - sum(ix.multiplicity * abs(v) ** 2
-                                             for ix, v in kept.items())
-    return kept, float(tail)
+        tail = law.radial_density(0.0) - sum(count * abs(v) ** 2
+                                             for count, v in zip(mult.tolist(), values))
+    return CoefficientVector._from_table(labels, kappa, mult, values), float(tail)

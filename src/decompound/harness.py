@@ -344,8 +344,8 @@ def _density_error(cfg: StudyConfig, est_cfg, truth, tail, rep, obs):
     and whether every non-trivial estimate was truncated to 0."""
     est = reconstruct(obs, est_cfg, SobolevSpec(cfg.s), cfg.scale)
     err = l2_error(est, truth)
-    nontrivial = [ix for ix in est.coeffs.indices() if not ix.is_trivial]
-    truncated = bool(nontrivial) and all(est.coeffs.is_truncated(ix) for ix in nontrivial)
+    nontrivial = est.coeffs._casimir != 0.0
+    truncated = bool(nontrivial.any() and est.coeffs._truncated[nontrivial].all())
     return (err.variance_term, err.bias_term + tail, err.total + tail,
             est.coeffs if rep == 0 else None, truncated)
 

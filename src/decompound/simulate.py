@@ -46,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spaces import Space, SpaceKind, parse_space
+from .spaces import Space, SpaceKind, _wrap_angles, parse_space
 from .steplaws import (_TABLE_NODES, HeatZonal, StepLaw, WrappedNormal, _lift_from_origin,
                        _RadialTable, parse_law)
 # perfbench/tracing.py wraps simulate.uniform_tangents; drop this import with
@@ -369,7 +369,7 @@ def _walk_endpoints(config: ProcessConfig, rng, out: np.ndarray) -> None:
         lo += na
     if config.noise_tau:
         out += _blur_law(config.space, config.noise_tau).sample_displacements(n, rng)
-    np.mod(out, 2.0 * math.pi, out=out)
+    _wrap_angles(out)
 
 
 def sample_compound(config: ProcessConfig, m: int) -> ObservationSet:

@@ -172,14 +172,6 @@ def _sphere_multiplicity(d: int, ell: int) -> int:
     return high - low
 
 
-def _sphere_index(d: int, ell: int) -> SpectralIndex:
-    return SpectralIndex((ell,), float(ell * (ell + d - 1)), _sphere_multiplicity(d, ell))
-
-
-def _lattice_index(label: tuple[int, ...]) -> SpectralIndex:
-    return SpectralIndex(label, float(sum(k * k for k in label)), 1)
-
-
 def make_index(space: Space, label: tuple[int, ...]) -> SpectralIndex:
     """Build the SpectralIndex for a raw label on the given space."""
     if len(label) != space.rank:
@@ -189,8 +181,31 @@ def make_index(space: Space, label: tuple[int, ...]) -> SpectralIndex:
         (ell,) = label
         if ell < 0:
             raise ValueError("sphere degrees are nonnegative")
-        return _sphere_index(space.dim, ell)
-    return _lattice_index(tuple(int(k) for k in label))
+        return SpectralIndex((ell,), float(ell * (ell + space.dim - 1)),
+                             _sphere_multiplicity(space.dim, ell))
+    label = tuple(int(k) for k in label)
+    return SpectralIndex(label, float(sum(k * k for k in label)), 1)
+
+
+def _spectrum_table(space: Space, casimir_max: float):
+    """(labels (N, rank) int, casimir (N,) float, multiplicity (N,) int) of
+    every index with Casimir eigenvalue <= casimir_max, sorted by (casimir,
+    label lexicographic): the one enumeration of the spectrum."""
+    if not 0.0 <= casimir_max < math.inf:
+        raise ValueError("casimir_max must be finite and >= 0")
+    n_max = math.isqrt(int(casimir_max))  # bounds every |n_a| and every degree
+    if space.kind is SpaceKind.SPHERE:
+        d = space.dim
+        ell = np.arange(n_max + 1)
+        ell = ell[ell * (ell + d - 1) <= casimir_max]
+        mult = [_sphere_multiplicity(d, k) for k in ell.tolist()]
+        return ell[:, None], (ell * (ell + d - 1)).astype(float), np.array(mult, dtype=np.int64)
+    labels = np.indices((2 * n_max + 1,) * space.dim).reshape(space.dim, -1).T - n_max
+    kappa = (labels * labels).sum(axis=1)
+    keep = kappa <= casimir_max
+    labels, kappa = labels[keep], kappa[keep]
+    order = np.lexsort((*labels.T[::-1], kappa))
+    return labels[order], kappa[order].astype(float), np.ones(len(order), dtype=np.int64)
 
 
 def spectrum(space: Space, casimir_max: float) -> list[SpectralIndex]:
@@ -199,36 +214,27 @@ def spectrum(space: Space, casimir_max: float) -> list[SpectralIndex]:
     Returns indices sorted by (casimir, label lexicographic); the trivial
     index is always first.
     """
-    if not 0.0 <= casimir_max < math.inf:
-        raise ValueError("casimir_max must be finite and >= 0")
-    n_max = math.isqrt(int(casimir_max))  # bounds every |n_a| and every degree
-    if space.kind is SpaceKind.SPHERE:
-        d = space.dim
-        return [_sphere_index(d, ell) for ell in range(n_max + 1)
-                if ell * (ell + d - 1) <= casimir_max]
-    labels = np.indices((2 * n_max + 1,) * space.dim).reshape(space.dim, -1).T - n_max
-    kappa = (labels * labels).sum(axis=1)
-    keep = kappa <= casimir_max
-    labels, kappa = labels[keep], kappa[keep]
-    order = np.lexsort((*labels.T[::-1], kappa))
-    return [SpectralIndex(tuple(label), float(k), 1)
-            for label, k in zip(labels[order].tolist(), kappa[order].tolist())]
+    labels, kappa, mult = _spectrum_table(space, casimir_max)
+    return [SpectralIndex(tuple(label), k, d)
+            for label, k, d in zip(labels.tolist(), kappa.tolist(), mult.tolist())]
 
 
 def conjugate_index(space: Space, index):
     """Index of the conjugate character: negated lattice label on flat spaces,
     the index itself on spheres (zonal spherical functions there are real).
-    Takes a SpectralIndex or a raw label; a sphere's comes back as given."""
+    Takes a SpectralIndex (kept: its Casimir and multiplicity) or a raw label."""
     if space.kind is SpaceKind.SPHERE:
         return index
-    return _lattice_index(tuple(-k for k in index_label(index)))
+    if isinstance(index, SpectralIndex):
+        return SpectralIndex(tuple(-k for k in index.label), index.casimir, index.multiplicity)
+    return make_index(space, tuple(-k for k in index))
 
 
 def pair_label(space: Space, index) -> tuple[int, ...]:
     """The one label of a +- pair (phi_-n = conj phi_n): the larger label of
     n and -n; a sphere degree is its own pair."""
     label = index_label(index)
-    return max(label, index_label(conjugate_index(space, label)))
+    return label if space.kind is SpaceKind.SPHERE else max(label, tuple(-k for k in label))
 
 
 # ---------------------------------------------------------------------------
@@ -398,6 +404,14 @@ def geodesic_step(
     return moved[0] if single else moved
 
 
+def _wrap_angles(angles: np.ndarray) -> np.ndarray:
+    """angles mod 2*pi, in place and as np.mod rounds it (-0.0 to +0.0, a tiny
+    negative to 2*pi), but cheaper: np.fmod, then 2*pi added to negatives."""
+    np.fmod(angles, TWO_PI, out=angles)
+    angles += (angles < 0.0) * TWO_PI
+    return angles
+
+
 def distance_to_origin(space: Space, point: np.ndarray) -> float | np.ndarray:
     """Geodesic distance to the origin (north pole / zero angle)."""
     pts, single = _as_points(space, point)
@@ -423,9 +437,9 @@ def weyl_census(space: Space, thresholds) -> list[tuple[int, int]]:
         raise ValueError("thresholds must be finite and >= 0")
     top = max(ts) if ts else 0.0
     if space.rank == 1:
-        indices = spectrum(space, top)  # by Casimir: at most 2 sqrt(top) + 1 indices
-        kappas = [ix.casimir for ix in indices]
-        counts, weighted = [1] * len(indices), [ix.multiplicity for ix in indices]
+        # by Casimir: at most 2 sqrt(top) + 1 indices
+        _, kappas, weighted = _spectrum_table(space, top)
+        counts = np.ones(len(kappas), dtype=np.int64)
     else:
         # per shell k <= top, #{n in Z^d : |n|^2 = k}, built one axis at a
         # time: top + 1 counts, fewer than the indices of rank >= 2

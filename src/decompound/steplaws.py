@@ -25,6 +25,7 @@ from .spaces import (
     Space,
     SpaceKind,
     SpectralIndex,
+    _wrap_angles,
     _zonal_weight_log_norm,
     index_label,
     make_index,
@@ -60,41 +61,73 @@ class CoefficientVector:
 
     Holds exact law coefficients as well as estimated ones (which may leave
     the unit disc); ``check_density`` enforces the bounds that genuine
-    probability-density coefficients satisfy.
+    probability-density coefficients satisfy.  A table sorted once by
+    (casimir, label) holds labels, Casimir eigenvalues, multiplicities, values
+    and a truncated mask; ``indices`` and ``items`` build the SpectralIndex
+    objects, and label lookups go through one map built on first use.
     """
 
     def __init__(self, pairs, truncated=()):
-        self._idx: dict[tuple[int, ...], SpectralIndex] = {}
-        self._val: dict[tuple[int, ...], complex] = {}
-        for index, value in pairs:
-            self._idx[index.label] = index
-            self._val[index.label] = complex(value)
-        self.truncated = frozenset(index_label(ix) for ix in truncated)
+        entries = {index.label: (index, value) for index, value in pairs}
+        marked = {index_label(ix) for ix in truncated}
+        idx = [index for index, _ in entries.values()]
+        rank = len(idx[0].label) if idx else 1
+        self._fill(np.array([ix.label for ix in idx], dtype=int).reshape(-1, rank),
+                   [ix.casimir for ix in idx], [ix.multiplicity for ix in idx],
+                   [value for _, value in entries.values()],
+                   [ix.label in marked for ix in idx])
+
+    @classmethod
+    def _from_table(cls, labels, casimir, multiplicity, values) -> "CoefficientVector":
+        """The vector of values over a (labels, casimir, multiplicity) table."""
+        vec = cls.__new__(cls)
+        vec._fill(labels, casimir, multiplicity, values, np.zeros(len(labels), dtype=bool))
+        return vec
+
+    def _fill(self, labels, casimir, multiplicity, values, truncated) -> None:
+        casimir = np.asarray(casimir, dtype=float)
+        order = np.lexsort((*labels.T[::-1], casimir))
+        self._labels, self._casimir = labels[order], casimir[order]
+        self._mult = np.asarray(multiplicity, dtype=np.int64)[order]
+        self._values = np.asarray(values, dtype=complex)[order]
+        self._truncated = np.asarray(truncated, dtype=bool)[order]
+
+    @cached_property
+    def _rows(self) -> dict[tuple[int, ...], int]:
+        """label -> row of the table, built on first use."""
+        return dict(zip(map(tuple, self._labels.tolist()), range(len(self))))
 
     def indices(self) -> list[SpectralIndex]:
-        return sorted(self._idx.values(), key=lambda ix: (ix.casimir, ix.label))
+        return [SpectralIndex(tuple(label), k, d) for label, k, d in
+                zip(self._labels.tolist(), self._casimir.tolist(), self._mult.tolist())]
 
     def items(self):
-        return [(ix, self._val[ix.label]) for ix in self.indices()]
+        # tolist: Python complex values (a numpy scalar's repr would reach to_csv)
+        return list(zip(self.indices(), self._values.tolist()))
+
+    @property
+    def truncated(self) -> frozenset[tuple[int, ...]]:
+        return frozenset(map(tuple, self._labels[self._truncated].tolist()))
 
     def __len__(self) -> int:
-        return len(self._val)
+        return len(self._values)
 
     def __contains__(self, index) -> bool:
-        return index_label(index) in self._val
+        return index_label(index) in self._rows
 
     def __getitem__(self, index) -> complex:
-        return self._val[index_label(index)]
+        return complex(self._values[self._rows[index_label(index)]])
 
     def get(self, index, default=0.0 + 0.0j) -> complex:
-        return self._val.get(index_label(index), default)
+        return self[index] if index in self else default
 
     def is_truncated(self, index) -> bool:
-        return index_label(index) in self.truncated
+        row = self._rows.get(index_label(index))
+        return row is not None and bool(self._truncated[row])
 
     @property
     def max_casimir(self) -> float:
-        return max((ix.casimir for ix in self._idx.values()), default=0.0)
+        return float(self._casimir.max()) if len(self) else 0.0
 
     def check_density(self, tol: float = 1e-9) -> None:
         """Validate probability-density coefficient bounds."""
@@ -108,10 +141,10 @@ class CoefficientVector:
 
     def to_csv(self, path) -> None:
         lines = ["label,casimir,multiplicity,re,im,truncated_flag"]
-        for ix, v in self.items():
+        for (ix, v), flag in zip(self.items(), self._truncated.tolist()):
             lines.append(
                 f"{ix.label_string()},{ix.casimir!r},{ix.multiplicity},"
-                f"{v.real!r},{v.imag!r},{int(ix.label in self.truncated)}"
+                f"{v.real!r},{v.imag!r},{int(flag)}"
             )
         with open(path, "w") as fh:
             fh.write("\n".join(lines) + "\n")
@@ -243,6 +276,10 @@ class StepLaw:
         raise NotImplementedError
 
     def coefficient(self, index: SpectralIndex) -> complex:
+        return self._coefficient(index.label, index.casimir)
+
+    def _coefficient(self, label, casimir: float) -> complex:
+        """The law's one coefficient formula, at a label and its Casimir eigenvalue."""
         raise NotImplementedError
 
     def spec_string(self) -> str:
@@ -285,8 +322,8 @@ class HeatZonal(StepLaw):
     def inverse_invariant(self) -> bool:
         return True
 
-    def coefficient(self, index: SpectralIndex) -> complex:
-        return complex(math.exp(-index.casimir * self.tau0))
+    def _coefficient(self, label, casimir: float) -> complex:
+        return complex(math.exp(-casimir * self.tau0))
 
     def spec_string(self) -> str:
         return f"heat:tau={self.tau0!r}"
@@ -368,12 +405,12 @@ class WrappedNormal(StepLaw):
     def inverse_invariant(self) -> bool:
         return all(v % (2.0 * math.pi) == 0.0 for v in self.mean)
 
-    def coefficient(self, index: SpectralIndex) -> complex:
-        n = np.asarray(index.label, dtype=float)
-        phase = float(n @ np.asarray(self.mean))
-        return complex(math.exp(-0.5 * index.casimir * self.sigma**2)) * complex(
-            math.cos(phase), -math.sin(phase)
-        )
+    def _coefficient(self, label, casimir: float) -> complex:
+        value = complex(math.exp(-0.5 * casimir * self.sigma**2))
+        if not any(self.mean):
+            return value  # the phase factor 1 - 0j leaves every bit as it is
+        phase = float(np.asarray(label, dtype=float) @ np.asarray(self.mean))
+        return value * complex(math.cos(phase), -math.sin(phase))
 
     def spec_string(self) -> str:
         mean = ";".join(repr(v) for v in self.mean)
@@ -426,8 +463,8 @@ class UniformCap(StepLaw):
         theta = np.asarray(theta, dtype=float)
         return np.where(theta <= self.rho, 1.0 / self._cap_fraction, 0.0)
 
-    def coefficient(self, index: SpectralIndex) -> complex:
-        if index.casimir == 0.0:
+    def _coefficient(self, label, casimir: float) -> complex:
+        if casimir == 0.0:
             return 1.0 + 0.0j
         # (1/V) * integral over the cap of C_l^lam(cos t) / C_l^lam(1) against the
         # normalized zonal weight; the Gegenbauer derivative identity (DLMF
@@ -435,7 +472,7 @@ class UniformCap(StepLaw):
         # [cos rho, 1] as 2 lam sin^d rho C_{l-1}^{lam+1}(cos rho) / (l (l+2 lam)),
         # which is sin^d rho C_l^lam(1) Z_{l-1}^{lam+1}(cos rho) / d in the
         # normalized values Z = C(x) / C(1)
-        d, ell = self.space.dim, index.label[0]
+        d, ell = self.space.dim, label[0]
         z = zonal_values((d + 1) / 2.0, ell - 1, math.cos(self.rho))[-1, 0]
         norm = d * math.exp(_zonal_weight_log_norm(d)) * self._cap_fraction
         return complex(math.sin(self.rho) ** d * z / norm)
@@ -509,7 +546,7 @@ def sample_points(law: StepLaw, n: int, rng) -> np.ndarray:
     space = law.space
     if space.kind is SpaceKind.SPHERE:
         return _lift_from_origin(space, law._sphere_table.cosines(rng.random(n)), rng)
-    return np.mod(law.sample_displacements(n, rng), 2.0 * math.pi)
+    return _wrap_angles(law.sample_displacements(n, rng))
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -16,6 +17,7 @@ from decompound import (
     HeatZonal,
     ProcessConfig,
     SobolevSpec,
+    SpectralIndex,
     UniformCap,
     Variant,
     WrappedNormal,
@@ -247,25 +249,26 @@ def _case_id(value):
 ], ids=_case_id)
 def test_truth_table_enumerates_spectrum_once_to_first_level_past_cutoff(
         monkeypatch, space_text, law_text, ms):
-    # one spectrum walk, no further than the reach or the first spectrum level
-    # past the cutoff ((n+1)^2 on flat spaces, (n+1)(n+d) on spheres), and one
-    # coefficient per kept index
+    # one spectrum table, no further than the reach or the first spectrum
+    # level past the cutoff ((n+1)^2 on flat spaces, (n+1)(n+d) on spheres),
+    # and one evaluation of the law's coefficient formula per kept entry
     space = parse_space(space_text)
     law = parse_law(law_text, space)
     casimir_maxes = []
     coefficient_calls = []
 
-    def recording_spectrum(space, casimir_max):
+    def recording_table(space, casimir_max):
         casimir_maxes.append(casimir_max)
-        return spectrum(space, casimir_max)
+        return spectrum_table(space, casimir_max)
 
-    def counting_coefficient(self, index):
-        coefficient_calls.append(index)
-        return law_coefficient(self, index)
+    def counting_coefficient(self, label, casimir):
+        coefficient_calls.append(label)
+        return law_coefficient(self, label, casimir)
 
-    law_coefficient = type(law).coefficient
-    monkeypatch.setattr(density, "spectrum", recording_spectrum)
-    monkeypatch.setattr(type(law), "coefficient", counting_coefficient)
+    spectrum_table = density._spectrum_table
+    law_coefficient = type(law)._coefficient
+    monkeypatch.setattr(density, "_spectrum_table", recording_table)
+    monkeypatch.setattr(type(law), "_coefficient", counting_coefficient)
     for m in ms:
         cutoff = smoothing_cutoff(m, 2.0, space)
         casimir_maxes.clear()
@@ -296,6 +299,167 @@ def test_truth_table_keeps_the_extended_enumeration_and_drops_negligible_mass(
         beyond = sum(ix.multiplicity * abs(law.coefficient(ix)) ** 2
                      for ix in extended if ix.casimir > keep_to)
         assert beyond <= 1e-17
+
+
+# --- the array scoring path against the per-index reference --------------------
+#
+# truth_table, l2_error and sobolev_norm read spectral tables as arrays and
+# build no SpectralIndex; below are the per-index versions they replaced,
+# one SpectralIndex and one coefficient call per entry.  The array path must
+# give the same bits.
+
+
+def _reference_coefficient(law, ix):
+    # a wrapped normal's formula takes its phase at every mean, zero included
+    if isinstance(law, WrappedNormal):
+        phase = float(np.asarray(ix.label, dtype=float) @ np.asarray(law.mean))
+        return complex(math.exp(-0.5 * ix.casimir * law.sigma**2)) * complex(
+            math.cos(phase), -math.sin(phase))
+    return law.coefficient(ix)
+
+
+def _reference_truth_table(law, cutoff):
+    if isinstance(law, HeatZonal):
+        reach = math.log(1.0 / density._TRUTH_COVERAGE) / law.tau0
+    elif isinstance(law, WrappedNormal):
+        reach = 2.0 * math.log(1.0 / density._TRUTH_COVERAGE) / law.sigma**2
+    else:
+        reach = max(4.0 * cutoff, 50.0)
+    reach = max(float(cutoff), reach)
+    n, d = math.isqrt(int(cutoff)), law.space.dim
+    indices = spectrum(law.space, max(reach, (n + 1) * (n + d)))
+    keep_to = max(reach, min(ix.casimir for ix in indices if ix.casimir > cutoff))
+    kept = CoefficientVector((ix, _reference_coefficient(law, ix))
+                             for ix in indices if ix.casimir <= keep_to)
+    tail = 0.0
+    if isinstance(law, UniformCap):
+        tail = law.radial_density(0.0) - sum(ix.multiplicity * abs(v) ** 2
+                                             for ix, v in kept.items())
+    return kept, float(tail)
+
+
+def _reference_l2_error(est, truth):
+    variance = 0.0
+    for ix, value in est.coeffs.items():
+        if ix not in truth:
+            raise CoverageError(f"truth is missing index {ix.label}")
+        variance += ix.multiplicity * abs(value - truth[ix]) ** 2
+    bias = sum(ix.multiplicity * abs(c) ** 2
+               for ix, c in truth.items() if ix not in est.coeffs)
+    return variance, bias, variance + bias
+
+
+def _reference_sobolev_norm(coeffs, space, s):
+    weights = []
+    for ix, c in coeffs.items():
+        w = ix.multiplicity * abs(c) ** 2
+        if s > 0:
+            w *= 1.0 + ix.casimir**s
+        weights.append((ix.casimir, w))
+    total = sum(w for _, w in weights)
+    kmax = max(k for k, _ in weights)
+    if kmax > 1.0:
+        j_top = math.floor(math.log2(kmax))
+        top = sum(w for k, w in weights if 2.0**j_top <= k)
+        prev = sum(w for k, w in weights if 2.0 ** (j_top - 1) <= k < 2.0**j_top)
+        if top > 1e-10 and prev > 0.0:
+            if top >= prev:
+                raise ValueError("coefficient tail is not summable against kappa^s "
+                                 "(octave sums do not decrease)")
+            ratio = top / prev
+            if top * ratio / (1.0 - ratio) > 1e-10:
+                raise ValueError("Sobolev partial sums do not stabilize to 1e-10; "
+                                 "extend the coefficient vector or lower s")
+    return math.sqrt(total)
+
+
+def _hex_items(vec):
+    return [(ix.label, ix.casimir.hex(), ix.multiplicity, v.real.hex(), v.imag.hex(),
+             vec.is_truncated(ix)) for ix, v in vec.items()]
+
+
+def _outcome(norm, coeffs, space, s):
+    try:
+        return norm(coeffs, space, s).hex()
+    except ValueError as exc:
+        return str(exc)
+
+
+_BITS_CASES = [
+    ("circle", "wn:sigma=0.55"),
+    ("torus:2", "wn:sigma=0.5"),
+    ("torus:2", "heat:tau=0.4"),
+    ("torus:2", "wn:sigma=0.6,mean=0.4;-1"),
+    ("torus:3", "wn:sigma=0.5"),
+    ("sphere:2", "heat:tau=0.35"),
+    ("sphere:3", "cap:rho=1.2"),
+]
+
+
+@pytest.mark.parametrize("space_text,law_text", _BITS_CASES)
+def test_scoring_matches_the_per_index_reference_bit_for_bit(space_text, law_text):
+    space = parse_space(space_text)
+    law = parse_law(law_text, space)
+    variant = Variant.REAL_LOG if law.inverse_invariant else Variant.COMPLEX_LOG
+    obs = sample_compound(ProcessConfig(law=law, seed=11), 3000)
+    est = reconstruct(obs, EstimatorConfig(variant=variant), SobolevSpec(2.0), scale=2.0)
+    truth, tail = truth_table(law, est.cutoff)
+    want, want_tail = _reference_truth_table(law, est.cutoff)
+    assert _hex_items(truth) == _hex_items(want)
+    assert all(type(v) is complex for _, v in truth.items())
+    assert tail.hex() == want_tail.hex()
+    assert [x.hex() for x in l2_error(est, truth)] == \
+        [x.hex() for x in _reference_l2_error(est, want)]
+    # an estimate whose indices are not the head of the truth table: every
+    # other index of the reconstruct, its trivial one kept
+    sparse = DensityEstimate(
+        coeffs=CoefficientVector([(ix, v) for j, (ix, v) in enumerate(est.coeffs.items())
+                                  if j % 2 == 0]),
+        space=space, m=est.m, cutoff=est.cutoff)
+    assert [x.hex() for x in l2_error(sparse, truth)] == \
+        [x.hex() for x in _reference_l2_error(sparse, want)]
+    for s in (0.0, 1.0, 2.0):  # a value's hex, or the message both raise
+        assert _outcome(sobolev_norm, truth, space, s) == \
+            _outcome(_reference_sobolev_norm, want, space, s)
+
+
+def test_l2_error_coverage_errors_on_both_lookups():
+    # a truth table that stops short, and one with a hole below the cutoff,
+    # for an estimate that heads the table and one that does not
+    law = WrappedNormal(torus(2), sigma=0.5)
+    obs = sample_compound(ProcessConfig(law=law, seed=4), 2000)
+    est = reconstruct(obs, EstimatorConfig(), SobolevSpec(2.0))
+    truth, _ = truth_table(law, est.cutoff)
+    short = CoefficientVector([(ix, v) for ix, v in truth.items() if ix.casimir <= 2.0])
+    with pytest.raises(CoverageError, match="stop below"):
+        l2_error(est, short)
+    missing = est.coeffs.indices()[3]
+    holed = CoefficientVector([(ix, v) for ix, v in truth.items() if ix != missing])
+    with pytest.raises(CoverageError, match=re.escape(f"missing index {missing.label}")):
+        l2_error(est, holed)
+    kept = [(ix, v) for j, (ix, v) in enumerate(est.coeffs.items()) if j % 2 or ix.is_trivial]
+    sparse = DensityEstimate(coeffs=CoefficientVector(kept), space=est.space, m=est.m,
+                             cutoff=est.cutoff)
+    with pytest.raises(CoverageError, match="missing index"):
+        l2_error(sparse, holed)
+    assert l2_error(sparse, truth).total > 0.0
+
+
+def test_scoring_at_the_flat_density_cutoff_builds_no_spectral_index(monkeypatch):
+    # torus:3 at m = 1e5: the truth table, the L2 split and the Sobolev norm
+    # read arrays only
+    law = WrappedNormal(torus(3), sigma=0.5)
+    obs = sample_compound(ProcessConfig(law=law, seed=1000), 100_000)
+    est = reconstruct(obs, EstimatorConfig(), SobolevSpec(2.0))
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("a SpectralIndex was built")
+
+    monkeypatch.setattr(SpectralIndex, "__init__", refuse)
+    truth, _ = truth_table(law, est.cutoff)
+    assert len(truth) == 10_443
+    assert l2_error(est, truth).total > 0.0
+    assert sobolev_norm(truth, law.space, 2.0) > 1.0
 
 
 # --- reconstruct and evaluate ------------------------------------------------------

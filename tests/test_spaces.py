@@ -22,6 +22,7 @@ from decompound import (
     zonal_quadrature,
     zonal_values,
 )
+from decompound.spaces import _wrap_angles
 
 TWO_PI = 2.0 * math.pi
 
@@ -122,6 +123,36 @@ def test_conjugate_index():
     s = sphere(2)
     i = make_index(s, (4,))
     assert conjugate_index(s, i) == i  # real spherical functions are self-paired
+
+
+def test_conjugate_index_keeps_casimir_and_multiplicity():
+    # -n has the Casimir eigenvalue and multiplicity of n: a SpectralIndex's
+    # are carried over, not recomputed; a raw label's are computed
+    for space in (circle(), torus(2), torus(3)):
+        for ix in spectrum(space, 20.0):
+            conj = conjugate_index(space, ix)
+            assert conj == make_index(space, tuple(-k for k in ix.label))
+            assert conj.casimir is ix.casimir
+            assert conjugate_index(space, ix.label) == conj
+
+
+def test_wrap_angles_matches_np_mod_bit_for_bit():
+    # np.fmod plus 2 pi on the negatives rounds as np.mod: -0.0 becomes +0.0,
+    # exact multiples of 2 pi become +0.0, and a negative within half an ulp
+    # of 2 pi below 0 lands on 2 pi itself
+    tiny = [-5e-324, -1e-300, -1e-17, -2.0**-60, 5e-324, 1e-17]
+    edges = [0.0, -0.0, TWO_PI, -TWO_PI, 2 * TWO_PI, -3 * TWO_PI, 1e6 * TWO_PI,
+             np.nextafter(TWO_PI, 0.0), np.nextafter(TWO_PI, 7.0), math.pi, -math.pi]
+    x = np.array(tiny + edges + [1e6, -1e6, 1e6 + 0.5, -1e6 - 0.5])
+    rng = np.random.default_rng(8)
+    for block in (x[:, None], rng.normal(0.0, 40.0, (4096, 3)), np.concatenate([x, -x])):
+        want = np.mod(block, TWO_PI)
+        got = block.copy()
+        assert _wrap_angles(got) is got  # in place
+        assert got.tobytes() == want.tobytes()
+    got = _wrap_angles(x.copy())
+    assert got[:4].tolist() == [TWO_PI] * 4  # tiny negatives land on 2 pi
+    assert math.copysign(1.0, got[len(tiny) + 1]) == 1.0  # -0.0 -> +0.0
 
 
 def test_spherical_flat_is_complex_exponential():

@@ -167,6 +167,30 @@ def test_coefficient_vector_csv_round_trip(tmp_path):
         assert back.is_truncated(i) == vec.is_truncated(i)
 
 
+def test_coefficient_vector_values_are_python_complex(tmp_path):
+    # values leave the table as Python complex, whose repr the CSV relies on
+    # (a numpy scalar's repr reads np.float64(...)); duplicates keep the last
+    # value, and entries sort by (casimir, label) once
+    t = torus(2)
+    ix = [make_index(t, label) for label in ((1, 0), (0, 0), (0, -1), (1, 0))]
+    vec = CoefficientVector(zip(ix, [0.5, 1.0, 0.25 - 0.5j, 0.75]), truncated=[(0, -1)])
+    assert [i.label for i in vec.indices()] == [(0, 0), (0, -1), (1, 0)]
+    assert all(type(v) is complex for _, v in vec.items())
+    assert type(vec[(1, 0)]) is complex and vec[(1, 0)] == 0.75
+    assert vec.truncated == frozenset({(0, -1)})
+    assert vec.is_truncated((0, -1)) and not vec.is_truncated((1, 0))
+    assert not vec.is_truncated((5, 5)) and (5, 5) not in vec
+    path = tmp_path / "coeffs.csv"
+    vec.to_csv(path)
+    assert path.read_text().splitlines()[1:] == [
+        "0;0,0.0,1,1.0,0.0,0", "0;-1,1.0,1,0.25,-0.5,1", "1;0,1.0,1,0.75,0.0,0"]
+    back = CoefficientVector.from_csv(path)
+    assert back.items() == vec.items() and back.truncated == vec.truncated
+    empty = CoefficientVector([])
+    assert (len(empty), empty.items(), empty.max_casimir, empty.truncated) == \
+        (0, [], 0.0, frozenset())
+
+
 # --- samplers ---------------------------------------------------------------
 
 
