@@ -20,11 +20,11 @@ import dataclasses
 import math
 import sys
 
-from .coeffs import EstimatorConfig, Variant
+from .coeffs import EstimatorConfig
 from .density import SobolevSpec, reconstruct, smoothing_cutoff
 from .harness import (
-    CENSUS_FIELDS,
     FIELD_READERS,
+    STUDY_FIELDS,
     StudyConfig,
     run_census,
     run_coefficient_study,
@@ -44,23 +44,24 @@ COEFF_BAND = 0.2
 CENSUS_BAND = 0.1
 
 
-# The study verbs' flags are the StudyConfig fields, except the fields one
-# verb owns; census takes only the fields it reads.
-_ONLY_ON = {"index": "study-coeff", "thresholds": "census"}
-
-
-def _add_study_flags(sub: argparse.ArgumentParser, verb: str) -> None:
-    if verb != "census":
-        sub.add_argument("--config", help="INI file with a [study] section")
-    for f in dataclasses.fields(StudyConfig):
-        if (f.name not in CENSUS_FIELDS if verb == "census"
-                else _ONLY_ON.get(f.name, verb) != verb):
-            continue
-        flag, help_text = "--" + f.name.replace("_", "-"), f.metadata["help"]
+def _add_field_flags(sub: argparse.ArgumentParser, fields, defaults: bool = False) -> None:
+    """One flag per dataclass field, read by the reader of its declared type;
+    an unset flag is None, or the field's default with `defaults`."""
+    for f in fields:
+        flag = "--" + f.name.replace("_", "-")
+        kwargs = {"help": f.metadata.get("help"), "default": f.default if defaults else None}
         if f.type == "bool":
-            sub.add_argument(flag, action="store_const", const=True, help=help_text)
+            sub.add_argument(flag, action="store_const", const=True, **kwargs)
         else:
-            sub.add_argument(flag, type=FIELD_READERS[f.type], help=help_text)
+            sub.add_argument(flag, type=FIELD_READERS[f.type], **kwargs)
+
+
+def _add_study_flags(sub: argparse.ArgumentParser, kind: str) -> None:
+    """The flags of the StudyConfig fields the study of this kind reads."""
+    if kind != "census":
+        sub.add_argument("--config", help="INI file with a [study] section")
+    _add_field_flags(sub, [f for f in dataclasses.fields(StudyConfig)
+                           if f.name in STUDY_FIELDS[kind]])
     sub.add_argument("--assert", dest="assert_band", action="store_true",
                      help="exit 3 unless the fitted slope lies in the reference band")
 
@@ -144,13 +145,12 @@ def _cmd_coeffs(args) -> int:
         raise ValueError("--cutoff must be finite and > 0")
     obs = read_observations(args.input)
     pc = obs.config
-    cfg = EstimatorConfig(
-        variant=Variant(args.variant),
-        delta=args.delta,
-        intensity=args.intensity if args.intensity is not None else pc.intensity,
-        time=args.time if args.time is not None else pc.time,
-        noise_tau=args.noise_tau if args.noise_tau is not None else pc.noise_tau,
-    )
+    # an unset flag takes the header's value, else the EstimatorConfig default
+    names = [f.name for f in dataclasses.fields(EstimatorConfig)]
+    values = {name: getattr(pc, name) for name in names if hasattr(pc, name)}
+    values.update({name: getattr(args, name) for name in names
+                   if getattr(args, name) is not None})
+    cfg = EstimatorConfig(**values)
     space = pc.space
     if args.cutoff is not None:
         # honor an explicit Casimir cutoff by solving for the scale factor,
@@ -181,35 +181,31 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     subs = parser.add_subparsers(dest="command", required=True)
 
-    for verb, help_text in (("study-density", "density-error convergence study"),
-                            ("study-coeff", "coefficient-MSE convergence study"),
-                            ("census", "spectral counting exponents")):
+    for verb, kind, help_text in (
+            ("study-density", "density", "density-error convergence study"),
+            ("study-coeff", "coefficient", "coefficient-MSE convergence study"),
+            ("census", "census", "spectral counting exponents")):
         sub = subs.add_parser(verb, help=help_text)
-        _add_study_flags(sub, verb)
+        _add_study_flags(sub, kind)
         sub.set_defaults(handler=_cmd_census if verb == "census" else _cmd_study)
 
     sa = subs.add_parser("sample", help="generate observations and dump CSV")
     sa.add_argument("--space", required=True)
     sa.add_argument("--law", required=True)
-    sa.add_argument("--intensity", type=float, default=1.0)
-    sa.add_argument("--time", type=float, default=1.0)
-    sa.add_argument("--noise-tau", dest="noise_tau", type=float, default=0.0)
-    sa.add_argument("--seed", type=int, default=0)
+    _add_field_flags(sa, [f for f in dataclasses.fields(ProcessConfig) if f.name != "law"],
+                     defaults=True)
     sa.add_argument("--count", type=int, required=True)
     sa.add_argument("--out", help="CSV path (default: stdout)")
     sa.set_defaults(handler=_cmd_sample)
 
-    co = subs.add_parser("coeffs", help="estimate coefficients from an observations CSV")
+    co = subs.add_parser("coeffs", help="estimate coefficients from an observations CSV",
+                         description="An unset estimator flag takes the value of the "
+                                     "observations header, else the EstimatorConfig default.")
     co.add_argument("--in", dest="input", required=True, help="observations CSV")
-    co.add_argument("--variant", default="real-log")
-    co.add_argument("--delta", type=float, default=1.0)
+    _add_field_flags(co, dataclasses.fields(EstimatorConfig))
     co.add_argument("--s", type=float, default=2.0)
     co.add_argument("--scale", type=float, default=1.0)
     co.add_argument("--cutoff", type=float, help="explicit Casimir cutoff")
-    co.add_argument("--intensity", type=float, help="override the header intensity")
-    co.add_argument("--time", type=float, help="override the header time")
-    co.add_argument("--noise-tau", dest="noise_tau", type=float,
-                    help="override the header noise scale")
     co.add_argument("--out", help="coefficient CSV path")
     co.set_defaults(handler=_cmd_coeffs)
     return parser

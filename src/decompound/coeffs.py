@@ -101,9 +101,6 @@ class EmpiricalTransform:
     def value(self, index) -> complex:
         return self._values[index_label(index)]
 
-    def __contains__(self, index) -> bool:
-        return index_label(index) in self._values
-
     def labels(self):
         return sorted(self._values)
 

@@ -60,8 +60,16 @@ FitResult = namedtuple("FitResult", ["slope", "intercept", "ci_low", "ci_high"])
 
 _BOOTSTRAP_RESAMPLES = 1000
 
-# The StudyConfig fields census reads: its flags and its study.cfg echo.
-CENSUS_FIELDS = ("space", "thresholds", "seed", "out")
+# The StudyConfig fields each study reads, by StudyResult.kind: the one source
+# of a study verb's flags and of its study.cfg echo.
+_REPLICATE_FIELDS = ("space", "law", "intensity", "time", "variant", "delta", "noise_tau",
+                     "observation_noise_tau", "m_grid", "replicates", "seed", "threads",
+                     "emit_svg", "out")
+STUDY_FIELDS = {
+    "density": _REPLICATE_FIELDS + ("s", "scale", "emit_coefficients"),
+    "coefficient": _REPLICATE_FIELDS + ("index",),
+    "census": ("space", "thresholds", "seed", "out"),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -75,12 +83,12 @@ def _param(default, help=None):
 
 @dataclass
 class StudyConfig:
-    """Resolved study parameters; every field the study reads is echoed
-    into the outputs.
+    """Resolved study parameters.
 
     The fields are the single declaration of a study: each is an INI key of
-    the [study] section and a command-line flag, both read by the reader of
-    its declared type in FIELD_READERS.
+    the [study] section, read by the reader of its declared type in
+    FIELD_READERS.  The fields a study reads, named in STUDY_FIELDS, are its
+    verb's flags and its study.cfg echo; an INI key it does not read is ignored.
     """
 
     space: str = _param("circle", "space spec, e.g. circle, torus:2, sphere:2 (default circle)")
@@ -200,11 +208,13 @@ def _float_or_none(raw: str) -> float | None:
     return None if raw.lower() in ("", "none") else float(raw)
 
 
-# The reader of each StudyConfig field type, keyed by the annotation as
-# written (annotations are postponed here, so a field's type is its text).
+# The reader of each field type of StudyConfig, ProcessConfig and
+# EstimatorConfig, keyed by the annotation as written (annotations are
+# postponed in their modules, so a field's type is its text).
 FIELD_READERS = {
     "str": str, "str | None": str, "int": int, "float": float, "bool": _bool,
     "float | None": _float_or_none, "tuple[int, ...]": _ints, "tuple[float, ...]": _floats,
+    "Variant": Variant,
 }
 
 
@@ -526,7 +536,7 @@ def write_study_outputs(result: StudyResult, outdir) -> dict:
 
     cfg_path = os.path.join(outdir, "study.cfg")
     with open(cfg_path, "w") as fh:
-        fh.write(result.config.to_ini_text(CENSUS_FIELDS if result.kind == "census" else None))
+        fh.write(result.config.to_ini_text(STUDY_FIELDS[result.kind]))
     paths["config"] = cfg_path
 
     if result.kind == "census":

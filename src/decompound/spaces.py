@@ -52,7 +52,6 @@ _BLOCK_BYTES = 1 << 23
 
 
 class SpaceKind(enum.Enum):
-    CIRCLE = "circle"
     TORUS = "torus"
     SPHERE = "sphere"
 
@@ -75,8 +74,6 @@ class Space:
     def __post_init__(self) -> None:
         if self.dim < 1:
             raise ValueError("dimension must be >= 1")
-        if self.kind is SpaceKind.CIRCLE and self.dim != 1:
-            raise ValueError("the circle is one-dimensional")
         if self.kind is SpaceKind.SPHERE and self.dim < 2:
             raise ValueError("sphere requires dim >= 2 (use circle() for d = 1)")
 
@@ -101,7 +98,7 @@ class Space:
         return p
 
     def spec_string(self) -> str:
-        if self.kind is SpaceKind.CIRCLE:
+        if self.is_flat and self.dim == 1:
             return "circle"
         return f"{self.kind.value}:{self.dim}"
 
@@ -110,7 +107,8 @@ class Space:
 
 
 def circle() -> Space:
-    return Space(SpaceKind.CIRCLE, 1)
+    """The circle, the 1-torus."""
+    return Space(SpaceKind.TORUS, 1)
 
 
 def torus(d: int) -> Space:

@@ -16,7 +16,7 @@ trivial coefficient of every law is 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -29,7 +29,6 @@ from .spaces import (
     _zonal_weight_log_norm,
     index_label,
     make_index,
-    spectrum,
     trapezoid_angles,
     zonal_quadrature,
     zonal_values,
@@ -60,8 +59,7 @@ class CoefficientVector:
     """Finite map from spectral indices to complex coefficients.
 
     Holds exact law coefficients as well as estimated ones (which may leave
-    the unit disc); ``check_density`` enforces the bounds that genuine
-    probability-density coefficients satisfy.  A table sorted once by
+    the unit disc).  A table sorted once by
     (casimir, label) holds labels, Casimir eigenvalues, multiplicities, values
     and a truncated mask; ``indices`` and ``items`` build the SpectralIndex
     objects, and label lookups go through one map built on first use.
@@ -118,9 +116,6 @@ class CoefficientVector:
     def __getitem__(self, index) -> complex:
         return complex(self._values[self._rows[index_label(index)]])
 
-    def get(self, index, default=0.0 + 0.0j) -> complex:
-        return self[index] if index in self else default
-
     def is_truncated(self, index) -> bool:
         row = self._rows.get(index_label(index))
         return row is not None and bool(self._truncated[row])
@@ -128,14 +123,6 @@ class CoefficientVector:
     @property
     def max_casimir(self) -> float:
         return float(self._casimir.max()) if len(self) else 0.0
-
-    def check_density(self, tol: float = 1e-9) -> None:
-        """Validate probability-density coefficient bounds."""
-        for ix, v in self.items():
-            if abs(v) > 1.0 + tol:
-                raise ValueError(f"coefficient at {ix.label} has modulus {abs(v)} > 1")
-            if ix.is_trivial and abs(v - 1.0) > tol:
-                raise ValueError("trivial coefficient of a density must equal 1")
 
     # -- CSV round trip ------------------------------------------------------
 

@@ -69,6 +69,21 @@ def test_coeffs_estimator_defaults_from_header(tmp_path, capsys):
     assert "cutoff=4" in out
 
 
+def test_coeffs_unset_estimator_flags_take_the_header(tmp_path, capsys):
+    obs = tmp_path / "obs.csv"
+    main(["sample", "--space", "circle", "--law", "wn:sigma=0.7", "--intensity", "2",
+          "--count", "200", "--seed", "5", "--out", str(obs)])
+    capsys.readouterr()
+    outs = []
+    for flags in ([], ["--intensity", "2", "--variant", "real-log", "--delta", "1.0"]):
+        assert main(["coeffs", "--in", str(obs), "--cutoff", "9", *flags]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+    # the header's intensity is read: the default of 1 gives other estimates
+    assert main(["coeffs", "--in", str(obs), "--cutoff", "9", "--intensity", "1"]) == 0
+    assert capsys.readouterr().out != outs[0]
+
+
 @pytest.mark.parametrize("cutoff", ["0", "-3", "nan", "inf"])
 def test_coeffs_rejects_a_bad_cutoff_by_its_flag(tmp_path, capsys, cutoff):
     obs = tmp_path / "obs.csv"
@@ -193,6 +208,34 @@ def test_census_config_echoes_only_the_fields_census_reads(tmp_path):
     assert {line.split(" = ")[0] for line in lines[1:]} == {"space", "thresholds", "seed", "out"}
 
 
+_REPLICATE_KEYS = {"space", "law", "intensity", "time", "variant", "delta", "noise_tau",
+                   "observation_noise_tau", "m_grid", "replicates", "seed", "threads",
+                   "emit_svg", "out"}
+
+
+@pytest.mark.parametrize("verb,extra,keys", [
+    ("study-density", ["--s", "2.5"], _REPLICATE_KEYS | {"s", "scale", "emit_coefficients"}),
+    ("study-coeff", ["--index", "1"], _REPLICATE_KEYS | {"index"}),
+])
+def test_rate_study_config_echoes_only_the_fields_it_reads(tmp_path, verb, extra, keys):
+    # no thresholds in either; no s, scale or emit_coefficients in a coefficient study
+    out = tmp_path / verb
+    assert main([verb, "--space", "circle", "--law", "wn:sigma=0.7",
+                 "--observation-noise-tau", "0.1", "--m-grid", "100,300,1000",
+                 "--replicates", "2", *extra, "--out", str(out)]) == 0
+    lines = (out / "study.cfg").read_text().splitlines()
+    assert lines[0] == "[study]"
+    assert {line.split(" = ")[0] for line in lines[1:]} == keys
+
+
+@pytest.mark.parametrize("flag", [["--s", "2.0"], ["--scale", "1.0"], ["--emit-coefficients"]])
+def test_study_coeff_rejects_the_flags_it_does_not_read(capsys, flag):
+    assert main(["study-coeff", "--space", "circle", "--law", "wn:sigma=0.7",
+                 "--m-grid", "100,300,1000", "--replicates", "2", *flag]) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and flag[0] in err
+
+
 def test_census_assert_passes(tmp_path, capsys):
     out = tmp_path / "census"
     code = main(["census", "--space", "sphere:2", "--assert",
@@ -228,7 +271,7 @@ _STUDY_OPTIONS = {
 
 @pytest.mark.parametrize("verb,options", [
     ("study-density", _STUDY_OPTIONS),
-    ("study-coeff", _STUDY_OPTIONS | {"--index"}),
+    ("study-coeff", _STUDY_OPTIONS - {"--s", "--scale", "--emit-coefficients"} | {"--index"}),
     ("census", {"-h", "--help", "--space", "--thresholds", "--seed", "--out", "--assert"}),
     ("sample", {"-h", "--help", "--space", "--law", "--intensity", "--time",
                 "--noise-tau", "--seed", "--count", "--out"}),
@@ -236,8 +279,8 @@ _STUDY_OPTIONS = {
                 "--cutoff", "--intensity", "--time", "--noise-tau", "--out"}),
 ])
 def test_verb_option_strings(verb, options):
-    # the study verbs' flags are derived from StudyConfig; adding a field
-    # must not add a flag to a verb unnoticed
+    # the study verbs' flags are the StudyConfig fields their study reads;
+    # adding a field must not add a flag to a verb unnoticed
     subs = next(a for a in _build_parser()._actions
                 if isinstance(a, argparse._SubParsersAction))
     got = {o for action in subs.choices[verb]._actions for o in action.option_strings}

@@ -49,6 +49,9 @@ def test_parse_space_round_trip():
     for text in ("circle", "torus:2", "sphere:3"):
         assert parse_space(text).spec_string() == text
     assert parse_space(" SPHERE:2 ") == sphere(2)
+    # the circle is the 1-torus, spelled circle
+    assert parse_space("torus:1") == circle()
+    assert parse_space("torus:1").spec_string() == "circle"
     with pytest.raises(ValueError):
         parse_space("klein:2")
     with pytest.raises(ValueError):

@@ -136,21 +136,9 @@ def test_coefficient_vector_sorted_items_and_lookup():
     labels = [i.label for i, _ in vec.items()]
     assert labels == [(0,), (-1,), (1,)]  # (casimir, label) order
     assert vec[i1] == 0.5 + 0.1j
-    assert vec.get(make_index(c, (7,))) == 0.0
+    assert make_index(c, (7,)) not in vec
     assert vec.max_casimir == 1.0
     assert len(vec) == 3
-
-
-def test_coefficient_vector_check_density():
-    c = circle()
-    good = CoefficientVector(
-        [(make_index(c, (0,)), 1.0), (make_index(c, (1,)), 0.3 + 0.2j),
-         (make_index(c, (-1,)), 0.3 - 0.2j)]
-    )
-    good.check_density()
-    bad = CoefficientVector([(make_index(c, (0,)), 0.9)])
-    with pytest.raises(ValueError):
-        bad.check_density()
 
 
 def test_coefficient_vector_csv_round_trip(tmp_path):
