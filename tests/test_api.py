@@ -34,7 +34,6 @@ def test_package_exports_the_union_of_the_module_lists():
             assert getattr(decompound, name) is getattr(module, name)
 
 
-
 def _unused_imports(path: Path) -> list[str]:
     """The names the module's imports bind and it never reads, except
     __future__ imports and imports on a line marked noqa: F401."""
