@@ -11,15 +11,16 @@ and cap, with and without ``--noise-tau``), the circle and torus:2, each of
 partial), and a one-block (16,384-point) sample on each of the circle and
 torus:2, the first block of any longer sample; ``coeffs --in`` on the noisy
 sphere:2 heat sample (noise-corrected) and on a shifted circle wrapped normal
-(complex-log); a small noisy ``study-coeff`` on sphere:2; and a small
-``study-density`` on the circle and sphere:2 at ``--threads 1`` and
-``--threads 2``; and a small ``study-density`` on torus:3, whose 10,443-entry
-truth table sets every bias term it writes.  Every file they
-write, and each call's standard output, is hashed, and so is each column of
-every ``points.csv`` (listed as ``points.csv[x1]`` and so on), to show which
-coordinates differ.  The script prints both sha256 values for each file and
-column and exits 1 if any file differs, is missing on one side, or any call
-fails.
+(complex-log, once at the default scale and once at ``--cutoff 9``); a
+``census`` on sphere:3 and on torus:2; a small noisy ``study-coeff`` on
+sphere:2; a small ``study-density`` on the circle and sphere:2 at
+``--threads 1`` and ``--threads 2``; and a small ``study-density`` on
+torus:3, whose 10,443-entry truth table sets every bias term it writes.
+Every file they write, and each call's standard output, is hashed, and so is
+each column of every ``points.csv`` (listed as ``points.csv[x1]`` and so
+on), to show which coordinates differ.  The script prints both sha256 values
+for each file and column and exits 1 if any file differs, is missing on one
+side, or any call fails.
 """
 from __future__ import annotations
 
@@ -60,6 +61,13 @@ CALLS.append(("sample-circle-wn-shifted",
 CALLS.append(("coeffs-circle-complex-log",
               ["coeffs", "--in", "../sample-circle-wn-shifted/points.csv",
                "--variant", "complex-log", "--out", "coeffs.csv"]))
+CALLS.append(("coeffs-circle-complex-log-cutoff",
+              ["coeffs", "--in", "../sample-circle-wn-shifted/points.csv",
+               "--variant", "complex-log", "--cutoff", "9", "--out", "coeffs.csv"]))
+# the census writes census.csv, not results.csv, and two plotted series
+for space in ("sphere:3", "torus:2"):
+    CALLS.append((f"census-{space}",
+                  ["census", "--space", space, "--seed", "4", "--out", "study"]))
 CALLS.append(("study-coeff-sphere2-noise",
               ["study-coeff", "--space", "sphere:2", "--law", "heat:tau=0.3",
                "--variant", "noise-corrected", "--noise-tau", "0.3", "--index", "1",

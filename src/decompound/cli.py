@@ -86,21 +86,6 @@ def _report_rate(result, label: str) -> None:
           f"reference {result.reference:.4f})")
 
 
-def _finish_study(result, band: float, check: bool) -> int:
-    if check:
-        result.apply_band(band)
-    out = result.config.out
-    if out:
-        paths = write_study_outputs(result, out)
-        print(f"outputs written to {out} ({', '.join(sorted(paths))})")
-    if check:
-        print(f"assertion: {'pass' if result.passed else 'FAIL'} "
-              f"(band +-{band} around reference)")
-        if not result.passed:
-            return 3
-    return 0
-
-
 def _cmd_study(args) -> int:
     cfg = _study_config(args)
     if args.assert_band and cfg.replicates < 30:
@@ -108,24 +93,30 @@ def _cmd_study(args) -> int:
     # plain calls, so the module globals are read at call time
     # (perfbench/tracing.py wraps them)
     if args.command == "study-density":
-        result, label, band = run_convergence_study(cfg), "density error rate", DENSITY_BAND
+        result, band = run_convergence_study(cfg), DENSITY_BAND
+        _report_rate(result, "density error rate")
+    elif args.command == "study-coeff":
+        result, band = run_coefficient_study(cfg), COEFF_BAND
+        _report_rate(result, "coefficient MSE rate")
     else:
-        result, label, band = run_coefficient_study(cfg), "coefficient MSE rate", COEFF_BAND
-    _report_rate(result, label)
-    return _finish_study(result, band, args.assert_band)
-
-
-def _cmd_census(args) -> int:
-    cfg = _study_config(args)
-    result = run_census(cfg.space, cfg.thresholds, seed=cfg.seed)
-    for row in result.rows:
-        print(f"  T={row['threshold']:g} spherical={row['count_spherical']} "
-              f"weighted={row['count_weighted']}")
-    print(f"spherical exponent {result.fit.slope:.4f} (reference {result.reference})")
-    print(f"weighted exponent {result.secondary_fit.slope:.4f} "
-          f"(reference {result.secondary_reference})")
-    result.config.out = cfg.out
-    return _finish_study(result, CENSUS_BAND, args.assert_band)
+        result, band = run_census(cfg), CENSUS_BAND
+        for row in result.rows:
+            print(f"  T={row['threshold']:g} spherical={row['count_spherical']} "
+                  f"weighted={row['count_weighted']}")
+        print(f"spherical exponent {result.fit.slope:.4f} (reference {result.reference})")
+        print(f"weighted exponent {result.secondary_fit.slope:.4f} "
+              f"(reference {result.secondary_reference})")
+    if args.assert_band:
+        result.apply_band(band)
+    if cfg.out:
+        paths = write_study_outputs(result, cfg.out)
+        print(f"outputs written to {cfg.out} ({', '.join(sorted(paths))})")
+    if args.assert_band:
+        print(f"assertion: {'pass' if result.passed else 'FAIL'} "
+              f"(band +-{band} around reference)")
+        if not result.passed:
+            return 3
+    return 0
 
 
 def _cmd_sample(args) -> int:
@@ -151,16 +142,16 @@ def _cmd_coeffs(args) -> int:
     values.update({name: getattr(args, name) for name in names
                    if getattr(args, name) is not None})
     cfg = EstimatorConfig(**values)
+    # an unset --s or --scale takes the StudyConfig default
+    s, scale = (getattr(_study_config(args), name) for name in ("s", "scale"))
     space = pc.space
     if args.cutoff is not None:
         # honor an explicit Casimir cutoff by solving for the scale factor,
         # stepped up where scale * m^p rounds below the cutoff
-        scale = args.cutoff / smoothing_cutoff(obs.m, args.s, space, 1.0)
-        while smoothing_cutoff(obs.m, args.s, space, scale) < args.cutoff:
+        scale = args.cutoff / smoothing_cutoff(obs.m, s, space, 1.0)
+        while smoothing_cutoff(obs.m, s, space, scale) < args.cutoff:
             scale = math.nextafter(scale, math.inf)
-    else:
-        scale = args.scale
-    est = reconstruct(obs, cfg, SobolevSpec(args.s), scale)
+    est = reconstruct(obs, cfg, SobolevSpec(s), scale)
     print(f"m={obs.m} cutoff={est.cutoff:g} indices={len(est.coeffs)} "
           f"truncated={len(est.coeffs.truncated)}")
     for ix, value in est.coeffs.items():
@@ -174,8 +165,10 @@ def _cmd_coeffs(args) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    # allow_abbrev=False everywhere (subparsers do not inherit it): a flag is
+    # given whole, so a field added later cannot change what a prefix means
     parser = argparse.ArgumentParser(
-        prog="decompound",
+        prog="decompound", allow_abbrev=False,
         description="Step-density estimation for compound random walks on "
                     "circles, tori, and spheres.",
     )
@@ -185,11 +178,12 @@ def _build_parser() -> argparse.ArgumentParser:
             ("study-density", "density", "density-error convergence study"),
             ("study-coeff", "coefficient", "coefficient-MSE convergence study"),
             ("census", "census", "spectral counting exponents")):
-        sub = subs.add_parser(verb, help=help_text)
+        sub = subs.add_parser(verb, help=help_text, allow_abbrev=False)
         _add_study_flags(sub, kind)
-        sub.set_defaults(handler=_cmd_census if verb == "census" else _cmd_study)
+        sub.set_defaults(handler=_cmd_study)
 
-    sa = subs.add_parser("sample", help="generate observations and dump CSV")
+    sa = subs.add_parser("sample", help="generate observations and dump CSV",
+                         allow_abbrev=False)
     sa.add_argument("--space", required=True)
     sa.add_argument("--law", required=True)
     _add_field_flags(sa, [f for f in dataclasses.fields(ProcessConfig) if f.name != "law"],
@@ -200,12 +194,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
     co = subs.add_parser("coeffs", help="estimate coefficients from an observations CSV",
                          description="An unset estimator flag takes the value of the "
-                                     "observations header, else the EstimatorConfig default.")
+                                     "observations header, else the EstimatorConfig default.",
+                         allow_abbrev=False)
     co.add_argument("--in", dest="input", required=True, help="observations CSV")
     _add_field_flags(co, dataclasses.fields(EstimatorConfig))
-    co.add_argument("--s", type=float, default=2.0)
-    co.add_argument("--scale", type=float, default=1.0)
-    co.add_argument("--cutoff", type=float, help="explicit Casimir cutoff")
+    s, scale = (f for f in dataclasses.fields(StudyConfig) if f.name in ("s", "scale"))
+    _add_field_flags(co, [s])
+    cutoff = co.add_mutually_exclusive_group()
+    _add_field_flags(cutoff, [scale])
+    cutoff.add_argument("--cutoff", type=float, help="explicit Casimir cutoff")
     co.add_argument("--out", help="coefficient CSV path")
     co.set_defaults(handler=_cmd_coeffs)
     return parser

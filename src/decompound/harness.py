@@ -8,6 +8,9 @@ overrides), per-replicate RNG streams are derived from
 JSON (plus an optional SVG chart), so identical configs give byte-identical
 outputs regardless of worker count, for a fixed BLAS thread count (the
 transform's matrix products can round differently with the thread count).
+Every study runner (run_convergence_study, run_coefficient_study,
+run_census) takes one resolved StudyConfig and returns a StudyResult, whose
+rows head the study's table in write_study_outputs.
 
 Both replicate studies share one replicate loop: each replicate samples its
 observations through ``sample_compound`` from its own stream and hands them
@@ -32,7 +35,7 @@ from functools import partial
 import numpy as np
 
 from .spaces import Space, make_index, parse_space, spectrum, weyl_census
-from .steplaws import parse_law, true_coefficients
+from .steplaws import parse_law
 from .simulate import ProcessConfig, sample_compound
 from .coeffs import EstimatorConfig, Variant, estimate_coefficients, require_inverse_invariant
 from .density import (
@@ -69,6 +72,15 @@ STUDY_FIELDS = {
     "density": _REPLICATE_FIELDS + ("s", "scale", "emit_coefficients"),
     "coefficient": _REPLICATE_FIELDS + ("index",),
     "census": ("space", "thresholds", "seed", "out"),
+}
+# The table each study writes, by StudyResult.kind, and the series of
+# plotdata.csv drawn from its rows as (name, x column, y column); the first
+# series carries the fit.  The table's header is its rows' keys.
+_STUDY_TABLES = {
+    "density": ("results.csv", (("measured", "m", "mean_error"),)),
+    "coefficient": ("results.csv", (("measured", "m", "mse"),)),
+    "census": ("census.csv", (("spherical", "threshold", "count_spherical"),
+                              ("weighted", "threshold", "count_weighted"))),
 }
 
 
@@ -426,10 +438,8 @@ def _resolve_index(cfg: StudyConfig, space: Space):
             raise ValueError(f"index must be integers separated by ';', "
                              f"got {cfg.index!r}") from None
         return make_index(space, label)
-    for ix in spectrum(space, 4.0 * space.dim + 1.0):
-        if not ix.is_trivial:
-            return ix
-    raise ValueError("no nontrivial index found")  # unreachable
+    # the trivial index is unique and sorts first; degree or frequency 1 follows
+    return spectrum(space, 4.0 * space.dim + 1.0)[1]
 
 
 def _coefficient_error(est_cfg, index, truth, rep, obs) -> tuple[float, bool]:
@@ -447,7 +457,7 @@ def run_coefficient_study(cfg: StudyConfig) -> StudyResult:
     est_cfg = cfg.estimator_config()
     require_inverse_invariant(law, est_cfg.variant)
     index = _resolve_index(cfg, space)
-    truth = true_coefficients(law, [index])[index]
+    truth = law.coefficient(index)
 
     results = _replicate_results(
         cfg, law, partial(_coefficient_error, est_cfg, index, truth))
@@ -471,12 +481,10 @@ def run_coefficient_study(cfg: StudyConfig) -> StudyResult:
                        reference=-1.0, notes=tuple(notes))
 
 
-def run_census(space_spec: str, thresholds=None, seed: int = 0) -> StudyResult:
+def run_census(cfg: StudyConfig) -> StudyResult:
     """Spectral counting: spherical and multiplicity-weighted counts vs T,
     with fitted growth exponents (references r/2 and d/2)."""
-    space = parse_space(space_spec)
-    cfg = StudyConfig(space=space_spec, seed=seed,
-                      **({"thresholds": tuple(thresholds)} if thresholds is not None else {}))
+    space = cfg.space_object()
     ts = np.array(cfg.thresholds, dtype=float)
     if np.any(np.diff(ts) <= 0):
         raise ValueError("thresholds must be strictly increasing")
@@ -487,9 +495,9 @@ def run_census(space_spec: str, thresholds=None, seed: int = 0) -> StudyResult:
             for t, (cs, cw) in zip(ts, counts)]
     log_t = [math.log10(r["threshold"]) for r in rows]
     fit_sph = fit_rate(list(zip(log_t, [math.log10(r["count_spherical"]) for r in rows])),
-                       seed=seed)
+                       seed=cfg.seed)
     fit_wt = fit_rate(list(zip(log_t, [math.log10(r["count_weighted"]) for r in rows])),
-                      seed=seed + 1)
+                      seed=cfg.seed + 1)
     return StudyResult(kind="census", config=cfg, rows=rows,
                        fit=fit_sph, reference=space.rank / 2.0,
                        secondary_fit=fit_wt, secondary_reference=space.dim / 2.0)
@@ -529,8 +537,9 @@ def _fit_payload(fit: FitResult | None, reference) -> dict:
 
 
 def write_study_outputs(result: StudyResult, outdir) -> dict:
-    """Emit study.cfg, results/census CSV, plotdata.csv, fit.json (and the
-    optional per-m coefficient CSVs and SVG chart).  Deterministic bytes."""
+    """Emit study.cfg, the study's table (results.csv or census.csv, headed by
+    its rows' keys), plotdata.csv, fit.json (and the optional per-m
+    coefficient CSVs and SVG chart).  Deterministic bytes."""
     os.makedirs(outdir, exist_ok=True)
     paths = {}
 
@@ -539,26 +548,13 @@ def write_study_outputs(result: StudyResult, outdir) -> dict:
         fh.write(result.config.to_ini_text(STUDY_FIELDS[result.kind]))
     paths["config"] = cfg_path
 
-    if result.kind == "census":
-        table_path = os.path.join(outdir, "census.csv")
-        _write_csv(table_path, ["threshold", "count_spherical", "count_weighted"],
-                   result.rows)
-        paths["table"] = table_path
-        xs = [math.log10(r["threshold"]) for r in result.rows]
-        series = [("spherical", xs, [math.log10(r["count_spherical"]) for r in result.rows]),
-                  ("weighted", xs, [math.log10(r["count_weighted"]) for r in result.rows])]
-    else:
-        table_path = os.path.join(outdir, "results.csv")
-        if result.kind == "density":
-            header = ["m", "cutoff", "mean_error", "variance_term", "bias_term",
-                      "stderr", "bias_bound_ok"]
-        else:
-            header = ["m", "mse", "stderr"]
-        _write_csv(table_path, header, result.rows)
-        paths["table"] = table_path
-        key = "mean_error" if result.kind == "density" else "mse"
-        xs = [math.log10(r["m"]) for r in result.rows]
-        series = [("measured", xs, [math.log10(max(r[key], 1e-300)) for r in result.rows])]
+    table_name, plotted = _STUDY_TABLES[result.kind]
+    table_path = os.path.join(outdir, table_name)
+    _write_csv(table_path, list(result.rows[0]), result.rows)
+    paths["table"] = table_path
+    series = [(name, [math.log10(r[x]) for r in result.rows],
+               [math.log10(max(r[y], 1e-300)) for r in result.rows])
+              for name, x, y in plotted]
 
     plot_rows = []
     x0 = series[0][1][0]

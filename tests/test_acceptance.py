@@ -188,7 +188,7 @@ def test_c6_census_exponents():
     rows = []
     ok = True
     for spec_text, (r_half, d_half) in expected.items():
-        res = run_census(spec_text)
+        res = run_census(StudyConfig(space=spec_text))
         sph, wtd = res.fit.slope, res.secondary_fit.slope
         good = abs(sph - r_half) <= 0.1 and abs(wtd - d_half) <= 0.1
         ok = ok and good

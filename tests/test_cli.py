@@ -93,6 +93,23 @@ def test_coeffs_rejects_a_bad_cutoff_by_its_flag(tmp_path, capsys, cutoff):
     assert "--cutoff must be finite and > 0" in capsys.readouterr().err
 
 
+def test_coeffs_takes_the_cutoff_or_the_scale_not_both(tmp_path, capsys):
+    obs = tmp_path / "obs.csv"
+    main(["sample", "--space", "circle", "--law", "wn:sigma=0.7",
+          "--count", "50", "--seed", "3", "--out", str(obs)])
+    capsys.readouterr()
+    # an unset --s or --scale takes the StudyConfig default
+    outs = []
+    for flags in ([], ["--s", "2.0", "--scale", "1.0"]):
+        assert main(["coeffs", "--in", str(obs), *flags]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+    # --cutoff sets the scale, so a --scale beside it would go unread
+    assert main(["coeffs", "--in", str(obs), "--cutoff", "9", "--scale", "3"]) == 2
+    err = capsys.readouterr().err
+    assert "--cutoff" in err and "--scale" in err
+
+
 @pytest.mark.parametrize("space, law, count, cutoff, indices", [
     ("circle", "wn:sigma=0.7", 100, "4", 5),  # +-2 sit at kappa = 4
     ("circle", "wn:sigma=0.7", 100, "16", 9),
@@ -234,6 +251,25 @@ def test_study_coeff_rejects_the_flags_it_does_not_read(capsys, flag):
                  "--m-grid", "100,300,1000", "--replicates", "2", *flag]) == 2
     err = capsys.readouterr().err
     assert "error:" in err and flag[0] in err
+
+
+@pytest.mark.parametrize("argv, prefix", [
+    (["--he", "census"], "--he"),
+    (["study-density", "--space", "circle", "--m-grid", "100,300,1000", "--rep", "2"], "--rep"),
+    (["study-coeff", "--space", "circle", "--m-grid", "100,300,1000", "--replicates", "2",
+      "--ind", "1"], "--ind"),
+    (["study-coeff", "--space", "circle", "--m-grid", "100,300,1000", "--replicates", "2",
+      "--s", "2.0"], "--s"),
+    (["census", "--space", "circle", "--thr", "100,1000,10000"], "--thr"),
+    (["sample", "--space", "circle", "--law", "wn:sigma=0.7", "--count", "5", "--see", "1"],
+     "--see"),
+    (["coeffs", "--in", "obs.csv", "--cut", "9"], "--cut"),
+])
+def test_flags_are_given_whole(capsys, argv, prefix):
+    # a prefix of a flag is no flag at all, on the parser and on every verb,
+    # so a field added later cannot change what a command line means
+    assert main(argv) == 2
+    assert f"unrecognized arguments: {prefix}" in capsys.readouterr().err
 
 
 def test_census_assert_passes(tmp_path, capsys):

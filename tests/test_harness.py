@@ -497,7 +497,7 @@ def test_observation_noise_tau_rejected_before_any_pool(pools_opened, tau):
 
 
 def test_census_slopes_near_references():
-    res = run_census("sphere:2", seed=0)
+    res = run_census(StudyConfig(space="sphere:2", seed=0))
     assert res.kind == "census"
     assert res.reference == pytest.approx(0.5)       # rank/2
     assert res.secondary_reference == pytest.approx(1.0)  # dim/2
@@ -507,12 +507,13 @@ def test_census_slopes_near_references():
 
 def test_census_rejects_bad_threshold_grids():
     with pytest.raises(ValueError):
-        run_census("circle", thresholds=(100.0, 200.0, 400.0))  # < 2 decades
+        run_census(StudyConfig(space="circle", thresholds=(100.0, 200.0, 400.0)))  # < 2 decades
     with pytest.raises(ValueError):
-        run_census("circle", thresholds=(100.0, 100.0, 10_000.0))  # not increasing
+        # not increasing
+        run_census(StudyConfig(space="circle", thresholds=(100.0, 100.0, 10_000.0)))
     # log10 of a zero threshold has no value; the counting itself accepts 0
     with pytest.raises(ValueError, match="thresholds must be finite and > 0"):
-        run_census("sphere:2", (0.0, 100.0, 1000.0))
+        run_census(StudyConfig(space="sphere:2", thresholds=(0.0, 100.0, 1000.0)))
     assert weyl_census(parse_space("sphere:2"), (0.0,)) == [(1, 1)]
 
 
@@ -524,8 +525,8 @@ def test_torus_census_memory_is_bounded():
     script = ("import resource, sys; "
               "hard = resource.getrlimit(resource.RLIMIT_AS)[1]; "
               "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, hard)); "
-              "sys.path.insert(0, sys.argv[1]); from decompound import run_census; "
-              "print(run_census('torus:3').rows[-1]['count_spherical'])")
+              "sys.path.insert(0, sys.argv[1]); from decompound import StudyConfig, run_census; "
+              "print(run_census(StudyConfig(space='torus:3')).rows[-1]['count_spherical'])")
     proc = subprocess.run([sys.executable, "-c", script, src], capture_output=True, text=True,
                           timeout=120, env={**os.environ, "OPENBLAS_NUM_THREADS": "1"})
     assert proc.returncode == 0, proc.stderr
@@ -599,7 +600,7 @@ def test_outputs_byte_identical_across_runs(tmp_path):
 
 
 def test_census_outputs(tmp_path):
-    res = run_census("circle", seed=0)
+    res = run_census(StudyConfig(space="circle", seed=0))
     write_study_outputs(res, tmp_path)
     names = sorted(p.name for p in tmp_path.iterdir())
     assert "census.csv" in names and "results.csv" not in names
