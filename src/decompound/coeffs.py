@@ -6,10 +6,12 @@ observations (optionally symmetrized to its real part); the sums come from
 budget, so memory does not grow with m.  Its expectation is exp(t*Lambda*(c - 1))
 where c is the step-law coefficient at the conjugate index under the
 pairing <f, phi> = integral of f * conj(phi); on spheres and for
-symmetrized transforms conjugation is a no-op.  Estimators invert the
-link with a logarithm, guarded by one truncation rule for every variant
-(a truncated estimate is 0), and the noise-corrected variant adds the known
-heat-blur compensation tau^2 * kappa / (2 t Lambda).
+symmetrized transforms conjugation is a no-op.  An un-blurred walked sample
+hands over its movers and a count of the walkers at the origin, where phi = 1;
+the circle's symmetrized sums are the lam = 0 zonal recurrence T_n(cos theta).
+Estimators invert the link with a logarithm, guarded by one truncation rule
+for every variant (a truncated estimate is 0), and the noise-corrected
+variant adds the known heat-blur compensation tau^2 * kappa / (2 t Lambda).
 
 ``estimate_coefficients`` is the one estimation step of both studies: the
 density study applies it to every index below the cutoff, the coefficient
@@ -127,10 +129,10 @@ def empirical_transform(obs: ObservationSet, indices, symmetrize: bool = False) 
         # Re phi is the same at n and -n, so one sum serves the pair
         keys = [pair_label(space, key) for key in keys]
     distinct = list(dict.fromkeys(keys))
-    # a sum reads no order, and a sphere's spherical functions read only the
-    # last coordinate: the set hands over its sample as walked, on a sphere
-    # its cosine column alone
-    sums = dict(zip(distinct, spherical_sums(space, distinct, obs._unordered())))
+    # a sum reads no order: the set hands over its sample as walked (a sphere's
+    # cosine column, all phi reads) less the walkers at the origin, and their count
+    parts, still = obs._transform_parts()
+    sums = dict(zip(distinct, spherical_sums(space, distinct, parts, symmetrize) + still))
     values = [(ix, _clamp_value(sums[key] / obs.m, symmetrize)) for ix, key in zip(indices, keys)]
     return EmpiricalTransform(values, m=obs.m, symmetrized=symmetrize)
 

@@ -24,11 +24,13 @@ Direction cosines on S^2 come from a knot table of cos(phi), phi ~ U[0, pi],
 which has the law of cos(2 pi U) to within (pi/2^16)^2/8 = 2.9e-10.  The
 kernel draws only the variates it uses.
 
-Each block is kept grouped by step count.  The empirical transform is a sum
-over the sample, so it reads that grouped sample; `ObservationSet.cosines`
-and `.points` put each block in a uniformly random order on their first
-read, so the observations they show are i.i.d., and a sphere's points lift
-every endpoint along a uniform tangent direction at the origin.
+Each block is kept grouped by step count, with its cells.  The empirical
+transform, a sum over the sample, reads that grouped sample; without blur it
+reads each block's first n - cells[0] rows and counts the rest, which never
+moved and sit exactly at the origin.  `ObservationSet.cosines` and `.points`
+put each block in a uniformly random order on their first read, so the
+observations they show are i.i.d., and a sphere's points lift every endpoint
+along a uniform tangent direction at the origin.
 
 Reproducibility: a sample is walked from one counter-based (Philox) stream
 keyed (seed, 0), block after block of 16384 observations (the block bounds
@@ -122,14 +124,14 @@ class ObservationSet:
     and keeps their order.  A set from `sample_compound` keeps its sample as
     the walk left it, grouped by step count within each block: flat points,
     or on a sphere each observation's cosine of its distance to the origin,
-    which is all a spherical function reads.  The empirical transform, a sum
-    over the sample, reads it through ``_unordered()``.  The public reads
-    are i.i.d.: ``cosines`` and a flat set's ``points`` put each block in a
-    uniformly random order on first read, one permutation per block in block
-    order from the stream ``_block_rng(seed, -2)``, and a sphere's
-    ``points`` lift those cosines from the stream ``_block_rng(seed, -1)``.
-    Both cache their result read-only.  ``cosines`` is the last coordinate
-    on a sphere and None on flat spaces.
+    which is all a spherical function reads, and each block's step-count
+    cells.  The empirical transform, a sum over the sample, reads it through
+    ``_transform_parts()``.  The public reads are i.i.d.: ``cosines`` and a
+    flat set's ``points`` put each block in a uniformly random order on first
+    read, one permutation per block in block order from the stream
+    ``_block_rng(seed, -2)``, and a sphere's ``points`` lift those cosines
+    from ``_block_rng(seed, -1)``.  Both cache their result read-only.
+    ``cosines`` is the last coordinate on a sphere and None on flat spaces.
     """
 
     def __init__(self, points, config: ProcessConfig):
@@ -138,20 +140,21 @@ class ObservationSet:
         pts.setflags(write=False)
         cosines = None if config.space.is_flat else pts[:, -1]
         vars(self).update(config=config, _sample=pts if cosines is None else cosines,
-                          _cosines=cosines, _points=pts)
+                          _cells=None, _cosines=cosines, _points=pts)
 
     @classmethod
-    def _adopt(cls, sample: np.ndarray, config: ProcessConfig) -> "ObservationSet":
+    def _adopt(cls, sample: np.ndarray, config: ProcessConfig, cells) -> "ObservationSet":
         """A set that owns sample, a freshly walked array grouped by step
         count within each block, checked and not copied: flat points, or a
-        sphere's cosines."""
+        sphere's cosines; cells[b, k] walkers of block b made k steps."""
         if config.space.is_flat:
             _check_points(sample, config.space)
         elif not -1.0 <= sample.min() <= sample.max() <= 1.0:  # a NaN fails too
             raise ValueError("walked cosines must be finite and in [-1, 1]")
         sample.setflags(write=False)
+        cells.setflags(write=False)
         obs = cls.__new__(cls)
-        vars(obs).update(config=config, _sample=sample, _cosines=None, _points=None)
+        vars(obs).update(config=config, _sample=sample, _cells=cells, _cosines=None, _points=None)
         return obs
 
     def __setattr__(self, name, value):
@@ -163,10 +166,15 @@ class ObservationSet:
                 value.setflags(write=False)
         vars(self).update(state)
 
-    def _unordered(self) -> np.ndarray:
-        """The sample in no promised order, as the transform reads it: flat
-        points, or a sphere's cosine column as shape (m, 1)."""
-        return self._sample if self.config.space.is_flat else self._sample[:, None]
+    def _transform_parts(self) -> tuple[list[np.ndarray], int]:
+        """The sample as the transform reads it, in no promised order: views of
+        flat points or of a sphere's cosine column as (n, 1), less each un-blurred
+        block's last cells[0] rows, which never left the origin; and their count."""
+        sample = self._sample if self.config.space.is_flat else self._sample[:, None]
+        if self._cells is None or self.config.noise_tau:
+            return [sample], 0
+        moved = self._cells[:, 1:].sum(axis=1).tolist()
+        return [sample[b * BLOCK:b * BLOCK + k] for b, k in enumerate(moved)], self.m - sum(moved)
 
     @property
     def cosines(self) -> np.ndarray | None:
@@ -351,16 +359,18 @@ def _sphere_cosines(config: ProcessConfig, rounds: list[int], rng,
         _colatitude_step(out[:moved], cos_b[:moved], _sines(cos_b[:moved]), dirs[lo:])
 
 
-def _walk_endpoints(config: ProcessConfig, rng, out: np.ndarray) -> None:
+def _walk_endpoints(config: ProcessConfig, rng, out: np.ndarray) -> np.ndarray:
     """len(out) independent (blurred) time-t observations drawn from one
     stream, written into out longest walk first: points on flat spaces,
-    cosines on spheres.  Round k moves the rounds[k] walkers that make more
-    than k steps."""
+    cosines on spheres.  Returns the cells: cells[k] walkers make k steps,
+    and round k moves the rounds[k] walkers that make more than k steps."""
     n = out.shape[0]
-    movers = n - np.cumsum(rng.multinomial(n, _count_pmf(config.mean_steps)))
+    cells = rng.multinomial(n, _count_pmf(config.mean_steps))
+    movers = n - np.cumsum(cells)
     rounds = movers[:np.count_nonzero(movers)].tolist()
     if not config.space.is_flat:
-        return _sphere_cosines(config, rounds, rng, out)
+        _sphere_cosines(config, rounds, rng, out)
+        return cells
     disp = config.law.sample_displacements(sum(rounds), rng)
     out.fill(0.0)
     lo = 0
@@ -370,6 +380,7 @@ def _walk_endpoints(config: ProcessConfig, rng, out: np.ndarray) -> None:
     if config.noise_tau:
         out += _blur_law(config.space, config.noise_tau).sample_displacements(n, rng)
     _wrap_angles(out)
+    return cells
 
 
 def sample_compound(config: ProcessConfig, m: int) -> ObservationSet:
@@ -378,9 +389,8 @@ def sample_compound(config: ProcessConfig, m: int) -> ObservationSet:
         raise ValueError("m must be >= 1")
     out = np.empty((m, config.space.ambient_dim) if config.space.is_flat else m)
     rng = _block_rng(config.seed, 0)
-    for lo in range(0, m, BLOCK):
-        _walk_endpoints(config, rng, out[lo:lo + BLOCK])
-    return ObservationSet._adopt(out, config)
+    cells = [_walk_endpoints(config, rng, out[lo:lo + BLOCK]) for lo in range(0, m, BLOCK)]
+    return ObservationSet._adopt(out, config, np.array(cells, dtype=np.int64))
 
 
 # ---------------------------------------------------------------------------

@@ -4,9 +4,10 @@ Each space carries a countable family of zonal spherical functions
 ``phi_pi`` indexed by lattice vectors (circle/torus) or degrees (spheres),
 together with a Casimir eigenvalue ``kappa_pi`` and a multiplicity ``d_pi``.
 This module enumerates that spectrum, sums and synthesizes the spherical
-functions (per-axis character tables on circle/torus, one BLAS contraction,
-blocks of points sized by a byte budget), moves points along geodesics, and
-counts spectrum growth (Weyl laws).
+functions (per-axis character tables on circle/torus, zonal recurrences on
+spheres and for the circle's real parts, one BLAS contraction, blocks of
+points sized by a byte budget), moves points along geodesics, and counts
+spectrum growth (Weyl laws).
 
 Conventions: the torus is ``[0, 2*pi)^d`` with the unit flat metric; all
 invariant measures are normalized to total mass 1; the origin is angle 0
@@ -271,11 +272,11 @@ def zonal_values(lam: float, degrees: int, x: np.ndarray) -> np.ndarray:
     return vals
 
 
-def _characters(theta: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """exp(i n theta) for each n of values (rows; repeats allowed).  A walk
-    up the magnitudes |n| the values use multiplies by exp(i step theta),
-    with one exp per distinct step; negative n are conjugates."""
-    out = np.empty((len(values), theta.size), dtype=complex)
+def _characters(theta: np.ndarray, values: np.ndarray, out=None) -> np.ndarray:
+    """exp(i n theta) for each n of values (rows; repeats allowed), into out if
+    given.  A walk up the magnitudes |n| the values use multiplies by exp(i
+    step theta), with one exp per distinct step; negative n are conjugates."""
+    out = np.empty((len(values), theta.size), dtype=complex) if out is None else out
     cur, prev, steps = 1.0, 0, {}
     for n in np.unique(np.abs(values)).tolist():
         if n != prev:
@@ -288,19 +289,19 @@ def _characters(theta: np.ndarray, values: np.ndarray) -> np.ndarray:
     return out
 
 
-def _plan(space: Space, indices):
+def _plan(space: Space, indices, real: bool = False):
     """(rows, cols, shape, values, block): phi_pi = P[rows] * E[cols] for the
     tables P and E of ``_factors`` at ``values``, of shape[0] and shape[1]
     rows.  Circle/torus: P has a row per distinct label prefix (all but the
     last component) and E a row per distinct last component, so a sparse
-    set of indices builds few rows.  Spheres: P is a row of ones and E the
-    zonal table to the top degree.  block is the most points whose tables,
-    with the fixed shape-sized arrays, fit the byte budget."""
+    set of indices builds few rows.  Spheres, and the circle if real (Re phi_n =
+    T_n(cos theta), DLMF 18.7.25): P is ones, E the zonal table to degree values.
+    block is the most points whose tables, with the fixed arrays, fit the budget."""
     labels = np.array([index_label(ix) for ix in indices], dtype=int).reshape(-1, space.rank)
-    if space.kind is SpaceKind.SPHERE:
-        top = int(labels.max()) if labels.size else 0
-        rows, cols, shape, values = np.zeros(len(labels), dtype=int), labels[:, 0], (1, top + 1), top
-        walk = 0
+    if space.rank == 1 and (real or space.kind is SpaceKind.SPHERE):
+        cols = np.abs(labels[:, 0])  # Re phi is the same at n and -n
+        values = int(cols.max()) if cols.size else 0
+        rows, shape, walk = np.zeros(len(labels), dtype=int), (1, values + 1), 0
     else:
         pre, rows = np.unique(labels[:, :-1], axis=0, return_inverse=True)
         last, cols = np.unique(labels[:, -1], return_inverse=True)
@@ -313,27 +314,37 @@ def _plan(space: Space, indices):
     return rows.ravel(), cols.ravel(), shape, values, block
 
 
-def _factors(space: Space, values, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """P and E of ``_plan`` at a block of points (columns)."""
-    if space.kind is SpaceKind.SPHERE:
-        lam = (space.dim - 1.0) / 2.0
-        return np.ones((1, len(pts))), zonal_values(lam, values, np.clip(pts[:, -1], -1.0, 1.0))
+def _factors(space: Space, values, pts: np.ndarray, bufs) -> tuple[np.ndarray, np.ndarray]:
+    """P and E of ``_plan`` at a block of points (columns).  From characters they
+    are written into bufs, and each axis table of P where E goes, if it fits."""
+    if isinstance(values, int):  # the zonal table to degree values
+        x = np.cos(pts[:, 0]) if space.is_flat else np.clip(pts[:, -1], -1.0, 1.0)
+        return np.ones((1, len(pts))), zonal_values((space.dim - 1.0) / 2.0, values, x)
     pre, last = values
-    p = np.ones((len(pre), len(pts)), dtype=complex)
+    p, e = (buf[:len(rows) * len(pts)].reshape(-1, len(pts)) for buf, rows in zip(bufs, values))
+    p.fill(1.0)
     for a, col in enumerate(pre.T):
         vals, at = np.unique(col, return_inverse=True)
-        table = _characters(pts[:, a], vals)
+        table = _characters(pts[:, a], vals, e[:len(vals)] if len(vals) <= len(e) else None)
         for row, i in zip(p, at):
             row *= table[i]
-    return p, _characters(pts[:, -1], last)
+    return p, _characters(pts[:, -1], last, e)
 
 
-def spherical_sums(space: Space, indices, pts: np.ndarray) -> np.ndarray:
-    """sum over the points of phi_pi, per index: P @ E.T per block of points."""
-    rows, cols, shape, values, block = _plan(space, indices)
-    sums = np.zeros(shape, dtype=float if space.kind is SpaceKind.SPHERE else complex)
-    for lo in range(0, len(pts), block):
-        sums += np.inner(*_factors(space, values, pts[lo:lo + block]))
+def _buffers(shape, values, n: int):
+    """P's and E's buffers for blocks of up to n points, none for a zonal table:
+    two, so that freeing them moves glibc's mmap threshold no more than P and E do."""
+    return None if isinstance(values, int) else [np.empty(k * n, dtype=complex) for k in shape]
+
+
+def spherical_sums(space: Space, indices, parts, real: bool = False) -> np.ndarray:
+    """sum over the points in parts of phi_pi (Re phi_pi if real), per index: P @ E.T per block."""
+    rows, cols, shape, values, block = _plan(space, indices, real)
+    sums = np.zeros(shape, dtype=float if isinstance(values, int) else complex)
+    bufs = _buffers(shape, values, max(min(block, len(pts)) for pts in parts))
+    for pts in parts:
+        for lo in range(0, len(pts), block):
+            sums += np.inner(*_factors(space, values, pts[lo:lo + block], bufs))
     return sums[rows, cols]
 
 
@@ -344,12 +355,14 @@ def spherical_synthesis(space: Space, indices, weights, pts: np.ndarray) -> np.n
     box = np.zeros(shape, dtype=np.result_type(np.asarray(weights), float))
     np.add.at(box, (rows, cols), weights)
     out = np.empty(len(pts), dtype=complex)
+    bufs = _buffers(shape, values, min(block, len(pts)))
+    prod = np.empty(shape[1] * min(block, len(pts)), dtype=box.dtype if bufs is None else complex)
     for lo in range(0, len(pts), block):
-        p, e = _factors(space, values, pts[lo:lo + block])
-        a = box.T @ p
-        a *= e  # in place: no second (E x block) product
-        out[lo:lo + block] = a.sum(axis=0)
-        del p, e, a  # the next block's tables are built without these
+        p, e = _factors(space, values, pts[lo:lo + block], bufs)
+        a = np.matmul(box.T, p, out=prod[:e.size].reshape(e.shape))  # every block's buffers
+        a *= e
+        a.sum(axis=0, out=out[lo:lo + block])
+        del p, e  # the next block's zonal tables are built without these
     return out
 
 

@@ -36,7 +36,9 @@ from decompound import (
     torus,
 )
 from decompound.simulate import BLOCK, _block_rng
-from decompound.spaces import _BLOCK_BYTES, _CHUNK, _plan, spherical, spherical_synthesis
+from decompound.coeffs import _clamp_value
+from decompound.spaces import (_BLOCK_BYTES, _CHUNK, _characters, _plan, pair_label, spherical,
+                               spherical_sums, spherical_synthesis)
 
 
 def _transform(value, m=100, symmetrized=True, label=(1,)):
@@ -263,10 +265,10 @@ def test_symmetrized_torus_transform_pairs_are_bit_equal_across_blocks():
     assert np.max(np.abs(got.real - direct)) <= 1e-12
 
 
-def _transform_peak_bytes(obs, indices):
+def _transform_peak_bytes(obs, indices, symmetrize=False):
     tracemalloc.start()
     try:
-        empirical_transform(obs, indices)
+        empirical_transform(obs, indices, symmetrize=symmetrize)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -285,6 +287,129 @@ def test_transform_memory_bounded_by_the_block_budget():
     one_block = _transform_peak_bytes(ObservationSet(points=pts[:block], config=cfg), indices)
     assert one_block <= _BLOCK_BYTES
     assert _transform_peak_bytes(ObservationSet(points=pts, config=cfg), indices) <= 1.5 * one_block
+    # a walked set hands over views of its movers, not a copy (a copy of the
+    # movers of three blocks would add 0.74 MB, 11% of one block here)
+    walked = sample_compound(cfg, 3 * BLOCK)
+    assert _transform_peak_bytes(walked, indices) <= 1.05 * one_block
+    # the circle's symmetrized sums go by zonal tables, blocked by the same
+    # budget: at degree 200 a table over one block's movers would take 26 MB
+    circ = circle()
+    indices = spectrum(circ, 200.0**2)
+    block = _plan(circ, indices, real=True)[-1]
+    cfg = ProcessConfig(law=WrappedNormal(circ, sigma=0.5), seed=9)
+    pts = rng.uniform(0.0, 2.0 * math.pi, size=(block, 1))
+    one_block = _transform_peak_bytes(ObservationSet(points=pts, config=cfg), indices, True)
+    assert one_block <= _BLOCK_BYTES
+    walked = sample_compound(cfg, 3 * BLOCK)
+    assert _transform_peak_bytes(walked, indices, True) <= 1.05 * one_block
+
+
+def _all_points_sums(obs, labels, real=False):
+    space = obs.config.space
+    sample = obs._sample if space.is_flat else obs._sample[:, None]
+    return spherical_sums(space, labels, [sample], real)
+
+
+@pytest.mark.parametrize("space", ["circle", "torus:2", "torus:3", "sphere:2", "sphere:3"])
+def test_transform_of_the_movers_plus_their_count_matches_all_points(space):
+    # an un-blurred block's last cells[0] rows sit exactly at the origin, where
+    # every phi is 1: the movers' sums plus the count match the sums over
+    # every point to rounding (relative to m), for both transforms
+    space = parse_space(space)
+    law = HeatZonal(space, tau0=0.4) if not space.is_flat else WrappedNormal(space, sigma=0.6)
+    obs = sample_compound(ProcessConfig(law=law, seed=41), 2 * BLOCK + 5)
+    parts, still = obs._transform_parts()
+    assert len(parts) == 3 and still == obs._cells[:, 0].sum() > 0.3 * obs.m
+    indices = spectrum(space, {1: 100.0, 2: 30.0, 3: 12.0}[space.dim] if space.is_flat else 90.0)
+    for symmetrize in (False, True):
+        nu = empirical_transform(obs, indices, symmetrize=symmetrize)
+        got = np.array([nu.value(ix) for ix in indices]) * obs.m
+        want = _all_points_sums(obs, indices, symmetrize)
+        want = want.real if symmetrize else want
+        assert np.max(np.abs(got - want)) <= 1e-12 * obs.m
+
+
+def test_transform_of_walkers_that_never_moved_is_exactly_m():
+    # at intensity 1e-12 no walker moves: no sum reads a point, each is m
+    for space in (circle(), torus(3), sphere(2)):
+        law = HeatZonal(space, tau0=0.4) if not space.is_flat else WrappedNormal(space, sigma=0.6)
+        obs = sample_compound(ProcessConfig(law=law, intensity=1e-12, seed=5), 2 * BLOCK + 5)
+        parts, still = obs._transform_parts()
+        assert still == obs.m and all(len(p) == 0 for p in parts)
+        indices = spectrum(space, 30.0)
+        for symmetrize in (False, True):
+            nu = empirical_transform(obs, indices, symmetrize=symmetrize)
+            assert all(nu.value(ix) == 1.0 for ix in indices)
+
+
+@pytest.mark.parametrize("space", ["circle", "torus:2", "sphere:2"])
+def test_blurred_and_points_built_sets_read_every_point(space):
+    # a blur moves every walker, and a set built from points has no cells:
+    # both transforms read the whole sample, bit for bit as the all-points sums
+    space = parse_space(space)
+    law = HeatZonal(space, tau0=0.4) if not space.is_flat else WrappedNormal(space, sigma=0.6)
+    blurred = sample_compound(ProcessConfig(law=law, noise_tau=0.3, seed=43), 2 * BLOCK + 5)
+    built = ObservationSet(points=sample_compound(ProcessConfig(law=law, seed=44), 5000).points,
+                           config=ProcessConfig(law=law))
+    indices = spectrum(space, 30.0)
+    for obs in (blurred, built):
+        parts, still = obs._transform_parts()
+        assert still == 0 and len(parts) == 1 and len(parts[0]) == obs.m
+        for symmetrize in (False, True):
+            nu = empirical_transform(obs, indices, symmetrize=symmetrize)
+            keys = [pair_label(space, ix) if symmetrize else ix.label for ix in indices]
+            sums = _all_points_sums(obs, keys, symmetrize)
+            for ix, total in zip(indices, sums):
+                assert nu.value(ix) == _clamp_value(total / obs.m, symmetrize)
+
+
+def test_complex_circle_transform_keeps_the_character_path():
+    # only Re phi goes by the zonal table: the complex transform on the circle
+    # is the sum of exp(i n theta) from the character walk, bit for bit, and
+    # the symmetrized one matches cos(n theta) to rounding
+    space = circle()
+    indices = spectrum(space, 400.0)
+    rng = np.random.default_rng(53)
+    pts = rng.uniform(0.0, 2.0 * math.pi, size=(2 * _CHUNK + 7, 1))
+    obs = ObservationSet(points=pts, config=ProcessConfig(law=WrappedNormal(space, sigma=0.5)))
+    rows, cols, shape, values, block = _plan(space, indices)
+    assert isinstance(values, tuple) and isinstance(_plan(space, indices, real=True)[3], int)
+    sums = np.zeros(shape, dtype=complex)
+    for lo in range(0, len(pts), block):
+        theta = pts[lo:lo + block, 0]
+        sums += np.inner(np.ones((1, theta.size), dtype=complex), _characters(theta, values[1]))
+    nu = empirical_transform(obs, indices)
+    for ix, total in zip(indices, sums[rows, cols]):
+        assert nu.value(ix) == _clamp_value(total / obs.m, False)
+    nu = empirical_transform(obs, indices, symmetrize=True)
+    direct = [np.cos(n * pts[:, 0]).mean() for (n,) in (ix.label for ix in indices)]
+    assert np.max(np.abs(np.array([nu.value(ix).real for ix in indices]) - direct)) <= 1e-12
+
+
+@pytest.mark.parametrize("space, labels", [
+    ("circle", [(n,) for n in range(-20, 21)]),
+    ("torus:2", [ix.label for ix in spectrum(torus(2), 46.0)]),
+    ("torus:2", [(k, 0) for k in range(-30, 31)]),  # axis tables too tall for E's buffer
+    ("torus:3", [ix.label for ix in spectrum(torus(3), 27.0)]),
+    ("sphere:2", [(ell,) for ell in range(30)]),
+])
+def test_synthesis_reuses_its_block_buffers_bit_for_bit(space, labels):
+    # every block writes P, E and its products into buffers allocated once per
+    # call; a partial last block gives the same bits as on its own
+    space = parse_space(space)
+    block = _plan(space, labels)[-1]
+    rng = np.random.default_rng(59)
+    if space.is_flat:
+        pts = rng.uniform(0.0, 2.0 * math.pi, size=(2 * block + 11, space.dim))
+    else:
+        pts = rng.standard_normal((2 * block + 11, space.ambient_dim))
+        pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+    for weights in (rng.standard_normal(len(labels)),
+                    rng.standard_normal(len(labels)) + 1j * rng.standard_normal(len(labels))):
+        whole = spherical_synthesis(space, labels, weights, pts)
+        parts = [spherical_synthesis(space, labels, weights, pts[lo:lo + block])
+                 for lo in range(0, len(pts), block)]
+        assert whole.tobytes() == np.concatenate(parts).tobytes()
 
 
 def test_sparse_flat_indices_build_only_their_rows():

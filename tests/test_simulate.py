@@ -78,7 +78,7 @@ def test_sample_walks_its_blocks_from_one_stream(space):
     rng = _block_rng(cfg.seed, 0)
     for lo in range(0, m, BLOCK):
         simulate._walk_endpoints(cfg, rng, want[lo:lo + BLOCK])
-    got = sample_compound(cfg, m)._unordered()
+    got = sample_compound(cfg, m)._sample
     assert got.tobytes() == want.tobytes()
 
 
@@ -104,7 +104,7 @@ def test_public_order_permutes_each_walked_block(space):
                     parse_space(space))
     for m in (1, 2 * BLOCK + 5):
         obs = sample_compound(ProcessConfig(law=law, intensity=1.5, noise_tau=0.3, seed=37), m)
-        walked = obs._unordered()
+        walked = obs._sample
         got = obs.points if obs.config.space.is_flat else obs.cosines[:, None]
         assert got.tobytes() == _public(walked, 37).tobytes()
         assert not got.flags.writeable
@@ -192,7 +192,7 @@ def test_walked_sphere_set_pickles_before_its_lift():
     # and draws them the same way after
     for obs in (_sphere_sample(d=3), sample_compound(_circle_config(), 10)):
         back = pickle.loads(pickle.dumps(obs))
-        assert not back._unordered().flags.writeable
+        assert not back._sample.flags.writeable
         assert back.points.tobytes() == obs.points.tobytes()
         assert not back.points.flags.writeable
         assert back.config == obs.config
@@ -207,7 +207,7 @@ def test_walked_cosines_must_be_finite_and_in_range():
         z = np.array(obs.cosines)
         z[3] = bad
         with pytest.raises(ValueError, match="walked cosines"):
-            ObservationSet._adopt(z, obs.config)
+            ObservationSet._adopt(z, obs.config, obs._cells)
 
 
 def test_observation_set_is_immutable():
@@ -286,6 +286,46 @@ def test_block_count_cells_match_the_poisson_pmf(rate):
     assert stats.chisquare(pool(got), pool(want)).pvalue > 1e-3
 
 
+@pytest.mark.parametrize("space", ["circle", "torus:2", "sphere:2", "sphere:3"])
+def test_kept_cells_count_each_block_and_its_unmoved_walkers_sit_at_the_origin(space):
+    # one row of cells per block, read-only, summing to the block's length;
+    # without blur every row from n - cells[0] on is exactly the origin
+    law = parse_law("heat:tau=0.4" if space.startswith("sphere") else "wn:sigma=0.7",
+                    parse_space(space))
+    m = 2 * BLOCK + 5
+    obs = sample_compound(ProcessConfig(law=law, seed=67), m)
+    cells = obs._cells
+    assert cells.dtype == np.int64 and not cells.flags.writeable
+    assert cells.shape == (3, simulate._count_pmf(1.0).size)
+    sizes = [BLOCK, BLOCK, 5]
+    assert cells.sum(axis=1).tolist() == sizes
+    origin = 0.0 if obs.config.space.is_flat else 1.0
+    for lo, n, row in zip(range(0, m, BLOCK), sizes, cells):
+        block = obs._sample[lo:lo + n]
+        assert np.all(block[n - row[0]:] == origin)
+        assert not np.any(np.all(block[:n - row[0]].reshape(n - row[0], -1) == origin, axis=1))
+
+
+def test_kept_cells_match_the_poisson_pmf():
+    # the cells a sample keeps are its walk's count draws: summed over 64
+    # blocks they are a chi-square match to _count_pmf(t Lambda), with the
+    # cells expecting fewer than 5 walkers pooled at each end (seed and
+    # threshold fixed before the first run)
+    cfg = _circle_config(seed=71)
+    obs = sample_compound(cfg, 64 * BLOCK)
+    pmf = simulate._count_pmf(cfg.mean_steps)
+    got = np.zeros(max(pmf.size, obs._cells.shape[1]))
+    got[:obs._cells.shape[1]] = obs._cells.sum(axis=0)
+    want = np.zeros_like(got)
+    want[:pmf.size] = obs.m * pmf
+    lo, hi = np.flatnonzero(want >= 5.0)[[0, -1]]
+
+    def pool(x):
+        return np.concatenate([[x[:lo + 1].sum()], x[lo + 1:hi], [x[hi:].sum()]])
+
+    assert stats.chisquare(pool(got), pool(want)).pvalue > 1e-3
+
+
 @pytest.mark.parametrize("rate,size", [(1e-12, 3), (0.5, 16), (1.0, 19), (2.0, 24),
                                        (4.0, 31), (40.0, 104), (745.0, 982),
                                        (746.0, 983), (1000.0, 1272)])
@@ -339,7 +379,7 @@ def _sample_peak_bytes(cfg, m):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    return peak - obs._unordered().nbytes
+    return peak - obs._sample.nbytes
 
 
 @pytest.mark.parametrize("space,law", [("torus:3", "wn:sigma=0.5"), ("sphere:2", "heat:tau=0.5")])
@@ -525,7 +565,7 @@ def test_sphere_kernel_is_bit_identical_to_the_per_round_kernel(d, law):
     for cfg, m in _kernel_cases(d, law):
         obs = sample_compound(cfg, m)
         want = _plain_sample(cfg, m)
-        assert obs._unordered()[:, 0].tobytes() == want.tobytes(), (cfg, m)
+        assert obs._sample.tobytes() == want.tobytes(), (cfg, m)
         assert obs.cosines.tobytes() == _public(want, cfg.seed).tobytes(), (cfg, m)
     # the last two cases drew no step at all
     cells = _block_rng(cfg.seed, 0).multinomial(300, simulate._count_pmf(cfg.mean_steps))
@@ -588,7 +628,7 @@ def test_flat_walk_is_bit_identical_to_a_per_walker_walk(space, law, noise):
     step_law = parse_law(law, parse_space(space))
     for rate, m in ((1.5, 1), (1.5, 2 * BLOCK + 5), (1e-12, 300)):
         cfg = ProcessConfig(law=step_law, intensity=rate, noise_tau=noise, seed=60 + m)
-        assert sample_compound(cfg, m)._unordered().tobytes() == \
+        assert sample_compound(cfg, m)._sample.tobytes() == \
             _plain_flat_sample(cfg, m).tobytes(), (cfg, m)
 
 

@@ -186,6 +186,26 @@ def test_zonal_values_match_classical_polynomials():
     assert cheb[2][0] == pytest.approx((4 * 0.09 - 1) / 3)
 
 
+def test_zonal_values_at_lam_zero_are_cos_n_theta_within_the_recurrence_error():
+    # Re phi_n on the circle is T_n(cos theta), the lam = 0 recurrence
+    # T_n = 2x T_(n-1) - T_(n-2).  With u = 2^-53: cos theta is off by at most
+    # 2u and |T_n'| <= n^2, so 2 n^2 u; each step rounds a product and a
+    # difference, at most 3u, and the error made at step l grows by U_(n-l),
+    # |U_j| <= j + 1, so 3u n(n - 1)/2; the reference cos(n * theta) rounds
+    # n * theta < 2 pi n and the cosine, 2 pi n u + 2u.  Rounded up, the bound
+    # is (4 n^2 + 7 n + 2) u.
+    u = 2.0**-53
+    top = 128
+    rng = np.random.default_rng(61)
+    theta = np.concatenate([rng.uniform(0.0, 2.0 * math.pi, 200_000),
+                            [0.0, 1e-9, 1e-5, math.pi / 2, math.pi, 2.0 * math.pi - 1e-9]])
+    vals = zonal_values(0.0, top, np.cos(theta))
+    n = np.arange(top + 1)
+    err = np.max(np.abs(vals - np.cos(n[:, None] * theta)), axis=1)
+    assert np.all(err <= (4.0 * n**2 + 7.0 * n + 2.0) * u)
+    assert err[64] > 0.0  # the check sees rounding at all
+
+
 def test_zonal_values_bounded_by_one():
     rng = np.random.default_rng(7)
     x = rng.uniform(-1.0, 1.0, size=200)
