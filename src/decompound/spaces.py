@@ -341,7 +341,7 @@ def spherical_sums(space: Space, indices, parts, real: bool = False) -> np.ndarr
     """sum over the points in parts of phi_pi (Re phi_pi if real), per index: P @ E.T per block."""
     rows, cols, shape, values, block = _plan(space, indices, real)
     sums = np.zeros(shape, dtype=float if isinstance(values, int) else complex)
-    bufs = _buffers(shape, values, max(min(block, len(pts)) for pts in parts))
+    bufs = _buffers(shape, values, max((min(block, len(pts)) for pts in parts), default=0))
     for pts in parts:
         for lo in range(0, len(pts), block):
             sums += np.inner(*_factors(space, values, pts[lo:lo + block], bufs))
@@ -359,7 +359,7 @@ def spherical_synthesis(space: Space, indices, weights, pts: np.ndarray) -> np.n
     prod = np.empty(shape[1] * min(block, len(pts)), dtype=box.dtype if bufs is None else complex)
     for lo in range(0, len(pts), block):
         p, e = _factors(space, values, pts[lo:lo + block], bufs)
-        a = np.matmul(box.T, p, out=prod[:e.size].reshape(e.shape))  # every block's buffers
+        a = np.matmul(box.T, p, out=prod[:e.size].reshape(e.shape))  # W.T @ P, one buffer
         a *= e
         a.sum(axis=0, out=out[lo:lo + block])
         del p, e  # the next block's zonal tables are built without these
