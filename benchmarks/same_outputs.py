@@ -10,8 +10,10 @@ and cap, with and without ``--noise-tau``), the circle and torus:2, each of
 40,000 points (three blocks of ``simulate.BLOCK`` = 16,384, the last one
 partial), and a one-block (16,384-point) sample on each of the circle and
 torus:2, the first block of any longer sample; ``coeffs --in`` on the noisy
-sphere:2 heat sample (noise-corrected) and on a shifted circle wrapped normal
-(complex-log, once at the default scale and once at ``--cutoff 9``); a
+sphere:2 heat sample (noise-corrected), on a shifted circle wrapped normal
+(complex-log, once at the default scale and once at ``--cutoff 9``), on the
+torus:2 heat sample (real-log: the symmetrized rank-2 transform) and on a
+shifted torus:2 wrapped normal (complex-log: the unsymmetrized one); a
 ``census`` on sphere:3 and on torus:2; a small noisy ``study-coeff`` on
 sphere:2; a small ``study-density`` on the circle and sphere:2 at
 ``--threads 1`` and ``--threads 2``; and a small ``study-density`` on
@@ -64,6 +66,18 @@ CALLS.append(("coeffs-circle-complex-log",
 CALLS.append(("coeffs-circle-complex-log-cutoff",
               ["coeffs", "--in", "../sample-circle-wn-shifted/points.csv",
                "--variant", "complex-log", "--cutoff", "9", "--out", "coeffs.csv"]))
+# the rank-2 torus transform read directly, not only through a study: the
+# symmetrized sums on the heat sample written above, and the complex ones on a
+# shifted wrapped normal
+CALLS.append(("coeffs-torus2-heat",
+              ["coeffs", "--in", "../sample-torus:2-heat-noise0/points.csv",
+               "--out", "coeffs.csv"]))
+CALLS.append(("sample-torus2-wn-shifted",
+              ["sample", "--space", "torus:2", "--law", "wn:sigma=0.7,mean=1;-0.5",
+               "--seed", "5", "--count", str(COUNT), "--out", "points.csv"]))
+CALLS.append(("coeffs-torus2-complex-log",
+              ["coeffs", "--in", "../sample-torus2-wn-shifted/points.csv",
+               "--variant", "complex-log", "--out", "coeffs.csv"]))
 # the census writes census.csv, not results.csv, and two plotted series
 for space in ("sphere:3", "torus:2"):
     CALLS.append((f"census-{space}",

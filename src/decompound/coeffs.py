@@ -14,8 +14,10 @@ for every variant (a truncated estimate is 0), and the noise-corrected
 variant adds the known heat-blur compensation tau^2 * kappa / (2 t Lambda).
 
 ``estimate_coefficients`` is the one estimation step of both studies: the
-density study applies it to every index below the cutoff, the coefficient
-study to one index.
+density study applies it to the spectrum table below the cutoff, the
+coefficient study to one index.  It reads label arrays (conjugates and +-
+pair labels are array operations) and runs the scalar ``estimate_with_flag``
+once per distinct transform value, so a symmetrized +- pair is estimated once.
 """
 from __future__ import annotations
 
@@ -24,8 +26,12 @@ import math
 import warnings
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
-from .spaces import SpectralIndex, conjugate_index, index_label, pair_label, spherical_sums
+import numpy as np
+
+from .spaces import (SpaceKind, SpectralIndex, _first_rows, _label_array, _pair_labels,
+                     index_label, spherical_sums)
 from .steplaws import CoefficientVector, StepLaw
 from .simulate import ObservationSet
 # perfbench/tracing.py wraps coeffs.sample_compound; drop this import with
@@ -91,20 +97,39 @@ class EstimatorConfig:
 
 
 class EmpiricalTransform:
-    """Per-index sample averages of the spherical functions."""
+    """Per-index sample averages of the spherical functions: a table of
+    labels and their values, looked up by label through one map built on
+    first use."""
 
     def __init__(self, values, m: int, symmetrized: bool):
+        pairs = list(values)
+        labels = [index_label(ix) for ix, _ in pairs]
+        self._fill(np.array(labels, dtype=int),
+                   np.array([complex(v) for _, v in pairs], dtype=complex), m, symmetrized)
+
+    @classmethod
+    def _from_table(cls, labels: np.ndarray, values: np.ndarray, m: int,
+                    symmetrized: bool) -> "EmpiricalTransform":
+        nu = cls.__new__(cls)
+        nu._fill(labels, values, m, symmetrized)
+        return nu
+
+    def _fill(self, labels, values, m, symmetrized) -> None:
         if m < 1:
             raise ValueError("m must be >= 1")
-        self._values = {index_label(ix): complex(v) for ix, v in values}
+        self._labels, self._values = labels, values
         self.m = int(m)
         self.symmetrized = bool(symmetrized)
 
+    @cached_property
+    def _rows(self) -> dict[tuple[int, ...], int]:
+        return dict(zip(map(tuple, self._labels.tolist()), range(len(self._labels))))
+
     def value(self, index) -> complex:
-        return self._values[index_label(index)]
+        return complex(self._values[self._rows[index_label(index)]])
 
     def labels(self):
-        return sorted(self._values)
+        return sorted(self._rows)
 
 
 def _clamp_value(z: complex, symmetrized: bool) -> complex:
@@ -116,25 +141,34 @@ def _clamp_value(z: complex, symmetrized: bool) -> complex:
     return z / mod if mod > 1.0 else z
 
 
+def _clamped(means: np.ndarray, symmetrized: bool) -> np.ndarray:
+    """``_clamp_value`` of each mean, bit for bit: a clip of the real parts,
+    or the scalar rule where a modulus may reach 1 (np.abs and the scalar
+    abs can differ in the last bit, hence the margin)."""
+    if symmetrized:
+        return np.minimum(np.maximum(means.real, -1.0), 1.0).astype(complex)
+    out = means.astype(complex)
+    for i in np.flatnonzero(np.abs(means) > 1.0 - 1e-9).tolist():
+        out[i] = _clamp_value(means[i], False)
+    return out
+
+
 def empirical_transform(obs: ObservationSet, indices, symmetrize: bool = False) -> EmpiricalTransform:
-    """Sample averages of phi_pi over the observations.
+    """Sample averages of phi_pi over the observations, at SpectralIndex
+    objects, raw labels or an (N, rank) label array.
 
     symmetrize=True averages phi and its inversion pullback, i.e. keeps the
     real part; offer it only for laws that are inverse invariant.
     """
     space = obs.config.space
-    indices = list(indices)
-    keys = [index_label(ix) for ix in indices]
-    if symmetrize:
-        # Re phi is the same at n and -n, so one sum serves the pair
-        keys = [pair_label(space, key) for key in keys]
-    distinct = list(dict.fromkeys(keys))
+    labels = _label_array(space, indices)
+    # Re phi is the same at n and -n, so one sum serves the pair
+    keys = _pair_labels(space, labels) if symmetrize else labels
     # a sum reads no order: the set hands over its sample as walked (a sphere's
     # cosine column, all phi reads) less the walkers at the origin, and their count
     parts, still = obs._transform_parts()
-    sums = dict(zip(distinct, spherical_sums(space, distinct, parts, symmetrize) + still))
-    values = [(ix, _clamp_value(sums[key] / obs.m, symmetrize)) for ix, key in zip(indices, keys)]
-    return EmpiricalTransform(values, m=obs.m, symmetrized=symmetrize)
+    means = (spherical_sums(space, keys, parts, symmetrize) + still) / obs.m
+    return EmpiricalTransform._from_table(labels, _clamped(means, symmetrize), obs.m, symmetrize)
 
 
 def estimate_with_flag(nu: EmpiricalTransform, index, cfg: EstimatorConfig) -> tuple[complex, bool]:
@@ -168,25 +202,50 @@ def estimate_with_flag(nu: EmpiricalTransform, index, cfg: EstimatorConfig) -> t
     return complex(value), False
 
 
+def _index_table(indices):
+    """(labels, casimir, multiplicity) of SpectralIndex objects, in (casimir,
+    label) order and each label once; such a table of arrays, as
+    ``spaces._spectrum_table`` gives it, is taken as it is."""
+    if isinstance(indices, tuple) and len(indices) == 3 and isinstance(indices[0], np.ndarray):
+        return indices
+    idx = list(indices)
+    labels = np.array([ix.label for ix in idx], dtype=int).reshape(len(idx), -1)
+    kappa = np.array([ix.casimir for ix in idx], dtype=float)
+    mult = np.array([ix.multiplicity for ix in idx], dtype=np.int64)
+    if len(idx) < 2:
+        return labels, kappa, mult
+    order = np.lexsort((*labels.T[::-1], kappa))
+    labels, kappa, mult = labels[order], kappa[order], mult[order]
+    new = np.ones(len(labels), dtype=bool)
+    new[1:] = (labels[1:] != labels[:-1]).any(axis=1)
+    return labels[new], kappa[new], mult[new]
+
+
 def estimate_coefficients(obs: ObservationSet, indices, cfg: EstimatorConfig) -> CoefficientVector:
     """Estimates c_hat(pi) = 1 + log nu_hat(conj pi) / (t Lambda) at each index,
     0 where the truncation rule fires (those indices are marked truncated).
 
-    The transform is taken at the conjugate indices, symmetrized unless the
-    variant is complex-log.
+    indices are SpectralIndex objects, or a (labels, casimir, multiplicity)
+    table in (casimir, label) order such as ``spaces._spectrum_table`` gives.
+    The transform is taken at the conjugate labels, symmetrized unless the
+    variant is complex-log, and ``estimate_with_flag`` runs once per distinct
+    transform value: a symmetrized +- pair reads one Re nu, so one estimate
+    serves both.
     """
     require_inverse_invariant(obs.config.law, cfg.variant)
-    indices = list(indices)
-    conj = [conjugate_index(obs.config.space, ix) for ix in indices]
+    space = obs.config.space
+    labels, kappa, mult = _index_table(indices)
+    conj = labels if space.kind is SpaceKind.SPHERE else -labels
+    symmetrized = cfg.variant.symmetrized
     # module globals, read at call time (perfbench/tracing.py wraps them)
-    nu = empirical_transform(obs, conj, symmetrize=cfg.variant.symmetrized)
-    pairs, truncated = [], []
-    for ix, sigma in zip(indices, conj):
-        value, flag = estimate_with_flag(nu, sigma, cfg)
-        pairs.append((ix, value))
-        if flag:
-            truncated.append(ix)
-    return CoefficientVector(pairs, truncated=truncated)
+    nu = empirical_transform(obs, conj, symmetrize=symmetrized)
+    first, at = _first_rows(_pair_labels(space, conj) if symmetrized else conj)
+    values = np.empty(len(first), dtype=complex)
+    truncated = np.empty(len(first), dtype=bool)
+    for j, (label, k, d) in enumerate(zip(conj[first].tolist(), kappa[first].tolist(),
+                                          mult[first].tolist())):
+        values[j], truncated[j] = estimate_with_flag(nu, SpectralIndex(tuple(label), k, d), cfg)
+    return CoefficientVector._from_table(labels, kappa, mult, values[at], truncated[at])
 
 
 def deviation_bound(gap: float, m: int) -> float:

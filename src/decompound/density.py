@@ -8,13 +8,15 @@ exact: everything below the cutoff is variance, the rest of the truth is
 bias.  ``truth_table`` supplies that truth.  A cap's tail beyond the table is
 exact; heat and wrapped-normal tails read 0.0, since they are at most 4e-18
 and ||f||^2 less the kept mass would carry rounding up to 4e-16.  The truth
-table, the L2 split and the Sobolev norm read coefficient vectors as arrays,
-with no SpectralIndex per entry, but keep the arithmetic scalar (math.exp,
-abs, ** and sequential sums), so the bits do not depend on numpy's SIMD
-dispatch.
+table runs the law's coefficient formula once over the kept table, and the
+truth table, the L2 split and the Sobolev norm read coefficient vectors as
+arrays, with no SpectralIndex per entry, but round as scalar code does
+(math.exp, Python's abs, the C pow of ** and sequential sums), so the bits
+do not depend on numpy's SIMD dispatch.
 Pointwise synthesis, for output and plots only, folds each +- pair onto one
-label and runs ``spaces.spherical_synthesis`` in blocks of points that fit a
-fixed byte budget, so its working memory does not grow with the points.
+label with array operations and runs ``spaces.spherical_synthesis`` in
+blocks of points that fit a fixed byte budget, so its working memory does
+not grow with the points.
 """
 from __future__ import annotations
 
@@ -27,8 +29,10 @@ from enum import Enum
 
 import numpy as np
 
-from .spaces import (Space, _as_points, _spectrum_table, pair_label, parse_space, spectrum,
+from .spaces import (Space, _as_points, _first_rows, _pair_labels, _spectrum_table, parse_space,
                      spherical_synthesis)
+# perfbench/tracing.py wraps density.spectrum; drop this import with that wrap
+from .spaces import spectrum  # noqa: F401
 from .steplaws import (
     CoefficientVector,
     HeatZonal,
@@ -162,7 +166,7 @@ def reconstruct(obs: ObservationSet, cfg: EstimatorConfig, spec: SobolevSpec,
     space = obs.config.space
     cutoff = smoothing_cutoff(obs.m, spec.s, space, scale)
     return DensityEstimate(
-        coeffs=estimate_coefficients(obs, spectrum(space, cutoff), cfg),
+        coeffs=estimate_coefficients(obs, _spectrum_table(space, cutoff), cfg),
         space=space,
         m=obs.m,
         cutoff=cutoff,
@@ -170,6 +174,17 @@ def reconstruct(obs: ObservationSet, cfg: EstimatorConfig, spec: SobolevSpec,
         scale=scale,
         config=cfg,
     )
+
+
+def _square_weights(mult: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """d * abs(c) ** 2 per entry, rounded as Python rounds it: abs is the C
+    hypot, which is |Re c| exactly where Im c = 0 and is called per entry
+    elsewhere, and ** is the C pow, which np.float_power calls."""
+    mod = np.abs(values.real)
+    if np.count_nonzero(values.imag):
+        mixed = np.flatnonzero(values.imag)
+        mod[mixed] = [abs(c) for c in values[mixed].tolist()]
+    return mult * np.float_power(mod, 2.0)
 
 
 def l2_error(est: DensityEstimate, truth: CoefficientVector) -> L2Error:
@@ -183,20 +198,18 @@ def l2_error(est: DensityEstimate, truth: CoefficientVector) -> L2Error:
         raise CoverageError("truth coefficients stop below the estimate's cutoff")
     coeffs = est.coeffs
     if np.array_equal(truth._labels[:len(coeffs)], coeffs._labels):
-        rows = np.arange(len(coeffs))  # a reconstruct's indices head its truth table
+        # a reconstruct's indices head its truth table
+        rows, outside = slice(len(coeffs)), slice(len(coeffs), None)
     else:
         try:
             rows = [truth._rows[label] for label in map(tuple, coeffs._labels.tolist())]
         except KeyError as exc:
             raise CoverageError(f"truth is missing index {exc.args[0]}") from None
-    variance = 0.0
-    for d, value, c in zip(coeffs._mult.tolist(), coeffs._values.tolist(),
-                           truth._values[rows].tolist()):
-        variance += d * abs(value - c) ** 2
-    outside = np.ones(len(truth), dtype=bool)
-    outside[rows] = False
-    bias = sum(d * abs(c) ** 2 for d, c in zip(truth._mult[outside].tolist(),
-                                               truth._values[outside].tolist()))
+        outside = np.ones(len(truth), dtype=bool)
+        outside[rows] = False
+    variance = sum(_square_weights(coeffs._mult, coeffs._values - truth._values[rows]).tolist(),
+                   0.0)
+    bias = sum(_square_weights(truth._mult[outside], truth._values[outside]).tolist())
     return L2Error(variance, bias, variance + bias)
 
 
@@ -210,19 +223,17 @@ def sobolev_norm(coeffs: CoefficientVector, space: Space, s: float) -> float:
         raise ValueError("s must be >= 0")
     if not len(coeffs):
         return 0.0
-    kappa, weights = coeffs._casimir.tolist(), []
-    for k, d, c in zip(kappa, coeffs._mult.tolist(), coeffs._values.tolist()):
-        w = d * abs(c) ** 2
-        if s > 0:
-            w *= 1.0 + k**s
-        weights.append(w)
-    total = sum(weights)
-    kmax = max(kappa)
+    kappa = coeffs._casimir
+    weights = _square_weights(coeffs._mult, coeffs._values)
+    if s > 0:
+        weights *= 1.0 + np.float_power(kappa, s)
+    total = sum(weights.tolist())
+    kmax = float(kappa.max())
     if kmax > 1.0:
         # dyadic octaves [2^j, 2^{j+1}); the top one estimates the unseen tail
         j_top = math.floor(math.log2(kmax))
-        top = sum(w for k, w in zip(kappa, weights) if 2.0**j_top <= k)
-        prev = sum(w for k, w in zip(kappa, weights) if 2.0 ** (j_top - 1) <= k < 2.0**j_top)
+        top = sum(weights[2.0**j_top <= kappa].tolist())
+        prev = sum(weights[(2.0 ** (j_top - 1) <= kappa) & (kappa < 2.0**j_top)].tolist())
         if top > 1e-10 and prev > 0.0:
             if top >= prev:
                 raise ValueError("coefficient tail is not summable against kappa^s "
@@ -240,12 +251,14 @@ def evaluate(est: DensityEstimate, points):
     phi_-n = conj phi_n, each +- pair folds onto its ``pair_label`` as
     d (c(n) + conj c(-n)), the same real part for any coefficient vector."""
     pts, single = _as_points(est.space, points)
-    folded = {}
-    for ix, c in est.coeffs.items():
-        key = pair_label(est.space, ix)
-        w = ix.multiplicity * (c if ix.label == key else c.conjugate())
-        folded[key] = folded[key] + w if key in folded else w
-    out = spherical_synthesis(est.space, list(folded), list(folded.values()), pts).real
+    coeffs = est.coeffs
+    keys = _pair_labels(est.space, coeffs._labels)
+    own = (keys == coeffs._labels).all(axis=1)
+    weights = coeffs._mult * np.where(own, coeffs._values, coeffs._values.conjugate())
+    first, at = _first_rows(keys)
+    folded = np.zeros(len(first), dtype=complex)
+    np.add.at(folded, at, weights)
+    out = spherical_synthesis(est.space, keys[first], folded, pts).real
     return float(out[0]) if single else out
 
 
@@ -285,10 +298,9 @@ def truth_table(law: StepLaw, cutoff: float) -> tuple[CoefficientVector, float]:
     # provably covers every index an estimate at this cutoff may contain
     keep = kappa <= max(reach, float(kappa[kappa > cutoff].min()))
     labels, kappa, mult = labels[keep], kappa[keep], mult[keep]
-    values = [law._coefficient(label, k) for label, k in zip(labels.tolist(), kappa.tolist())]
+    values = law._coefficients(labels, kappa)
     tail = 0.0
     if isinstance(law, UniformCap):
         # f = 1/V on a set of normalized measure V, so ||f||^2 = 1/V = f(origin)
-        tail = law.radial_density(0.0) - sum(count * abs(v) ** 2
-                                             for count, v in zip(mult.tolist(), values))
+        tail = law.radial_density(0.0) - sum(_square_weights(mult, values).tolist())
     return CoefficientVector._from_table(labels, kappa, mult, values), float(tail)

@@ -427,4 +427,6 @@ def read_observations(path) -> ObservationSet:
         fh.readline()  # column names
         rows = [[float(v) for v in line.strip().split(",")]
                 for line in fh if line.strip()]
-    return ObservationSet(points=np.array(rows, dtype=float), config=config)
+    # no rows is a (0, ambient_dim) set, which the point check names as empty
+    points = np.array(rows, dtype=float) if rows else np.empty((0, config.space.ambient_dim))
+    return ObservationSet(points=points, config=config)

@@ -3,11 +3,12 @@
 Each space carries a countable family of zonal spherical functions
 ``phi_pi`` indexed by lattice vectors (circle/torus) or degrees (spheres),
 together with a Casimir eigenvalue ``kappa_pi`` and a multiplicity ``d_pi``.
-This module enumerates that spectrum, sums and synthesizes the spherical
-functions (per-axis character tables on circle/torus, zonal recurrences on
-spheres and for the circle's real parts, one BLAS contraction, blocks of
-points sized by a byte budget), moves points along geodesics, and counts
-spectrum growth (Weyl laws).
+This module enumerates that spectrum (one table of label, Casimir and
+multiplicity arrays), sums and synthesizes the spherical functions
+(per-axis character tables on circle/torus, zonal recurrences on spheres
+and for the circle's real parts, each table row written once, one BLAS
+contraction, blocks of points sized by a byte budget), moves points along
+geodesics, and counts spectrum growth (Weyl laws).
 
 Conventions: the torus is ``[0, 2*pi)^d`` with the unit flat metric; all
 invariant measures are normalized to total mass 1; the origin is angle 0
@@ -189,7 +190,9 @@ def make_index(space: Space, label: tuple[int, ...]) -> SpectralIndex:
 def _spectrum_table(space: Space, casimir_max: float):
     """(labels (N, rank) int, casimir (N,) float, multiplicity (N,) int) of
     every index with Casimir eigenvalue <= casimir_max, sorted by (casimir,
-    label lexicographic): the one enumeration of the spectrum."""
+    label lexicographic): the one enumeration of the spectrum.  np.indices
+    lists lattice labels lexicographically, so one stable sort by Casimir
+    gives that order."""
     if not 0.0 <= casimir_max < math.inf:
         raise ValueError("casimir_max must be finite and >= 0")
     n_max = math.isqrt(int(casimir_max))  # bounds every |n_a| and every degree
@@ -203,7 +206,7 @@ def _spectrum_table(space: Space, casimir_max: float):
     kappa = (labels * labels).sum(axis=1)
     keep = kappa <= casimir_max
     labels, kappa = labels[keep], kappa[keep]
-    order = np.lexsort((*labels.T[::-1], kappa))
+    order = np.argsort(kappa, kind="stable")
     return labels[order], kappa[order].astype(float), np.ones(len(order), dtype=np.int64)
 
 
@@ -236,6 +239,41 @@ def pair_label(space: Space, index) -> tuple[int, ...]:
     return label if space.kind is SpaceKind.SPHERE else max(label, tuple(-k for k in label))
 
 
+def _label_array(space: Space, indices) -> np.ndarray:
+    """The (N, rank) int labels of SpectralIndex objects or raw labels; an
+    array of labels is taken as it is."""
+    if isinstance(indices, np.ndarray):
+        return indices.reshape(-1, space.rank)
+    return np.array([index_label(ix) for ix in indices], dtype=int).reshape(-1, space.rank)
+
+
+def _first_rows(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(first, at): the first row of each distinct label of a label array, in
+    label order, and each row's place among them.  Rows are read as integers
+    in a balanced base that keeps their lexicographic order."""
+    key = labels[:, 0]
+    if labels.shape[1] > 1:
+        base = 2 * int(np.abs(labels).max()) + 1
+        if base ** labels.shape[1] >= 2**62:
+            _, first, at = np.unique(labels, axis=0, return_index=True, return_inverse=True)
+            return first, at.ravel()
+        for col in labels.T[1:]:
+            key = key * base + col
+    if (key[1:] > key[:-1]).all():  # distinct and in order already
+        return np.arange(len(key)), np.arange(len(key))
+    _, first, at = np.unique(key, return_index=True, return_inverse=True)
+    return first, at
+
+
+def _pair_labels(space: Space, labels: np.ndarray) -> np.ndarray:
+    """``pair_label`` of each row of a label array: on flat spaces the row,
+    negated where its first nonzero component is negative."""
+    if space.kind is SpaceKind.SPHERE:
+        return labels
+    first = labels[np.arange(len(labels)), (labels != 0).argmax(axis=1)]
+    return np.where((first < 0)[:, None], -labels, labels)
+
+
 # ---------------------------------------------------------------------------
 # spherical function evaluation
 
@@ -254,38 +292,72 @@ def _as_points(space: Space, point: np.ndarray) -> tuple[np.ndarray, bool]:
 def zonal_values(lam: float, degrees: int, x: np.ndarray) -> np.ndarray:
     """Normalized Gegenbauer values C_l^lam(x)/C_l^lam(1) for l = 0..degrees.
 
-    Three-term recurrence on the normalized functions; rows are degrees.
-    Exactly 1 in every degree at x = 1 (the normalization is built into the
-    recurrence, which reduces to the Legendre recurrence at lam = 1/2, and
-    the rounding it accumulates at x = 1 is overwritten).
+    Three-term recurrence on the normalized functions; rows are degrees,
+    each computed in place with one scratch row.  Exactly 1 in every degree
+    at x = 1 (the normalization is built into the recurrence, which reduces
+    to the Legendre recurrence at lam = 1/2 and to T_l = 2x T_(l-1) - T_(l-2)
+    at lam = 0, and the rounding it accumulates at x = 1 is overwritten).
     """
     x = np.asarray(x, dtype=float).ravel()
     vals = np.empty((degrees + 1, x.size))
     vals[0] = 1.0
     if degrees >= 1:
         vals[1] = x
+    scratch = np.empty(x.size) if degrees >= 2 else None
+    if scratch is not None and lam == 0.0:
+        np.add(x, x, out=scratch)  # a x = 2x, and b = 1, exactly
     for ell in range(2, degrees + 1):
+        row = vals[ell]
+        if lam == 0.0:
+            np.multiply(scratch, vals[ell - 1], out=row)
+            row -= vals[ell - 2]
+            continue
         a = 2.0 * (ell + lam - 1.0) / (ell + 2.0 * lam - 1.0)
         b = (ell - 1.0) / (ell + 2.0 * lam - 1.0)
-        vals[ell] = a * x * vals[ell - 1] - b * vals[ell - 2]
-    vals[:, x == 1.0] = 1.0
+        np.multiply(x, a, out=row)
+        row *= vals[ell - 1]
+        np.multiply(vals[ell - 2], b, out=scratch)
+        row -= scratch
+    ones = x == 1.0
+    if ones.any():
+        vals[:, ones] = 1.0
     return vals
 
 
-def _characters(theta: np.ndarray, values: np.ndarray, out=None) -> np.ndarray:
+def _characters(theta: np.ndarray, values, out=None) -> np.ndarray:
     """exp(i n theta) for each n of values (rows; repeats allowed), into out if
-    given.  A walk up the magnitudes |n| the values use multiplies by exp(i
-    step theta), with one exp per distinct step; negative n are conjugates."""
+    given.  A walk up the magnitudes |n| the values use writes each row once:
+    the first row of a magnitude is the last magnitude's times exp(i step
+    theta), with one exp per distinct step, and its repeats and its -n rows
+    are copies and conjugates of it.  A magnitude with only -n rows walks in
+    one of them, conjugated once the walk is done."""
+    values = np.asarray(values, dtype=int).ravel()
     out = np.empty((len(values), theta.size), dtype=complex) if out is None else out
-    cur, prev, steps = 1.0, 0, {}
-    for n in np.unique(np.abs(values)).tolist():
-        if n != prev:
+    # cur is the row of exp(i prev theta), the walk's last, and lead its value
+    prev, cur, lead, steps, flip = 0, None, 0, {}, []
+    signed = values.tolist()
+    for i in np.lexsort((-values, np.abs(values))).tolist():  # by |n|, +n rows first
+        v, row = signed[i], out[i]
+        n = abs(v)
+        if n == 0:
+            row.fill(1.0)
+            continue
+        if n != prev:  # the walk's next magnitude, in this row
             if n - prev not in steps:
                 steps[n - prev] = np.exp(1j * (n - prev) * theta)
-            cur, prev = cur * steps[n - prev], n
-        out[values == n] = cur
-        if n:
-            out[values == -n] = np.conj(cur)
+            if cur is None:
+                row[...] = steps[n - prev]
+            else:
+                np.multiply(cur, steps[n - prev], out=row)
+            prev, cur, lead = n, row, v
+        elif v == lead:
+            row[...] = cur
+        else:
+            np.conjugate(cur, out=row)
+        if v < 0 and v == lead:
+            flip.append(row)
+    for row in flip:
+        np.conjugate(row, out=row)
     return out
 
 
@@ -297,44 +369,81 @@ def _plan(space: Space, indices, real: bool = False):
     set of indices builds few rows.  Spheres, and the circle if real (Re phi_n =
     T_n(cos theta), DLMF 18.7.25): P is ones, E the zonal table to degree values.
     block is the most points whose tables, with the fixed arrays, fit the budget."""
-    labels = np.array([index_label(ix) for ix in indices], dtype=int).reshape(-1, space.rank)
+    labels = _label_array(space, indices)
     if space.rank == 1 and (real or space.kind is SpaceKind.SPHERE):
         cols = np.abs(labels[:, 0])  # Re phi is the same at n and -n
         values = int(cols.max()) if cols.size else 0
-        rows, shape, walk = np.zeros(len(labels), dtype=int), (1, values + 1), 0
+        rows, shape, walk, spill = np.zeros(len(labels), dtype=int), (1, values + 1), 0, 0
     else:
         pre, rows = np.unique(labels[:, :-1], axis=0, return_inverse=True)
         last, cols = np.unique(labels[:, -1], return_inverse=True)
-        shape, values = (len(pre), len(last)), (pre, last)
+        axes = None
+        if pre.shape[1] >= 2:  # rank >= 3: P's rows are products of prefix axis tables
+            axes = [np.unique(col, return_inverse=True) for col in pre.T]
+            axes = ([vals for vals, _ in axes], list(zip(*(at.tolist() for _, at in axes))))
+        shape, values = (len(pre), len(last)), (pre, last, axes)
         walk = max(len(np.unique(np.abs(col))) for col in labels.T) if labels.size else 0
-    # per point: P, E and the synthesis products, one axis table and its walk
-    row_bytes = 16 * (shape[0] + 3 * shape[1] + 3 * walk + 4)
+        spill = _spill_rows(values)
+    # per point: P, E and the synthesis products; the prefix axis tables that E's
+    # buffer cannot hold; and the walk's exp rows, one per distinct step.  The
+    # reserve is at least the 3 walk rows it has always been, so blocks (and
+    # with them the rounding of every sum) stay as they were wherever the
+    # tables fit in it, and shrink where they do not
+    row_bytes = 16 * (shape[0] + 3 * shape[1] + max(3 * walk, spill + walk) + 4)
     fixed = 3 * 16 * shape[0] * shape[1]  # the sums, one block's sums, the weights
     block = max(1, min(_CHUNK, (_BLOCK_BYTES - fixed) // row_bytes))
     return rows.ravel(), cols.ravel(), shape, values, block
 
 
+def _spill_rows(values) -> int:
+    """Rows of the prefix axis tables kept outside E's buffer: all but the
+    last, and the last too when it has more rows than E."""
+    pre, last, axes = values
+    if axes is None:
+        return 0
+    sizes = [len(vals) for vals in axes[0]]
+    return sum(sizes[:-1]) + (sizes[-1] if sizes[-1] > len(last) else 0)
+
+
 def _factors(space: Space, values, pts: np.ndarray, bufs) -> tuple[np.ndarray, np.ndarray]:
-    """P and E of ``_plan`` at a block of points (columns).  From characters they
-    are written into bufs, and each axis table of P where E goes, if it fits."""
+    """P and E of ``_plan`` at a block of points (columns), written into bufs,
+    each row once.  Rank 2: P's rows are the first axis's characters.  Rank
+    >= 3: each row of P is the product of its prefix axis tables' rows, the
+    last table written where E goes, if it fits, and the rest in bufs[2]."""
     if isinstance(values, int):  # the zonal table to degree values
         x = np.cos(pts[:, 0]) if space.is_flat else np.clip(pts[:, -1], -1.0, 1.0)
         return np.ones((1, len(pts))), zonal_values((space.dim - 1.0) / 2.0, values, x)
-    pre, last = values
-    p, e = (buf[:len(rows) * len(pts)].reshape(-1, len(pts)) for buf, rows in zip(bufs, values))
-    p.fill(1.0)
-    for a, col in enumerate(pre.T):
-        vals, at = np.unique(col, return_inverse=True)
-        table = _characters(pts[:, a], vals, e[:len(vals)] if len(vals) <= len(e) else None)
-        for row, i in zip(p, at):
-            row *= table[i]
+    pre, last, axes = values
+    n = len(pts)
+    p, e, spill = (buf[:k * n].reshape(-1, n) for buf, k in
+                   zip(bufs, (len(pre), len(last), _spill_rows(values))))
+    if axes is None:
+        if pre.shape[1]:
+            _characters(pts[:, 0], pre[:, 0], p)
+        else:  # the circle
+            p.fill(1.0)
+    else:
+        tables, lo = [], 0
+        for a, vals in enumerate(axes[0]):
+            if a == len(axes[0]) - 1 and len(vals) <= len(last):
+                tables.append(_characters(pts[:, a], vals, e[:len(vals)]))
+            else:
+                tables.append(_characters(pts[:, a], vals, spill[lo:lo + len(vals)]))
+                lo += len(vals)
+        first, second, rest = tables[0], tables[1], tables[2:]
+        for row, at in zip(p, axes[1]):
+            np.multiply(first[at[0]], second[at[1]], out=row)
+            for table, j in zip(rest, at[2:]):
+                row *= table[j]
     return p, _characters(pts[:, -1], last, e)
 
 
 def _buffers(shape, values, n: int):
-    """P's and E's buffers for blocks of up to n points, none for a zonal table:
-    two, so that freeing them moves glibc's mmap threshold no more than P and E do."""
-    return None if isinstance(values, int) else [np.empty(k * n, dtype=complex) for k in shape]
+    """P's, E's and the spilled prefix tables' buffers for blocks of up to n
+    points, none for a zonal table."""
+    if isinstance(values, int):
+        return None
+    return [np.empty(k * n, dtype=complex) for k in (*shape, _spill_rows(values))]
 
 
 def spherical_sums(space: Space, indices, parts, real: bool = False) -> np.ndarray:

@@ -59,10 +59,11 @@ class CoefficientVector:
     """Finite map from spectral indices to complex coefficients.
 
     Holds exact law coefficients as well as estimated ones (which may leave
-    the unit disc).  A table sorted once by
-    (casimir, label) holds labels, Casimir eigenvalues, multiplicities, values
-    and a truncated mask; ``indices`` and ``items`` build the SpectralIndex
-    objects, and label lookups go through one map built on first use.
+    the unit disc).  A table in (casimir, label) order holds labels, Casimir
+    eigenvalues, multiplicities, values and a truncated mask; ``indices`` and
+    ``items`` build the SpectralIndex objects, and label lookups go through
+    one map built on first use.  Pairs are sorted into that order once; a
+    table from ``spaces._spectrum_table`` is in it already and is kept as it is.
     """
 
     def __init__(self, pairs, truncated=()):
@@ -70,25 +71,30 @@ class CoefficientVector:
         marked = {index_label(ix) for ix in truncated}
         idx = [index for index, _ in entries.values()]
         rank = len(idx[0].label) if idx else 1
-        self._fill(np.array([ix.label for ix in idx], dtype=int).reshape(-1, rank),
-                   [ix.casimir for ix in idx], [ix.multiplicity for ix in idx],
-                   [value for _, value in entries.values()],
-                   [ix.label in marked for ix in idx])
+        labels = np.array([ix.label for ix in idx], dtype=int).reshape(-1, rank)
+        casimir = np.array([ix.casimir for ix in idx], dtype=float)
+        order = np.lexsort((*labels.T[::-1], casimir))
+        self._fill(labels[order], casimir[order],
+                   np.array([ix.multiplicity for ix in idx], dtype=np.int64)[order],
+                   np.array([value for _, value in entries.values()], dtype=complex)[order],
+                   np.array([ix.label in marked for ix in idx], dtype=bool)[order])
 
     @classmethod
-    def _from_table(cls, labels, casimir, multiplicity, values) -> "CoefficientVector":
-        """The vector of values over a (labels, casimir, multiplicity) table."""
+    def _from_table(cls, labels, casimir, multiplicity, values,
+                    truncated=None) -> "CoefficientVector":
+        """The vector of values over a (labels, casimir, multiplicity) table
+        already in (casimir, label) order, and its truncated mask (none set if
+        not given)."""
         vec = cls.__new__(cls)
-        vec._fill(labels, casimir, multiplicity, values, np.zeros(len(labels), dtype=bool))
+        vec._fill(labels, casimir, multiplicity, values,
+                  np.zeros(len(labels), dtype=bool) if truncated is None else truncated)
         return vec
 
     def _fill(self, labels, casimir, multiplicity, values, truncated) -> None:
-        casimir = np.asarray(casimir, dtype=float)
-        order = np.lexsort((*labels.T[::-1], casimir))
-        self._labels, self._casimir = labels[order], casimir[order]
-        self._mult = np.asarray(multiplicity, dtype=np.int64)[order]
-        self._values = np.asarray(values, dtype=complex)[order]
-        self._truncated = np.asarray(truncated, dtype=bool)[order]
+        self._labels, self._casimir = labels, np.asarray(casimir, dtype=float)
+        self._mult = np.asarray(multiplicity, dtype=np.int64)
+        self._values = np.asarray(values, dtype=complex)
+        self._truncated = np.asarray(truncated, dtype=bool)
 
     @cached_property
     def _rows(self) -> dict[tuple[int, ...], int]:
@@ -155,6 +161,15 @@ class CoefficientVector:
                 if int(flag):
                     truncated.append(label)
         return cls(pairs, truncated=truncated)
+
+
+def _per_eigenvalue(casimir: np.ndarray, formula) -> np.ndarray:
+    """formula(kappa) at each entry as a complex array, evaluated once per
+    distinct eigenvalue (formula is scalar math)."""
+    if len(casimir) == 1:
+        return np.array([formula(float(casimir[0]))], dtype=complex)
+    kappa, at = np.unique(casimir, return_inverse=True)
+    return np.array([formula(k) for k in kappa.tolist()], dtype=complex)[at]
 
 
 # ---------------------------------------------------------------------------
@@ -263,10 +278,14 @@ class StepLaw:
         raise NotImplementedError
 
     def coefficient(self, index: SpectralIndex) -> complex:
-        return self._coefficient(index.label, index.casimir)
+        return complex(self._coefficients(np.array([index.label]),
+                                          np.array([index.casimir]))[0])
 
-    def _coefficient(self, label, casimir: float) -> complex:
-        """The law's one coefficient formula, at a label and its Casimir eigenvalue."""
+    def _coefficients(self, labels: np.ndarray, casimir: np.ndarray) -> np.ndarray:
+        """The law's one coefficient formula over a table: labels (N, rank) and
+        their Casimir eigenvalues (N,), to N complex values.  Scalar math
+        (math.exp, math.cos, math.sin) per entry, or per distinct eigenvalue
+        where the value depends on it alone."""
         raise NotImplementedError
 
     def spec_string(self) -> str:
@@ -309,8 +328,8 @@ class HeatZonal(StepLaw):
     def inverse_invariant(self) -> bool:
         return True
 
-    def _coefficient(self, label, casimir: float) -> complex:
-        return complex(math.exp(-casimir * self.tau0))
+    def _coefficients(self, labels: np.ndarray, casimir: np.ndarray) -> np.ndarray:
+        return _per_eigenvalue(casimir, lambda k: math.exp(-k * self.tau0))
 
     def spec_string(self) -> str:
         return f"heat:tau={self.tau0!r}"
@@ -392,12 +411,16 @@ class WrappedNormal(StepLaw):
     def inverse_invariant(self) -> bool:
         return all(v % (2.0 * math.pi) == 0.0 for v in self.mean)
 
-    def _coefficient(self, label, casimir: float) -> complex:
-        value = complex(math.exp(-0.5 * casimir * self.sigma**2))
+    def _coefficients(self, labels: np.ndarray, casimir: np.ndarray) -> np.ndarray:
+        sq = self.sigma**2
+        values = _per_eigenvalue(casimir, lambda k: math.exp(-0.5 * k * sq))
         if not any(self.mean):
-            return value  # the phase factor 1 - 0j leaves every bit as it is
-        phase = float(np.asarray(label, dtype=float) @ np.asarray(self.mean))
-        return value * complex(math.cos(phase), -math.sin(phase))
+            return values  # the phase factor 1 - 0j leaves every bit as it is
+        mean = np.asarray(self.mean)
+        for i, label in enumerate(labels.astype(float)):
+            phase = float(label @ mean)
+            values[i] = complex(values[i]) * complex(math.cos(phase), -math.sin(phase))
+        return values
 
     def spec_string(self) -> str:
         mean = ";".join(repr(v) for v in self.mean)
@@ -418,7 +441,10 @@ class WrappedNormal(StepLaw):
         return out
 
     def sample_displacements(self, n: int, rng) -> np.ndarray:
-        return self.mean + self.sigma * rng.standard_normal((n, self.space.dim))
+        out = rng.standard_normal((n, self.space.dim))
+        out *= self.sigma
+        out += self.mean
+        return out
 
 
 @dataclass(frozen=True)
@@ -450,19 +476,20 @@ class UniformCap(StepLaw):
         theta = np.asarray(theta, dtype=float)
         return np.where(theta <= self.rho, 1.0 / self._cap_fraction, 0.0)
 
-    def _coefficient(self, label, casimir: float) -> complex:
-        if casimir == 0.0:
-            return 1.0 + 0.0j
+    def _coefficients(self, labels: np.ndarray, casimir: np.ndarray) -> np.ndarray:
         # (1/V) * integral over the cap of C_l^lam(cos t) / C_l^lam(1) against the
         # normalized zonal weight; the Gegenbauer derivative identity (DLMF
         # 18.9) gives the integral of C_l^lam(x) (1-x^2)^(lam-1/2) over
         # [cos rho, 1] as 2 lam sin^d rho C_{l-1}^{lam+1}(cos rho) / (l (l+2 lam)),
         # which is sin^d rho C_l^lam(1) Z_{l-1}^{lam+1}(cos rho) / d in the
-        # normalized values Z = C(x) / C(1)
-        d, ell = self.space.dim, label[0]
-        z = zonal_values((d + 1) / 2.0, ell - 1, math.cos(self.rho))[-1, 0]
+        # normalized values Z = C(x) / C(1); the degree 0 coefficient is 1
+        d, degrees = self.space.dim, labels[:, 0].tolist()
+        # Z_{l-1} for every degree l of the table: one recurrence, at least to degree 0
+        z = zonal_values((d + 1) / 2.0, max(degrees + [1]) - 1, math.cos(self.rho))[:, 0]
         norm = d * math.exp(_zonal_weight_log_norm(d)) * self._cap_fraction
-        return complex(math.sin(self.rho) ** d * z / norm)
+        scale = math.sin(self.rho) ** d
+        return np.array([scale * z[ell - 1].item() / norm if ell else 1.0 for ell in degrees],
+                        dtype=complex)
 
     def spec_string(self) -> str:
         return f"cap:rho={self.rho!r}"

@@ -93,6 +93,16 @@ def test_coeffs_rejects_a_bad_cutoff_by_its_flag(tmp_path, capsys, cutoff):
     assert "--cutoff must be finite and > 0" in capsys.readouterr().err
 
 
+def test_coeffs_names_a_header_only_observation_file_empty(tmp_path, capsys):
+    obs = tmp_path / "obs.csv"
+    main(["sample", "--space", "torus:2", "--law", "wn:sigma=0.7",
+          "--count", "3", "--seed", "3", "--out", str(obs)])
+    obs.write_text("".join(obs.read_text().splitlines(True)[:2]))
+    capsys.readouterr()
+    assert main(["coeffs", "--in", str(obs)]) == 2
+    assert "error: empty observation set" in capsys.readouterr().err
+
+
 def test_coeffs_takes_the_cutoff_or_the_scale_not_both(tmp_path, capsys):
     obs = tmp_path / "obs.csv"
     main(["sample", "--space", "circle", "--law", "wn:sigma=0.7",

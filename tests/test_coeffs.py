@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from scipy import special
 
 from decompound import (
+    CoefficientVector,
     EmpiricalTransform,
     EstimatorConfig,
     HeatZonal,
@@ -36,7 +37,8 @@ from decompound import (
     torus,
 )
 from decompound.simulate import BLOCK, _block_rng
-from decompound.coeffs import _clamp_value
+from decompound import coeffs
+from decompound.coeffs import _clamp_value, _clamped
 from decompound.spaces import (_BLOCK_BYTES, _CHUNK, _characters, _plan, pair_label, spherical,
                                spherical_sums, spherical_synthesis)
 
@@ -304,6 +306,20 @@ def test_transform_memory_bounded_by_the_block_budget():
     assert _transform_peak_bytes(walked, indices, True) <= 1.05 * one_block
 
 
+def test_rank4_prefix_tables_are_counted_in_the_block_budget():
+    # rank 4 keeps three prefix axis tables alive while P is written.  With
+    # one last component E has one row, so none of them fits in E's buffer:
+    # the budget counts all three (21 rows here, beyond the 12 rows it keeps
+    # for the walk), and the block shrinks so that one block's peak stays
+    # under it; a budget that left them out would pass it by 2%
+    space = torus(4)
+    labels = [(a, b, c, 0) for a in range(-3, 4) for b in range(-3, 4) for c in range(-3, 4)]
+    block = _plan(space, labels)[-1]
+    pts = np.random.default_rng(12).uniform(0.0, 2.0 * math.pi, size=(block, 4))
+    cfg = ProcessConfig(law=WrappedNormal(space, sigma=0.5))
+    assert _transform_peak_bytes(ObservationSet(points=pts, config=cfg), labels) <= _BLOCK_BYTES
+
+
 def _all_points_sums(obs, labels, real=False):
     space = obs.config.space
     sample = obs._sample if space.is_flat else obs._sample[:, None]
@@ -546,3 +562,171 @@ def test_walked_cosines_estimate_as_their_lifted_points(d):
         shuffled = estimate_coefficients(public, indices, cfg)
         assert shuffled.truncated == got.truncated
         assert max(abs(a - b) for (_, a), (_, b) in zip(got.items(), shuffled.items())) <= 1e-12
+
+
+# --- the kernel and the estimation step against their per-index versions --------
+#
+# the character walk and P's rows are written once per block now, and the
+# estimation step reads arrays; below are the versions they replaced, which
+# must give the same bits
+
+
+def _reference_characters(theta, values):
+    # one temporary per |n|, copied to its rows and conjugated for -n
+    out = np.empty((len(values), theta.size), dtype=complex)
+    cur, prev, steps = 1.0, 0, {}
+    for n in np.unique(np.abs(values)).tolist():
+        if n != prev:
+            if n - prev not in steps:
+                steps[n - prev] = np.exp(1j * (n - prev) * theta)
+            cur, prev = cur * steps[n - prev], n
+        out[values == n] = cur
+        if n:
+            out[values == -n] = np.conj(cur)
+    return out
+
+
+def _reference_factors(pre, last, pts):
+    # P filled with ones, then multiplied by each prefix axis's table in turn
+    p = np.ones((len(pre), len(pts)), dtype=complex)
+    for a, col in enumerate(pre.T):
+        vals, at = np.unique(col, return_inverse=True)
+        table = _reference_characters(pts[:, a], vals)
+        for row, i in zip(p, at):
+            row *= table[i]
+    return p, _reference_characters(pts[:, -1], last)
+
+
+def _kernel_cases():
+    cases = []
+    for spec, cutoff in (("circle", 100.0), ("torus:2", 46.0), ("torus:3", 14.0),
+                         ("torus:4", 6.0)):
+        space = parse_space(spec)
+        labels = [ix.label for ix in spectrum(space, cutoff)]
+        cases += [(spec, labels),
+                  (spec, [pair_label(space, label) for label in labels]),  # symmetrized
+                  (spec, labels[:9] + labels[:9:2]),  # repeated labels
+                  (spec, [label for label in labels if label[0] < 0])]  # -n rows only
+        if space.dim >= 3:  # one value on the first prefix axis
+            cases.append((spec, [(2,) + label[1:] for label in labels]))
+    return cases
+
+
+@pytest.mark.parametrize("spec, labels", _kernel_cases())
+def test_flat_kernel_matches_the_per_block_reference_bit_for_bit(spec, labels):
+    space = parse_space(spec)
+    rows, cols, shape, values, block = _plan(space, labels)
+    rng = np.random.default_rng(67)
+    pts = rng.uniform(0.0, 2.0 * math.pi, size=(2 * block + 11, space.dim))
+    parts = [pts[:1000], pts[1000:]]  # a part shorter than a block, then two boundaries
+    sums = np.zeros(shape, dtype=complex)
+    for part in parts:
+        for lo in range(0, len(part), block):
+            sums += np.inner(*_reference_factors(values[0], values[1], part[lo:lo + block]))
+    for real in (False, True):
+        if not (real and space.dim == 1):  # the circle's real sums are zonal
+            assert spherical_sums(space, labels, parts, real).tobytes() == \
+                sums[rows, cols].tobytes()
+    weights = rng.standard_normal(len(labels)) + 1j * rng.standard_normal(len(labels))
+    box = np.zeros(shape, dtype=complex)
+    np.add.at(box, (rows, cols), weights)
+    want = []
+    for lo in range(0, len(pts), block):
+        p, e = _reference_factors(values[0], values[1], pts[lo:lo + block])
+        want.append(((box.T @ p) * e).sum(axis=0))
+    assert spherical_synthesis(space, labels, weights, pts).tobytes() == \
+        np.concatenate(want).tobytes()
+
+
+def test_characters_write_every_row_as_the_reference_walk():
+    rng = np.random.default_rng(5)
+    theta = rng.uniform(0.0, 2.0 * math.pi, 257)
+    for values in ([0], [3], [-3], [-3, -3, 3], [5, -5, 0, 0, 2, -7, 7, -7, 12],
+                   list(range(-9, 10)), [-60, 0, 3, 60]):
+        values = np.array(values)
+        assert _characters(theta, values).tobytes() == \
+            _reference_characters(theta, values).tobytes()
+
+
+def test_clamped_means_match_the_scalar_rule_bit_for_bit():
+    rng = np.random.default_rng(23)
+    z = rng.uniform(-1.0, 1.0, 400) + 1j * rng.uniform(-1.0, 1.0, 400)
+    z[:40] /= np.abs(z[:40])  # on the unit circle, some an ulp outside it
+    z[40:80] = (1.0 + 2.0 ** -52 * rng.integers(-3, 4, 40)) * np.exp(1j * rng.uniform(0, 6, 40))
+    for means in (z, z.real, np.concatenate([z.real[:40] * (1.0 + 2.0**-52), [1.0, -1.0]])):
+        for symmetrized in (False, True):
+            want = [complex(_clamp_value(v, symmetrized)) for v in means]
+            got = _clamped(means, symmetrized)
+            assert [(v.real.hex(), v.imag.hex()) for v in got.tolist()] == \
+                [(v.real.hex(), v.imag.hex()) for v in want]
+
+
+def _reference_estimates(obs, indices, cfg):
+    # one transform value and one estimate per index, through the
+    # per-index transform and the vector's sorting constructor
+    space, symmetrized = obs.config.space, cfg.variant.symmetrized
+    conj = [conjugate_index(space, ix) for ix in indices]
+    keys = [pair_label(space, ix) if symmetrized else ix.label for ix in conj]
+    distinct = list(dict.fromkeys(keys))
+    parts, still = obs._transform_parts()
+    sums = dict(zip(distinct, spherical_sums(space, distinct, parts, symmetrized) + still))
+    nu = EmpiricalTransform([(ix, _clamp_value(sums[key] / obs.m, symmetrized))
+                             for ix, key in zip(conj, keys)], m=obs.m, symmetrized=symmetrized)
+    pairs, truncated = [], []
+    for ix, sigma in zip(indices, conj):
+        value, flag = estimate_with_flag(nu, sigma, cfg)
+        pairs.append((ix, value))
+        if flag:
+            truncated.append(ix)
+    return CoefficientVector(pairs, truncated=truncated)
+
+
+def _hex(vec):
+    return [(ix.label, ix.casimir.hex(), ix.multiplicity, v.real.hex(), v.imag.hex(),
+             vec.is_truncated(ix)) for ix, v in vec.items()]
+
+
+@pytest.mark.parametrize("space, law, cfg", [
+    ("circle", "wn:sigma=0.55", EstimatorConfig(delta=30.0)),
+    ("circle", "wn:sigma=0.7,mean=1", EstimatorConfig(variant=Variant.COMPLEX_LOG)),
+    ("torus:2", "heat:tau=0.4", EstimatorConfig(intensity=1.5, delta=30.0)),
+    ("torus:2", "wn:sigma=0.6,mean=0.4;-1", EstimatorConfig(variant=Variant.COMPLEX_LOG)),
+    ("torus:3", "wn:sigma=0.5", EstimatorConfig()),
+    ("sphere:2", "heat:tau=0.35", EstimatorConfig(variant=Variant.NOISE_CORRECTED,
+                                                  noise_tau=0.3)),
+    ("sphere:3", "cap:rho=1.2", EstimatorConfig(delta=30.0)),
+], ids=lambda v: v if isinstance(v, str) else v.variant.value)
+def test_reconstruct_estimates_match_the_per_index_reference_bit_for_bit(space, law, cfg):
+    law = parse_law(law, parse_space(space))
+    intensity = cfg.intensity
+    obs = sample_compound(ProcessConfig(law=law, intensity=intensity, seed=19,
+                                        noise_tau=cfg.noise_tau), 5000)
+    est = reconstruct(obs, cfg, SobolevSpec(2.0), scale=3.0)
+    want = _reference_estimates(obs, spectrum(law.space, est.cutoff), cfg)
+    assert _hex(est.coeffs) == _hex(want)
+    assert all(type(v) is complex for _, v in est.coeffs.items())
+
+
+def test_one_estimate_per_transform_value(monkeypatch):
+    # a symmetrized +- pair shares one Re nu and so one estimate; complex-log
+    # estimates every index, and a coefficient study's one index once
+    calls = []
+
+    def counting(nu, index, cfg):
+        calls.append(index)
+        return estimate(nu, index, cfg)
+
+    estimate = coeffs.estimate_with_flag
+    monkeypatch.setattr(coeffs, "estimate_with_flag", counting)
+    for law, cfg in (("wn:sigma=0.5", EstimatorConfig()),
+                     ("wn:sigma=0.5,mean=1;-0.5;0.3", EstimatorConfig(variant=Variant.COMPLEX_LOG))):
+        law = parse_law(law, torus(3))
+        obs = sample_compound(ProcessConfig(law=law, seed=2), 2000)
+        calls.clear()
+        est = reconstruct(obs, cfg, SobolevSpec(2.0))
+        n = len(est.coeffs)
+        assert len(calls) == (n if cfg.variant is Variant.COMPLEX_LOG else (n + 1) // 2)
+        assert all(isinstance(ix, type(make_index(law.space, (0, 0, 0)))) for ix in calls)
+    calls.clear()
+    estimate_coefficients(obs, [make_index(torus(3), (1, -1, 0))], cfg)
+    assert len(calls) == 1

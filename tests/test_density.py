@@ -251,7 +251,8 @@ def test_truth_table_enumerates_spectrum_once_to_first_level_past_cutoff(
         monkeypatch, space_text, law_text, ms):
     # one spectrum table, no further than the reach or the first spectrum
     # level past the cutoff ((n+1)^2 on flat spaces, (n+1)(n+d) on spheres),
-    # and one evaluation of the law's coefficient formula per kept entry
+    # and one evaluation of the law's coefficient formula per kept entry: the
+    # rows handed to the law's table formula are the kept entries
     space = parse_space(space_text)
     law = parse_law(law_text, space)
     casimir_maxes = []
@@ -261,14 +262,14 @@ def test_truth_table_enumerates_spectrum_once_to_first_level_past_cutoff(
         casimir_maxes.append(casimir_max)
         return spectrum_table(space, casimir_max)
 
-    def counting_coefficient(self, label, casimir):
-        coefficient_calls.append(label)
-        return law_coefficient(self, label, casimir)
+    def counting_coefficients(self, labels, casimir):
+        coefficient_calls.extend(labels.tolist())
+        return law_coefficients(self, labels, casimir)
 
     spectrum_table = density._spectrum_table
-    law_coefficient = type(law)._coefficient
+    law_coefficients = type(law)._coefficients
     monkeypatch.setattr(density, "_spectrum_table", recording_table)
-    monkeypatch.setattr(type(law), "_coefficient", counting_coefficient)
+    monkeypatch.setattr(type(law), "_coefficients", counting_coefficients)
     for m in ms:
         cutoff = smoothing_cutoff(m, 2.0, space)
         casimir_maxes.clear()

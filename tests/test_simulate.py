@@ -667,6 +667,17 @@ def test_read_observations_ignores_legacy_mode_key(tmp_path):
     assert "mode" not in obs.config.to_mapping()
 
 
+@pytest.mark.parametrize("space_text", ["circle", "torus:2", "sphere:2"])
+def test_read_observations_names_a_header_only_file_empty(tmp_path, space_text):
+    # the two header lines and no rows: the set has no observation, and the
+    # point check says so rather than naming a shape
+    cfg = ProcessConfig(law=parse_law("heat:tau=0.5", parse_space(space_text)), seed=4)
+    path = tmp_path / "obs.csv"
+    path.write_text("".join(observations_text(sample_compound(cfg, 1)).splitlines(True)[:2]))
+    with pytest.raises(ValueError, match="^empty observation set$"):
+        read_observations(path)
+
+
 def test_csv_round_trip_exact(tmp_path):
     for cfg in (
         _circle_config(seed=10),

@@ -22,7 +22,8 @@ from decompound import (
     zonal_quadrature,
     zonal_values,
 )
-from decompound.spaces import _wrap_angles
+from decompound.spaces import (_first_rows, _pair_labels, _spectrum_table, _wrap_angles,
+                               pair_label)
 
 TWO_PI = 2.0 * math.pi
 
@@ -97,6 +98,34 @@ def test_lattice_spectrum_matches_cartesian_reference(space):
         assert [(ix.casimir, ix.label) for ix in got] == want
         assert all(type(k) is int for ix in got for k in ix.label)
         assert all(type(ix.casimir) is float and ix.multiplicity == 1 for ix in got)
+
+
+@pytest.mark.parametrize("spec", ["circle", "torus:2", "torus:3", "torus:4",
+                                  "sphere:2", "sphere:3", "sphere:4"])
+def test_spectrum_table_is_in_casimir_then_label_order(spec):
+    # the stable sort by Casimir of a lexicographic listing is the (Casimir,
+    # label) order a lexsort gives
+    space = parse_space(spec)
+    for cutoff in (0.0, 1.0, 2.5, 9.0, 13.9, 40.0):
+        labels, kappa, mult = _spectrum_table(space, cutoff)
+        assert np.array_equal(np.lexsort((*labels.T[::-1], kappa)), np.arange(len(kappa)))
+        assert [(ix.label, ix.casimir, ix.multiplicity) for ix in spectrum(space, cutoff)] == \
+            [(tuple(l), k, d) for l, k, d in zip(labels.tolist(), kappa.tolist(), mult.tolist())]
+
+
+@pytest.mark.parametrize("spec", ["circle", "torus:2", "torus:3", "sphere:3"])
+def test_pair_labels_and_first_rows_match_their_scalar_rules(spec):
+    space = parse_space(spec)
+    rng = np.random.default_rng(3)
+    labels = rng.integers(0 if space.kind.value == "sphere" else -3, 4, (200, space.rank))
+    pairs = _pair_labels(space, labels)
+    assert [tuple(p) for p in pairs.tolist()] == [pair_label(space, tuple(l))
+                                                  for l in labels.tolist()]
+    first, at = _first_rows(labels)
+    _, want_first, want_at = np.unique(labels, axis=0, return_index=True, return_inverse=True)
+    assert np.array_equal(first, want_first) and np.array_equal(at, want_at.ravel())
+    distinct = labels[want_first]
+    assert np.array_equal(_first_rows(distinct)[1], np.arange(len(distinct)))
 
 
 def test_sphere_spectrum_casimir_and_multiplicity():
@@ -204,6 +233,32 @@ def test_zonal_values_at_lam_zero_are_cos_n_theta_within_the_recurrence_error():
     err = np.max(np.abs(vals - np.cos(n[:, None] * theta)), axis=1)
     assert np.all(err <= (4.0 * n**2 + 7.0 * n + 2.0) * u)
     assert err[64] > 0.0  # the check sees rounding at all
+
+
+def _reference_zonal_values(lam, degrees, x):
+    # the recurrence as one expression per degree, before the rows were
+    # computed in place
+    x = np.asarray(x, dtype=float).ravel()
+    vals = np.empty((degrees + 1, x.size))
+    vals[0] = 1.0
+    if degrees >= 1:
+        vals[1] = x
+    for ell in range(2, degrees + 1):
+        a = 2.0 * (ell + lam - 1.0) / (ell + 2.0 * lam - 1.0)
+        b = (ell - 1.0) / (ell + 2.0 * lam - 1.0)
+        vals[ell] = a * x * vals[ell - 1] - b * vals[ell - 2]
+    vals[:, x == 1.0] = 1.0
+    return vals
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.5, 1.0, 1.5, 2.5])
+def test_zonal_values_in_place_match_the_recurrence_bit_for_bit(lam):
+    rng = np.random.default_rng(17)
+    x = np.concatenate([rng.uniform(-1.0, 1.0, 3000), [1.0, -1.0, 0.0]])
+    for points in (x, x[:3000], 0.3, [1.0]):
+        for degrees in (0, 1, 2, 40):
+            assert zonal_values(lam, degrees, points).tobytes() == \
+                _reference_zonal_values(lam, degrees, points).tobytes()
 
 
 def test_zonal_values_bounded_by_one():

@@ -28,6 +28,7 @@ from decompound import (
     zonal_values,
 )
 from decompound.simulate import _sines
+from decompound.spaces import _spectrum_table
 from decompound.steplaws import _TABLE_NODES, _lift_from_origin
 
 
@@ -432,3 +433,22 @@ def test_parse_law_rejects_repeated_parameters():
         parse_law("wn:sigma=0.7,sigma=0.9", circle())
     with pytest.raises(ValueError, match="repeats parameter 'tau'"):
         parse_law("heat: tau=0.3, tau =0.3", sphere(2))
+
+
+@pytest.mark.parametrize("space", [circle(), torus(3), sphere(2)], ids=str)
+def test_from_table_keeps_a_sorted_table_as_handed_in(space):
+    # a spectrum table is in (casimir, label) order already: the vector keeps
+    # its arrays as they are, and pairs in any order sort to the same table
+    labels, kappa, mult = _spectrum_table(space, 20.0)
+    rng = np.random.default_rng(4)
+    values = rng.standard_normal(len(kappa)) + 1j * rng.standard_normal(len(kappa))
+    truncated = rng.random(len(kappa)) < 0.3
+    vec = CoefficientVector._from_table(labels, kappa, mult, values, truncated)
+    assert vec._labels is labels and vec._casimir is kappa and vec._values is values
+    assert vec._truncated is truncated and vec._mult is mult
+    indices = vec.indices()
+    order = rng.permutation(len(indices))
+    sorted_back = CoefficientVector([(indices[i], values[i]) for i in order],
+                                    truncated=[indices[i] for i in order if truncated[i]])
+    for name in ("_labels", "_casimir", "_mult", "_values", "_truncated"):
+        assert getattr(sorted_back, name).tobytes() == getattr(vec, name).tobytes()
