@@ -30,8 +30,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .spaces import (SpaceKind, SpectralIndex, _first_rows, _label_array, _pair_labels,
-                     index_label, spherical_sums)
+from .spaces import (SpectralIndex, _first_rows, _label_array, _pair_labels, index_label,
+                     spherical_sums)
 from .steplaws import CoefficientVector, StepLaw
 from .simulate import ObservationSet
 # perfbench/tracing.py wraps coeffs.sample_compound; drop this import with
@@ -235,7 +235,7 @@ def estimate_coefficients(obs: ObservationSet, indices, cfg: EstimatorConfig) ->
     require_inverse_invariant(obs.config.law, cfg.variant)
     space = obs.config.space
     labels, kappa, mult = _index_table(indices)
-    conj = labels if space.kind is SpaceKind.SPHERE else -labels
+    conj = -labels if space.is_flat else labels  # sphere degrees are their own conjugates
     symmetrized = cfg.variant.symmetrized
     # module globals, read at call time (perfbench/tracing.py wraps them)
     nu = empirical_transform(obs, conj, symmetrize=symmetrized)

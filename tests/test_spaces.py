@@ -117,7 +117,7 @@ def test_spectrum_table_is_in_casimir_then_label_order(spec):
 def test_pair_labels_and_first_rows_match_their_scalar_rules(spec):
     space = parse_space(spec)
     rng = np.random.default_rng(3)
-    labels = rng.integers(0 if space.kind.value == "sphere" else -3, 4, (200, space.rank))
+    labels = rng.integers(-3 if space.is_flat else 0, 4, (200, space.rank))
     pairs = _pair_labels(space, labels)
     assert [tuple(p) for p in pairs.tolist()] == [pair_label(space, tuple(l))
                                                   for l in labels.tolist()]
