@@ -1,7 +1,7 @@
-"""Paired A/B of one benchmark workload: two long-lived processes in lockstep.
+"""Paired A/B of one benchmark workload: pairs of processes in lockstep.
 
     python3 benchmarks/ab.py --parent REV [--change REV] --workload W
-        [--passes N] [--seed S] [--json PATH]
+        [--rounds R] [--passes N]
 
 Both revisions (the change defaults to HEAD) are extracted with ``git
 archive`` (``pairs._extract``) into a temporary directory under ``TMPDIR``,
@@ -15,12 +15,16 @@ process at a time: pass i runs the parent first when i is even and the
 change first when it is odd.  Each pass records its wall time and the CPU
 time of the child and of the pool workers it reaped (``resource.getrusage``),
 and is checked against the child's warm-up pass and its operation count.
+A round is one such pair of children; R rounds each start a fresh pair.
 
 Host speed drifts over minutes; both sides of a pair run within a second of
-each other, so their ratio cancels most of the drift.  The report gives, for
-wall and CPU time, each side's median and the median of the paired
-change/parent ratios with a 95% bootstrap interval over passes.  It is
-evidence next to ``pairs.py``, whose ``claim_holds`` rule it does not replace.
+each other, so their ratio cancels most of the drift.  Two processes of one
+tree can still differ by about 1% for as long as they live, so the interval
+resamples rounds, not passes.  The report gives, for wall and CPU time, each
+side's median, the median of all paired change/parent ratios, a 95% bootstrap
+interval of that median over rounds, and each round's median ratio.  The
+workload runs on seed ``pairs.SEED0``.  It is evidence next to ``pairs.py``,
+whose ``claim_holds`` rule it does not replace.
 """
 from __future__ import annotations
 
@@ -36,13 +40,13 @@ import sys
 import tempfile
 import time
 
-from pairs import _extract
+from pairs import SEED0, _extract
 
-BOOTSTRAP = 4000  # resamples of the passes
+BOOTSTRAP = 4000  # resamples of the rounds
 BOOTSTRAP_SEED = 29
 
 
-def _child(tree: str, workload_name: str, seed: int, workdir: str) -> None:
+def _child(tree: str, workload_name: str, workdir: str) -> None:
     """Serve passes of one workload of tree: a line "pass" on stdin runs one,
     and one JSON line on stdout reports it; end of input ends the child."""
     reply = os.fdopen(os.dup(1), "w")  # the reports; anything else printed goes to stderr
@@ -54,7 +58,7 @@ def _child(tree: str, workload_name: str, seed: int, workdir: str) -> None:
     workload = WORKLOADS[workload_name]
     rec = tracing.Recorder()
     tracing.install_outcomes(rec, workload.ops_at)
-    inputs = workload.build(seed, workdir)
+    inputs = workload.build(SEED0, workdir)
     rec.pass_id = 0
     warmup = getattr(workload, "warmup", workload.run)
     reference = warmup(inputs)
@@ -84,8 +88,7 @@ def _child(tree: str, workload_name: str, seed: int, workdir: str) -> None:
 class _Side:
     """One child process, started on a tree."""
 
-    def __init__(self, name: str, tree: str, workload: str, seed: int, scratch: str):
-        workdir = os.path.join(scratch, f"work-{name}")
+    def __init__(self, name: str, tree: str, workload: str, workdir: str):
         os.makedirs(workdir)
         env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
         for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
@@ -93,8 +96,8 @@ class _Side:
         env["TMPDIR"] = workdir
         self.name = name
         self.proc = subprocess.Popen(
-            [sys.executable, os.path.abspath(__file__), "--child", tree, workload, str(seed),
-             workdir], stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True, env=env,
+            [sys.executable, os.path.abspath(__file__), "--child", tree, workload, workdir],
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True, env=env,
             cwd=tree)
         ready = self._read()
         if ready["problems"]:
@@ -121,86 +124,87 @@ class _Side:
                 self.proc.wait()
 
 
-def _ratio_summary(parent: list[float], change: list[float]) -> dict:
-    """Each side's median and the median change/parent ratio over paired
-    passes, with a percentile bootstrap interval (95%) over passes."""
-    ratios = [c / p for p, c in zip(parent, change)]
+def _ratio_summary(parent: list[list[float]], change: list[list[float]]) -> dict:
+    """Each side's median and the median change/parent ratio over all paired
+    passes, with a percentile bootstrap interval (95%) that resamples rounds
+    (lists of passes) and pools the passes of the rounds drawn."""
+    rounds = [[c / p for p, c in zip(ps, cs)] for ps, cs in zip(parent, change)]
+    ratios = [r for passes in rounds for r in passes]
     rng = random.Random(BOOTSTRAP_SEED)
-    boot = sorted(statistics.median(rng.choices(ratios, k=len(ratios)))
+    boot = sorted(statistics.median([r for passes in rng.choices(rounds, k=len(rounds))
+                                     for r in passes])
                   for _ in range(BOOTSTRAP))
-    return {"parent_median": statistics.median(parent),
-            "change_median": statistics.median(change),
+    return {"parent_median": statistics.median(x for ps in parent for x in ps),
+            "change_median": statistics.median(x for cs in change for x in cs),
             "ratio_median": statistics.median(ratios),
             "ratio_ci95": [boot[int(0.025 * BOOTSTRAP)], boot[int(0.975 * BOOTSTRAP) - 1]],
+            "round_medians": [statistics.median(passes) for passes in rounds],
             "passes_won": sum(r < 1.0 for r in ratios)}
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     if argv and argv[0] == "--child":
-        _child(argv[1], argv[2], int(argv[3]), argv[4])
+        _child(argv[1], argv[2], argv[3])
         return 0
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--parent", required=True, help="parent revision")
     parser.add_argument("--change", default="HEAD", help="change revision (default: HEAD)")
     parser.add_argument("--workload", required=True,
                         choices=("noisy-sphere-coeff", "flat-density", "density-study"))
-    parser.add_argument("--passes", type=int, default=40, help="paired passes (default 40)")
-    parser.add_argument("--seed", type=int, default=1000, help="workload seed (default 1000)")
-    parser.add_argument("--json", help="also write the report to this file")
+    parser.add_argument("--rounds", type=int, default=8,
+                        help="fresh pairs of children (default 8)")
+    parser.add_argument("--passes", type=int, default=5,
+                        help="paired passes per round (default 5)")
     args = parser.parse_args(argv)
-    if args.passes < 2:
-        parser.error("--passes must be at least 2")
+    if args.rounds < 2 or args.passes < 1:
+        parser.error("--rounds must be at least 2 and --passes at least 1")
 
     scratch = tempfile.mkdtemp(prefix="bench-ab-")
     sides = {}
+    records = {"parent": [], "change": []}  # per side, one list of passes per round
     try:
         commits = {}
         for name, rev in (("parent", args.parent), ("change", args.change)):
             os.makedirs(os.path.join(scratch, name))
             commits[name] = _extract(rev, os.path.join(scratch, name))
-        for name in ("parent", "change"):
-            sides[name] = _Side(name, os.path.join(scratch, name, "tree"), args.workload,
-                                args.seed, scratch)
-        records = {"parent": [], "change": []}
-        for i in range(args.passes):
-            for name in (("parent", "change") if i % 2 == 0 else ("change", "parent")):
-                records[name].append(sides[name].one_pass())
-            p, c = records["parent"][-1], records["change"][-1]
-            print(f"pass {i:3d}: parent {p['wall_s']:.4f} s, change {c['wall_s']:.4f} s, "
-                  f"ratio {c['wall_s'] / p['wall_s']:.3f}", file=sys.stderr)
+        for r in range(args.rounds):
+            for name in ("parent", "change"):
+                workdir = os.path.join(scratch, f"work-{name}-{r}")
+                os.makedirs(workdir)
+                sides[name] = _Side(name, os.path.join(scratch, name, "tree"), args.workload,
+                                    workdir)
+                records[name].append([])
+            for i in range(r * args.passes, (r + 1) * args.passes):
+                for name in (("parent", "change") if i % 2 == 0 else ("change", "parent")):
+                    records[name][r].append(sides[name].one_pass())
+                p, c = records["parent"][r][-1], records["change"][r][-1]
+                print(f"round {r} pass {i:3d}: parent {p['wall_s']:.4f} s, change "
+                      f"{c['wall_s']:.4f} s, ratio {c['wall_s'] / p['wall_s']:.3f}",
+                      file=sys.stderr)
+            for side in sides.values():
+                side.close()
     finally:
         for side in sides.values():
             side.close()
         shutil.rmtree(scratch, ignore_errors=True)
 
-    problems = [f"{name} pass {i}: {msg}" for name, recs in records.items()
-                for i, rec in enumerate(recs) for msg in rec["problems"]]
-    report = {
-        "workload": args.workload, "seed": args.seed, "passes": args.passes,
-        "parent_commit": commits["parent"], "change_commit": commits["change"],
-        "method": ("one long-lived child per tree; paired passes in lockstep, the "
-                   "parent first on even passes; ratio = change / parent per pair; "
-                   f"95% percentile bootstrap over passes ({BOOTSTRAP} resamples)"),
-        "problems": problems,
-    }
+    problems = [f"{name} round {r} pass {i}: {msg}" for name, rounds in records.items()
+                for r, recs in enumerate(rounds) for i, rec in enumerate(recs)
+                for msg in rec["problems"]]
+    print(f"{args.workload}: parent {commits['parent'][:12]}, change {commits['change'][:12]}, "
+          f"{args.rounds} rounds of {args.passes} paired passes, seed {SEED0}")
     for metric in ("wall_s", "cpu_s"):
-        report[metric] = _ratio_summary([r[metric] for r in records["parent"]],
-                                        [r[metric] for r in records["change"]])
-    for metric in ("wall_s", "cpu_s"):
-        s = report[metric]
+        s = _ratio_summary([[rec[metric] for rec in recs] for recs in records["parent"]],
+                           [[rec[metric] for rec in recs] for recs in records["change"]])
         lo, hi = s["ratio_ci95"]
         print(f"{args.workload} {metric}: parent {s['parent_median']:.4f}, change "
-              f"{s['change_median']:.4f}, ratio x{s['ratio_median']:.3f} "
-              f"[{lo:.3f}, {hi:.3f}], change faster in {s['passes_won']}/{args.passes}")
+              f"{s['change_median']:.4f}, ratio x{s['ratio_median']:.3f} [{lo:.3f}, {hi:.3f}], "
+              f"change faster in {s['passes_won']}/{args.rounds * args.passes}; round medians "
+              + " ".join(f"{x:.3f}" for x in s["round_medians"]))
     for msg in problems:
         print(f"CHECK FAILED {msg}")
-    if args.json:
-        with open(args.json, "w") as fh:
-            json.dump(report, fh, indent=1, sort_keys=True)
-            fh.write("\n")
     return 1 if problems else 0
-
 
 if __name__ == "__main__":
     sys.exit(main())

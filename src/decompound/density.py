@@ -207,8 +207,11 @@ def l2_error(est: DensityEstimate, truth: CoefficientVector) -> L2Error:
             raise CoverageError(f"truth is missing index {exc.args[0]}") from None
         outside = np.ones(len(truth), dtype=bool)
         outside[rows] = False
-    variance = sum(_square_weights(coeffs._mult, coeffs._values - truth._values[rows]).tolist(),
-                   0.0)
+    # a running total, as the per-index loop added it; the bias and the Sobolev
+    # norm keep Python's sum, which compensates its float total from 3.12 on
+    variance = 0.0
+    for term in _square_weights(coeffs._mult, coeffs._values - truth._values[rows]).tolist():
+        variance += term
     bias = sum(_square_weights(truth._mult[outside], truth._values[outside]).tolist())
     return L2Error(variance, bias, variance + bias)
 

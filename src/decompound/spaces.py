@@ -249,20 +249,15 @@ def _label_array(space: Space, indices) -> np.ndarray:
 
 def _first_rows(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(first, at): the first row of each distinct label of a label array, in
-    label order, and each row's place among them.  Rows are read as integers
-    in a balanced base that keeps their lexicographic order."""
-    key = labels[:, 0]
-    if labels.shape[1] > 1:
-        base = 2 * int(np.abs(labels).max()) + 1
-        if base ** labels.shape[1] >= 2**62:
-            _, first, at = np.unique(labels, axis=0, return_index=True, return_inverse=True)
-            return first, at.ravel()
-        for col in labels.T[1:]:
-            key = key * base + col
-    if (key[1:] > key[:-1]).all():  # distinct and in order already
-        return np.arange(len(key)), np.arange(len(key))
-    _, first, at = np.unique(key, return_index=True, return_inverse=True)
-    return first, at
+    label order, and each row's place among them -- np.unique(labels, axis=0,
+    return_index=True, return_inverse=True), from one stable lexsort."""
+    order = np.lexsort(labels.T[::-1])
+    ordered = labels[order]
+    new = np.ones(len(order), dtype=bool)
+    new[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    at = np.empty(len(order), dtype=np.intp)
+    at[order] = np.cumsum(new) - 1
+    return order[new], at
 
 
 def _pair_labels(space: Space, labels: np.ndarray) -> np.ndarray:

@@ -424,6 +424,22 @@ def test_scoring_matches_the_per_index_reference_bit_for_bit(space_text, law_tex
             _outcome(_reference_sobolev_norm, want, space, s)
 
 
+def test_l2_error_adds_its_variance_left_to_right():
+    # 1 + 63 * 1e-16 is 1.0 added left to right but not compensated (Python's
+    # sum from 3.12 on); the variance is the running total on every Python
+    space = circle()
+    truth = CoefficientVector([(make_index(space, (k,)), float(k == 0)) for k in range(-40, 41)])
+    values = [1.0, 1.0] + [1e-8] * 63  # the trivial coefficient, then the errors
+    est = DensityEstimate(
+        coeffs=CoefficientVector([(ix, v) for ix, v in zip(truth.indices(), values)]),
+        space=space, m=100, cutoff=1024.0)
+    total = 0.0
+    for ix, value in est.coeffs.items():
+        total += abs(value - truth[ix]) ** 2
+    assert total == 1.0 and math.fsum(v * v for v in values[1:]) > 1.0
+    assert l2_error(est, truth).variance_term == total
+
+
 def test_l2_error_coverage_errors_on_both_lookups():
     # a truth table that stops short, and one with a hole below the cutoff,
     # for an estimate that heads the table and one that does not

@@ -128,6 +128,15 @@ def test_pair_labels_and_first_rows_match_their_scalar_rules(spec):
     assert np.array_equal(_first_rows(distinct)[1], np.arange(len(distinct)))
 
 
+def test_first_rows_matches_unique_on_wide_and_empty_labels():
+    wide = np.array([[2**40, -2**40, 1], [-5, 3, 2**50], [2**40, -2**40, 1], [-5, 3, -2**50]])
+    for labels in (wide, wide[:, :1], np.empty((0, 3), dtype=int)):
+        first, at = _first_rows(labels)
+        _, want_first, want_at = np.unique(labels, axis=0, return_index=True,
+                                           return_inverse=True)
+        assert np.array_equal(first, want_first) and np.array_equal(at, want_at.ravel())
+
+
 def test_sphere_spectrum_casimir_and_multiplicity():
     idx = spectrum(sphere(2), 6.0)
     assert [i.label for i in idx] == [(0,), (1,), (2,)]
