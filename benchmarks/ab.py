@@ -170,10 +170,8 @@ def main(argv=None) -> int:
             commits[name] = _extract(rev, os.path.join(scratch, name))
         for r in range(args.rounds):
             for name in ("parent", "change"):
-                workdir = os.path.join(scratch, f"work-{name}-{r}")
-                os.makedirs(workdir)
                 sides[name] = _Side(name, os.path.join(scratch, name, "tree"), args.workload,
-                                    workdir)
+                                    os.path.join(scratch, f"work-{name}-{r}"))
                 records[name].append([])
             for i in range(r * args.passes, (r + 1) * args.passes):
                 for name in (("parent", "change") if i % 2 == 0 else ("change", "parent")):
