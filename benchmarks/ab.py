@@ -1,7 +1,6 @@
 """Paired A/B of one benchmark workload: pairs of processes in lockstep.
 
     python3 benchmarks/ab.py --parent REV [--change REV] --workload W
-        [--rounds R] [--passes N]
 
 Both revisions (the change defaults to HEAD) are extracted with ``git
 archive`` (``pairs._extract``) into a temporary directory under ``TMPDIR``,
@@ -10,12 +9,12 @@ tree's own, unchanged ``perfbench/workloads.py`` and ``perfbench/tracing.py``
 with the tree's ``src`` on ``PYTHONPATH`` and one BLAS thread, and sets the
 workload up as ``perfbench/child.py`` does: ``tracing.install_outcomes``,
 ``build`` from the seed, and one warm-up pass, which is checked and kept as
-the reference.  Then the two children run N passes each in lockstep, one
+the reference.  Then the two children run PASSES passes each in lockstep, one
 process at a time: pass i runs the parent first when i is even and the
 change first when it is odd.  Each pass records its wall time and the CPU
 time of the child and of the pool workers it reaped (``resource.getrusage``),
 and is checked against the child's warm-up pass and its operation count.
-A round is one such pair of children; R rounds each start a fresh pair.
+A round is one such pair of children; ROUNDS rounds each start a fresh pair.
 
 Host speed drifts over minutes; both sides of a pair run within a second of
 each other, so their ratio cancels most of the drift.  Two processes of one
@@ -42,6 +41,8 @@ import time
 
 from pairs import SEED0, _extract
 
+ROUNDS = 8  # fresh pairs of children
+PASSES = 5  # paired passes per round
 BOOTSTRAP = 4000  # resamples of the rounds
 BOOTSTRAP_SEED = 29
 
@@ -152,13 +153,7 @@ def main(argv=None) -> int:
     parser.add_argument("--change", default="HEAD", help="change revision (default: HEAD)")
     parser.add_argument("--workload", required=True,
                         choices=("noisy-sphere-coeff", "flat-density", "density-study"))
-    parser.add_argument("--rounds", type=int, default=8,
-                        help="fresh pairs of children (default 8)")
-    parser.add_argument("--passes", type=int, default=5,
-                        help="paired passes per round (default 5)")
     args = parser.parse_args(argv)
-    if args.rounds < 2 or args.passes < 1:
-        parser.error("--rounds must be at least 2 and --passes at least 1")
 
     scratch = tempfile.mkdtemp(prefix="bench-ab-")
     sides = {}
@@ -168,12 +163,12 @@ def main(argv=None) -> int:
         for name, rev in (("parent", args.parent), ("change", args.change)):
             os.makedirs(os.path.join(scratch, name))
             commits[name] = _extract(rev, os.path.join(scratch, name))
-        for r in range(args.rounds):
+        for r in range(ROUNDS):
             for name in ("parent", "change"):
                 sides[name] = _Side(name, os.path.join(scratch, name, "tree"), args.workload,
                                     os.path.join(scratch, f"work-{name}-{r}"))
                 records[name].append([])
-            for i in range(r * args.passes, (r + 1) * args.passes):
+            for i in range(r * PASSES, (r + 1) * PASSES):
                 for name in (("parent", "change") if i % 2 == 0 else ("change", "parent")):
                     records[name][r].append(sides[name].one_pass())
                 p, c = records["parent"][r][-1], records["change"][r][-1]
@@ -191,14 +186,14 @@ def main(argv=None) -> int:
                 for r, recs in enumerate(rounds) for i, rec in enumerate(recs)
                 for msg in rec["problems"]]
     print(f"{args.workload}: parent {commits['parent'][:12]}, change {commits['change'][:12]}, "
-          f"{args.rounds} rounds of {args.passes} paired passes, seed {SEED0}")
+          f"{ROUNDS} rounds of {PASSES} paired passes, seed {SEED0}")
     for metric in ("wall_s", "cpu_s"):
         s = _ratio_summary([[rec[metric] for rec in recs] for recs in records["parent"]],
                            [[rec[metric] for rec in recs] for recs in records["change"]])
         lo, hi = s["ratio_ci95"]
         print(f"{args.workload} {metric}: parent {s['parent_median']:.4f}, change "
               f"{s['change_median']:.4f}, ratio x{s['ratio_median']:.3f} [{lo:.3f}, {hi:.3f}], "
-              f"change faster in {s['passes_won']}/{args.rounds * args.passes}; round medians "
+              f"change faster in {s['passes_won']}/{ROUNDS * PASSES}; round medians "
               + " ".join(f"{x:.3f}" for x in s["round_medians"]))
     for msg in problems:
         print(f"CHECK FAILED {msg}")
