@@ -25,14 +25,22 @@ from the package), n = 1, 2, 3 on the circle, and n = (1, 0), (1, 1), (2, 1)
 (|n|_1 = 1, 2, 3) on torus:2.  It also prints a two-sample KS test of the
 change's pooled draws against the parent's: the cosines on a sphere, each
 angle on a flat space.  Draws that the two revisions share make that test
-conservative (p near 1); it can only flag a difference.
+conservative (p near 1); it can only flag a difference.  Last, for each
+revision, it prints a chi-square test of the step-count cells that the
+samples keep (``ObservationSet._cells``, one row per block), summed over the
+case's seeds, against that revision's own count table
+``simulate._count_pmf(t Lambda)`` times the number of walkers.  The cells
+that expect fewer than 5 walkers are pooled at each end, as in the test
+suite's single-seed check.
 
 The flag thresholds were fixed before the script's first run against a
 change and are not tuned afterwards: a z-score beyond Z_FLAG or a KS p-value
-below P_FLAG is flagged.  With 16 cases, 48 z-scores per revision and 18 KS
-tests, a correct sampler raises a false flag with probability about 0.02.
-The script exits 1 if any z-score of the change or any KS test is flagged,
-or a child fails.
+below P_FLAG is flagged, and so, since the cells test was added and before
+its first run, is a cells p-value of the change below P_FLAG.  With 16
+cases, 48 z-scores per revision, 18 KS tests and 16 cells tests, a correct
+sampler raises a false flag with probability about 0.04.  The script exits
+1 if any z-score or cells test of the change or any KS test is flagged, or a
+child fails.
 """
 from __future__ import annotations
 
@@ -65,20 +73,23 @@ FLAT_INDICES = {"circle": [(1,), (2,), (3,)], "torus:2": [(1, 0), (1, 1), (2, 1)
 
 def _child(case: int, out: str) -> None:
     """Sample case `case` on its seeds with the decompound on sys.path; write
-    the pooled draws to out.npy and the z-scores to out.json."""
+    the pooled draws to out.npy, and the z-scores, the summed step-count cells
+    and the count table to out.json."""
     import numpy as np
     from scipy import special
 
     from decompound import ProcessConfig, make_index, parse_law, parse_space, sample_compound
+    from decompound.simulate import _count_pmf
 
     spec, law_spec, blur = CASES[case]
     space = parse_space(spec)
     law = parse_law(law_spec, space)
-    draws = []
+    draws, cells = [], 0
     for j in range(SEEDS):
         cfg = ProcessConfig(law=law, intensity=INTENSITY, noise_tau=blur,
                             seed=SEED0 + 1000 * case + j)
         obs = sample_compound(cfg, M)
+        cells = cells + obs._cells.sum(axis=0)
         if space.is_flat:
             draws.append(np.asarray(obs.points))
         else:
@@ -102,7 +113,24 @@ def _child(case: int, out: str) -> None:
                      "z": float((vals.mean() - want) / se)})
     np.save(out + ".npy", draws)
     with open(out + ".json", "w") as fh:
-        json.dump(rows, fh)
+        json.dump({"z": rows, "cells": cells.tolist(),
+                   "pmf": _count_pmf(cfg.mean_steps).tolist()}, fh)
+
+
+def _cells_pvalue(cells, pmf) -> float:
+    """Chi-square p-value of summed step-count cells against the count table,
+    the cells that expect fewer than 5 walkers pooled at each end."""
+    import numpy as np
+    from scipy import stats
+
+    got = np.asarray(cells, dtype=float)
+    want = np.asarray(pmf) * got.sum()
+    lo, hi = np.flatnonzero(want >= 5.0)[[0, -1]]
+
+    def pool(x):
+        return np.concatenate([[x[:lo + 1].sum()], x[lo + 1:hi], [x[hi:].sum()]])
+
+    return float(stats.chisquare(pool(got), pool(want)).pvalue)
 
 
 def main(argv=None) -> int:
@@ -127,7 +155,7 @@ def main(argv=None) -> int:
             print(f"{side}: {_extract(rev, os.path.join(scratch, side))}")
             trees[side] = os.path.join(scratch, side, "tree")
         print(f"{SEEDS} seeds x {M} observations per case and side; flags: "
-              f"|z| > {Z_FLAG}, KS p < {P_FLAG}")
+              f"|z| > {Z_FLAG}, KS p < {P_FLAG}, change's cells p < {P_FLAG}")
         for case, (spec, law, blur) in enumerate(CASES):
             name = f"{spec} {law} blur {blur}"
             results, draws = {}, {}
@@ -149,7 +177,7 @@ def main(argv=None) -> int:
             if len(results) < 2:
                 continue
             for side in ("parent", "change"):
-                zs = [row["z"] for row in results[side]]
+                zs = [row["z"] for row in results[side]["z"]]
                 bad = [abs(z) > Z_FLAG for z in zs]
                 if side == "change":
                     flags += sum(bad)
@@ -161,6 +189,11 @@ def main(argv=None) -> int:
             flags += sum(bad)
             print(f"{name:32s} KS p " + " ".join(
                 f"{p:.3g}{'!' if b else ''}" for p, b in zip(ps, bad)))
+            ps = [_cells_pvalue(results[side]["cells"], results[side]["pmf"])
+                  for side in ("parent", "change")]
+            flags += ps[1] < P_FLAG
+            print(f"{name:32s} cells p parent {ps[0]:.3g} change {ps[1]:.3g}"
+                  f"{'!' if ps[1] < P_FLAG else ''}")
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
     print(f"{len(CASES)} cases, {flags} flagged, {failures} children failed")

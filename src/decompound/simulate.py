@@ -32,12 +32,13 @@ put each block in a uniformly random order on their first read, so the
 observations they show are i.i.d., and a sphere's points lift every endpoint
 along a uniform tangent direction at the origin.
 
-Reproducibility: a sample is walked from one counter-based (Philox) stream
-keyed (seed, 0), block after block of 16384 observations (the block bounds
-working memory); its order is drawn from the stream keyed (seed, 2^64 - 2),
-one permutation per block in block order, and its lift from the stream keyed
-(seed, 2^64 - 1).  Output depends only on (config, m), and a sample extended
-by whole blocks keeps its earlier blocks.
+Reproducibility: a sample is walked from one SFC64 stream seeded by the
+SeedSequence of (seed, 0), block after block of 16384 observations (the
+block bounds working memory); its order is drawn from the stream of (seed,
+2^64 - 2), one permutation per block in block order, and its lift from the
+stream of (seed, 2^64 - 1).  Each stream is read in sequence, never by
+counter.  Output depends only on (config, m), and a sample extended by whole
+blocks keeps its earlier blocks.
 """
 from __future__ import annotations
 
@@ -128,10 +129,11 @@ class ObservationSet:
     cells.  The empirical transform, a sum over the sample, reads it through
     ``_transform_parts()``.  The public reads are i.i.d.: ``cosines`` and a
     flat set's ``points`` put each block in a uniformly random order on first
-    read, one permutation per block in block order from the stream
+    read, one permutation per block in block order from the SFC64 stream
     ``_block_rng(seed, -2)``, and a sphere's ``points`` lift those cosines
-    from ``_block_rng(seed, -1)``.  Both cache their result read-only.
-    ``cosines`` is the last coordinate on a sphere and None on flat spaces.
+    from the SFC64 stream ``_block_rng(seed, -1)``.  Both cache their result
+    read-only.  ``cosines`` is the last coordinate on a sphere and None on
+    flat spaces.
     """
 
     def __init__(self, points, config: ProcessConfig):
@@ -242,23 +244,22 @@ def _in_random_order(sample: np.ndarray, seed: int) -> np.ndarray:
 
 
 def _block_rng(seed: int, block: int) -> np.random.Generator:
-    """Philox keyed (seed, block) mod 2^64: a sample walks block 0, draws
-    its order from -2 and lifts from -1."""
-    key = np.array([seed % (1 << 64), block % (1 << 64)], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    """SFC64 seeded by SeedSequence([seed, block] mod 2^64): a sample walks
+    stream 0, draws its order from -2 and lifts from -1."""
+    entropy = [seed % (1 << 64), block % (1 << 64)]
+    return np.random.Generator(np.random.SFC64(np.random.SeedSequence(entropy)))
 
 
 # ---------------------------------------------------------------------------
 # walk kernels
 
 
-@functools.lru_cache(maxsize=8)
 def _blur_law(space: Space, noise_tau: float) -> StepLaw:
     """The heat kernel at time tau^2/2, coefficients exp(-tau^2 * kappa / 2).
 
     On the circle/torus it is the wrapped normal with scale tau, which has
-    an exact sampler.  Cached so that a sphere's radial table is built once
-    per (space, tau), not once per block.
+    an exact sampler.  On a sphere every equal law reads one radial table,
+    so a block builds none.
     """
     if space.is_flat:
         return WrappedNormal(space, sigma=noise_tau, mean=(0.0,))

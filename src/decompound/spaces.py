@@ -370,13 +370,15 @@ def _plan(space: Space, indices, real: bool = False):
         cols = np.abs(labels[:, 0])  # Re phi is the same at n and -n
         values = int(cols.max()) if cols.size else 0
         rows, shape, walk, spill = np.zeros(len(labels), dtype=int), (1, values + 1), 0, 0
+        p_row_bytes = 0
     else:
         pre, rows = np.unique(labels[:, :-1], axis=0, return_inverse=True)
         last, cols = np.unique(labels[:, -1], return_inverse=True)
-        axes = None
+        axes, p_row_bytes = None, 8 * pre.shape[1]  # each row of P keeps its prefix
         if pre.shape[1] >= 2:  # rank >= 3: P's rows are products of prefix axis tables
             axes = [np.unique(col, return_inverse=True) for col in pre.T]
             axes = ([vals for vals, _ in axes], list(zip(*(at.tolist() for _, at in axes))))
+            p_row_bytes += 48 + 8 * pre.shape[1]  # and a Python tuple of axis positions
         shape, values = (len(pre), len(last)), (pre, last, axes)
         walk = max(len(np.unique(np.abs(col))) for col in labels.T) if labels.size else 0
         spill = _spill_rows(values)
@@ -386,7 +388,10 @@ def _plan(space: Space, indices, real: bool = False):
     # with them the rounding of every sum) stay as they were wherever the
     # tables fit in it, and shrink where they do not
     row_bytes = 16 * (shape[0] + 3 * shape[1] + max(3 * walk, spill + walk) + 4)
-    fixed = 3 * 16 * shape[0] * shape[1]  # the sums, one block's sums, the weights
+    # and what does not grow with the block: the sums, one block's sums and the
+    # weights; each label's int64 row, a symmetrized copy of it and its rows
+    # and cols entries; and what each row of P keeps
+    fixed = 16 * (3 * shape[0] * shape[1] + labels.size + len(labels)) + shape[0] * p_row_bytes
     block = max(1, min(_CHUNK, (_BLOCK_BYTES - fixed) // row_bytes))
     return rows.ravel(), cols.ravel(), shape, values, block
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -229,6 +229,15 @@ class _RadialTable:
         return out
 
 
+@lru_cache(maxsize=8)
+def _radial_table(law: "StepLaw") -> _RadialTable:
+    """A sphere law's radial_density against sin^(d-1) on its radial_support,
+    keyed on the frozen law's value."""
+    theta = np.linspace(*law.radial_support(), _TABLE_NODES)
+    weight = np.sin(theta) ** (law.space.dim - 1)
+    return _RadialTable(theta, law.radial_density(theta) * weight)
+
+
 def uniform_tangents(points: np.ndarray, rng) -> np.ndarray:
     """Uniform unit tangent vectors at an array of sphere points.
 
@@ -300,12 +309,11 @@ class StepLaw:
         raise NotImplementedError
 
     # spheres: one sampler for every law ---------------------------------------
-    @cached_property
+    @property
     def _sphere_table(self) -> _RadialTable:
-        """The radial law: radial_density against sin^(d-1) on radial_support."""
-        theta = np.linspace(*self.radial_support(), _TABLE_NODES)
-        weight = np.sin(theta) ** (self.space.dim - 1)
-        return _RadialTable(theta, self.radial_density(theta) * weight)
+        """The radial law's table, one per law value in a process: equal laws
+        share it, and it never rides in a law's pickle."""
+        return _radial_table(self)
 
     def sample_distances(self, n: int, rng) -> np.ndarray:
         """Spheres: n radial step distances in radial_support()."""

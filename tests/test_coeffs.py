@@ -320,6 +320,21 @@ def test_rank4_prefix_tables_are_counted_in_the_block_budget():
     assert _transform_peak_bytes(ObservationSet(points=pts, config=cfg), labels) <= _BLOCK_BYTES
 
 
+@pytest.mark.parametrize("reach", [6, 9])
+def test_block_budget_counts_what_grows_with_the_labels(reach):
+    # (2 reach + 1)^3 torus:4 labels with one last component: the label rows,
+    # their rows and cols entries, and P's prefixes and axis position tuples
+    # grow with the labels, not with the block.  A budget that counted only
+    # the sums passed it by 2.6% at reach 6 (2,197 labels) and 8% at reach 9
+    space = torus(4)
+    axis = range(-reach, reach + 1)
+    labels = [(a, b, c, 0) for a in axis for b in axis for c in axis]
+    block = _plan(space, labels)[-1]
+    pts = np.random.default_rng(reach).uniform(0.0, 2.0 * math.pi, size=(block, 4))
+    cfg = ProcessConfig(law=WrappedNormal(space, sigma=0.5))
+    assert _transform_peak_bytes(ObservationSet(points=pts, config=cfg), labels) <= _BLOCK_BYTES
+
+
 def _all_points_sums(obs, labels, real=False):
     space = obs.config.space
     sample = obs._sample if space.is_flat else obs._sample[:, None]

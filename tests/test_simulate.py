@@ -82,6 +82,19 @@ def test_sample_walks_its_blocks_from_one_stream(space):
     assert got.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("seed", [0, 31, -3, 2**64 + 7, 3 * 2**70 + 1])
+def test_block_streams_are_sfc64_seeded_by_seed_and_stream_key(seed):
+    # the walk (0), order (-2) and lift (-1) streams and any other key draw
+    # from SFC64 seeded by SeedSequence([seed, key] mod 2^64), so a seed and
+    # that seed plus 2^64 share their streams
+    for key in (0, -1, -2, 2**40):
+        entropy = [seed % 2**64, key % 2**64]
+        want = np.random.SFC64(np.random.SeedSequence(entropy)).random_raw(64)
+        for got in (_block_rng(seed, key), _block_rng(seed + 2**64, key)):
+            assert type(got.bit_generator) is np.random.SFC64
+            assert got.bit_generator.random_raw(64).tobytes() == want.tobytes()
+
+
 def _block_order(seed, m):
     """Where each walked observation goes in the public order: one
     permutation per block, in block order, from the stream keyed (seed, -2)."""

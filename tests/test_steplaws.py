@@ -3,6 +3,7 @@
 import io
 import math
 import os
+import pickle
 import subprocess
 import sys
 
@@ -233,6 +234,23 @@ def test_radial_table_quantile_matches_formula_at_end_cells(law):
     for u in (ends, inner, np.concatenate([inner, ends]), ends[:1], ends[-1:],
               inner[:1], inner[:0]):
         assert table.cosines(u).tobytes() == _cosine_formula(table, u).tobytes()
+
+
+@pytest.mark.parametrize("law,twin,other", [
+    (HeatZonal(sphere(2), tau0=0.5), HeatZonal(sphere(2), tau0=0.5), HeatZonal(sphere(2), tau0=0.4)),
+    (UniformCap(sphere(3), rho=1.0), UniformCap(sphere(3), rho=1.0), UniformCap(sphere(4), rho=1.0)),
+], ids=["heat", "cap"])
+def test_equal_laws_share_one_radial_table_that_never_rides_in_a_pickle(law, twin, other):
+    # a study builds its law afresh and a pool worker unpickles one: each
+    # reads the table an equal law already built, and a law that has
+    # sampled pickles as its parameters (a table's knots alone are 524 KB)
+    assert law is not twin and law == twin
+    law.sample_distances(4, np.random.default_rng(0))
+    assert twin._sphere_table is law._sphere_table
+    assert other._sphere_table is not law._sphere_table
+    data = pickle.dumps(law)
+    assert len(data) < 4096
+    assert pickle.loads(data)._sphere_table is law._sphere_table
 
 
 def _radial_table_coefficients(law, lmax, nodes=8, chunk=1 << 14):
