@@ -212,6 +212,8 @@ class _RadialTable:
         self._cos_grid = np.cos(grid)
         self._cdf = cdf / cdf[-1]
         self._knots = np.cos(np.interp(np.arange(self.CELLS + 1) / self.CELLS, self._cdf, grid))
+        for table in (self._cos_grid, self._cdf, self._knots):  # shared by every equal law
+            table.setflags(write=False)
 
     def cosines(self, u: np.ndarray) -> np.ndarray:
         """The sampler's map from uniforms in [0, 1) to distance cosines."""
