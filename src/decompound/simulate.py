@@ -254,12 +254,13 @@ def _block_rng(seed: int, block: int) -> np.random.Generator:
 # walk kernels
 
 
+@functools.lru_cache(maxsize=8)
 def _blur_law(space: Space, noise_tau: float) -> StepLaw:
     """The heat kernel at time tau^2/2, coefficients exp(-tau^2 * kappa / 2).
 
     On the circle/torus it is the wrapped normal with scale tau, which has
-    an exact sampler.  On a sphere every equal law reads one radial table,
-    so a block builds none.
+    an exact sampler.  Cached so that a block builds no law; on a sphere its
+    radial table is the one every equal law reads.
     """
     if space.is_flat:
         return WrappedNormal(space, sigma=noise_tau, mean=(0.0,))
