@@ -2,39 +2,35 @@
 
     python3 benchmarks/same_outputs.py --parent REV [--change REV]
 
-Both revisions (the change defaults to HEAD) are extracted with ``git
-archive`` into a temporary directory (under ``TMPDIR``), so uncommitted edits
-never run.  Each tree runs the same ``decompound`` calls from its own
-``src``, each in its own output directory: ``sample`` on sphere:2/3/4 (heat
-and cap, with and without ``--noise-tau``), the circle and torus:2, each of
-40,000 points (three blocks of ``simulate.BLOCK`` = 16,384, the last one
-partial), and a one-block (16,384-point) sample on each of the circle and
-torus:2, the first block of any longer sample; ``coeffs --in`` on the noisy
-sphere:2 heat sample (noise-corrected), on a shifted circle wrapped normal
-(complex-log, once at the default scale and once at ``--cutoff 9``), on the
-torus:2 heat sample (real-log: the symmetrized rank-2 transform) and on a
-shifted torus:2 wrapped normal (complex-log: the unsymmetrized one); a
-``census`` on sphere:3 and on torus:2; a small noisy ``study-coeff`` on
-sphere:2; a small ``study-density`` on the circle and sphere:2 at
-``--threads 1`` and ``--threads 2``; and a small ``study-density`` on
-torus:3, whose 10,443-entry truth table sets every bias term it writes.
-Every file they write, and each call's standard output, is hashed, and so is
-each column of every ``points.csv`` (listed as ``points.csv[x1]`` and so
-on), to show which coordinates differ.  The script prints both sha256 values
-for each file and column and exits 1 if any file differs, is missing on one
-side, or any call fails.
+Both revisions (the change defaults to HEAD) are extracted with
+``pairs.extracted``, so uncommitted edits never run.  Each tree runs the same
+``decompound`` calls from its own ``src``, each in its own output directory:
+``sample`` on sphere:2/3/4 (heat and cap, with and without ``--noise-tau``),
+the circle and torus:2, each of 40,000 points (three blocks of
+``simulate.BLOCK`` = 16,384, the last one partial), and a one-block
+(16,384-point) sample on each of the circle and torus:2, the first block of
+any longer sample; ``coeffs --in`` on the noisy sphere:2 heat sample
+(noise-corrected), on a shifted circle wrapped normal (complex-log, once at
+the default scale and once at ``--cutoff 9``), on the torus:2 heat sample
+(real-log: the symmetrized rank-2 transform) and on a shifted torus:2 wrapped
+normal (complex-log: the unsymmetrized one); a ``census`` on sphere:3 and on
+torus:2; a small noisy ``study-coeff`` on sphere:2; a small ``study-density``
+on the circle and sphere:2 at ``--threads 1`` and ``--threads 2``; and a
+small ``study-density`` on torus:3, whose 10,443-entry truth table sets every
+bias term it writes.  Every file they write, and each call's standard output,
+is hashed, and so is each column of every ``points.csv`` (listed as
+``points.csv[x1]`` and so on), to show which coordinates differ.  The script
+prints both sha256 values for each file and column and exits 1 if any file
+differs, is missing on one side, or any call fails.
 """
 from __future__ import annotations
 
-import argparse
 import hashlib
 import os
-import shutil
 import subprocess
 import sys
-import tempfile
 
-from pairs import _extract
+from pairs import child_env, extracted, revision_parser
 
 _SAMPLES = [(f"sphere:{d}", law, noise, "") for d in (2, 3, 4)
             for law in ("heat:tau=0.3", "cap:rho=1.2") for noise in ("0", "0.3")]
@@ -103,14 +99,12 @@ CALLS.append(("study-density-torus:3",
 
 def _run_calls(tree: str, outdir: str) -> list[str]:
     """Run every call in tree, each in outdir/<name>; return the failures."""
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
-    env["PYTHONPATH"] = os.path.join(tree, "src")
     failures = []
     for name, argv in CALLS:
         cwd = os.path.join(outdir, name)
         os.makedirs(cwd)
         proc = subprocess.run([sys.executable, "-m", "decompound.cli", *argv], cwd=cwd,
-                              env=env, capture_output=True, text=True)
+                              env=child_env(tree), capture_output=True, text=True)
         with open(os.path.join(cwd, "stdout.txt"), "w") as fh:
             fh.write(proc.stdout)
         if proc.returncode != 0:
@@ -143,24 +137,14 @@ def _hashes(outdir: str) -> dict[str, str]:
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--parent", required=True, help="parent revision")
-    parser.add_argument("--change", default="HEAD", help="change revision (default: HEAD)")
-    args = parser.parse_args(argv)
-
-    scratch = tempfile.mkdtemp(prefix="same-outputs-")
-    try:
-        hashes, failures = {}, []
-        for side, rev in (("parent", args.parent), ("change", args.change)):
-            os.makedirs(os.path.join(scratch, side))
-            commit = _extract(rev, os.path.join(scratch, side))
+    args = revision_parser(__doc__).parse_args(argv)
+    hashes, failures = {}, []
+    with extracted(args.parent, args.change, "same-outputs-") as (scratch, sides):
+        for side, (commit, tree) in sides.items():
             print(f"{side}: {commit}")
             outdir = os.path.join(scratch, side, "out")
-            failures += [f"{side} {f}" for f in
-                         _run_calls(os.path.join(scratch, side, "tree"), outdir)]
+            failures += [f"{side} {f}" for f in _run_calls(tree, outdir)]
             hashes[side] = _hashes(outdir)
-    finally:
-        shutil.rmtree(scratch, ignore_errors=True)
 
     paths = sorted(set(hashes["parent"]) | set(hashes["change"]))
     differ = set()

@@ -3,14 +3,13 @@
     python3 benchmarks/stream_evidence.py --parent REV [--change REV]
 
 Run it for every declared stream change.  Both revisions (the change
-defaults to HEAD) are extracted with ``git archive`` into a temporary
-directory (under ``TMPDIR``), so uncommitted edits never run.  For each case
-below, each tree samples in a child process of its own, from its own
-``src`` and through the public API only (``sample_compound``, then
-``cosines`` on a sphere or ``points`` on a flat space): SEEDS samples of M
-observations, at intensity 2 and time 1.  Case i uses the seeds SEED0 +
-1000 i + j, j < SEEDS, so no two cases share a stream; both revisions use
-the same seeds.
+defaults to HEAD) are extracted with ``pairs.extracted``, so uncommitted
+edits never run.  For each case below, each tree samples in a child process
+of its own, from its own ``src`` and through the public API only
+(``sample_compound``, then ``cosines`` on a sphere or ``points`` on a flat
+space): SEEDS samples of M observations, at intensity 2 and time 1.  Case i
+uses the seeds SEED0 + 1000 i + j, j < SEEDS, so no two cases share a
+stream; both revisions use the same seeds.
 
 Cases: sphere:2, 3 and 4 with ``heat:tau=0.3`` and ``cap:rho=1.2``, and the
 circle and torus:2 with wrapped normals, each without blur and with blur
@@ -48,12 +47,10 @@ import argparse
 import json
 import math
 import os
-import shutil
 import subprocess
 import sys
-import tempfile
 
-from pairs import _extract
+from pairs import child_env, extracted, revision_parser
 
 SEEDS = 32
 M = 1 << 17
@@ -134,9 +131,7 @@ def _cells_pvalue(cells, pmf) -> float:
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--parent", required=True, help="parent revision")
-    parser.add_argument("--change", default="HEAD", help="change revision (default: HEAD)")
+    parser = revision_parser(__doc__)
     parser.add_argument("--child", nargs=2, metavar=("CASE", "OUT"), help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.child:
@@ -146,26 +141,20 @@ def main(argv=None) -> int:
     import numpy as np
     from scipy import stats
 
-    scratch = tempfile.mkdtemp(prefix="stream-evidence-")
     flags, failures = 0, 0
-    try:
-        trees = {}
-        for side, rev in (("parent", args.parent), ("change", args.change)):
-            os.makedirs(os.path.join(scratch, side))
-            print(f"{side}: {_extract(rev, os.path.join(scratch, side))}")
-            trees[side] = os.path.join(scratch, side, "tree")
+    with extracted(args.parent, args.change, "stream-evidence-") as (scratch, sides):
+        for side, (commit, _) in sides.items():
+            print(f"{side}: {commit}")
         print(f"{SEEDS} seeds x {M} observations per case and side; flags: "
               f"|z| > {Z_FLAG}, KS p < {P_FLAG}, change's cells p < {P_FLAG}")
         for case, (spec, law, blur) in enumerate(CASES):
             name = f"{spec} {law} blur {blur}"
             results, draws = {}, {}
-            for side, tree in trees.items():
-                env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
-                env["PYTHONPATH"] = os.path.join(tree, "src")
+            for side, (_, tree) in sides.items():
                 out = os.path.join(scratch, side, "case")
                 proc = subprocess.run([sys.executable, os.path.abspath(__file__), "--parent",
                                        args.parent, "--child", str(case), out],
-                                      env=env, capture_output=True, text=True)
+                                      env=child_env(tree), capture_output=True, text=True)
                 if proc.returncode != 0:
                     print(f"FAILED {name} ({side}): {proc.stderr.strip()[-500:]}")
                     failures += 1
@@ -194,8 +183,6 @@ def main(argv=None) -> int:
             flags += ps[1] < P_FLAG
             print(f"{name:32s} cells p parent {ps[0]:.3g} change {ps[1]:.3g}"
                   f"{'!' if ps[1] < P_FLAG else ''}")
-    finally:
-        shutil.rmtree(scratch, ignore_errors=True)
     print(f"{len(CASES)} cases, {flags} flagged, {failures} children failed")
     return 1 if flags or failures else 0
 

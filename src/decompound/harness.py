@@ -363,13 +363,14 @@ def _replicate_results(cfg: StudyConfig, law, measure) -> dict:
 
 def _density_error(cfg: StudyConfig, est_cfg, truth, tail, rep, obs):
     """The error against the law (the mass beyond the truth table is bias),
-    and whether every non-trivial estimate was truncated to 0."""
+    whether every non-trivial estimate was truncated to 0, and whether any
+    non-trivial estimate was kept."""
     est = reconstruct(obs, est_cfg, SobolevSpec(cfg.s), cfg.scale)
     err = l2_error(est, truth)
     nontrivial = est.coeffs._casimir != 0.0
-    truncated = bool(nontrivial.any() and est.coeffs._truncated[nontrivial].all())
+    kept = bool((nontrivial & ~est.coeffs._truncated).any())
     return (err.variance_term, err.bias_term + tail, err.total + tail,
-            est.coeffs if rep == 0 else None, truncated)
+            est.coeffs if rep == 0 else None, bool(nontrivial.any()) and not kept, kept)
 
 
 def run_convergence_study(cfg: StudyConfig) -> StudyResult:
@@ -422,8 +423,13 @@ def run_convergence_study(cfg: StudyConfig) -> StudyResult:
         })
         rep_totals.append(totals)
 
-    fit = fit_rate([(math.log10(r["m"]), math.log10(r["mean_error"])) for r in rows],
-                   replicate_errors=rep_totals, seed=cfg.seed)
+    if any(t[5] for reps in results.values() for t in reps):
+        fit = fit_rate([(math.log10(r["m"]), math.log10(r["mean_error"])) for r in rows],
+                       replicate_errors=rep_totals, seed=cfg.seed)
+    else:
+        # every replicate estimated the constant term alone: no rate to fit
+        fit = None
+        notes.append("no replicate kept a non-trivial estimate at any m; rate fit skipped")
     reference = -2.0 * cfg.s / (2.0 * cfg.s + space.dim)
     return StudyResult(kind="density", config=cfg, rows=rows, fit=fit,
                        reference=reference, notes=tuple(notes),

@@ -286,6 +286,18 @@ def test_density_study_notes_replicates_with_every_estimate_truncated():
         _tiny_density_config(replicates=2)).notes)
 
 
+def test_density_study_skips_the_fit_when_no_index_is_kept():
+    # at scale 0.001 every cutoff (0.006 to 0.040) lies below the first
+    # non-zero Casimir, so each row is the same bias with no variance and a
+    # slope through the rows means nothing: no fit, a note, and a failed band
+    res = run_convergence_study(_tiny_density_config(
+        law="wn:sigma=0.55", m_grid=(100, 1000, 10000), scale=0.001))
+    assert all(r["variance_term"] == 0.0 for r in res.rows)
+    assert res.fit is None
+    assert "no replicate kept a non-trivial estimate at any m; rate fit skipped" in res.notes
+    assert res.apply_band(0.5).passed is False
+
+
 @pytest.mark.parametrize("run", [run_coefficient_study, run_convergence_study])
 @pytest.mark.parametrize("space,law", [("circle", "wn:sigma=0.7"), ("sphere:2", "heat:tau=0.5")])
 def test_studies_never_draw_the_public_order(run, space, law, monkeypatch):
