@@ -89,14 +89,13 @@ def _extract(rev: str, tree: str) -> str:
 @contextlib.contextmanager
 def extracted(parent: str, change: str, prefix: str):
     """Extract both revisions into a fresh temporary directory, removed on
-    exit; yield it and, per side, the commit id and its tree (<dir>/<side>/tree)."""
+    exit; yield it and, by side, the commit ids and the trees (<dir>/<side>/tree)."""
     scratch = tempfile.mkdtemp(prefix=prefix)
     try:
-        sides = {}
-        for side, rev in (("parent", parent), ("change", change)):
-            tree = os.path.join(scratch, side, "tree")
-            sides[side] = (_extract(rev, tree), tree)
-        yield scratch, sides
+        trees = {side: os.path.join(scratch, side, "tree") for side in ("parent", "change")}
+        commits = {side: _extract(rev, trees[side])
+                   for side, rev in (("parent", parent), ("change", change))}
+        yield scratch, commits, trees
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
 
@@ -310,9 +309,7 @@ def main(argv=None) -> int:
     seconds = bench["run_seconds"]
     out_path = os.path.join(ROOT, f"BENCH_{args.tag}.json")
 
-    with extracted(args.parent, args.change, "bench-pairs-") as (scratch, sides):
-        commits = {side: commit for side, (commit, _) in sides.items()}
-        trees = {side: tree for side, (_, tree) in sides.items()}
+    with extracted(args.parent, args.change, "bench-pairs-") as (scratch, commits, trees):
         runs = {(trace, w): [] for trace in (0, 1) for w in workloads}
         schedule = [(0, i) for i in range(args.pairs)]
         schedule += [(1, args.pairs + i) for i in range(TRACED_PAIRS)]

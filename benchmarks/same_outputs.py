@@ -139,9 +139,9 @@ def _hashes(outdir: str) -> dict[str, str]:
 def main(argv=None) -> int:
     args = revision_parser(__doc__).parse_args(argv)
     hashes, failures = {}, []
-    with extracted(args.parent, args.change, "same-outputs-") as (scratch, sides):
-        for side, (commit, tree) in sides.items():
-            print(f"{side}: {commit}")
+    with extracted(args.parent, args.change, "same-outputs-") as (scratch, commits, trees):
+        for side, tree in trees.items():
+            print(f"{side}: {commits[side]}")
             outdir = os.path.join(scratch, side, "out")
             failures += [f"{side} {f}" for f in _run_calls(tree, outdir)]
             hashes[side] = _hashes(outdir)

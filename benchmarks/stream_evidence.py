@@ -142,15 +142,15 @@ def main(argv=None) -> int:
     from scipy import stats
 
     flags, failures = 0, 0
-    with extracted(args.parent, args.change, "stream-evidence-") as (scratch, sides):
-        for side, (commit, _) in sides.items():
+    with extracted(args.parent, args.change, "stream-evidence-") as (scratch, commits, trees):
+        for side, commit in commits.items():
             print(f"{side}: {commit}")
         print(f"{SEEDS} seeds x {M} observations per case and side; flags: "
               f"|z| > {Z_FLAG}, KS p < {P_FLAG}, change's cells p < {P_FLAG}")
         for case, (spec, law, blur) in enumerate(CASES):
             name = f"{spec} {law} blur {blur}"
             results, draws = {}, {}
-            for side, (_, tree) in sides.items():
+            for side, tree in trees.items():
                 out = os.path.join(scratch, side, "case")
                 proc = subprocess.run([sys.executable, os.path.abspath(__file__), "--parent",
                                        args.parent, "--child", str(case), out],
