@@ -30,8 +30,9 @@ resamples rounds, not passes.
 - ``end_to_end``: each end-to-end metric's per-side median, quartiles and
   values, the pairs won and lost by the change (by the metric's direction in
   BENCHMARK.json; ties count for neither), its bound, and ``claim_holds``:
-  the change won at least nine tenths of the pairs and its median beats the
-  parent's by more than the parent's interquartile range;
+  there are at least MIN_PAIRS pairs, the change won at least nine tenths of
+  them and its median beats the parent's by more than the parent's
+  interquartile range;
 - ``per_layer``: the same fields, from the traced runs;
 - ``paired``: for the rounds' ``wall_s`` and ``cpu_s``, each side's median,
   the median change/parent ratio over all passes and its 95% bootstrap
@@ -61,6 +62,7 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
 SEED0 = 1000  # seed of the first pair, and of every round
 TRACED_PAIRS = 3
+MIN_PAIRS = 10  # fewer pairs never grant a claim
 ROUNDS = 8  # fresh pairs of children per workload
 PASSES = 5  # paired passes per round
 BOOTSTRAP = 4000  # resamples of the rounds
@@ -146,7 +148,7 @@ def _compare(pairs: list[tuple[dict, dict]], name: str, better: str) -> dict:
     ratio = (change["median"] / parent["median"]
              if parent["median"] and change["median"] is not None else None)
     claim = False
-    if pairs and parent["median"] is not None and change["median"] is not None:
+    if len(pairs) >= MIN_PAIRS and parent["median"] is not None and change["median"] is not None:
         gap = parent["median"] - change["median"]
         if better != "lower":
             gap = -gap

@@ -204,21 +204,12 @@ def estimate_with_flag(nu: EmpiricalTransform, index, cfg: EstimatorConfig) -> t
 
 def _index_table(indices):
     """(labels, casimir, multiplicity) of SpectralIndex objects, in (casimir,
-    label) order and each label once; such a table of arrays, as
-    ``spaces._spectrum_table`` gives it, is taken as it is."""
+    label) order and each label once, as ``CoefficientVector`` sorts them; such
+    a table of arrays, as ``spaces._spectrum_table`` gives it, is taken as it is."""
     if isinstance(indices, tuple) and len(indices) == 3 and isinstance(indices[0], np.ndarray):
         return indices
-    idx = list(indices)
-    labels = np.array([ix.label for ix in idx], dtype=int).reshape(len(idx), -1)
-    kappa = np.array([ix.casimir for ix in idx], dtype=float)
-    mult = np.array([ix.multiplicity for ix in idx], dtype=np.int64)
-    if len(idx) < 2:
-        return labels, kappa, mult
-    order = np.lexsort((*labels.T[::-1], kappa))
-    labels, kappa, mult = labels[order], kappa[order], mult[order]
-    new = np.ones(len(labels), dtype=bool)
-    new[1:] = (labels[1:] != labels[:-1]).any(axis=1)
-    return labels[new], kappa[new], mult[new]
+    table = CoefficientVector((ix, 0j) for ix in indices)
+    return table._labels, table._casimir, table._mult
 
 
 def estimate_coefficients(obs: ObservationSet, indices, cfg: EstimatorConfig) -> CoefficientVector:

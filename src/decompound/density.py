@@ -10,9 +10,9 @@ exact; heat and wrapped-normal tails read 0.0, since they are at most 4e-18
 and ||f||^2 less the kept mass would carry rounding up to 4e-16.  The truth
 table runs the law's coefficient formula once over the kept table, and the
 truth table, the L2 split and the Sobolev norm read coefficient vectors as
-arrays, with no SpectralIndex per entry, but round as scalar code does
-(math.exp, Python's abs, the C pow of ** and sequential sums), so the bits
-do not depend on numpy's SIMD dispatch.
+arrays, with no SpectralIndex per entry, but round each term as scalar code
+does (math.exp, Python's abs, the C pow of **) and add with math.fsum, so the
+bits depend neither on numpy's SIMD dispatch nor on the order of the rows.
 Pointwise synthesis, for output and plots only, folds each +- pair onto one
 label with array operations and runs ``spaces.spherical_synthesis`` in
 blocks of points that fit a fixed byte budget, so its working memory does
@@ -207,12 +207,9 @@ def l2_error(est: DensityEstimate, truth: CoefficientVector) -> L2Error:
             raise CoverageError(f"truth is missing index {exc.args[0]}") from None
         outside = np.ones(len(truth), dtype=bool)
         outside[rows] = False
-    # a running total, as the per-index loop added it; the bias and the Sobolev
-    # norm keep Python's sum, which compensates its float total from 3.12 on
-    variance = 0.0
-    for term in _square_weights(coeffs._mult, coeffs._values - truth._values[rows]).tolist():
-        variance += term
-    bias = sum(_square_weights(truth._mult[outside], truth._values[outside]).tolist())
+    variance = math.fsum(
+        _square_weights(coeffs._mult, coeffs._values - truth._values[rows]).tolist())
+    bias = math.fsum(_square_weights(truth._mult[outside], truth._values[outside]).tolist())
     return L2Error(variance, bias, variance + bias)
 
 
@@ -230,13 +227,13 @@ def sobolev_norm(coeffs: CoefficientVector, space: Space, s: float) -> float:
     weights = _square_weights(coeffs._mult, coeffs._values)
     if s > 0:
         weights *= 1.0 + np.float_power(kappa, s)
-    total = sum(weights.tolist())
+    total = math.fsum(weights.tolist())
     kmax = float(kappa.max())
     if kmax > 1.0:
         # dyadic octaves [2^j, 2^{j+1}); the top one estimates the unseen tail
         j_top = math.floor(math.log2(kmax))
-        top = sum(weights[2.0**j_top <= kappa].tolist())
-        prev = sum(weights[(2.0 ** (j_top - 1) <= kappa) & (kappa < 2.0**j_top)].tolist())
+        top = math.fsum(weights[2.0**j_top <= kappa].tolist())
+        prev = math.fsum(weights[(2.0 ** (j_top - 1) <= kappa) & (kappa < 2.0**j_top)].tolist())
         if top > 1e-10 and prev > 0.0:
             if top >= prev:
                 raise ValueError("coefficient tail is not summable against kappa^s "
@@ -305,5 +302,5 @@ def truth_table(law: StepLaw, cutoff: float) -> tuple[CoefficientVector, float]:
     tail = 0.0
     if isinstance(law, UniformCap):
         # f = 1/V on a set of normalized measure V, so ||f||^2 = 1/V = f(origin)
-        tail = law.radial_density(0.0) - sum(_square_weights(mult, values).tolist())
+        tail = law.radial_density(0.0) - math.fsum(_square_weights(mult, values).tolist())
     return CoefficientVector._from_table(labels, kappa, mult, values), float(tail)

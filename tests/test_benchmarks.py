@@ -57,6 +57,16 @@ def test_claim_holds_on_a_steady_host():
     assert pairs._compare(_pairs(parent, change), "wall_s", "lower")["claim_holds"] is False
 
 
+def test_claim_needs_at_least_min_pairs():
+    # 2 pairs, both won, with a fall far wider than the parent's spread
+    parent = [0.440, 0.442]
+    out = pairs._compare(_pairs(parent, [0.8 * p for p in parent]), "wall_s", "lower")
+    spread = out["parent"]["q3"] - out["parent"]["q1"]
+    fall = out["parent"]["median"] - out["change"]["median"]
+    assert out["pairs_won"] == 2 and fall > 10 * spread
+    assert out["claim_holds"] is False
+
+
 # eight rounds of five passes, times that differ between rounds and passes;
 # powers of two keep every change/parent ratio exact
 _ROUNDS = [[2.0 ** -(1 + (r + i) % 3) for i in range(pairs.PASSES)]

@@ -39,8 +39,8 @@ from decompound import (
 from decompound.simulate import BLOCK, _block_rng
 from decompound import coeffs
 from decompound.coeffs import _clamp_value, _clamped
-from decompound.spaces import (_BLOCK_BYTES, _CHUNK, _characters, _plan, pair_label, spherical,
-                               spherical_sums, spherical_synthesis)
+from decompound.spaces import (_BLOCK_BYTES, _CHUNK, _characters, _plan, _spectrum_table,
+                               pair_label, spherical, spherical_sums, spherical_synthesis)
 
 
 def _transform(value, m=100, symmetrized=True, label=(1,)):
@@ -550,6 +550,19 @@ def test_estimate_coefficients_matches_reconstruct(space, law, variant, delta):
     assert got.items() == est.coeffs.items()
     assert got.truncated == est.coeffs.truncated
     assert 0 < len(got.truncated) < len(got) - 1
+
+
+def test_estimate_coefficients_sorts_and_dedupes_its_indices():
+    law = parse_law("wn:sigma=0.5", torus(3))
+    obs = sample_compound(ProcessConfig(law=law, seed=7), 500)
+    cfg = EstimatorConfig()
+    indices = spectrum(law.space, 6.0)
+    repeated = indices + indices[::3]
+    shuffled = [repeated[j] for j in np.random.default_rng(3).permutation(len(repeated))]
+    got = estimate_coefficients(obs, shuffled, cfg)
+    want = estimate_coefficients(obs, _spectrum_table(law.space, 6.0), cfg)
+    assert got.items() == want.items() and got.truncated == want.truncated
+    assert len(got) == len(indices)
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])

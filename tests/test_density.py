@@ -1,5 +1,6 @@
 """Spectral-cutoff reconstruction, L2 error accounting, Sobolev norms."""
 
+import dataclasses
 import json
 import math
 import re
@@ -334,19 +335,20 @@ def _reference_truth_table(law, cutoff):
                              for ix in indices if ix.casimir <= keep_to)
     tail = 0.0
     if isinstance(law, UniformCap):
-        tail = law.radial_density(0.0) - sum(ix.multiplicity * abs(v) ** 2
-                                             for ix, v in kept.items())
+        tail = law.radial_density(0.0) - math.fsum(ix.multiplicity * abs(v) ** 2
+                                                   for ix, v in kept.items())
     return kept, float(tail)
 
 
 def _reference_l2_error(est, truth):
-    variance = 0.0
+    terms = []
     for ix, value in est.coeffs.items():
         if ix not in truth:
             raise CoverageError(f"truth is missing index {ix.label}")
-        variance += ix.multiplicity * abs(value - truth[ix]) ** 2
-    bias = sum(ix.multiplicity * abs(c) ** 2
-               for ix, c in truth.items() if ix not in est.coeffs)
+        terms.append(ix.multiplicity * abs(value - truth[ix]) ** 2)
+    variance = math.fsum(terms)
+    bias = math.fsum(ix.multiplicity * abs(c) ** 2
+                     for ix, c in truth.items() if ix not in est.coeffs)
     return variance, bias, variance + bias
 
 
@@ -357,12 +359,12 @@ def _reference_sobolev_norm(coeffs, space, s):
         if s > 0:
             w *= 1.0 + ix.casimir**s
         weights.append((ix.casimir, w))
-    total = sum(w for _, w in weights)
+    total = math.fsum(w for _, w in weights)
     kmax = max(k for k, _ in weights)
     if kmax > 1.0:
         j_top = math.floor(math.log2(kmax))
-        top = sum(w for k, w in weights if 2.0**j_top <= k)
-        prev = sum(w for k, w in weights if 2.0 ** (j_top - 1) <= k < 2.0**j_top)
+        top = math.fsum(w for k, w in weights if 2.0**j_top <= k)
+        prev = math.fsum(w for k, w in weights if 2.0 ** (j_top - 1) <= k < 2.0**j_top)
         if top > 1e-10 and prev > 0.0:
             if top >= prev:
                 raise ValueError("coefficient tail is not summable against kappa^s "
@@ -424,20 +426,50 @@ def test_scoring_matches_the_per_index_reference_bit_for_bit(space_text, law_tex
             _outcome(_reference_sobolev_norm, want, space, s)
 
 
-def test_l2_error_adds_its_variance_left_to_right():
-    # 1 + 63 * 1e-16 is 1.0 added left to right but not compensated (Python's
-    # sum from 3.12 on); the variance is the running total on every Python
+def test_l2_error_sums_its_variance_exactly():
+    # 1 + 63 * 1e-16 is 1.0 added left to right; the variance is the correctly
+    # rounded total, the same on every Python and in any order
     space = circle()
     truth = CoefficientVector([(make_index(space, (k,)), float(k == 0)) for k in range(-40, 41)])
     values = [1.0, 1.0] + [1e-8] * 63  # the trivial coefficient, then the errors
     est = DensityEstimate(
         coeffs=CoefficientVector([(ix, v) for ix, v in zip(truth.indices(), values)]),
         space=space, m=100, cutoff=1024.0)
-    total = 0.0
-    for ix, value in est.coeffs.items():
-        total += abs(value - truth[ix]) ** 2
-    assert total == 1.0 and math.fsum(v * v for v in values[1:]) > 1.0
-    assert l2_error(est, truth).variance_term == total
+    terms = [abs(value - truth[ix]) ** 2 for ix, value in est.coeffs.items()]
+    variance = l2_error(est, truth).variance_term
+    assert variance == math.fsum(terms) and variance > 1.0
+
+
+def _permuted(vec, order):
+    return CoefficientVector._from_table(vec._labels[order], vec._casimir[order],
+                                         vec._mult[order], vec._values[order],
+                                         vec._truncated[order])
+
+
+@pytest.mark.parametrize("space_text,law_text", [
+    ("circle", "wn:sigma=0.55"),
+    ("torus:2", "wn:sigma=0.5"),
+    ("torus:3", "wn:sigma=0.5"),
+    ("sphere:2", "heat:tau=0.35"),
+])
+def test_scores_do_not_depend_on_the_order_of_the_rows(space_text, law_text):
+    space = parse_space(space_text)
+    law = parse_law(law_text, space)
+    obs = sample_compound(ProcessConfig(law=law, seed=11), 3000)
+    est = reconstruct(obs, EstimatorConfig(), SobolevSpec(2.0), scale=2.0)
+    truth, _ = truth_table(law, est.cutoff)
+    rng = np.random.default_rng(5)
+    shuffled_truth = _permuted(truth, rng.permutation(len(truth)))
+    shuffled_est = dataclasses.replace(
+        est, coeffs=_permuted(est.coeffs, rng.permutation(len(est.coeffs))))
+    want = [x.hex() for x in l2_error(est, truth)]
+    for e, t in [(est, shuffled_truth), (shuffled_est, truth), (shuffled_est, shuffled_truth)]:
+        assert [x.hex() for x in l2_error(e, t)] == want
+    for s in (0.0, 1.0, 2.0):
+        assert _outcome(sobolev_norm, shuffled_truth, space, s) == \
+            _outcome(sobolev_norm, truth, space, s)
+        assert _outcome(sobolev_norm, shuffled_est.coeffs, space, s) == \
+            _outcome(sobolev_norm, est.coeffs, space, s)
 
 
 def test_l2_error_coverage_errors_on_both_lookups():
