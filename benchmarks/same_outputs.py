@@ -14,10 +14,10 @@ any longer sample; ``coeffs --in`` on the noisy sphere:2 heat sample
 the default scale and once at ``--cutoff 9``), on the torus:2 heat sample
 (real-log: the symmetrized rank-2 transform) and on a shifted torus:2 wrapped
 normal (complex-log: the unsymmetrized one); a ``census`` on sphere:3 and on
-torus:2; a small noisy ``study-coeff`` on sphere:2; a small ``study-density``
-on the circle and sphere:2 at ``--threads 1`` and ``--threads 2``; and a
-small ``study-density`` on torus:3, whose 10,443-entry truth table sets every
-bias term it writes.  Every file they write, and each call's standard output,
+torus:2; a small noisy ``study-coeff`` on sphere:2 and a complex-log one on
+torus:2; a small ``study-density`` on the circle and sphere:2 at ``--threads
+1`` and ``--threads 2``; and a small ``study-density`` on torus:3, whose
+10,443-entry truth table sets every bias term it writes.  Every file they write, and each call's standard output,
 is hashed, and so is each column of every ``points.csv`` (listed as
 ``points.csv[x1]`` and so on), to show which coordinates differ.  The script
 prints both sha256 values for each file and column and exits 1 if any file
@@ -83,6 +83,11 @@ CALLS.append(("study-coeff-sphere2-noise",
                "--variant", "noise-corrected", "--noise-tau", "0.3", "--index", "1",
                "--m-grid", "100,1000,5000", "--replicates", "6", "--seed", "3",
                "--out", "study"]))
+# a flat coefficient study: one index estimated at its conjugate label, complex-log
+CALLS.append(("study-coeff-torus2-complex-log",
+              ["study-coeff", "--space", "torus:2", "--law", "wn:sigma=0.7,mean=1;-0.5",
+               "--variant", "complex-log", "--index", "1;-1", "--m-grid", "100,1000,5000",
+               "--replicates", "6", "--seed", "3", "--out", "study"]))
 for space, law in (("circle", "wn:sigma=0.55"), ("sphere:2", "heat:tau=0.35")):
     for threads in (1, 2):
         CALLS.append((f"study-density-{space}-threads{threads}",

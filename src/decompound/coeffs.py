@@ -6,18 +6,23 @@ observations (optionally symmetrized to its real part); the sums come from
 budget, so memory does not grow with m.  Its expectation is exp(t*Lambda*(c - 1))
 where c is the step-law coefficient at the conjugate index under the
 pairing <f, phi> = integral of f * conj(phi); on spheres and for
-symmetrized transforms conjugation is a no-op.  An un-blurred walked sample
+symmetrized transforms conjugation is a no-op.  The transform is therefore
+itself a ``CoefficientVector``, the endpoint law's, over the labels asked for
+(in their order) with their Casimir eigenvalues and multiplicities, and it
+carries m and whether it was symmetrized.  An un-blurred walked sample
 hands over its movers and a count of the walkers at the origin, where phi = 1;
 the circle's symmetrized sums are the lam = 0 zonal recurrence T_n(cos theta).
 Estimators invert the link with a logarithm, guarded by one truncation rule
 for every variant (a truncated estimate is 0), and the noise-corrected
-variant adds the known heat-blur compensation tau^2 * kappa / (2 t Lambda).
+variant adds the known heat-blur compensation tau^2 * kappa / (2 t Lambda),
+with kappa read from the transform's row.
 
 ``estimate_coefficients`` is the one estimation step of both studies: the
 density study applies it to the spectrum table below the cutoff, the
-coefficient study to one index.  It reads label arrays (conjugates and +-
-pair labels are array operations) and runs the scalar ``estimate_with_flag``
-once per distinct transform value, so a symmetrized +- pair is estimated once.
+coefficient study to the one-row table of its index, built once per study.
+It reads label arrays (conjugates and +- pair labels are array operations)
+and runs the scalar ``estimate_with_flag`` once per distinct transform
+value, so a symmetrized +- pair is estimated once.
 """
 from __future__ import annotations
 
@@ -26,12 +31,11 @@ import math
 import warnings
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
 
 import numpy as np
 
-from .spaces import (SpectralIndex, _first_rows, _label_array, _pair_labels, index_label,
-                     spherical_sums)
+from .spaces import (SpectralIndex, _first_rows, _label_array, _levels, _pair_labels,
+                     index_label, spherical_sums)
 from .steplaws import CoefficientVector, StepLaw
 from .simulate import ObservationSet
 # perfbench/tracing.py wraps coeffs.sample_compound; drop this import with
@@ -96,37 +100,19 @@ class EstimatorConfig:
         return self.intensity * self.time
 
 
-class EmpiricalTransform:
-    """Per-index sample averages of the spherical functions: a table of
-    labels and their values, looked up by label through one map built on
-    first use."""
+class EmpiricalTransform(CoefficientVector):
+    """The empirical transform nu_hat: a CoefficientVector of the endpoint
+    law's sample averages, carrying the sample size m and whether the
+    averages were symmetrized."""
 
     def __init__(self, values, m: int, symmetrized: bool):
-        pairs = list(values)
-        labels = [index_label(ix) for ix, _ in pairs]
-        self._fill(np.array(labels, dtype=int),
-                   np.array([complex(v) for _, v in pairs], dtype=complex), m, symmetrized)
-
-    @classmethod
-    def _from_table(cls, labels: np.ndarray, values: np.ndarray, m: int,
-                    symmetrized: bool) -> "EmpiricalTransform":
-        nu = cls.__new__(cls)
-        nu._fill(labels, values, m, symmetrized)
-        return nu
-
-    def _fill(self, labels, values, m, symmetrized) -> None:
+        super().__init__(values)
         if m < 1:
             raise ValueError("m must be >= 1")
-        self._labels, self._values = labels, values
-        self.m = int(m)
-        self.symmetrized = bool(symmetrized)
-
-    @cached_property
-    def _rows(self) -> dict[tuple[int, ...], int]:
-        return dict(zip(map(tuple, self._labels.tolist()), range(len(self._labels))))
+        self.m, self.symmetrized = int(m), bool(symmetrized)
 
     def value(self, index) -> complex:
-        return complex(self._values[self._rows[index_label(index)]])
+        return self[index]
 
     def labels(self):
         return sorted(self._rows)
@@ -155,7 +141,7 @@ def _clamped(means: np.ndarray, symmetrized: bool) -> np.ndarray:
 
 def empirical_transform(obs: ObservationSet, indices, symmetrize: bool = False) -> EmpiricalTransform:
     """Sample averages of phi_pi over the observations, at SpectralIndex
-    objects, raw labels or an (N, rank) label array.
+    objects, raw labels or an (N, rank) label array, kept in that order.
 
     symmetrize=True averages phi and its inversion pullback, i.e. keeps the
     real part; offer it only for laws that are inverse invariant.
@@ -168,7 +154,10 @@ def empirical_transform(obs: ObservationSet, indices, symmetrize: bool = False) 
     # cosine column, all phi reads) less the walkers at the origin, and their count
     parts, still = obs._transform_parts()
     means = (spherical_sums(space, keys, parts, symmetrize) + still) / obs.m
-    return EmpiricalTransform._from_table(labels, _clamped(means, symmetrize), obs.m, symmetrize)
+    nu = EmpiricalTransform._from_table(labels, *_levels(space, labels),
+                                        _clamped(means, symmetrize))
+    nu.m, nu.symmetrized = obs.m, bool(symmetrize)
+    return nu
 
 
 def estimate_with_flag(nu: EmpiricalTransform, index, cfg: EstimatorConfig) -> tuple[complex, bool]:
@@ -186,7 +175,8 @@ def estimate_with_flag(nu: EmpiricalTransform, index, cfg: EstimatorConfig) -> t
         state = "a symmetrized" if variant.symmetrized else "the unsymmetrized"
         raise ValueError(f"{variant.value} requires {state} transform")
 
-    z = nu.value(index)
+    row = nu._rows[index_label(index)]
+    z = complex(nu._values[row])
     if not (z.real > 0.0 and abs(z) >= cfg.delta / nu.m):
         return 0.0 + 0.0j, True
     t_lambda = cfg.t_lambda
@@ -195,10 +185,7 @@ def estimate_with_flag(nu: EmpiricalTransform, index, cfg: EstimatorConfig) -> t
     # math.log, not cmath.log: the two round differently for |z| in [0.71, 1.73]
     value = math.log(z.real) / t_lambda + 1.0
     if variant is Variant.NOISE_CORRECTED:
-        if not isinstance(index, SpectralIndex):
-            raise ValueError("noise-corrected estimation needs a SpectralIndex "
-                             "(the correction depends on the Casimir eigenvalue)")
-        value += cfg.noise_tau**2 * index.casimir / (2.0 * t_lambda)
+        value += cfg.noise_tau**2 * nu._casimir[row].item() / (2.0 * t_lambda)
     return complex(value), False
 
 

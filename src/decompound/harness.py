@@ -37,7 +37,8 @@ import numpy as np
 from .spaces import Space, make_index, parse_space, spectrum, weyl_census
 from .steplaws import parse_law
 from .simulate import ProcessConfig, sample_compound
-from .coeffs import EstimatorConfig, Variant, estimate_coefficients, require_inverse_invariant
+from .coeffs import (EstimatorConfig, Variant, _index_table, estimate_coefficients,
+                     require_inverse_invariant)
 from .density import (
     SobolevSpec,
     l2_error,
@@ -448,9 +449,10 @@ def _resolve_index(cfg: StudyConfig, space: Space):
     return spectrum(space, 4.0 * space.dim + 1.0)[1]
 
 
-def _coefficient_error(est_cfg, index, truth, rep, obs) -> tuple[float, bool]:
-    """The squared error of the estimate at the index, and whether it was truncated."""
-    est = estimate_coefficients(obs, [index], est_cfg)
+def _coefficient_error(est_cfg, table, index, truth, rep, obs) -> tuple[float, bool]:
+    """The squared error of the estimate at the index, whose one-row table
+    is given, and whether it was truncated."""
+    est = estimate_coefficients(obs, table, est_cfg)
     return abs(est[index] - truth) ** 2, est.is_truncated(index)
 
 
@@ -466,7 +468,7 @@ def run_coefficient_study(cfg: StudyConfig) -> StudyResult:
     truth = law.coefficient(index)
 
     results = _replicate_results(
-        cfg, law, partial(_coefficient_error, est_cfg, index, truth))
+        cfg, law, partial(_coefficient_error, est_cfg, _index_table([index]), index, truth))
     rows = []
     rep_errors = []
     for m in cfg.m_grid:

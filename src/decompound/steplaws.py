@@ -63,7 +63,8 @@ class CoefficientVector:
     eigenvalues, multiplicities, values and a truncated mask; ``indices`` and
     ``items`` build the SpectralIndex objects, and label lookups go through
     one map built on first use.  Pairs are sorted into that order once; a
-    table from ``spaces._spectrum_table`` is in it already and is kept as it is.
+    table given to ``_from_table`` keeps its rows in the caller's order (a
+    ``spaces._spectrum_table`` is in (casimir, label) order already).
     """
 
     def __init__(self, pairs, truncated=()):
@@ -82,8 +83,8 @@ class CoefficientVector:
     @classmethod
     def _from_table(cls, labels, casimir, multiplicity, values,
                     truncated=None) -> "CoefficientVector":
-        """The vector of values over a (labels, casimir, multiplicity) table
-        already in (casimir, label) order, and its truncated mask (none set if
+        """The vector of values over a (labels, casimir, multiplicity) table,
+        its rows kept in the order given, and its truncated mask (none set if
         not given)."""
         vec = cls.__new__(cls)
         vec._fill(labels, casimir, multiplicity, values,
@@ -166,8 +167,6 @@ class CoefficientVector:
 def _per_eigenvalue(casimir: np.ndarray, formula) -> np.ndarray:
     """formula(kappa) at each entry as a complex array, evaluated once per
     distinct eigenvalue (formula is scalar math)."""
-    if len(casimir) == 1:
-        return np.array([formula(float(casimir[0]))], dtype=complex)
     kappa, at = np.unique(casimir, return_inverse=True)
     return np.array([formula(k) for k in kappa.tolist()], dtype=complex)[at]
 

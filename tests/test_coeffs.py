@@ -117,11 +117,15 @@ def test_noise_corrected_removes_known_blur():
     assert estimate_with_flag(nu, idx, cfg)[0] == pytest.approx(0.0, abs=1e-15)
 
 
-def test_noise_corrected_needs_spectral_index():
-    nu, _ = _transform(0.5)
+def test_noise_corrected_takes_a_raw_label_as_its_index():
+    # the correction's Casimir eigenvalue comes from the transform's row, so a
+    # raw label and its SpectralIndex give the same bits
+    nu, idx = _transform(0.5)
     cfg = _cfg(Variant.NOISE_CORRECTED, noise_tau=0.3)
-    with pytest.raises(ValueError):
-        estimate_with_flag(nu, (1,), cfg)
+    got = estimate_with_flag(nu, (1,), cfg)
+    assert got == estimate_with_flag(nu, make_index(circle(), (1,)), cfg) == (
+        complex(math.log(0.5) + 1.0 + 0.3**2 * 1.0 / 2.0), False)
+    assert got != estimate_with_flag(nu, idx, _cfg(Variant.REAL_LOG))
 
 
 def test_trivial_index_estimates_one_for_every_variant():
@@ -183,6 +187,28 @@ def test_transform_single_point_value():
     assert nu_sym.value(idx) == pytest.approx(0.0, abs=1e-12)
     with pytest.raises(KeyError):
         nu.value(make_index(circle(), (5,)))
+
+
+@pytest.mark.parametrize("spec, cutoff", [("circle", 50.0), ("torus:2", 20.0), ("torus:3", 9.0),
+                                          ("sphere:2", 90.0), ("sphere:3", 90.0)])
+def test_transform_is_a_coefficient_vector_with_the_spectrum_levels(spec, cutoff):
+    # the transform carries each label's Casimir eigenvalue and multiplicity,
+    # as the spectrum lists them, whether it is given indices, raw labels or
+    # a label array; its rows keep the order asked for
+    space = parse_space(spec)
+    indices = spectrum(space, cutoff)
+    obs = sample_compound(ProcessConfig(law=HeatZonal(space, tau0=0.4), seed=3), 500)
+    labels, _, _ = _spectrum_table(space, cutoff)
+    conj = [conjugate_index(space, ix) for ix in indices]
+    for symmetrize in (False, True):
+        for given, want in ((indices, indices), ([ix.label for ix in indices], indices),
+                            (-labels if space.is_flat else labels, conj)):
+            nu = empirical_transform(obs, given, symmetrize=symmetrize)
+            assert isinstance(nu, CoefficientVector)
+            assert nu.indices() == want
+            assert (nu.m, nu.symmetrized) == (500, symmetrize)
+            assert all(nu[ix] == nu.value(ix) for ix in want)
+        assert nu.labels() == sorted(ix.label for ix in indices)
 
 
 def test_transform_at_origin_is_exactly_one():

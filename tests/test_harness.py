@@ -31,6 +31,7 @@ from decompound import (
     sample_compound,
     simulate,
     smoothing_cutoff,
+    spaces,
     spectrum,
     weyl_census,
     write_study_outputs,
@@ -544,6 +545,40 @@ def test_torus_census_memory_is_bounded():
     assert proc.returncode == 0, proc.stderr
     # sum over (a, b) with a^2 + b^2 <= 1e5 of 2 isqrt(1e5 - a^2 - b^2) + 1
     assert int(proc.stdout) == 132_459_677
+
+
+def test_census_above_its_top_threshold_fails_before_allocating():
+    # torus:2 to 1e12 would need 8 TB of shell counts: the census refuses any
+    # threshold above its top before allocating, and the cli exits 2; the
+    # child runs under a 1 GiB address-space limit
+    src = os.path.dirname(os.path.dirname(os.path.abspath(harness.__file__)))
+    top = spaces._CENSUS_TOP
+    assert 1e6 <= top
+    script = "\n".join([
+        "import resource, sys",
+        "hard = resource.getrlimit(resource.RLIMIT_AS)[1]",
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, hard))",
+        "sys.path.insert(0, sys.argv[1])",
+        "from decompound.cli import main",
+        "from decompound.spaces import circle, parse_space, weyl_census",
+        "top = float(sys.argv[2])",
+        "print(weyl_census(circle(), [top])[0][0])",
+        "for space in ('circle', 'sphere:2', 'torus:2', 'torus:3'):",
+        "    for t in (top * (1 + 1e-15), 1e12):",
+        "        try:",
+        "            weyl_census(parse_space(space), [1.0, t])",
+        "        except ValueError as exc:",
+        "            assert 'census thresholds reach at most' in str(exc), exc",
+        "        else:",
+        "            raise AssertionError((space, t))",
+        "print(main(['census', '--space', 'torus:2', '--thresholds', '1e10,1e11,1e12']))",
+    ])
+    proc = subprocess.run([sys.executable, "-c", script, src, repr(top)], capture_output=True,
+                          text=True, timeout=120, env={**os.environ, "OPENBLAS_NUM_THREADS": "1"})
+    assert proc.returncode == 0, proc.stderr
+    # at the top itself the circle still counts: 2 floor(sqrt(top)) + 1 frequencies
+    assert proc.stdout.split() == [str(2 * math.isqrt(int(top)) + 1), "2"]
+    assert "census thresholds reach at most" in proc.stderr
 
 
 # --- outputs ----------------------------------------------------------------------------

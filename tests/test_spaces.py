@@ -137,6 +137,10 @@ def test_sphere_spectrum_casimir_and_multiplicity():
     assert [i.multiplicity for i in idx] == [1, 3, 5]
     idx3 = spectrum(sphere(3), 8.0)
     assert [i.multiplicity for i in idx3] == [1, 4, 9]  # (l+1)^2 on S^3
+    # make_index and the spectrum table read one level rule
+    for d in (2, 3, 4):
+        for ix in spectrum(sphere(d), 2000.0):
+            assert make_index(sphere(d), ix.label) == ix
 
 
 def test_make_index_validates_labels():
@@ -161,9 +165,11 @@ def test_conjugate_index():
 
 def test_conjugate_index_keeps_casimir_and_multiplicity():
     # -n has the Casimir eigenvalue and multiplicity of n: a SpectralIndex's
-    # are carried over, not recomputed; a raw label's are computed
+    # are carried over, not recomputed; a raw label's are computed, by the
+    # level rule of the spectrum table (torus:1 is the circle)
     for space in (circle(), torus(2), torus(3)):
         for ix in spectrum(space, 20.0):
+            assert make_index(space, ix.label) == ix
             conj = conjugate_index(space, ix)
             assert conj == make_index(space, tuple(-k for k in ix.label))
             assert conj.casimir is ix.casimir
