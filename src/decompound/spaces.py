@@ -547,8 +547,8 @@ def distance_to_origin(space: Space, point: np.ndarray) -> float | np.ndarray:
 
 
 # Largest census threshold, ten times the top of the default grid: rank >= 2
-# keeps top + 1 shell counts (torus:2 to 1e6 took 2.1 s and 77 MB, to 4e6 26 s
-# and 214 MB), rank one about 2 sqrt(top) indices
+# keeps top + 1 shell counts (torus:2 to 1e6 took 2.1 s and 77 MB on a 2-CPU
+# Xeon, to 4e6 26 s and 214 MB), rank one about 2 sqrt(top) indices
 _CENSUS_TOP = 1e6
 
 
