@@ -42,7 +42,7 @@ _SAMPLES += [(*flat, "") for flat in _FLAT] + [(*flat, f"-count{BLOCK}") for fla
 
 CALLS = [
     (f"sample-{space}-{law.split(':')[0]}-noise{noise}{tag}",
-     ["sample", "--space", space, "--law", law, "--noise-tau", noise, "--intensity", "2.0",
+     ["sample", "--space", space, "--law", law, "--noise-tau", noise, "--t-lambda", "2.0",
       "--seed", "5", "--count", str(BLOCK if tag else COUNT), "--out", "points.csv"])
     for space, law, noise, tag in _SAMPLES
 ]

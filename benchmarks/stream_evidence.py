@@ -7,7 +7,7 @@ defaults to HEAD) are extracted with ``pairs.extracted``, so uncommitted
 edits never run.  For each case below, each tree samples in a child process
 of its own, from its own ``src`` and through the public API only
 (``sample_compound``, then ``cosines`` on a sphere or ``points`` on a flat
-space): SEEDS samples of M observations, at intensity 2 and time 1.  Case i
+space): SEEDS samples of M observations, at t Lambda = 2.  Case i
 uses the seeds SEED0 + 1000 i + j, j < SEEDS, so no two cases share a
 stream; both revisions use the same seeds.
 
@@ -57,7 +57,7 @@ M = 1 << 17
 SEED0 = 500_000
 Z_FLAG = 4.0
 P_FLAG = 1e-3
-INTENSITY = 2.0
+T_LAMBDA = 2.0
 BLURS = (0.0, 0.3)
 
 CASES = [(f"sphere:{d}", law, blur) for d in (2, 3, 4)
@@ -83,7 +83,7 @@ def _child(case: int, out: str) -> None:
     law = parse_law(law_spec, space)
     draws, cells = [], 0
     for j in range(SEEDS):
-        cfg = ProcessConfig(law=law, intensity=INTENSITY, noise_tau=blur,
+        cfg = ProcessConfig(law=law, t_lambda=T_LAMBDA, noise_tau=blur,
                             seed=SEED0 + 1000 * case + j)
         obs = sample_compound(cfg, M)
         cells = cells + obs._cells.sum(axis=0)
@@ -104,14 +104,14 @@ def _child(case: int, out: str) -> None:
             vals = special.eval_gegenbauer(label[0], lam, draws[:, 0])
             vals /= special.eval_gegenbauer(label[0], lam, 1.0)
         c = law.coefficient(index).real
-        want = math.exp(INTENSITY * (c - 1.0)) * math.exp(-blur**2 * index.casimir / 2.0)
+        want = math.exp(T_LAMBDA * (c - 1.0)) * math.exp(-blur**2 * index.casimir / 2.0)
         se = vals.std(ddof=1) / math.sqrt(vals.size)
         rows.append({"index": list(label), "mean": float(vals.mean()), "want": want,
                      "z": float((vals.mean() - want) / se)})
     np.save(out + ".npy", draws)
     with open(out + ".json", "w") as fh:
         json.dump({"z": rows, "cells": cells.tolist(),
-                   "pmf": _count_pmf(cfg.mean_steps).tolist()}, fh)
+                   "pmf": _count_pmf(cfg.t_lambda).tolist()}, fh)
 
 
 def _cells_pvalue(cells, pmf) -> float:

@@ -34,8 +34,8 @@ seed = int(sys.argv[2]) if len(sys.argv) > 2 else 3
 
 space = sphere(2)
 law = HeatZonal(space, tau0=0.35)
-proc = ProcessConfig(law=law, intensity=1.0, time=1.0, seed=seed)
-est_cfg = EstimatorConfig(intensity=1.0, time=1.0)
+proc = ProcessConfig(law=law, t_lambda=1.0, seed=seed)
+est_cfg = EstimatorConfig(t_lambda=1.0)
 spec = SobolevSpec(s=2.0)
 
 cutoff = smoothing_cutoff(m, spec.s, space)

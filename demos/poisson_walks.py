@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
 """Simulate compound random walks and look at their raw ingredients.
 
-A walk makes N ~ Poisson(intensity * time) zonal steps from the origin; we
-observe only the endpoint.  This script samples endpoints on the circle and
-on the 2-sphere, checks the step-count distribution against the Poisson pmf,
-and prints a few summary statistics that the estimators downstream rely on
-(mean resultant length = empirical transform at the first index).
+A walk makes N ~ Poisson(t * Lambda) zonal steps from the origin (the
+configs' t_lambda); we observe only the endpoint.  This script samples
+endpoints on the circle and on the 2-sphere, checks the step-count
+distribution against the Poisson pmf, and prints a few summary statistics
+that the estimators downstream rely on (mean resultant length = empirical
+transform at the first index).
 """
 
 import numpy as np
@@ -43,7 +44,7 @@ def endpoint_summary(cfg: ProcessConfig, label: str) -> None:
     idx = make_index(cfg.space, (1,))
     nu = spherical(cfg.space, idx, obs.points).mean()
     c = cfg.law.coefficient(idx)
-    want = np.exp(cfg.intensity * cfg.time * (np.conj(c) - 1.0))
+    want = np.exp(cfg.t_lambda * (np.conj(c) - 1.0))
     print(f"\n{label}: m={obs.m}")
     print(f"  empirical transform at first index: {nu:.4f}")
     print(f"  compound formula exp(tL(c-1)):      {want:.4f}")
@@ -55,9 +56,9 @@ if __name__ == "__main__":
 
     endpoint_summary(
         ProcessConfig(law=WrappedNormal(circle(), sigma=0.7),
-                      intensity=1.0, time=1.0, seed=SEED),
+                      t_lambda=1.0, seed=SEED),
         "circle, wrapped normal sigma=0.7")
     endpoint_summary(
         ProcessConfig(law=HeatZonal(sphere(2), tau0=0.35),
-                      intensity=2.0, time=0.5, seed=SEED + 1),
+                      t_lambda=1.0, seed=SEED + 1),
         "sphere(2), heat tau0=0.35")

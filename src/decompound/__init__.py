@@ -1,7 +1,7 @@
 """Step-density estimation for compound random walks on compact spaces.
 
 Observations are positions, at a fixed time t, of walks that take a
-Poisson(intensity * t) number of i.i.d. zonal steps on the circle, a torus,
+Poisson(t * Lambda) number of i.i.d. zonal steps on the circle, a torus,
 or a sphere.  The package simulates such observations, inverts the
 exponential link between observation and step spectra with truncated
 log-estimators, reconstructs the step density under a spectral cutoff, and

@@ -68,20 +68,16 @@ class Variant(Enum):
 class EstimatorConfig:
     variant: Variant = Variant.REAL_LOG
     delta: float = 1.0
-    intensity: float = 1.0
-    time: float = 1.0
+    t_lambda: float = 1.0
     noise_tau: float = 0.0
 
     def __post_init__(self):
         object.__setattr__(self, "variant", Variant(self.variant))
-        if not all(map(math.isfinite, (self.delta, self.intensity, self.time, self.noise_tau))):
-            raise ValueError("delta, intensity, time and noise_tau must be finite")
-        if self.intensity <= 0 or self.time <= 0:
-            raise ValueError("intensity and time must be positive")
-        if self.delta < 0:
-            raise ValueError("delta must be >= 0")
-        if self.noise_tau < 0:
-            raise ValueError("noise_tau must be >= 0")
+        if not 0.0 < self.t_lambda < math.inf:
+            raise ValueError("t_lambda must be finite and > 0")
+        for name in ("delta", "noise_tau"):
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0")
         # arg nu = t*Lambda*Im c with |Im c| <= 1: the principal branch is exact
         # while t*Lambda < pi, and a wrong-branch value can pass the Re nu > 0
         # rule only once t*Lambda >= 3 pi / 2
@@ -94,10 +90,6 @@ class EstimatorConfig:
                 "every estimate whose phase t*Lambda*Im c leaves (-pi/2, pi/2)",
                 stacklevel=2,
             )
-
-    @property
-    def t_lambda(self) -> float:
-        return self.intensity * self.time
 
 
 class EmpiricalTransform(CoefficientVector):
@@ -179,13 +171,12 @@ def estimate_with_flag(nu: EmpiricalTransform, index, cfg: EstimatorConfig) -> t
     z = complex(nu._values[row])
     if not (z.real > 0.0 and abs(z) >= cfg.delta / nu.m):
         return 0.0 + 0.0j, True
-    t_lambda = cfg.t_lambda
     if not variant.symmetrized:
-        return cmath.log(z) / t_lambda + 1.0, False
+        return cmath.log(z) / cfg.t_lambda + 1.0, False
     # math.log, not cmath.log: the two round differently for |z| in [0.71, 1.73]
-    value = math.log(z.real) / t_lambda + 1.0
+    value = math.log(z.real) / cfg.t_lambda + 1.0
     if variant is Variant.NOISE_CORRECTED:
-        value += cfg.noise_tau**2 * nu._casimir[row].item() / (2.0 * t_lambda)
+        value += cfg.noise_tau**2 * nu._casimir[row].item() / (2.0 * cfg.t_lambda)
     return complex(value), False
 
 

@@ -66,7 +66,7 @@ _BOOTSTRAP_RESAMPLES = 1000
 
 # The StudyConfig fields each study reads, by StudyResult.kind: the one source
 # of a study verb's flags and of its study.cfg echo.
-_REPLICATE_FIELDS = ("space", "law", "intensity", "time", "variant", "delta", "noise_tau",
+_REPLICATE_FIELDS = ("space", "law", "t_lambda", "variant", "delta", "noise_tau",
                      "observation_noise_tau", "m_grid", "replicates", "seed", "threads",
                      "emit_svg", "out")
 STUDY_FIELDS = {
@@ -106,8 +106,7 @@ class StudyConfig:
 
     space: str = _param("circle", "space spec, e.g. circle, torus:2, sphere:2 (default circle)")
     law: str = _param("wn:sigma=0.7", "law spec, e.g. wn:sigma=0.7 or heat:tau=0.3")
-    intensity: float = _param(1.0, "Poisson intensity Lambda")
-    time: float = _param(1.0, "observation horizon t")
+    t_lambda: float = _param(1.0, "expected steps per observation, t*Lambda")
     variant: str = _param("real-log", f"estimator variant ({', '.join(v.value for v in Variant)})")
     delta: float = _param(1.0, "truncation constant delta >= 0 (0: no truncation)")
     noise_tau: float = _param(0.0, "noise scale known to the estimator")
@@ -332,8 +331,7 @@ def _replicates(cfg: StudyConfig, law, measure, unit) -> list:
     m, lo, hi = unit
     out = []
     for rep in range(lo, hi):
-        config = ProcessConfig(law=law, intensity=cfg.intensity, time=cfg.time,
-                               noise_tau=cfg.data_noise_tau(),
+        config = ProcessConfig(law=law, t_lambda=cfg.t_lambda, noise_tau=cfg.data_noise_tau(),
                                seed=replicate_seed(cfg.seed, m, rep))
         out.append(measure(rep, sample_compound(config, m)))
     return out
@@ -343,8 +341,9 @@ def _replicate_results(cfg: StudyConfig, law, measure) -> dict:
     """measure(rep, obs) of every replicate at every m, in replicate order: {m: [...]}.
 
     Work units (m, lo, hi) cover replicates lo..hi-1 at m.  Units run largest
-    m first, serially or through one pool; each replicate has its own stream,
-    so the results do not depend on threads.
+    m first, serially or through one pool of at most one worker per unit and
+    per CPU (a pool forks all its workers at its first job); each replicate
+    has its own stream, so the results do not depend on threads.
     """
     fn = partial(_replicates, cfg, law, measure)
     size = math.ceil(cfg.replicates / cfg.threads)
@@ -352,7 +351,8 @@ def _replicate_results(cfg: StudyConfig, law, measure) -> dict:
              for m in reversed(cfg.m_grid)
              for lo in range(0, cfg.replicates, size)]
     if cfg.threads > 1:
-        with ProcessPoolExecutor(max_workers=cfg.threads) as pool:
+        workers = min(cfg.threads, len(units), os.cpu_count() or 1)
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(fn, units))
     else:
         parts = [fn(unit) for unit in units]

@@ -1,7 +1,7 @@
 """Observation generator for compound random walks at a fixed horizon.
 
 An observation is the position, at time t, of a walk that starts at the
-origin and makes N ~ Poisson(intensity * t) zonal steps: each step moves a
+origin and makes N ~ Poisson(t * Lambda) zonal steps: each step moves a
 law-sampled distance along a uniformly random tangent direction at the
 current point.  The m observations of a sample are independent walks.
 
@@ -73,46 +73,41 @@ class ProcessConfig:
     """Everything needed to generate observations: law, clock, noise, seed."""
 
     law: StepLaw
-    intensity: float = 1.0
-    time: float = 1.0
+    t_lambda: float = 1.0
     noise_tau: float = 0.0
     seed: int = 0
 
     def __post_init__(self):
-        if not all(map(math.isfinite, (self.intensity, self.time, self.noise_tau))):
-            raise ValueError("intensity, time and noise_tau must be finite")
-        if self.intensity <= 0 or self.time <= 0:
-            raise ValueError("intensity and time must be positive")
-        if self.noise_tau < 0:
-            raise ValueError("noise_tau must be >= 0")
+        if not 0.0 < self.t_lambda < math.inf:
+            raise ValueError("t_lambda must be finite and > 0")
+        if not 0.0 <= self.noise_tau < math.inf:
+            raise ValueError("noise_tau must be finite and >= 0")
         object.__setattr__(self, "seed", int(self.seed))
 
     @property
     def space(self) -> Space:
         return self.law.space
 
-    @property
-    def mean_steps(self) -> float:
-        return self.intensity * self.time
-
     def to_mapping(self) -> dict:
         return {
             "space": self.space.spec_string(),
             "law": self.law.spec_string(),
-            "intensity": self.intensity,
-            "time": self.time,
+            "t_lambda": self.t_lambda,
             "noise_tau": self.noise_tau,
             "seed": self.seed,
         }
 
     @classmethod
     def from_mapping(cls, data: dict) -> "ProcessConfig":
+        missing = [key for key in ("space", "law", "t_lambda", "noise_tau", "seed")
+                   if key not in data]
+        if missing:
+            raise ValueError(f"ProcessConfig lacks {', '.join(missing)}")
         space = parse_space(data["space"])
         law = parse_law(data["law"], space)
         return cls(
             law=law,
-            intensity=float(data["intensity"]),
-            time=float(data["time"]),
+            t_lambda=float(data["t_lambda"]),
             noise_tau=float(data["noise_tau"]),
             seed=int(data["seed"]),
         )
@@ -367,7 +362,7 @@ def _walk_endpoints(config: ProcessConfig, rng, out: np.ndarray) -> np.ndarray:
     cosines on spheres.  Returns the cells: cells[k] walkers make k steps,
     and round k moves the rounds[k] walkers that make more than k steps."""
     n = out.shape[0]
-    cells = rng.multinomial(n, _count_pmf(config.mean_steps))
+    cells = rng.multinomial(n, _count_pmf(config.t_lambda))
     movers = n - np.cumsum(cells)
     rounds = movers[:np.count_nonzero(movers)].tolist()
     if not config.space.is_flat:

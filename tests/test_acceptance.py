@@ -46,7 +46,7 @@ def _line(criterion: int, ok: bool, detail: str) -> None:
 
 def test_c1_trivial_index_exact_for_all_variants():
     cfg_proc = ProcessConfig(law=WrappedNormal(circle(), sigma=0.7),
-                             intensity=1.0, time=1.0, noise_tau=0.3, seed=101)
+                             t_lambda=1.0, noise_tau=0.3, seed=101)
     trivial = make_index(circle(), (0,))
     failures = []
     for m in (1, 10, 100):
@@ -54,8 +54,7 @@ def test_c1_trivial_index_exact_for_all_variants():
         for variant in Variant:
             sym = variant is not Variant.COMPLEX_LOG
             nu = empirical_transform(obs, [trivial], symmetrize=sym)
-            est_cfg = EstimatorConfig(variant=variant, intensity=1.0,
-                                      time=1.0, noise_tau=0.3)
+            est_cfg = EstimatorConfig(variant=variant, t_lambda=1.0, noise_tau=0.3)
             got = estimate_with_flag(nu, trivial, est_cfg)[0]
             if got != 1.0 + 0.0j:
                 failures.append((m, variant.value, got))
@@ -95,7 +94,7 @@ def test_c2_quadrature_oracle_equivalence():
 
 def _link_pass_fraction(law, t_lambda, seed):
     space = law.space
-    cfg = ProcessConfig(law=law, intensity=t_lambda, time=1.0, seed=seed)
+    cfg = ProcessConfig(law=law, t_lambda=t_lambda, seed=seed)
     obs = sample_compound(cfg, 100_000)
     indices = spectrum(space, 20.0)
     passed = 0
@@ -209,7 +208,7 @@ def test_c7_hoeffding_exceedance():
     ok = True
     details = []
     for m, seed in ((50, 110), (200, 111)):
-        cfg = ProcessConfig(law=law, intensity=1.0, time=1.0, seed=seed)
+        cfg = ProcessConfig(law=law, t_lambda=1.0, seed=seed)
         pts = sample_compound(cfg, m * reps).points[:, 0].reshape(reps, m)
         nu_m = np.cos(pts).mean(axis=1)  # symmetrized transform at n = 1
         p_hat = float(np.mean(nu_m - nu <= -nu / 2.0))

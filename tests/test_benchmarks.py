@@ -3,8 +3,10 @@
 benchmarks/pairs.py decides ``claim_holds`` from pairs of perfbench runs and
 summarizes lockstep rounds into a paired ratio with a bootstrap interval.
 Both rules run here on numbers written out below, with no git and no child
-process; each script in benchmarks/ then prints its help, so an import of a
-script or helper that is gone fails here.
+process.  Every ``decompound`` call that same_outputs.py makes must parse
+under the package's parser, so a renamed flag fails here and not only when
+the script runs.  Each script in benchmarks/ then prints its help, so an
+import of a script or helper that is gone fails here.
 """
 
 import glob
@@ -18,6 +20,8 @@ BENCHMARKS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file
                           "benchmarks")
 sys.path.insert(0, BENCHMARKS)
 import pairs  # noqa: E402
+import same_outputs  # noqa: E402
+from decompound.cli import _build_parser  # noqa: E402
 
 # flat-density wall_s of the ×0.675 flat reconstruction change, 10 pairs in
 # order: the change won all 10, yet the parent's quartiles lie 0.053 s apart
@@ -91,6 +95,15 @@ def test_constant_ratio_lies_in_its_interval_and_the_interval_is_seeded():
     first = pairs._ratio_summary(_ROUNDS, spread)["ratio_ci95"]
     assert first[0] < 0.64 < first[1]
     assert pairs._ratio_summary(_ROUNDS, spread)["ratio_ci95"] == first
+
+
+def test_every_same_outputs_call_parses():
+    parser = _build_parser()
+    for name, argv in same_outputs.CALLS:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"{name}: the parser rejects {argv}")
 
 
 @pytest.mark.parametrize("script", sorted(glob.glob(os.path.join(BENCHMARKS, "*.py"))),

@@ -60,28 +60,38 @@ def test_coeffs_one_shot_estimate(tmp_path):
 def test_coeffs_estimator_defaults_from_header(tmp_path, capsys):
     obs = tmp_path / "obs.csv"
     main(["sample", "--space", "circle", "--law", "heat:tau=0.4",
-          "--intensity", "2.0", "--time", "0.5", "--count", "200",
+          "--t-lambda", "1.0", "--count", "200",
           "--seed", "5", "--out", str(obs)])
     code = main(["coeffs", "--in", str(obs), "--cutoff", "4"])
     assert code == 0
-    # the summary line reports the estimate; intensity*time came from the file
+    # the summary line reports the estimate; t_lambda came from the file
     out = capsys.readouterr().out
     assert "cutoff=4" in out
 
 
 def test_coeffs_unset_estimator_flags_take_the_header(tmp_path, capsys):
     obs = tmp_path / "obs.csv"
-    main(["sample", "--space", "circle", "--law", "wn:sigma=0.7", "--intensity", "2",
+    main(["sample", "--space", "circle", "--law", "wn:sigma=0.7", "--t-lambda", "2",
           "--count", "200", "--seed", "5", "--out", str(obs)])
     capsys.readouterr()
     outs = []
-    for flags in ([], ["--intensity", "2", "--variant", "real-log", "--delta", "1.0"]):
+    for flags in ([], ["--t-lambda", "2", "--variant", "real-log", "--delta", "1.0"]):
         assert main(["coeffs", "--in", str(obs), "--cutoff", "9", *flags]) == 0
         outs.append(capsys.readouterr().out)
     assert outs[0] == outs[1]
-    # intensity moves the estimates, so the equality above is not vacuous
-    assert main(["coeffs", "--in", str(obs), "--cutoff", "9", "--intensity", "1"]) == 0
+    # t_lambda moves the estimates, so the equality above is not vacuous
+    assert main(["coeffs", "--in", str(obs), "--cutoff", "9", "--t-lambda", "1"]) == 0
     assert capsys.readouterr().out != outs[0]
+
+
+def test_coeffs_refuses_a_header_without_t_lambda(tmp_path, capsys):
+    # a header written while the clock was an (intensity, time) pair
+    obs = tmp_path / "obs.csv"
+    obs.write_text('# ProcessConfig {"intensity": 2.0, "law": "wn:sigma=0.7,mean=0.0", '
+                   '"noise_tau": 0.0, "seed": 4, "space": "circle", "time": 0.5}\n'
+                   "theta1\n0\n5.8848969092332259\n")
+    assert main(["coeffs", "--in", str(obs)]) == 2
+    assert "error: ProcessConfig lacks t_lambda\n" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("cutoff", ["0", "-3", "nan", "inf"])
@@ -235,7 +245,7 @@ def test_census_config_echoes_only_the_fields_census_reads(tmp_path):
     assert {line.split(" = ")[0] for line in lines[1:]} == {"space", "thresholds", "seed", "out"}
 
 
-_REPLICATE_KEYS = {"space", "law", "intensity", "time", "variant", "delta", "noise_tau",
+_REPLICATE_KEYS = {"space", "law", "t_lambda", "variant", "delta", "noise_tau",
                    "observation_noise_tau", "m_grid", "replicates", "seed", "threads",
                    "emit_svg", "out"}
 
@@ -308,7 +318,7 @@ def test_threads_flag_does_not_change_numbers(tmp_path):
 
 
 _STUDY_OPTIONS = {
-    "-h", "--help", "--config", "--space", "--law", "--intensity", "--time",
+    "-h", "--help", "--config", "--space", "--law", "--t-lambda",
     "--variant", "--delta", "--noise-tau", "--observation-noise-tau", "--s",
     "--scale", "--m-grid", "--replicates", "--seed", "--threads",
     "--emit-coefficients", "--emit-svg", "--out", "--assert",
@@ -319,10 +329,10 @@ _STUDY_OPTIONS = {
     ("study-density", _STUDY_OPTIONS),
     ("study-coeff", _STUDY_OPTIONS - {"--s", "--scale", "--emit-coefficients"} | {"--index"}),
     ("census", {"-h", "--help", "--space", "--thresholds", "--seed", "--out", "--assert"}),
-    ("sample", {"-h", "--help", "--space", "--law", "--intensity", "--time",
+    ("sample", {"-h", "--help", "--space", "--law", "--t-lambda",
                 "--noise-tau", "--seed", "--count", "--out"}),
     ("coeffs", {"-h", "--help", "--in", "--variant", "--delta", "--s", "--scale",
-                "--cutoff", "--intensity", "--time", "--noise-tau", "--out"}),
+                "--cutoff", "--t-lambda", "--noise-tau", "--out"}),
 ])
 def test_verb_option_strings(verb, options):
     # the study verbs' flags are the StudyConfig fields their study reads;

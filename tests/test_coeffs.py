@@ -49,7 +49,7 @@ def _transform(value, m=100, symmetrized=True, label=(1,)):
 
 
 def _cfg(variant, t_lambda=1.0, delta=1.0, noise_tau=0.0):
-    return EstimatorConfig(variant=variant, intensity=t_lambda, time=1.0,
+    return EstimatorConfig(variant=variant, t_lambda=t_lambda,
                            delta=delta, noise_tau=noise_tau)
 
 
@@ -147,15 +147,14 @@ def test_variant_transform_mismatch_rejected():
 
 def test_estimator_config_validation_and_warning():
     with pytest.raises(ValueError):
-        EstimatorConfig(variant=Variant.REAL_LOG, intensity=1.0, time=1.0,
-                        delta=-1e-3)
+        EstimatorConfig(variant=Variant.REAL_LOG, t_lambda=1.0, delta=-1e-3)
     with pytest.raises(ValueError):
-        EstimatorConfig(variant=Variant.REAL_LOG, intensity=-1.0, time=1.0)
+        EstimatorConfig(variant=Variant.REAL_LOG, t_lambda=-1.0)
     with pytest.warns(UserWarning, match="truncates every estimate whose phase"):
-        EstimatorConfig(variant=Variant.COMPLEX_LOG, intensity=2.0, time=1.0)
+        EstimatorConfig(variant=Variant.COMPLEX_LOG, t_lambda=2.0)
     # past 3 pi / 2 a wrong-branch value can pass the Re nu > 0 rule
     with pytest.raises(ValueError, match="3\\*pi/2"):
-        EstimatorConfig(variant=Variant.COMPLEX_LOG, intensity=2.5, time=2.0)
+        EstimatorConfig(variant=Variant.COMPLEX_LOG, t_lambda=2.5 * 2.0)
 
 
 @given(value=st.floats(-1.0, 1.0), delta=st.floats(1e-6, 10.0))
@@ -175,8 +174,7 @@ def test_truncation_monotone_in_delta(value, delta):
 
 
 def test_transform_single_point_value():
-    cfg = ProcessConfig(law=WrappedNormal(circle(), sigma=0.7), intensity=1.0,
-                        time=1.0, seed=0)
+    cfg = ProcessConfig(law=WrappedNormal(circle(), sigma=0.7), t_lambda=1.0, seed=0)
     from decompound import ObservationSet
 
     one = ObservationSet(points=np.array([[math.pi / 2]]), config=cfg)
@@ -214,7 +212,7 @@ def test_transform_is_a_coefficient_vector_with_the_spectrum_levels(spec, cutoff
 def test_transform_at_origin_is_exactly_one():
     # the no-step atom sits exactly at the origin, where every phi is 1
     space = sphere(3)
-    cfg = ProcessConfig(law=HeatZonal(space, tau0=0.4), intensity=1.0, time=1.0, seed=0)
+    cfg = ProcessConfig(law=HeatZonal(space, tau0=0.4), t_lambda=1.0, seed=0)
     from decompound import ObservationSet
 
     atom = ObservationSet(points=np.tile(space.origin(), (50, 1)), config=cfg)
@@ -387,10 +385,10 @@ def test_transform_of_the_movers_plus_their_count_matches_all_points(space):
 
 
 def test_transform_of_walkers_that_never_moved_is_exactly_m():
-    # at intensity 1e-12 no walker moves: no sum reads a point, each is m
+    # at t*Lambda = 1e-12 no walker moves: no sum reads a point, each is m
     for space in (circle(), torus(3), sphere(2)):
         law = HeatZonal(space, tau0=0.4) if not space.is_flat else WrappedNormal(space, sigma=0.6)
-        obs = sample_compound(ProcessConfig(law=law, intensity=1e-12, seed=5), 2 * BLOCK + 5)
+        obs = sample_compound(ProcessConfig(law=law, t_lambda=1e-12, seed=5), 2 * BLOCK + 5)
         parts, still = obs._transform_parts()
         assert still == obs.m and all(len(p) == 0 for p in parts)
         indices = spectrum(space, 30.0)
@@ -489,8 +487,7 @@ def test_sparse_flat_indices_build_only_their_rows():
 
 
 def test_transform_modulus_bounded():
-    cfg = ProcessConfig(law=WrappedNormal(circle(), sigma=0.2), intensity=5.0,
-                        time=1.0, seed=14)
+    cfg = ProcessConfig(law=WrappedNormal(circle(), sigma=0.2), t_lambda=5.0, seed=14)
     obs = sample_compound(cfg, 3000)
     nu = empirical_transform(obs, spectrum(circle(), 64.0))
     for label in nu.labels():
@@ -499,7 +496,7 @@ def test_transform_modulus_bounded():
 
 def test_symmetrized_transform_is_real():
     law = HeatZonal(sphere(2), tau0=0.4)
-    cfg = ProcessConfig(law=law, intensity=1.0, time=1.0, seed=2)
+    cfg = ProcessConfig(law=law, t_lambda=1.0, seed=2)
     obs = sample_compound(cfg, 2000)
     nu = empirical_transform(obs, spectrum(sphere(2), 20.0), symmetrize=True)
     for label in nu.labels():
@@ -510,7 +507,7 @@ def test_complex_and_real_log_agree_on_spheres():
     # zonal functions are real on spheres, so the two branches must produce
     # the same estimates from the same observations
     law = HeatZonal(sphere(2), tau0=0.4)
-    cfg = ProcessConfig(law=law, intensity=1.0, time=1.0, seed=21)
+    cfg = ProcessConfig(law=law, t_lambda=1.0, seed=21)
     obs = sample_compound(cfg, 2000)
     indices = spectrum(sphere(2), 30.0)
     nu_raw = empirical_transform(obs, indices)
@@ -531,7 +528,7 @@ def test_mixing_ratio_doubles_with_time():
     c = law.coefficient(idx).real
     mags = []
     for t in (1.0, 2.0, 4.0):
-        cfg = ProcessConfig(law=law, intensity=1.0, time=t, seed=40)
+        cfg = ProcessConfig(law=law, t_lambda=t, seed=40)
         obs = sample_compound(cfg, 150_000)
         nu = empirical_transform(obs, [idx], symmetrize=True)
         mags.append(abs(nu.value(idx)))
@@ -569,8 +566,8 @@ def test_estimate_coefficients_matches_reconstruct(space, law, variant, delta):
     # delta and the cutoff scale are large enough that some indices below
     # the cutoff are truncated and some are not
     law = parse_law(law, parse_space(space))
-    obs = sample_compound(ProcessConfig(law=law, intensity=1.5, seed=17), 400)
-    cfg = EstimatorConfig(variant=variant, intensity=1.5, delta=delta)
+    obs = sample_compound(ProcessConfig(law=law, t_lambda=1.5, seed=17), 400)
+    cfg = EstimatorConfig(variant=variant, t_lambda=1.5, delta=delta)
     est = reconstruct(obs, cfg, SobolevSpec(2.0), scale=4.0)
     got = estimate_coefficients(obs, spectrum(law.space, est.cutoff), cfg)
     assert got.items() == est.coeffs.items()
@@ -598,7 +595,7 @@ def test_walked_cosines_estimate_as_their_lifted_points(d):
     # order, give the same bits, and in the public order the same estimates
     # up to summation order
     law = HeatZonal(sphere(d), tau0=0.3)
-    walked = sample_compound(ProcessConfig(law=law, intensity=2.0, noise_tau=0.3, seed=d),
+    walked = sample_compound(ProcessConfig(law=law, t_lambda=2.0, noise_tau=0.3, seed=d),
                              20_000)
     # the public order puts walked observation i at order[i]
     rng = _block_rng(d, -2)
@@ -607,8 +604,8 @@ def test_walked_cosines_estimate_as_their_lifted_points(d):
     lifted = ObservationSet(points=walked.points[order], config=walked.config)
     public = ObservationSet(points=walked.points, config=walked.config)
     indices = spectrum(law.space, 80.0)
-    for cfg in (EstimatorConfig(intensity=2.0, delta=100.0),
-                EstimatorConfig(variant=Variant.NOISE_CORRECTED, intensity=2.0, noise_tau=0.3)):
+    for cfg in (EstimatorConfig(t_lambda=2.0, delta=100.0),
+                EstimatorConfig(variant=Variant.NOISE_CORRECTED, t_lambda=2.0, noise_tau=0.3)):
         got = estimate_coefficients(walked, indices, cfg)
         want = estimate_coefficients(lifted, indices, cfg)
         assert got.items() == want.items()
@@ -743,7 +740,7 @@ def _hex(vec):
 @pytest.mark.parametrize("space, law, cfg", [
     ("circle", "wn:sigma=0.55", EstimatorConfig(delta=30.0)),
     ("circle", "wn:sigma=0.7,mean=1", EstimatorConfig(variant=Variant.COMPLEX_LOG)),
-    ("torus:2", "heat:tau=0.4", EstimatorConfig(intensity=1.5, delta=30.0)),
+    ("torus:2", "heat:tau=0.4", EstimatorConfig(t_lambda=1.5, delta=30.0)),
     ("torus:2", "wn:sigma=0.6,mean=0.4;-1", EstimatorConfig(variant=Variant.COMPLEX_LOG)),
     ("torus:3", "wn:sigma=0.5", EstimatorConfig()),
     ("sphere:2", "heat:tau=0.35", EstimatorConfig(variant=Variant.NOISE_CORRECTED,
@@ -752,8 +749,7 @@ def _hex(vec):
 ], ids=lambda v: v if isinstance(v, str) else v.variant.value)
 def test_reconstruct_estimates_match_the_per_index_reference_bit_for_bit(space, law, cfg):
     law = parse_law(law, parse_space(space))
-    intensity = cfg.intensity
-    obs = sample_compound(ProcessConfig(law=law, intensity=intensity, seed=19,
+    obs = sample_compound(ProcessConfig(law=law, t_lambda=cfg.t_lambda, seed=19,
                                         noise_tau=cfg.noise_tau), 5000)
     est = reconstruct(obs, cfg, SobolevSpec(2.0), scale=3.0)
     want = _reference_estimates(obs, spectrum(law.space, est.cutoff), cfg)

@@ -120,10 +120,10 @@ def test_l2_error_requires_covering_truth():
 def test_l2_error_parseval_route_circle():
     # the coefficient-space total must equal the quadrature L2 distance
     law = HeatZonal(circle(), tau0=0.4)
-    cfg = ProcessConfig(law=law, intensity=1.0, time=1.0, seed=6)
+    cfg = ProcessConfig(law=law, t_lambda=1.0, seed=6)
     obs = sample_compound(cfg, 20_000)
     est = reconstruct(obs, EstimatorConfig(variant=Variant.REAL_LOG,
-                                           intensity=1.0, time=1.0),
+                                           t_lambda=1.0),
                       SobolevSpec(2.0))
     truth, tail = truth_table(law, est.cutoff)
     total = l2_error(est, truth).total
@@ -136,10 +136,10 @@ def test_l2_error_parseval_route_circle():
 
 def test_l2_error_parseval_route_sphere():
     law = HeatZonal(sphere(2), tau0=0.5)
-    cfg = ProcessConfig(law=law, intensity=1.0, time=1.0, seed=7)
+    cfg = ProcessConfig(law=law, t_lambda=1.0, seed=7)
     obs = sample_compound(cfg, 5_000)
     est = reconstruct(obs, EstimatorConfig(variant=Variant.REAL_LOG,
-                                           intensity=1.0, time=1.0),
+                                           t_lambda=1.0),
                       SobolevSpec(2.0))
     truth, tail = truth_table(law, est.cutoff)
     total = l2_error(est, truth).total
@@ -516,10 +516,9 @@ def test_scoring_at_the_flat_density_cutoff_builds_no_spectral_index(monkeypatch
 
 def _reconstruct_circle(m=2000, seed=3, variant=Variant.REAL_LOG):
     law = WrappedNormal(circle(), sigma=0.7)
-    cfg = ProcessConfig(law=law, intensity=1.0, time=1.0, seed=seed)
+    cfg = ProcessConfig(law=law, t_lambda=1.0, seed=seed)
     obs = sample_compound(cfg, m)
-    est = reconstruct(obs, EstimatorConfig(variant=variant, intensity=1.0,
-                                           time=1.0), SobolevSpec(2.0))
+    est = reconstruct(obs, EstimatorConfig(variant=variant, t_lambda=1.0), SobolevSpec(2.0))
     return law, est
 
 

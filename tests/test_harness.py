@@ -42,10 +42,10 @@ from decompound import (
     lambda: run_coefficient_study(StudyConfig(
         space="circle", law="wn:sigma=0.7", delta=float("nan"), index="1",
         m_grid=(100, 1000, 10000), replicates=3)),
-    lambda: EstimatorConfig(intensity=float("nan")),
+    lambda: EstimatorConfig(t_lambda=float("nan")),
     lambda: EstimatorConfig(noise_tau=float("inf")),
     lambda: ProcessConfig(law=parse_law("wn:sigma=0.7", parse_space("circle")),
-                          time=float("inf")),
+                          t_lambda=float("inf")),
     lambda: ProcessConfig(law=parse_law("wn:sigma=0.7", parse_space("circle")),
                           noise_tau=float("nan")),
     lambda: parse_law("heat:tau=nan", parse_space("sphere:2")),
@@ -63,7 +63,7 @@ from decompound import (
     lambda: weyl_census(parse_space("sphere:2"), (10.0, float("nan"))),
     lambda: StudyConfig(observation_noise_tau=float("inf")),
     lambda: StudyConfig(observation_noise_tau=float("nan")),
-], ids=["study-delta", "estimator-intensity", "estimator-noise", "process-time",
+], ids=["study-delta", "estimator-t-lambda", "estimator-noise", "process-t-lambda",
         "process-noise", "heat-tau", "wn-sigma", "wn-mean", "study-s", "study-scale",
         "study-thresholds", "sobolev-nan", "sobolev-inf", "cutoff-s", "cutoff-scale",
         "spectrum-inf", "spectrum-nan", "census-thresholds", "study-observation-noise-inf",
@@ -168,7 +168,7 @@ def test_study_config_validation():
 @pytest.mark.parametrize("overrides,every_field", [
     pytest.param(dict(variant="noise-corrected", noise_tau=0.3, s=1.5, scale=2.0),
                  False, id="noise-corrected"),
-    pytest.param(dict(space="sphere:2", law="heat:tau=0.3", intensity=1.5, time=0.8,
+    pytest.param(dict(space="sphere:2", law="heat:tau=0.3", t_lambda=1.5 * 0.8,
                       variant="noise-corrected", delta=0.5, noise_tau=0.2,
                       observation_noise_tau=0.25, s=1.5, scale=1.25,
                       m_grid=(10, 20, 40), replicates=7, seed=3, index="2",
@@ -189,10 +189,12 @@ def test_study_config_ini_round_trip(tmp_path, overrides, every_field):
 
 
 def test_study_config_ini_rejects_legacy_mode_key(tmp_path):
+    # and the (intensity, time) pair that t_lambda, their product, replaced
     path = tmp_path / "study.cfg"
-    path.write_text(_tiny_density_config().to_ini_text() + "mode = iid\n")
-    with pytest.raises(ValueError, match="'mode'"):
-        StudyConfig.from_ini(path)
+    for key, value in (("mode", "iid"), ("intensity", "2.0"), ("time", "0.5")):
+        path.write_text(_tiny_density_config().to_ini_text() + f"{key} = {value}\n")
+        with pytest.raises(ValueError, match=f"unknown study key '{key}'"):
+            StudyConfig.from_ini(path)
 
 
 def test_study_config_ini_overrides(tmp_path):
@@ -273,7 +275,7 @@ def test_density_study_notes_replicates_with_every_estimate_truncated():
     # in a note for its m, in a pool too
     for threads in (1, 2):
         res = run_convergence_study(_tiny_density_config(
-            delta=100.0, intensity=10.0, m_grid=(100, 200, 400), replicates=2,
+            delta=100.0, t_lambda=10.0, m_grid=(100, 200, 400), replicates=2,
             threads=threads))
         assert [n for n in res.notes if "truncated" in n] == [
             f"m={m}: 2 of 2 replicates had every non-trivial estimate truncated to 0"
@@ -439,6 +441,19 @@ def pools_opened(monkeypatch):
 
     monkeypatch.setattr(harness, "ProcessPoolExecutor", CountingPool)
     return opened
+
+
+def test_the_pool_opens_no_more_workers_than_cpus(monkeypatch):
+    # a pool forks all its workers at its first job, however few units there
+    # are; the bound is checked before the pool is built, so none is forked
+    class BoundedPool(harness.ProcessPoolExecutor):
+        def __init__(self, max_workers=None, *args, **kwargs):
+            assert max_workers <= (os.cpu_count() or 1)
+            super().__init__(max_workers, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", BoundedPool)
+    pooled = run_coefficient_study(_tiny_density_config(replicates=2, threads=10_000))
+    assert pooled.rows == run_coefficient_study(_tiny_density_config(replicates=2)).rows
 
 
 @pytest.mark.parametrize("study", [run_convergence_study, run_coefficient_study])

@@ -35,7 +35,7 @@ from decompound.simulate import BLOCK, _block_rng
 
 def _circle_config(**kw):
     law = WrappedNormal(circle(), sigma=0.7)
-    base = dict(law=law, intensity=1.0, time=1.0, seed=123)
+    base = dict(law=law, t_lambda=1.0, seed=123)
     base.update(kw)
     return ProcessConfig(**base)
 
@@ -60,7 +60,7 @@ def test_block_prefix_stability(space):
     # observation order from a third, so extending m by whole blocks must not
     # disturb earlier blocks
     law = parse_law("wn:sigma=0.7" if space == "circle" else "heat:tau=0.3", parse_space(space))
-    cfg = ProcessConfig(law=law, intensity=1.0, noise_tau=0.2, seed=123)
+    cfg = ProcessConfig(law=law, t_lambda=1.0, noise_tau=0.2, seed=123)
     small = sample_compound(cfg, BLOCK)
     big = sample_compound(cfg, 2 * BLOCK)
     assert np.array_equal(small.points, big.points[:BLOCK])
@@ -72,7 +72,7 @@ def test_sample_walks_its_blocks_from_one_stream(space):
     # of several blocks and a partial one is that loop's output to the bit
     law = parse_law("heat:tau=0.3" if space == "sphere:2" else "wn:sigma=0.7",
                     parse_space(space))
-    cfg = ProcessConfig(law=law, intensity=1.5, noise_tau=0.3, seed=31)
+    cfg = ProcessConfig(law=law, t_lambda=1.5, noise_tau=0.3, seed=31)
     m = 2 * BLOCK + 5
     want = np.empty((m, cfg.space.ambient_dim) if cfg.space.is_flat else m)
     rng = _block_rng(cfg.seed, 0)
@@ -116,7 +116,7 @@ def test_public_order_permutes_each_walked_block(space):
     law = parse_law("heat:tau=0.3" if space == "sphere:2" else "wn:sigma=0.7",
                     parse_space(space))
     for m in (1, 2 * BLOCK + 5):
-        obs = sample_compound(ProcessConfig(law=law, intensity=1.5, noise_tau=0.3, seed=37), m)
+        obs = sample_compound(ProcessConfig(law=law, t_lambda=1.5, noise_tau=0.3, seed=37), m)
         walked = obs._sample
         got = obs.points if obs.config.space.is_flat else obs.cosines[:, None]
         assert got.tobytes() == _public(walked, 37).tobytes()
@@ -136,8 +136,7 @@ def test_observation_set_is_read_only():
 
 
 def test_observation_set_validates_points():
-    cfg = ProcessConfig(law=HeatZonal(sphere(2), tau0=0.3), intensity=1.0,
-                        time=1.0, seed=0)
+    cfg = ProcessConfig(law=HeatZonal(sphere(2), tau0=0.3), t_lambda=1.0, seed=0)
     bad = np.array([[0.0, 0.0, 2.0]])  # not unit norm
     with pytest.raises(ValueError):
         ObservationSet(points=bad, config=cfg)
@@ -179,7 +178,7 @@ def test_observation_set_copies_outside_arrays():
 
 def _sphere_sample(d=2, m=5000):
     law = HeatZonal(sphere(d), tau0=0.3)
-    return sample_compound(ProcessConfig(law=law, intensity=2.0, noise_tau=0.3, seed=d), m)
+    return sample_compound(ProcessConfig(law=law, t_lambda=2.0, noise_tau=0.3, seed=d), m)
 
 
 def test_walked_sphere_set_lifts_once_on_first_read(monkeypatch):
@@ -233,16 +232,18 @@ def test_observation_set_is_immutable():
 
 def test_process_config_round_trip():
     cfg = ProcessConfig(law=WrappedNormal(torus(2), sigma=0.5, mean=(0.1, 0.2)),
-                        intensity=2.0, time=0.5, noise_tau=0.3, seed=9)
+                        t_lambda=1.5, noise_tau=0.3, seed=9)
     back = ProcessConfig.from_mapping(cfg.to_mapping())
     assert back == cfg
 
 
 def test_process_config_validation():
     with pytest.raises(ValueError):
-        _circle_config(intensity=-1.0)
+        _circle_config(t_lambda=-1.0)
     with pytest.raises(ValueError):
-        _circle_config(time=0.0)
+        _circle_config(t_lambda=0.0)
+    with pytest.raises(ValueError):
+        _circle_config(t_lambda=float("inf"))
     with pytest.raises(ValueError):
         _circle_config(noise_tau=-0.1)
 
@@ -326,7 +327,7 @@ def test_kept_cells_match_the_poisson_pmf():
     # threshold fixed before the first run)
     cfg = _circle_config(seed=71)
     obs = sample_compound(cfg, 64 * BLOCK)
-    pmf = simulate._count_pmf(cfg.mean_steps)
+    pmf = simulate._count_pmf(cfg.t_lambda)
     got = np.zeros(max(pmf.size, obs._cells.shape[1]))
     got[:obs._cells.shape[1]] = obs._cells.sum(axis=0)
     want = np.zeros_like(got)
@@ -413,8 +414,8 @@ def test_transform_link_circle():
     # exp(t * Lambda * (c_n - 1)) for the step coefficient c_n; the flat heat
     # law samples through its wrapped normal, so it is checked the same way
     for cfg, labels in (
-        (_circle_config(intensity=1.5, time=1.0, seed=77), [(1,), (2,), (3,)]),
-        (ProcessConfig(law=HeatZonal(torus(2), tau0=0.4), intensity=1.5, time=1.0,
+        (_circle_config(t_lambda=1.5, seed=77), [(1,), (2,), (3,)]),
+        (ProcessConfig(law=HeatZonal(torus(2), tau0=0.4), t_lambda=1.5,
                        seed=78), [(1, 0), (0, 1), (1, -1), (2, 1)]),
     ):
         space = cfg.space
@@ -434,7 +435,7 @@ def test_transform_link_sphere_with_noise(space):
     # independent observation noise multiplies the transform by its own
     # coefficient exp(-tau^2 * kappa / 2)
     law = HeatZonal(space, tau0=0.4)
-    cfg = ProcessConfig(law=law, intensity=1.0, time=1.0, noise_tau=0.5, seed=5)
+    cfg = ProcessConfig(law=law, t_lambda=1.0, noise_tau=0.5, seed=5)
     obs = sample_compound(cfg, 60_000)
     for ell in (1, 2):
         idx = make_index(space, (ell,))
@@ -449,7 +450,7 @@ def test_transform_link_sphere_cap():
     # cap distances come from the same radial table as heat distances
     space = sphere(3)
     law = UniformCap(space, rho=1.0)
-    cfg = ProcessConfig(law=law, intensity=1.0, time=1.0, seed=5)
+    cfg = ProcessConfig(law=law, t_lambda=1.0, seed=5)
     obs = sample_compound(cfg, 200_000)
     for ell in (1, 2, 3, 4):
         idx = make_index(space, (ell,))
@@ -464,7 +465,7 @@ def _reference_sphere_walk(cfg, n, rng):
     geodesic_step and uniform_tangents, one masked round per step."""
     space = cfg.space
     pts = np.tile(space.origin(), (n, 1))
-    counts = rng.poisson(cfg.mean_steps, n)
+    counts = rng.poisson(cfg.t_lambda, n)
     for k in range(counts.max()):
         act = counts > k
         dist = cfg.law.sample_distances(int(act.sum()), rng)
@@ -483,7 +484,7 @@ def test_sphere_kernel_matches_reference_walk(d, law, noise):
     # the sampler walks only cos(distance to origin) and lifts once; the
     # endpoint law must match a walk of full ambient vectors
     step_law = HeatZonal(sphere(d), tau0=0.3) if law == "heat" else UniformCap(sphere(d), rho=1.2)
-    cfg = ProcessConfig(law=step_law, intensity=2.0, time=1.0, noise_tau=noise, seed=40 + d)
+    cfg = ProcessConfig(law=step_law, t_lambda=2.0, noise_tau=noise, seed=40 + d)
     got = sample_compound(cfg, 20_000).points
     want = _reference_sphere_walk(cfg, 20_000, np.random.default_rng(50 + d))
     for col in range(d + 1):
@@ -524,7 +525,7 @@ def _plain_lift_from_origin(space, z, rng):
 
 def _plain_sphere_endpoints(cfg, n, rng):
     space = cfg.space
-    cells = rng.multinomial(n, simulate._count_pmf(cfg.mean_steps))
+    cells = rng.multinomial(n, simulate._count_pmf(cfg.t_lambda))
     steps = np.repeat(np.arange(cells.size), cells)[::-1]  # longest first
     total, moved = int(steps.sum()), int(np.count_nonzero(steps))
     cos_d = cfg.law._sphere_table.cosines(rng.random(total))
@@ -565,7 +566,7 @@ def _kernel_cases(d, law):
              for m in (1, 1000, 2 * BLOCK + 5)]
     cases += [(1e-12, 0.0, 300), (1e-12, 0.3, 300)]
     for rate, noise, m in cases:
-        yield ProcessConfig(law=step_law, intensity=rate, time=1.0, noise_tau=noise,
+        yield ProcessConfig(law=step_law, t_lambda=rate, noise_tau=noise,
                             seed=int(rate * 10) + m), m
 
 
@@ -581,7 +582,7 @@ def test_sphere_kernel_is_bit_identical_to_the_per_round_kernel(d, law):
         assert obs._sample.tobytes() == want.tobytes(), (cfg, m)
         assert obs.cosines.tobytes() == _public(want, cfg.seed).tobytes(), (cfg, m)
     # the last two cases drew no step at all
-    cells = _block_rng(cfg.seed, 0).multinomial(300, simulate._count_pmf(cfg.mean_steps))
+    cells = _block_rng(cfg.seed, 0).multinomial(300, simulate._count_pmf(cfg.t_lambda))
     assert cells[0] == 300
 
 
@@ -609,7 +610,7 @@ def _plain_flat_endpoints(cfg, n, rng):
         sigma, mean = math.sqrt(2.0 * law.tau0), (0.0,) * d
     else:
         sigma, mean = law.sigma, law.mean
-    cells = rng.multinomial(n, simulate._count_pmf(cfg.mean_steps))
+    cells = rng.multinomial(n, simulate._count_pmf(cfg.t_lambda))
     steps = np.repeat(np.arange(cells.size), cells)[::-1].tolist()  # longest first
     rounds = [sum(s > k for s in steps) for k in range(steps[0])]
     first_row = np.cumsum([0] + rounds).tolist()
@@ -640,7 +641,7 @@ def test_flat_walk_is_bit_identical_to_a_per_walker_walk(space, law, noise):
     # case draws no step at all
     step_law = parse_law(law, parse_space(space))
     for rate, m in ((1.5, 1), (1.5, 2 * BLOCK + 5), (1e-12, 300)):
-        cfg = ProcessConfig(law=step_law, intensity=rate, noise_tau=noise, seed=60 + m)
+        cfg = ProcessConfig(law=step_law, t_lambda=rate, noise_tau=noise, seed=60 + m)
         assert sample_compound(cfg, m)._sample.tobytes() == \
             _plain_flat_sample(cfg, m).tobytes(), (cfg, m)
 
@@ -670,14 +671,21 @@ def test_read_observations_ignores_legacy_mode_key(tmp_path):
     # files written while a trajectory sampling mode existed carry a "mode" key
     path = tmp_path / "obs.csv"
     path.write_text(
-        '# ProcessConfig {"intensity": 1.0, "law": "wn:sigma=0.7,mean=0.0", '
-        '"mode": "trajectory", "noise_tau": 0.0, "seed": 4, "space": "circle", '
-        '"time": 1.0}\n'
+        '# ProcessConfig {"law": "wn:sigma=0.7,mean=0.0", "mode": "trajectory", '
+        '"noise_tau": 0.0, "seed": 4, "space": "circle", "t_lambda": 1.0}\n'
         "theta1\n0\n5.8848969092332259\n4.7366174605640339\n")
     obs = read_observations(path)
     assert obs.config == ProcessConfig(law=WrappedNormal(circle(), sigma=0.7), seed=4)
     assert obs.points[:, 0].tolist() == [0.0, 5.8848969092332259, 4.7366174605640339]
     assert "mode" not in obs.config.to_mapping()
+
+
+def test_process_config_from_mapping_names_every_missing_key():
+    # a header written while the clock was an (intensity, time) pair
+    old = {"space": "circle", "law": "wn:sigma=0.7,mean=0.0", "intensity": 2.0,
+           "time": 0.5, "seed": 4}
+    with pytest.raises(ValueError, match="^ProcessConfig lacks t_lambda, noise_tau$"):
+        ProcessConfig.from_mapping(old)
 
 
 @pytest.mark.parametrize("space_text", ["circle", "torus:2", "sphere:2"])
@@ -694,8 +702,8 @@ def test_read_observations_names_a_header_only_file_empty(tmp_path, space_text):
 def test_csv_round_trip_exact(tmp_path):
     for cfg in (
         _circle_config(seed=10),
-        ProcessConfig(law=HeatZonal(sphere(3), tau0=0.3), intensity=2.0,
-                      time=0.5, noise_tau=0.1, seed=11),
+        ProcessConfig(law=HeatZonal(sphere(3), tau0=0.3), t_lambda=1.5, noise_tau=0.1,
+                      seed=11),
     ):
         obs = sample_compound(cfg, 57)
         path = tmp_path / "obs.csv"
