@@ -14,8 +14,9 @@ any longer sample; ``coeffs --in`` on the noisy sphere:2 heat sample
 the default scale and once at ``--cutoff 9``), on the torus:2 heat sample
 (real-log: the symmetrized rank-2 transform) and on a shifted torus:2 wrapped
 normal (complex-log: the unsymmetrized one); a ``census`` on sphere:3 and on
-torus:2; a small noisy ``study-coeff`` on sphere:2 and a complex-log one on
-torus:2; a small ``study-density`` on the circle and sphere:2 at ``--threads
+torus:2; a small noisy ``study-coeff`` on sphere:2, a complex-log one on
+torus:2 and one on the circle whose zero errors leave no rate to fit; a
+small ``study-density`` on the circle and sphere:2 at ``--threads
 1`` and ``--threads 2``; and a small ``study-density`` on torus:3, whose
 10,443-entry truth table sets every bias term it writes.  Every file they write, and each call's standard output,
 is hashed, and so is each column of every ``points.csv`` (listed as
@@ -88,6 +89,11 @@ CALLS.append(("study-coeff-torus2-complex-log",
               ["study-coeff", "--space", "torus:2", "--law", "wn:sigma=0.7,mean=1;-0.5",
                "--variant", "complex-log", "--index", "1;-1", "--m-grid", "100,1000,5000",
                "--replicates", "6", "--seed", "3", "--out", "study"]))
+# the no-fit path: sigma = 1e-9 leaves every point at the origin, so index 1
+# is estimated exactly at every m and the zero MSE leaves no rate to fit
+CALLS.append(("study-coeff-circle-zero-mse",
+              ["study-coeff", "--space", "circle", "--law", "wn:sigma=1e-9", "--index", "1",
+               "--m-grid", "100,1000,10000", "--replicates", "3", "--out", "study"]))
 for space, law in (("circle", "wn:sigma=0.55"), ("sphere:2", "heat:tau=0.35")):
     for threads in (1, 2):
         CALLS.append((f"study-density-{space}-threads{threads}",

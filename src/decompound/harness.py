@@ -18,7 +18,10 @@ to the study's measure (the L2 error of ``reconstruct``, or the squared
 error of ``estimate_coefficients`` at one index).  Work units of
 (m, replicate range), largest m first, run serially or through one process
 pool per study.  The layers and the pool class are called through this
-module's globals, where perfbench/tracing.py wraps them.
+module's globals, where perfbench/tracing.py wraps them.  One runner,
+``_rate_study``, then builds both studies' per-m rows and notes, fits their
+rate and decides when there is none to fit; a study gives only its measure,
+its columns, its reference slope and its opening notes.
 """
 from __future__ import annotations
 
@@ -362,28 +365,63 @@ def _replicate_results(cfg: StudyConfig, law, measure) -> dict:
     return results
 
 
+def _kept(coeffs) -> tuple[bool, bool]:
+    """Whether an estimate kept a non-trivial index, and whether it had
+    non-trivial indices and truncated every one to 0."""
+    nontrivial = coeffs._casimir != 0.0
+    kept = bool((nontrivial & ~coeffs._truncated).any())
+    return kept, bool(nontrivial.any()) and not kept
+
+
+def _rate_study(cfg: StudyConfig, law, kind: str, measure, columns, reference: float,
+                notes, coefficient_tables=None) -> StudyResult:
+    """measure(rep, obs) gives (error, *_kept(estimate), extras); each m gives the
+    row {"m": m, **columns(m, errors, extras)} and notes any replicate that
+    truncated every non-trivial estimate.  The table's first plotted column is
+    fitted over the replicate errors, unless no replicate at any m kept a
+    non-trivial estimate or the column is 0 at some m: then a note says why not."""
+    if len(cfg.m_grid) < 3:
+        raise ValueError("m_grid needs at least 3 values for a rate fit")
+    column = _STUDY_TABLES[kind][1][0][2]
+    rows, errors, notes, any_kept = [], [], list(notes), False
+    for m, reps in _replicate_results(cfg, law, measure).items():
+        errs, kept, failed, extras = zip(*reps)
+        errors.append(np.array(errs))
+        rows.append({"m": m, **columns(m, errors[-1], extras)})
+        any_kept = any_kept or any(kept)
+        if sum(failed):
+            notes.append(f"m={m}: {sum(failed)} of {len(reps)} replicates had every "
+                         "non-trivial estimate truncated to 0")
+    zero = [str(r["m"]) for r in rows if r[column] == 0.0]
+    fit = None
+    if not any_kept:
+        notes.append("no replicate kept a non-trivial estimate at any m; rate fit skipped")
+    elif zero:
+        notes.append(f"{column} is 0 at m={','.join(zero)}; rate fit skipped")
+    else:
+        fit = fit_rate([(math.log10(r["m"]), math.log10(r[column])) for r in rows],
+                       replicate_errors=errors, seed=cfg.seed)
+    return StudyResult(kind=kind, config=cfg, rows=rows, fit=fit, reference=reference,
+                       notes=tuple(notes), coefficient_tables=coefficient_tables or {})
+
+
 def _density_error(cfg: StudyConfig, est_cfg, truth, tail, rep, obs):
-    """The error against the law (the mass beyond the truth table is bias),
-    whether every non-trivial estimate was truncated to 0, and whether any
-    non-trivial estimate was kept."""
+    """The error against the law (the mass beyond the truth table is bias); its
+    extras are its variance and bias terms and replicate 0's coefficients."""
     est = reconstruct(obs, est_cfg, SobolevSpec(cfg.s), cfg.scale)
     err = l2_error(est, truth)
-    nontrivial = est.coeffs._casimir != 0.0
-    kept = bool((nontrivial & ~est.coeffs._truncated).any())
-    return (err.variance_term, err.bias_term + tail, err.total + tail,
-            est.coeffs if rep == 0 else None, bool(nontrivial.any()) and not kept, kept)
+    return (err.total + tail, *_kept(est.coeffs),
+            (err.variance_term, err.bias_term + tail, est.coeffs if rep == 0 else None))
 
 
 def run_convergence_study(cfg: StudyConfig) -> StudyResult:
     """Density-estimation error vs m, with the exact bias/variance split."""
-    if len(cfg.m_grid) < 3:
-        raise ValueError("m_grid needs at least 3 values for a rate fit")
-    space = cfg.space_object()
     law = cfg.law_object()
     est_cfg = cfg.estimator_config()
     require_inverse_invariant(law, est_cfg.variant)
-
-    t_max = smoothing_cutoff(max(cfg.m_grid), cfg.s, space, cfg.scale)
+    space = law.space
+    # an empty grid goes on to the runner's m-grid check
+    t_max = smoothing_cutoff(max(cfg.m_grid, default=1), cfg.s, space, cfg.scale)
     truth, tail = truth_table(law, t_max)
     notes = [f"truth tail beyond coverage, counted in bias_term: {tail!r}"]
     try:
@@ -391,49 +429,27 @@ def run_convergence_study(cfg: StudyConfig) -> StudyResult:
     except ValueError as exc:
         snorm = None
         notes.append(f"sobolev norm unavailable: {exc}")
-
-    results = _replicate_results(cfg, law, partial(_density_error, cfg, est_cfg, truth, tail))
-    rows = []
-    rep_totals = []
     tables = {}
-    for m, reps in results.items():
-        cutoff = smoothing_cutoff(m, cfg.s, space, cfg.scale)
-        variances = np.array([t[0] for t in reps])
-        biases = np.array([t[1] for t in reps])
-        totals = np.array([t[2] for t in reps])
+
+    def columns(m, totals, extras):
+        variances, biases, coeffs = zip(*extras)
         if cfg.emit_coefficients:
-            tables[m] = reps[0][3]
-        failed = sum(t[4] for t in reps)
-        if failed:
-            notes.append(f"m={m}: {failed} of {len(reps)} replicates had every "
-                         "non-trivial estimate truncated to 0")
-        bias_term = float(biases.mean())
-        bias_ok = None
-        if snorm is not None:
-            bias_ok = bool(bias_term <= cutoff ** (-cfg.s) * snorm**2)
-        variance_term = float(variances.mean())
-        rows.append({
-            "m": m,
+            tables[m] = coeffs[0]
+        cutoff = smoothing_cutoff(m, cfg.s, space, cfg.scale)
+        variance_term, bias_term = float(np.mean(variances)), float(np.mean(biases))
+        return {
             "cutoff": cutoff,
             # the emitted total is the exact sum of the emitted components
             "mean_error": variance_term + bias_term,
             "variance_term": variance_term,
             "bias_term": bias_term,
             "stderr": standard_error(totals),
-            "bias_bound_ok": bias_ok,
-        })
-        rep_totals.append(totals)
+            "bias_bound_ok": (None if snorm is None
+                              else bool(bias_term <= cutoff ** (-cfg.s) * snorm**2)),
+        }
 
-    if any(t[5] for reps in results.values() for t in reps):
-        fit = fit_rate([(math.log10(r["m"]), math.log10(r["mean_error"])) for r in rows],
-                       replicate_errors=rep_totals, seed=cfg.seed)
-    else:
-        # every replicate estimated the constant term alone: no rate to fit
-        fit = None
-        notes.append("no replicate kept a non-trivial estimate at any m; rate fit skipped")
-    reference = -2.0 * cfg.s / (2.0 * cfg.s + space.dim)
-    return StudyResult(kind="density", config=cfg, rows=rows, fit=fit,
-                       reference=reference, notes=tuple(notes),
+    return _rate_study(cfg, law, "density", partial(_density_error, cfg, est_cfg, truth, tail),
+                       columns, -2.0 * cfg.s / (2.0 * cfg.s + space.dim), notes,
                        coefficient_tables=tables)
 
 
@@ -449,44 +465,23 @@ def _resolve_index(cfg: StudyConfig, space: Space):
     return spectrum(space, 4.0 * space.dim + 1.0)[1]
 
 
-def _coefficient_error(est_cfg, table, index, truth, rep, obs) -> tuple[float, bool]:
+def _coefficient_error(est_cfg, table, index, truth, rep, obs):
     """The squared error of the estimate at the index, whose one-row table
-    is given, and whether it was truncated."""
+    is given; no extras."""
     est = estimate_coefficients(obs, table, est_cfg)
-    return abs(est[index] - truth) ** 2, est.is_truncated(index)
+    return abs(est[index] - truth) ** 2, *_kept(est), None
 
 
 def run_coefficient_study(cfg: StudyConfig) -> StudyResult:
     """Per-index coefficient MSE vs m (reference slope -1)."""
-    if len(cfg.m_grid) < 3:
-        raise ValueError("m_grid needs at least 3 values for a rate fit")
-    space = cfg.space_object()
     law = cfg.law_object()
     est_cfg = cfg.estimator_config()
     require_inverse_invariant(law, est_cfg.variant)
-    index = _resolve_index(cfg, space)
-    truth = law.coefficient(index)
-
-    results = _replicate_results(
-        cfg, law, partial(_coefficient_error, est_cfg, _index_table([index]), index, truth))
-    rows = []
-    rep_errors = []
-    for m in cfg.m_grid:
-        errs = np.array([err for err, _ in results[m]])
-        rows.append({"m": m, "mse": float(errs.mean()), "stderr": standard_error(errs)})
-        rep_errors.append(errs)
-
-    notes = []
-    truncated = all(flag for part in results.values() for _, flag in part)
-    if index.is_trivial or truncated or all(r["mse"] == 0.0 for r in rows):
-        fit = None
-        notes.append("every estimate truncated to 0 at every m; rate fit skipped" if truncated
-                     else "all-zero errors (trivial index); rate fit skipped")
-    else:
-        fit = fit_rate([(math.log10(r["m"]), math.log10(r["mse"])) for r in rows],
-                       replicate_errors=rep_errors, seed=cfg.seed)
-    return StudyResult(kind="coefficient", config=cfg, rows=rows, fit=fit,
-                       reference=-1.0, notes=tuple(notes))
+    index = _resolve_index(cfg, law.space)
+    measure = partial(_coefficient_error, est_cfg, _index_table([index]), index,
+                      law.coefficient(index))
+    return _rate_study(cfg, law, "coefficient", measure, lambda m, errs, _: {
+        "mse": float(errs.mean()), "stderr": standard_error(errs)}, -1.0, ())
 
 
 def run_census(cfg: StudyConfig) -> StudyResult:

@@ -173,6 +173,9 @@ def _levels(space: Space, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         d = space.dim
         mult = [math.comb(ell + d, d) - math.comb(ell + d - 2, d)
                 for ell in labels[:, 0].tolist()]
+        if mult and max(mult) >= 2**63:
+            raise ValueError(f"multiplicities on {space.spec_string()} to degree "
+                             f"{max(labels[:, 0].tolist())} overflow int64")
         return x[:, 0] * (x[:, 0] + (d - 1)), np.array(mult, dtype=np.int64)
     return (x * x).sum(axis=1), np.ones(len(labels), dtype=np.int64)
 
@@ -189,6 +192,13 @@ def make_index(space: Space, label: tuple[int, ...]) -> SpectralIndex:
     return SpectralIndex(label, kappa.item(), mult.item())
 
 
+# Most labels the spectrum enumeration lists before it cuts them to the
+# cutoff: (2 floor(sqrt T) + 1)^d on the circle and tori, floor(sqrt T) + 1
+# on spheres.  Torus:3 to Casimir 6400 (4,173,281 labels) took 0.59 s and
+# 319 MB, torus:4 to 484 (4,100,625) 0.41 s and 407 MB, on a 2-CPU Xeon.
+_SPECTRUM_BOX = 2**22
+
+
 def _spectrum_table(space: Space, casimir_max: float):
     """(labels (N, rank) int, casimir (N,) float, multiplicity (N,) int) of
     every index with Casimir eigenvalue <= casimir_max, sorted by (casimir,
@@ -198,6 +208,10 @@ def _spectrum_table(space: Space, casimir_max: float):
     if not 0.0 <= casimir_max < math.inf:
         raise ValueError("casimir_max must be finite and >= 0")
     n_max = math.isqrt(int(casimir_max))  # bounds every |n_a| and every degree
+    box = n_max + 1 if space.kind is SpaceKind.SPHERE else (2 * n_max + 1) ** space.dim
+    if box > _SPECTRUM_BOX:
+        raise ValueError(f"the spectrum of {space.spec_string()} to cutoff {casimir_max:g} "
+                         f"spans {box} labels, more than {_SPECTRUM_BOX}")
     if space.kind is SpaceKind.SPHERE:
         labels = np.arange(n_max + 1)[:, None]
     else:
@@ -566,6 +580,9 @@ def weyl_census(space: Space, thresholds) -> list[tuple[int, int]]:
     if space.rank == 1:
         # by Casimir: at most 2 sqrt(top) + 1 indices
         _, kappas, weighted = _spectrum_table(space, top)
+        if sum(weighted.tolist()) >= 2**63:
+            raise ValueError(f"weighted census counts on {space.spec_string()} to {top:g} "
+                             "overflow int64")
         counts = np.ones(len(kappas), dtype=np.int64)
     else:
         # per shell k <= top, #{n in Z^d : |n|^2 = k}, built one axis at a

@@ -2,11 +2,15 @@
 
 import argparse
 import json
+import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from decompound import DensityEstimate, read_observations
+from decompound import DensityEstimate, cli, read_observations
 from decompound.cli import _build_parser, main
 
 
@@ -232,7 +236,7 @@ def test_exit_code_3_when_every_estimate_is_truncated(tmp_path, capsys):
                  "--delta", "1e9", "--m-grid", "100,300,1000", "--replicates", "30",
                  "--assert", "--out", str(out)])
     assert code == 3
-    assert "every estimate truncated" in capsys.readouterr().out
+    assert "no replicate kept a non-trivial estimate at any m" in capsys.readouterr().out
     fit = json.loads((out / "fit.json").read_text())
     assert fit["fit"]["slope"] is None and fit["passed"] is False
 
@@ -341,3 +345,63 @@ def test_verb_option_strings(verb, options):
                 if isinstance(a, argparse._SubParsersAction))
     got = {o for action in subs.choices[verb]._actions for o in action.option_strings}
     assert got == options
+
+
+def test_census_sphere_counts_within_int64_stay_exact(capsys):
+    # sphere:10's weighted count to 1e5 fits int64 and stays exact: the
+    # dimensions of the harmonics of each degree l with l(l + 9) <= 1e5
+    assert main(["census", "--space", "sphere:10"]) == 0
+    exact = sum(math.comb(ell + 10, 10) - math.comb(ell + 8, 10)
+                for ell in range(400) if ell * (ell + 9) <= 1e5)
+    assert exact == 5_470_251_640_289_742_592
+    assert f"weighted={exact}" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [
+    ["--space", "sphere:11"],
+    ["--space", "sphere:11", "--thresholds", "67.575,675.75,6757.5,67575"],
+    ["--space", "sphere:12"],
+], ids=["sphere11", "sphere11-plausible", "sphere12"])
+def test_census_refuses_sphere_counts_beyond_int64(capsys, argv):
+    # sphere:11's weighted total exceeds int64 (wrapped, it read a negative
+    # count, or a plausible exponent on the shorter grid); sphere:12's top
+    # multiplicities exceed it alone
+    assert main(["census", *argv]) == 2
+    assert "overflow int64" in capsys.readouterr().err
+
+
+def _capped_main(argv, cwd):
+    """Exit code and stderr of main(argv) in a child limited to 1 GiB of
+    address space, so that a request too large to allocate fails fast."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    script = "\n".join([
+        "import resource, sys",
+        "hard = resource.getrlimit(resource.RLIMIT_AS)[1]",
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, hard))",
+        "sys.path.insert(0, sys.argv[1])",
+        "from decompound.cli import main",
+        "sys.exit(main(sys.argv[2:]))",
+    ])
+    proc = subprocess.run([sys.executable, "-c", script, src, *argv], cwd=cwd,
+                          capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "OPENBLAS_NUM_THREADS": "1"})
+    return proc.returncode, proc.stderr
+
+
+@pytest.mark.parametrize("argv,named", [
+    # the step-count table alone would hold about 1e9 Poisson terms
+    (["sample", "--space", "circle", "--law", "wn:sigma=0.7", "--t-lambda", "1e9",
+      "--count", "10"], "t_lambda must be at most 1e+06"),
+    # the torus:2 label box to Casimir 1e8 is 20001^2 labels, 5.96 GiB as listed
+    (["coeffs", "--in", "points.csv", "--cutoff", "1e8"], "to cutoff 1e+08"),
+    # the circle's cutoff at m = 40 and scale 1e30, 1e30 * 40^(2/5), lists
+    # about 4e15 frequencies
+    (["study-density", "--space", "circle", "--scale", "1e30", "--m-grid", "10,20,40",
+      "--replicates", "2"], "to cutoff 4.37345e+30"),
+], ids=["sample-t-lambda", "coeffs-cutoff", "study-density-scale"])
+def test_requests_too_large_to_allocate_fail_before_allocating(tmp_path, argv, named):
+    assert main(["sample", "--space", "torus:2", "--law", "wn:sigma=0.7", "--count", "50",
+                 "--out", str(tmp_path / "points.csv")]) == 0
+    code, err = _capped_main(argv, tmp_path)
+    assert code == 2, err
+    assert err.startswith("error: ") and named in err

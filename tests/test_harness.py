@@ -369,7 +369,8 @@ def test_coefficient_study_explicit_index():
     res0 = run_coefficient_study(cfg0)
     assert res0.fit is None  # trivial index estimates exactly, no rate to fit
     assert all(r["mse"] == 0.0 for r in res0.rows)
-    assert res0.notes
+    # the trivial index is not a non-trivial estimate: nothing was kept
+    assert res0.notes == ("no replicate kept a non-trivial estimate at any m; rate fit skipped",)
 
 
 def test_coefficient_study_skips_the_fit_when_every_estimate_is_truncated():
@@ -382,11 +383,39 @@ def test_coefficient_study_skips_the_fit_when_every_estimate_is_truncated():
         c = cfg.law_object().coefficient(index)
         assert [(r["mse"], r["stderr"]) for r in res.rows] == [(abs(c) ** 2, 0.0)] * 3
         assert res.fit is None
-        assert any("every estimate truncated" in note for note in res.notes)
+        assert res.notes == tuple(
+            f"m={m}: 2 of 2 replicates had every non-trivial estimate truncated to 0"
+            for m in (100, 300, 1000)) + (
+            "no replicate kept a non-trivial estimate at any m; rate fit skipped",)
     # |nu| is about 0.8: delta = 100 truncates m = 100 only, and the fit stays
     partly = run_coefficient_study(_tiny_density_config(delta=100.0, replicates=2))
     assert partly.rows[0]["stderr"] == 0.0 and partly.rows[1]["stderr"] > 0.0
-    assert partly.fit is not None and partly.notes == ()
+    assert partly.fit is not None and partly.notes == (
+        "m=100: 2 of 2 replicates had every non-trivial estimate truncated to 0",)
+
+
+def test_coefficient_study_notes_replicates_with_every_estimate_truncated():
+    # |nu| is about 0.8 at index 1, so delta = 80.5 puts delta / m at m = 100
+    # inside the spread of |nu_hat|: some replicates truncate there, none
+    # beyond, and the note counts them, in a pool too
+    for threads in (1, 2):
+        res = run_coefficient_study(_tiny_density_config(delta=80.5, replicates=6,
+                                                         threads=threads))
+        assert res.notes == (
+            "m=100: 2 of 6 replicates had every non-trivial estimate truncated to 0",)
+        assert res.fit is not None
+
+
+def test_coefficient_study_with_zero_errors_skips_the_fit_without_calling_it_trivial():
+    # sigma = 1e-9 moves no point off the origin in double precision, so index
+    # 1 is estimated exactly (1) at every m: a kept, non-trivial estimate
+    # whose zero errors leave no logarithm to fit
+    res = run_coefficient_study(StudyConfig(space="circle", law="wn:sigma=1e-9", index="1",
+                                            m_grid=(100, 1000, 10_000), replicates=3))
+    assert [r["mse"] for r in res.rows] == [0.0] * 3
+    assert res.fit is None
+    assert res.notes == ("mse is 0 at m=100,1000,10000; rate fit skipped",)
+    assert res.apply_band(0.5).passed is False
 
 
 def test_coefficient_study_torus_index_parsing():
@@ -510,6 +539,10 @@ def test_real_log_rejects_laws_without_inverse_invariance(pools_opened, call):
 def test_m_grid_below_one_rejected_before_any_pool(pools_opened, study):
     with pytest.raises(ValueError, match="m_grid values must be >= 1"):
         study(_tiny_density_config(m_grid=(0, 10, 100), threads=2))
+    # the one runner checks the grid's length, an empty grid too, before its pool
+    for grid in ((), (100, 1000)):
+        with pytest.raises(ValueError, match="m_grid needs at least 3 values for a rate fit"):
+            study(_tiny_density_config(m_grid=grid, threads=2))
     assert pools_opened == []
 
 

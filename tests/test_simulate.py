@@ -246,6 +246,13 @@ def test_process_config_validation():
         _circle_config(t_lambda=float("inf"))
     with pytest.raises(ValueError):
         _circle_config(noise_tau=-0.1)
+    # the step-count table grows with t Lambda: its bound is admitted, one ulp
+    # past it is refused before any table is built
+    top = simulate._T_LAMBDA_MAX
+    assert _circle_config(t_lambda=top).t_lambda == top
+    for t in (math.nextafter(top, math.inf), 1e9):
+        with pytest.raises(ValueError, match="t_lambda must be at most 1e\\+06"):
+            _circle_config(t_lambda=t)
 
 
 # --- Poisson counts ----------------------------------------------------------

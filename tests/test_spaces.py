@@ -22,6 +22,9 @@ from decompound import (
     zonal_quadrature,
     zonal_values,
 )
+from decompound import (EstimatorConfig, ProcessConfig, SobolevSpec, parse_law, reconstruct,
+                        sample_compound, spaces)
+from decompound.density import truth_table
 from decompound.spaces import (_first_rows, _pair_labels, _spectrum_table, _wrap_angles,
                                pair_label)
 
@@ -352,6 +355,25 @@ def test_weyl_census_counts_the_spectrum():
     # 633^8 lattice labels in the box of torus:8 at 1e5 exceed int64: loud, not wrapped
     with pytest.raises(ValueError, match="torus:8 to 100000 could overflow int64"):
         weyl_census(torus(8), [1e5])
+
+
+def test_spectrum_enumeration_refuses_a_label_box_beyond_its_bound():
+    # the largest box the studies and tests build, torus:3 to Casimir 2500,
+    # is admitted; one past the bound is refused before it is listed, by
+    # every caller of the one enumeration
+    assert spaces._SPECTRUM_BOX >= 101**3
+    assert len(_spectrum_table(torus(3), 2500.0)[1]) == 523_305
+    n = (math.isqrt(spaces._SPECTRUM_BOX) - 1) // 2  # (2n + 1)^2 labels fit on torus:2
+    assert (2 * n + 1) ** 2 <= spaces._SPECTRUM_BOX < (2 * n + 3) ** 2
+    too_far = float((n + 1) ** 2)
+    for call in (lambda: spectrum(torus(2), too_far),
+                 lambda: spectrum(sphere(2), 1e14),
+                 lambda: truth_table(parse_law("wn:sigma=0.7", torus(2)), too_far)):
+        with pytest.raises(ValueError, match="to cutoff .* spans .* labels, more than"):
+            call()
+    with pytest.raises(ValueError, match="to cutoff .* spans .* labels, more than"):
+        reconstruct(sample_compound(ProcessConfig(parse_law("wn:sigma=0.7", torus(2))), 10),
+                    EstimatorConfig(), SobolevSpec(2.0), scale=1e9)
 
 
 def test_weyl_census_monotone_in_threshold():
